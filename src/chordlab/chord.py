@@ -47,10 +47,10 @@ __all__ = [
     "CollapsedGraph",
     "validate_chord",
     "collapse_ghosts",
-    "multiplicity",
     "multiplicities",
     "chi_defect",
     "is_essential",
+    "is_collapsible",
     "collapse_edge",
     "expansions",
     "canonical_gamma0",
@@ -79,7 +79,7 @@ class ChordDiagram:
         g, n = fg.topological_type(self.graph)
         return TopType(g, self.p, n - self.p)
 
-    def cycles(self) -> list[tuple[int, ...]]:
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
         return _cycles(self.graph)
 
     def cycle_by_rep(self, rep: int) -> tuple[int, ...]:
@@ -112,8 +112,9 @@ class CollapsedGraph:
 
 
 @lru_cache(maxsize=65536)
-def _cycles(graph: FatGraph) -> list[tuple[int, ...]]:
-    return fg.boundary_cycles(graph)
+def _cycles(graph: FatGraph) -> tuple[tuple[int, ...], ...]:
+    # a tuple, because every caller of the cache shares the result
+    return tuple(fg.boundary_cycles(graph))
 
 
 def _cycle_of_map(graph: FatGraph) -> dict[int, int]:
@@ -125,13 +126,12 @@ def _cycle_of_map(graph: FatGraph) -> dict[int, int]:
     return out
 
 
-def _ghost_components(diagram_or_parts) -> tuple[tuple[int, ...], list[int]]:
+def _ghost_components(graph: FatGraph, labels) -> tuple[int, ...]:
     """Union-find over vertices along ghost edges.
 
-    Returns (component index per vertex, component sizes in circular vertices).
-    Raises GhostCycle if the ghost subgraph contains a cycle.
+    Returns the component index of every vertex.  Raises GhostCycle if the
+    ghost subgraph contains a cycle.
     """
-    graph, labels = diagram_or_parts
     vertex_of = graph.vertex_of()
     nv = graph.n_vertices
     parent = list(range(nv))
@@ -151,13 +151,7 @@ def _ghost_components(diagram_or_parts) -> tuple[tuple[int, ...], list[int]]:
 
     roots = sorted({find(v) for v in range(nv)})
     index = {r: i for i, r in enumerate(roots)}
-    comp = tuple(index[find(v)] for v in range(nv))
-
-    circ_count = [0] * len(roots)
-    for v, orbit in enumerate(graph.vertices()):
-        if any(labels[h] == CIRCULAR for h in orbit):
-            circ_count[comp[v]] += 1
-    return comp, circ_count
+    return tuple(index[find(v)] for v in range(nv))
 
 
 def validate_chord(
@@ -193,7 +187,7 @@ def validate_chord(
             )
         n_circ_vertices += k == 2
 
-    _ghost_components((graph, labels))  # raises GhostCycle
+    _ghost_components(graph, labels)  # raises GhostCycle
 
     cycles = _cycles(graph)
     by_rep = {cyc[0]: cyc for cyc in cycles}
@@ -258,7 +252,7 @@ def validate_chord(
 def collapse_ghosts(c: ChordDiagram) -> CollapsedGraph:
     """Contract every ghost edge; circular edges biject with edges of S(c)."""
     graph, labels = c.graph, c.labels
-    comp, _ = _ghost_components((graph, labels))
+    comp = _ghost_components(graph, labels)
 
     circ = [h for h in range(graph.n_half_edges) if labels[h] == CIRCULAR]
     rank = {h: i for i, h in enumerate(circ)}
@@ -297,14 +291,10 @@ def multiplicities(c: ChordDiagram) -> list[int]:
     return counts
 
 
-def multiplicity(c: ChordDiagram, v: int) -> int:
-    return multiplicities(c)[v]
-
-
 def chi_defect(c: ChordDiagram) -> int:
     """v(c) - sigma(c); always equals -chi of the underlying fat graph."""
     graph, labels = c.graph, c.labels
-    comp, _ = _ghost_components((graph, labels))
+    comp = _ghost_components(graph, labels)
     n_circ = sum(
         1 for orbit in graph.vertices() if any(labels[h] == CIRCULAR for h in orbit)
     )
@@ -330,7 +320,7 @@ def is_essential(c: ChordDiagram, e: int) -> bool:
     if labels[e] == CIRCULAR:
         if va == vb:
             return True
-        comp, _ = _ghost_components((graph, labels))
+        comp = _ghost_components(graph, labels)
         return comp[va] == comp[vb]
     circ_vertex = [
         any(labels[h] == CIRCULAR for h in orbit) for orbit in graph.vertices()
@@ -338,9 +328,24 @@ def is_essential(c: ChordDiagram, e: int) -> bool:
     return circ_vertex[va] and circ_vertex[vb]
 
 
-def _renumber(half_edges_kept: list[int]):
-    new_id = {h: i for i, h in enumerate(half_edges_kept)}
-    return new_id
+def is_collapsible(c: ChordDiagram, e: int) -> bool:
+    """True iff collapse_edge accepts e: neither a loop nor essential."""
+    vertex_of = c.graph.vertex_of()
+    return vertex_of[e] != vertex_of[c.graph.pairing[e]] and not is_essential(c, e)
+
+
+def _open_rotations(graph: FatGraph, a: int):
+    """The rotations at the two ends of edge a, each opened at the edge: the
+    half-edges following a (resp. pairing(a)) around its vertex, in order."""
+    arcs = []
+    for h in (a, graph.pairing[a]):
+        arc = []
+        x = graph.next_at_vertex[h]
+        while x != h:
+            arc.append(x)
+            x = graph.next_at_vertex[x]
+        arcs.append(arc)
+    return arcs[0], arcs[1]
 
 
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
@@ -359,20 +364,13 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     if is_essential(c, a):
         raise EssentialEdge(f"edge {a} is essential")
 
-    verts = graph.vertices()
-    rot_a = list(verts[vertex_of[a]])
-    rot_b = list(verts[vertex_of[b]])
-    ia, ib = rot_a.index(a), rot_b.index(b)
-    merged = rot_a[ia + 1:] + rot_a[:ia] + rot_b[ib + 1:] + rot_b[:ib]
-
     kept = [h for h in range(graph.n_half_edges) if h not in (a, b)]
-    new_id = _renumber(kept)
-    new_vertex_lists = []
-    for v, orbit in enumerate(verts):
-        if v == vertex_of[a]:
-            new_vertex_lists.append([new_id[h] for h in merged])
-        elif v != vertex_of[b]:
-            new_vertex_lists.append([new_id[h] for h in orbit])
+    new_id = {h: i for i, h in enumerate(kept)}
+    arc_a, arc_b = _open_rotations(graph, a)
+    new_vertex_lists = [[new_id[h] for h in arc_a + arc_b]] + [
+        [new_id[h] for h in orbit]
+        for orbit in graph.vertices() if a not in orbit and b not in orbit
+    ]
     new_pairing = [0] * len(kept)
     for h in kept:
         new_pairing[new_id[h]] = new_id[graph.pairing[h]]
@@ -387,10 +385,9 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     for r, m in zip(c.boundary_order, c.markings):
         cyc = old_by_rep[r]
         if m in (a, b):
-            i = cyc.index(m)
-            rotated = cyc[i:] + cyc[:i]
             m = next(
-                (h for h in rotated if h not in (a, b) and labels[h] == CIRCULAR),
+                (h for h in _rotate_to(cyc, m)
+                 if h not in (a, b) and labels[h] == CIRCULAR),
                 None,
             )
             if m is None:
@@ -405,7 +402,7 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
 
 
 def _expansion_candidates(c: ChordDiagram):
-    """All (vertex index, arc1, arc2, label) single-vertex splits to try."""
+    """All (arc1, arc2, label) single-vertex splits to try."""
     for orbit in c.graph.vertices():
         d = len(orbit)
         if d < 4:
@@ -421,7 +418,7 @@ def _expansion_candidates(c: ChordDiagram):
                     continue
                 seen.add(key)
                 for label in (CIRCULAR, GHOST):
-                    yield orbit, arc1, arc2, label
+                    yield arc1, arc2, label
 
 
 def apply_expansion(
@@ -433,16 +430,9 @@ def apply_expansion(
     graph, labels = c.graph, c.labels
     n = graph.n_half_edges
     n1, n2 = n, n + 1
-    vertex_of = graph.vertex_of()
-    v = vertex_of[arc1[0]]
-
-    new_vertex_lists = []
-    for w, orbit in enumerate(graph.vertices()):
-        if w == v:
-            new_vertex_lists.append(list(arc1) + [n1])
-            new_vertex_lists.append(list(arc2) + [n2])
-        else:
-            new_vertex_lists.append(list(orbit))
+    new_vertex_lists = [list(arc1) + [n1], list(arc2) + [n2]] + [
+        list(orbit) for orbit in graph.vertices() if arc1[0] not in orbit
+    ]
     new_pairing = list(graph.pairing) + [n2, n1]
     new_labels = labels + (label, label)
 
@@ -470,22 +460,17 @@ def apply_expansion(
     return result
 
 
-def expansions(c: ChordDiagram, check_inverse: bool = False) -> list[ChordDiagram]:
+def expansions(c: ChordDiagram) -> list[ChordDiagram]:
     """Every diagram obtained by one valid type-preserving vertex split.
 
-    With ``check_inverse`` the (guaranteed-by-construction) round trip through
-    collapse_edge is verified explicitly.
+    The new edge is the last one, half-edges n-2 and n-1; collapsing it
+    gives back c's class.
     """
     out = []
-    for _orbit, arc1, arc2, label in _expansion_candidates(c):
+    for arc1, arc2, label in _expansion_candidates(c):
         d = apply_expansion(c, arc1, arc2, label)
-        if d is None:
-            continue
-        if check_inverse:
-            back = collapse_edge(d, d.graph.n_half_edges - 2)
-            if diagram_code(back) != diagram_code(c):
-                continue
-        out.append(d)
+        if d is not None:
+            out.append(d)
     return out
 
 
@@ -520,9 +505,13 @@ def canonical_form(c: ChordDiagram) -> ChordDiagram:
     return canonical_form_with_map(c)[0]
 
 
-def canonical_form_with_map(c: ChordDiagram) -> tuple[ChordDiagram, tuple[int, ...]]:
-    """canonical_form plus the relabeling (old half-edge -> new label)."""
-    label = fg.canonical_labeling(c.graph, _code_colors(c, False))
+def canonical_form_with_map(
+    c: ChordDiagram,
+) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
+    """canonical_form plus the relabeling (old half-edge -> new label) and
+    the class code, diagram_code(c), both from one canonical search."""
+    colors = _code_colors(c, False)
+    label = fg.canonical_labeling(c.graph, colors)
     n = c.graph.n_half_edges
     inv = [0] * n
     for h, l in enumerate(label):
@@ -536,7 +525,7 @@ def canonical_form_with_map(c: ChordDiagram) -> tuple[ChordDiagram, tuple[int, .
     order = [cycle_of[label[m]] for m in c.markings]
     marks = [label[m] for m in c.markings]
     result, _ = validate_chord(graph, labels, c.p, order, marks)
-    return result, label
+    return result, label, fg._encode(c.graph, colors, label)
 
 
 # ---------------------------------------------------------------------------

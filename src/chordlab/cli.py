@@ -64,16 +64,30 @@ def _algebra(spec: str, field_name: str) -> tqft.FrobeniusAlgebra:
 def _field(name: str):
     if name == "Q":
         return tqft.Rationals()
-    if name.startswith("F"):
-        return tqft.PrimeField(int(name[1:]))
+    if name.startswith("F") and name[1:].isdigit():
+        try:
+            return tqft.PrimeField(int(name[1:]))
+        except ValueError as exc:
+            raise ChordLabError(f"field {name}: {exc}") from None
     raise ChordLabError(f"unknown field {name!r} (use Q or F<prime>)")
 
 
+def _ints(text: str, option: str, names: str) -> list[int]:
+    """The comma-separated integers of an option, one per name in names."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(names.split(",")):
+        raise ChordLabError(f"{option} expects integers {names}, got {text!r}")
+    return values
+
+
 def _parse_type(text: str) -> TopType:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ChordLabError("--type expects g,p,q")
-    return TopType(*(int(x) for x in parts))
+    try:
+        return TopType(*_ints(text, "--type", "g,p,q"))
+    except ValueError as exc:
+        raise ChordLabError(f"--type {text}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +309,7 @@ def _cmd_tqft(args) -> int:
                 print("pairing nondegenerate:" , nondeg)
         return 0
     if args.action == "verify":
-        pm, qm, rm, g1m, g2m = (int(x) for x in args.range.split(","))
+        pm, qm, rm, g1m, g2m = _ints(args.range, "--range", "p,q,r,g1,g2")
         failures = []
         for p in range(1, pm + 1):
             for q in range(1, qm + 1):

@@ -145,18 +145,14 @@ def _is_connected(pairing: Sequence[int], nxt: Sequence[int]) -> bool:
 
 
 def validate(
-    pairing: Sequence[int],
-    vertex_lists: Iterable[Sequence[int]],
-    *,
-    min_valence: int = 3,
-    require_connected: bool = True,
+    pairing: Sequence[int], vertex_lists: Iterable[Sequence[int]]
 ) -> FatGraph:
     """Build a FatGraph from a pairing table and vertex cyclic lists.
 
     ``vertex_lists`` gives, for each vertex, its half-edges in cyclic order.
     Raises a structured error if the tables are inconsistent, the pairing is
-    not a fixed-point-free involution, a vertex has valence < min_valence,
-    or the graph is disconnected.
+    not a fixed-point-free involution, a vertex has valence < 3, or the graph
+    is disconnected.
     """
     pairing = tuple(pairing)
     n = len(pairing)
@@ -166,7 +162,7 @@ def validate(
     seen = [False] * n
     nxt = [-1] * n
     for cyc in vertex_lists:
-        if len(cyc) < min_valence:
+        if len(cyc) < 3:
             raise ValenceTooLow(f"vertex {tuple(cyc)} has valence {len(cyc)}")
         for h in cyc:
             if not (0 <= h < n) or seen[h]:
@@ -185,7 +181,7 @@ def validate(
         if pairing[k] != h:
             raise InconsistentTables(f"pairing is not an involution at {h}")
 
-    if require_connected and not _is_connected(pairing, nxt):
+    if not _is_connected(pairing, nxt):
         raise Disconnected("fat graph is not connected")
 
     return FatGraph(pairing=pairing, next_at_vertex=tuple(nxt))
@@ -229,6 +225,65 @@ def _color_index(n, colors):
     return palette, tuple(index[c] for c in colors)
 
 
+def _canonical_search(graph, colors, step_counter=None) -> tuple[int, ...]:
+    """Weinberg's per-dart search: for every starting half-edge, relabel by
+    breadth-first traversal along next_at_vertex and pairing; return the
+    labeling (old half-edge -> new label) whose word is least."""
+    n = graph.n_half_edges
+    pairing = graph.pairing
+    nxt = graph.next_at_vertex
+    _, color_ix = _color_index(n, colors)
+
+    best = best_label = None
+    for start in range(n):
+        label = [-1] * n
+        order = [start]
+        label[start] = 0
+        head = 0
+        while head < len(order):
+            h = order[head]
+            head += 1
+            for k in (nxt[h], pairing[h]):
+                if label[k] < 0:
+                    label[k] = len(order)
+                    order.append(k)
+        if step_counter is not None:
+            step_counter[0] += n
+        if len(order) != n:
+            raise Disconnected("canonical code requires a connected graph")
+        word = _word(graph, color_ix, label, order)
+        if best is None or word < best:
+            best = word
+            best_label = tuple(label)
+    return best_label
+
+
+def _word(graph, color_ix, label, order) -> tuple[int, ...]:
+    """Both permutations (and colors) serialized in label order."""
+    nxt, pairing = graph.next_at_vertex, graph.pairing
+    word = []
+    for h in order:
+        word.append(label[nxt[h]])
+        word.append(label[pairing[h]])
+        if color_ix is not None:
+            word.append(color_ix[h])
+    return tuple(word)
+
+
+def _encode(
+    graph: FatGraph, colors: Sequence[object] | None, label: Sequence[int]
+) -> bytes:
+    """The code bytes of graph relabeled by label (None: the empty graph)."""
+    n = graph.n_half_edges
+    palette, color_ix = _color_index(n, colors)
+    word = None
+    if label is not None:
+        order = sorted(range(n), key=label.__getitem__)
+        word = _word(graph, color_ix, label, order)
+    payload = (n, tuple(repr(c) for c in palette), word)
+    return repr(payload).encode("ascii")
+
+
 def canonical_code(
     graph: FatGraph,
     colors: Sequence[object] | None = None,
@@ -242,39 +297,7 @@ def canonical_code(
     The graph must be connected.  ``_step_counter`` accumulates traversal step
     counts for complexity tests.
     """
-    n = graph.n_half_edges
-    pairing = graph.pairing
-    nxt = graph.next_at_vertex
-    palette, color_ix = _color_index(n, colors)
-
-    best = None
-    for start in range(n):
-        label = [-1] * n
-        order = [start]
-        label[start] = 0
-        head = 0
-        while head < len(order):
-            h = order[head]
-            head += 1
-            for k in (nxt[h], pairing[h]):
-                if label[k] < 0:
-                    label[k] = len(order)
-                    order.append(k)
-        if _step_counter is not None:
-            _step_counter[0] += n
-        if len(order) != n:
-            raise Disconnected("canonical_code requires a connected graph")
-        word = []
-        for h in order:
-            word.append(label[nxt[h]])
-            word.append(label[pairing[h]])
-            if color_ix is not None:
-                word.append(color_ix[h])
-        word = tuple(word)
-        if best is None or word < best:
-            best = word
-    payload = (n, tuple(repr(c) for c in palette), best)
-    return repr(payload).encode("ascii")
+    return _encode(graph, colors, _canonical_search(graph, colors, _step_counter))
 
 
 def canonical_labeling(
@@ -286,35 +309,4 @@ def canonical_labeling(
     and next_at_vertex tables (and colors) for every member of its
     isomorphism class.
     """
-    n = graph.n_half_edges
-    pairing = graph.pairing
-    nxt = graph.next_at_vertex
-    _, color_ix = _color_index(n, colors)
-
-    best = None
-    best_label = None
-    for start in range(n):
-        label = [-1] * n
-        order = [start]
-        label[start] = 0
-        head = 0
-        while head < len(order):
-            h = order[head]
-            head += 1
-            for k in (nxt[h], pairing[h]):
-                if label[k] < 0:
-                    label[k] = len(order)
-                    order.append(k)
-        if len(order) != n:
-            raise Disconnected("canonical_labeling requires a connected graph")
-        word = []
-        for h in order:
-            word.append(label[nxt[h]])
-            word.append(label[pairing[h]])
-            if color_ix is not None:
-                word.append(color_ix[h])
-        word = tuple(word)
-        if best is None or word < best:
-            best = word
-            best_label = tuple(label)
-    return best_label
+    return _canonical_search(graph, colors)

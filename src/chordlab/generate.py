@@ -82,13 +82,10 @@ def random_diagram(
     if steps is None:
         steps = rng.randint(0, 4)
     for _ in range(steps):
-        options: list[ChordDiagram] = []
-        for e in c.graph.edges():
-            if not ch.is_essential(c, e):
-                va = c.graph.vertex_of()[e]
-                vb = c.graph.vertex_of()[c.graph.pairing[e]]
-                if va != vb:
-                    options.append(ch.collapse_edge(c, e))
+        options = [
+            ch.collapse_edge(c, e) for e in c.graph.edges()
+            if ch.is_collapsible(c, e)
+        ]
         options.extend(ch.expansions(c))
         if not options:
             break

@@ -13,6 +13,7 @@ search against an independent exhaustive enumeration of the classes.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 
 from . import chord as ch
@@ -34,6 +35,9 @@ __all__ = [
 # refer to the diagram the move is applied to.
 Move = tuple
 
+# edges above the larger endpoint that path_to_canonical may search through
+_PATH_SLACK = 4
+
 
 def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
     if move[0] == "collapse":
@@ -46,21 +50,20 @@ def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
     raise ChordLabError(f"unknown move {move!r}")
 
 
-def _collapse_with_inverse(c: ChordDiagram, e: int):
-    """Collapse e and derive the inverse expansion in the canonical labeling
-    of the result."""
-    graph = c.graph
-    a = graph.edge_of(e)
-    b = graph.pairing[a]
-    vertex_of = graph.vertex_of()
-    verts = graph.vertices()
-    rot_a = list(verts[vertex_of[a]])
-    rot_b = list(verts[vertex_of[b]])
-    arc1 = rot_a[rot_a.index(a) + 1:] + rot_a[: rot_a.index(a)]
-    arc2 = rot_b[rot_b.index(b) + 1:] + rot_b[: rot_b.index(b)]
+def _replay(d: ChordDiagram, path: list[Move]) -> bytes:
+    """The class code reached by replaying path from the representative d."""
+    for move in path:
+        d = ch.canonical_form(apply_move(d, move))
+    return ch.diagram_code(d)
 
-    child = ch.collapse_edge(c, a)
-    canon, label = ch.canonical_form_with_map(child)
+
+def _collapse_with_inverse(c: ChordDiagram, e: int):
+    """Collapse e; return the class code, the canonical representative and
+    the inverse expansion in the representative's labeling."""
+    a = c.graph.edge_of(e)
+    b = c.graph.pairing[a]
+    arc1, arc2 = ch._open_rotations(c.graph, a)
+    canon, label, code = ch.canonical_form_with_map(ch.collapse_edge(c, a))
 
     def new_id(h):
         return label[h - (h > a) - (h > b)]
@@ -71,7 +74,7 @@ def _collapse_with_inverse(c: ChordDiagram, e: int):
         tuple(new_id(h) for h in arc2),
         c.labels[a],
     )
-    return canon, inverse
+    return code, canon, inverse
 
 
 def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
@@ -82,23 +85,18 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
     representative).
     """
     found: dict[bytes, tuple] = {}
-    vertex_of = c.graph.vertex_of()
     for e in c.graph.edges():
-        if vertex_of[e] == vertex_of[c.graph.pairing[e]]:
+        if not ch.is_collapsible(c, e):
             continue
-        if ch.is_essential(c, e):
-            continue
-        canon, inverse = _collapse_with_inverse(c, e)
-        code = ch.diagram_code(canon)
+        code, canon, inverse = _collapse_with_inverse(c, e)
         if code not in found:
             found[code] = (code, canon, ("collapse", e), inverse)
     if max_edges is None or c.graph.n_edges < max_edges:
-        for _orbit, arc1, arc2, lbl in ch._expansion_candidates(c):
+        for arc1, arc2, lbl in ch._expansion_candidates(c):
             d = ch.apply_expansion(c, arc1, arc2, lbl)
             if d is None:
                 continue
-            canon, label = ch.canonical_form_with_map(d)
-            code = ch.diagram_code(canon)
+            canon, label, code = ch.canonical_form_with_map(d)
             if code not in found:
                 n = d.graph.n_half_edges
                 inverse = ("collapse", min(label[n - 2], label[n - 1]))
@@ -141,6 +139,24 @@ def _expand_one(args):
     return neighbors_with_moves(rep, max_edges)
 
 
+def _grow(info: dict, frontier, max_edges: int, forward=False, pool=None):
+    """Expand one search layer: record each unseen neighbour of the frontier
+    in info as (rep, parent code, move), the move being the forward one or,
+    by default, the inverse.  Returns the new frontier, sorted."""
+    reps = [(info[code][0], max_edges) for code in frontier]
+    if pool is None:
+        results = map(_expand_one, reps)
+    else:
+        results = pool.map(_expand_one, reps, chunksize=4)
+    new = []
+    for parent, neigh in zip(frontier, results):
+        for code, rep, fwd, inv in neigh:
+            if code not in info:
+                info[code] = (rep, parent, fwd if forward else inv)
+                new.append(code)
+    return sorted(new)
+
+
 def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
     """Breadth-first search over classes; returns code -> (rep, parent, inv)."""
     start_code = ch.diagram_code(start)
@@ -151,18 +167,7 @@ def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
     try:
         while frontier:
-            reps = [(info[code][0], max_edges) for code in frontier]
-            if pool is not None:
-                results = list(pool.map(_expand_one, reps, chunksize=4))
-            else:
-                results = [_expand_one(r) for r in reps]
-            next_frontier = []
-            for parent_code, neigh in zip(frontier, results):
-                for code, rep, _fwd, inv in neigh:
-                    if code not in info:
-                        info[code] = (rep, parent_code, inv)
-                        next_frontier.append(code)
-            frontier = sorted(next_frontier)
+            frontier = _grow(info, frontier, max_edges, pool=pool)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -175,14 +180,18 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     Starts at the base-point diagram, discovers classes by breadth-first
     search, independently enumerates every class of the type within the
     bound, and reports the classes the search did not reach.  Witness paths
-    (move sequences back to the base point) are replay-verified.
+    (move sequences back to the base point) are replay-verified.  ``jobs``
+    (at least 1) worker processes, at most one per CPU, expand each layer.
     """
-    g0 = ch.canonical_form(ch.canonical_gamma0(top.genus, top.p, top.q))
+    if jobs < 1:
+        raise ChordLabError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
+    g0, _, g0_code = ch.canonical_form_with_map(
+        ch.canonical_gamma0(top.genus, top.p, top.q))
     if edge_bound < g0.graph.n_edges:
         raise BoundTooSmall(
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
-    g0_code = ch.diagram_code(g0)
 
     info = _bfs(g0, edge_bound, jobs=jobs)
     universe = generate.enumerate_classes(top, edge_bound)
@@ -220,11 +229,7 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
         return witness[code]
 
     for code in sorted(info):
-        path = path_of(code)
-        d = info[code][0]
-        for move in path:
-            d = ch.canonical_form(apply_move(d, move))
-        if ch.diagram_code(d) != g0_code:
+        if _replay(info[code][0], path_of(code)) != g0_code:
             raise ChordLabError(f"witness path for {code!r} does not replay")
 
     return MoveGraphReport(
@@ -237,19 +242,19 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     )
 
 
-def path_to_canonical(c: ChordDiagram, slack: int = 4) -> list[Move]:
+def path_to_canonical(c: ChordDiagram) -> list[Move]:
     """A replay-verified move sequence from c to the base-point diagram of
     its type, found by bidirectional search with edge ceiling
-    edges(c) + slack.
+    max(edges(c), edges(base point)) + _PATH_SLACK.
 
     The returned moves are applied to canonical representatives: replay as
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
     """
     top = c.top_type()
-    start = ch.canonical_form(c)
-    goal = ch.canonical_form(ch.canonical_gamma0(top.genus, top.p, top.q))
-    start_code, goal_code = ch.diagram_code(start), ch.diagram_code(goal)
-    ceiling = max(start.graph.n_edges, goal.graph.n_edges) + slack
+    start, _, start_code = ch.canonical_form_with_map(c)
+    goal, _, goal_code = ch.canonical_form_with_map(
+        ch.canonical_gamma0(top.genus, top.p, top.q))
+    ceiling = max(start.graph.n_edges, goal.graph.n_edges) + _PATH_SLACK
 
     # side A grows from c recording forward moves (parent rep -> child);
     # side B grows from the base point recording inverse moves (child rep ->
@@ -264,23 +269,10 @@ def path_to_canonical(c: ChordDiagram, slack: int = 4) -> list[Move]:
 
     meet = meet_code()
     while meet is None and (a_frontier or b_frontier):
-        grow_a = bool(a_frontier) and (
-            not b_frontier or len(a_frontier) <= len(b_frontier)
-        )
-        side, frontier = (
-            (a_info, a_frontier) if grow_a else (b_info, b_frontier)
-        )
-        nxt = []
-        for code in frontier:
-            rep = side[code][0]
-            for ncode, nrep, fwd, inv in neighbors_with_moves(rep, ceiling):
-                if ncode not in side:
-                    side[ncode] = (nrep, code, fwd if grow_a else inv)
-                    nxt.append(ncode)
-        if grow_a:
-            a_frontier = sorted(nxt)
+        if a_frontier and (not b_frontier or len(a_frontier) <= len(b_frontier)):
+            a_frontier = _grow(a_info, a_frontier, ceiling, forward=True)
         else:
-            b_frontier = sorted(nxt)
+            b_frontier = _grow(b_info, b_frontier, ceiling)
         meet = meet_code()
 
     if meet is None:
@@ -302,9 +294,6 @@ def path_to_canonical(c: ChordDiagram, slack: int = 4) -> list[Move]:
         path.append(b_info[code][2])
         code = b_info[code][1]
 
-    d = start
-    for move in path:
-        d = ch.canonical_form(apply_move(d, move))
-    if ch.diagram_code(d) != goal_code:
+    if _replay(start, path) != goal_code:
         raise ChordLabError("path replay does not reach the base point")
     return path

@@ -88,11 +88,32 @@ class Rationals:
         return "Rationals()"
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound, the least strong pseudoprime to all of them (Sorenson-Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for 0 <= p < _MR_LIMIT."""
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1     # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
+            return False
+    return True
+
+
 class PrimeField:
     """The field of integers modulo a prime; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise ValueError(f"{p} is too large: primes below {_MR_LIMIT} only")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -186,30 +207,35 @@ def _mat_sub(F, A, B):
     ]
 
 
-def _solve(F, A, b):
-    """One solution x of Ax = b over F by Gaussian elimination, or None."""
-    rows, cols = len(A), len(A[0])
-    M = [list(A[i]) + [b[i]] for i in range(rows)]
+def _row_reduce(F, M, cols):
+    """Gauss-Jordan elimination of M in place on its first cols columns;
+    returns the pivot columns, row i holding the pivot of the i-th."""
     pivots = []
-    r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][c] != F.zero), None)
+        r = len(pivots)
+        if r == len(M):
+            break
+        pivot = next((i for i in range(r, len(M)) if M[i][c] != F.zero), None)
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
         inv = F.inv(M[r][c])
         M[r] = [F.mul(inv, x) for x in M[r]]
-        for i in range(rows):
+        for i in range(len(M)):
             if i != r and M[i][c] != F.zero:
                 f = M[i][c]
                 M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if M[i][cols] != F.zero:
-            return None
+    return pivots
+
+
+def _solve(F, A, b):
+    """One solution x of Ax = b over F by Gaussian elimination, or None."""
+    cols = len(A[0])
+    M = [list(row) + [bi] for row, bi in zip(A, b)]
+    pivots = _row_reduce(F, M, cols)
+    if any(row[cols] != F.zero for row in M[len(pivots):]):
+        return None
     x = [F.zero] * cols
     for i, c in enumerate(pivots):
         x[c] = M[i][cols]
@@ -217,20 +243,7 @@ def _solve(F, A, b):
 
 
 def _is_invertible(F, A):
-    n = len(A)
-    M = [list(row) for row in A]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if M[i][c] != F.zero), None)
-        if pivot is None:
-            return False
-        M[c], M[pivot] = M[pivot], M[c]
-        inv = F.inv(M[c][c])
-        M[c] = [F.mul(inv, x) for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != F.zero:
-                f = M[i][c]
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
-    return True
+    return len(_row_reduce(F, [list(row) for row in A], len(A))) == len(A)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +480,7 @@ def counit_solve(A: FrobeniusAlgebra):
         return None
     pairing = [
         [
-            sum_field(F, (F.mul(A.product[i][j][k], theta[k]) for k in range(d)))
+            _sum_field(F, (F.mul(A.product[i][j][k], theta[k]) for k in range(d)))
             for j in range(d)
         ]
         for i in range(d)
@@ -475,7 +488,7 @@ def counit_solve(A: FrobeniusAlgebra):
     return tuple(theta), _is_invertible(F, pairing)
 
 
-def sum_field(F, items):
+def _sum_field(F, items):
     total = F.zero
     for x in items:
         total = F.add(total, x)

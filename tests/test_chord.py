@@ -162,7 +162,7 @@ class TestEssentialEdges:
         # ghost components; those must be collapsible, and circular edges
         # within one component must not be
         d = ch.canonical_gamma0(0, 2, 2)
-        comp, _ = ch._ghost_components((d.graph, d.labels))
+        comp = ch._ghost_components(d.graph, d.labels)
         vertex_of = d.graph.vertex_of()
         for e in d.circular_edges():
             va, vb = vertex_of[e], vertex_of[d.graph.pairing[e]]
@@ -232,7 +232,7 @@ class TestMoves:
         for _ in range(20):
             g, p, q = SMALL_TYPES[rng.randrange(len(SMALL_TYPES))]
             d = generate.random_diagram(rng, g, p, q)
-            ch._ghost_components((d.graph, d.labels))  # raises on a cycle
+            ch._ghost_components(d.graph, d.labels)  # raises on a cycle
 
 
 class TestGamma0:
@@ -275,6 +275,64 @@ class TestCanonicalForm:
                 b.graph, b.labels, b.p, b.boundary_order)
 
 
+def _relabel_diagram(d, perm):
+    """d with every half-edge h renamed perm[h]."""
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    graph = fg.FatGraph(
+        pairing=tuple(perm[d.graph.pairing[h]] for h in inv),
+        next_at_vertex=tuple(perm[d.graph.next_at_vertex[h]] for h in inv),
+    )
+    order = [min(perm[h] for h in d.cycle_by_rep(r)) for r in d.boundary_order]
+    marks = [perm[m] for m in d.markings]
+    labels = [d.labels[h] for h in inv]
+    return ch.validate_chord(graph, labels, d.p, order, marks)[0]
+
+
+@pytest.mark.parametrize("g,p,q", SMALL_TYPES)
+def test_one_search_gives_code_form_and_labeling(g, p, q):
+    rng = random.Random(100 * g + 10 * p + q)
+    for _ in range(3):
+        d = generate.random_diagram(rng, g, p, q, steps=3)
+        n = d.graph.n_half_edges
+        perm = list(range(n))
+        rng.shuffle(perm)
+        c = _relabel_diagram(d, perm)
+
+        canon, label, code = ch.canonical_form_with_map(c)
+        assert code == ch.diagram_code(c) == ch.diagram_code(d)
+        assert code == ch.diagram_code(ch.canonical_form(c))
+        # the relabeling carries c onto its canonical form
+        for h in range(n):
+            assert canon.graph.pairing[label[h]] == label[c.graph.pairing[h]]
+            assert canon.graph.next_at_vertex[label[h]] == label[
+                c.graph.next_at_vertex[h]]
+            assert canon.labels[label[h]] == c.labels[h]
+
+        # the plain code is the graph's tables read in canonical-label order
+        G = c.graph
+        L = fg.canonical_labeling(G)
+        inv = sorted(range(n), key=L.__getitem__)
+        word = tuple(
+            x for h in inv for x in (L[G.next_at_vertex[h]], L[G.pairing[h]])
+        )
+        assert fg.canonical_code(G) == repr((n, (), word)).encode("ascii")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_TYPES), st.integers(0, 10 ** 9))
+def test_expansion_then_collapse_returns_class(top, seed):
+    c = generate.random_diagram(random.Random(seed), *top, steps=2)
+    code = ch.diagram_code(c)
+    for d in ch.expansions(c):
+        assert ch.diagram_code(ch.collapse_edge(d, d.graph.n_half_edges - 2)) == code
+
+
+def test_cycles_cannot_corrupt_the_shared_cache():
+    with pytest.raises(AttributeError):
+        ch.canonical_gamma0(1, 1, 2).cycles().append((999,))
+    assert ch.canonical_gamma0(1, 1, 2).top_type() == TopType(1, 1, 2)
+
+
 class TestGlue:
     def test_type_formula_instances(self):
         cases = [
@@ -295,7 +353,7 @@ class TestGlue:
             r = ch.glue(c1, c2)
             assert r.top_type() == TopType(
                 t1.genus + t2.genus + t1.q - 1, t1.p, t2.q)
-            ch._ghost_components((r.graph, r.labels))
+            ch._ghost_components(r.graph, r.labels)
 
     def test_ghost_edges_are_disjoint_union(self):
         c1 = ch.canonical_gamma0(0, 1, 2)

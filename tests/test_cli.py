@@ -105,6 +105,21 @@ class TestExitCodes:
         assert "\x1b[" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tqft", "op", "--algebra", "pd2", "--field", "F4"],
+    ["tqft", "op", "--algebra", "pd2", "--field", "Fx"],
+    ["tqft", "op", "--algebra", "pd2", "--field", f"F{2 ** 89 - 1}"],
+    ["tqft", "verify", "--algebra", "pd2", "--range", "2,2"],
+    ["connect", "--type", "1,1,x", "--max-edges", "6"],
+    ["connect", "--type=-1,1,1", "--max-edges", "6"],
+    ["connect", "--type", "0,1,2", "--max-edges", "3", "--jobs", "0"],
+])
+def test_bad_option_values_exit_one(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("chordlab: ")
+
+
 class TestConnect:
     def test_connect_json_and_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

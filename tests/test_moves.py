@@ -76,6 +76,27 @@ class TestExplore:
         assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
             r2.to_json_dict(), sort_keys=True)
 
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(moves.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            moves.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        top = TopType(0, 2, 2)
+        report = moves.explore(top, 8, jobs=4)
+        assert started == [2]
+        assert report.to_json_dict() == moves.explore(top, 8).to_json_dict()
+
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
             moves.explore(TopType(1, 1, 1), 3)

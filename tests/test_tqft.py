@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chordlab import chord as ch
-from chordlab import tqft
+from chordlab import formats, tqft
 from chordlab.errors import NoOutgoing
 
 FIELDS = [tqft.Rationals(), tqft.PrimeField(2), tqft.PrimeField(3),
@@ -37,6 +37,31 @@ class TestAxioms:
         assert not report.passed["module_left"] or not report.passed["module_right"]
         failing = next(k for k, v in report.passed.items() if not v)
         assert report.witnesses[failing] is not None
+
+
+class TestPrimeField:
+    def test_agrees_with_trial_division(self):
+        small = [n for n in range(2000) if tqft._is_prime(n)]
+        assert small == [n for n in range(2, 2000)
+                         if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+
+    # a Carmichael number and strong pseudoprimes to bases 2..7, 2..23 and
+    # 2..37
+    @pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_pseudoprimes_rejected(self, n):
+        with pytest.raises(ValueError):
+            tqft.PrimeField(n)
+
+    def test_large_prime_accepted(self):
+        F = tqft.PrimeField(2 ** 61 - 1)
+        assert F.mul(F.inv(3), 3) == F.one
+
+    def test_above_certified_range_rejected(self):
+        with pytest.raises(ValueError):
+            tqft.PrimeField(2 ** 89 - 1)
+        with pytest.raises(formats.ValidationError):
+            formats.parse(f"frob v1\nfield Fp {2 ** 89 - 1}\n")
 
 
 class TestMu:
