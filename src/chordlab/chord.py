@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from . import fatgraph as fg
 from .errors import (
@@ -80,17 +80,17 @@ class ChordDiagram:
         return TopType(g, self.p, n - self.p)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return _cycles(self.graph)
+        return fg.boundary_cycles(self.graph)
 
     def cycle_by_rep(self, rep: int) -> tuple[int, ...]:
-        for cyc in _cycles(self.graph):
-            if cyc[0] == rep:
-                return cyc
-        raise KeyError(rep)
+        cycle_of = self.graph.cycle_of()
+        if not (0 <= rep < len(cycle_of) and cycle_of[rep][0] == rep):
+            raise KeyError(rep)
+        return cycle_of[rep]
 
     def incoming_circles(self) -> list[tuple[int, ...]]:
-        by_rep = {cyc[0]: cyc for cyc in _cycles(self.graph)}
-        return [by_rep[r] for r in self.boundary_order[: self.p]]
+        cycle_of = self.graph.cycle_of()
+        return [cycle_of[r] for r in self.boundary_order[: self.p]]
 
     def is_circular(self, h: int) -> bool:
         return self.labels[h] == CIRCULAR
@@ -101,6 +101,22 @@ class ChordDiagram:
     def ghost_edges(self) -> list[int]:
         return [e for e in self.graph.edges() if self.labels[e] == GHOST]
 
+    # Derived once per diagram, outside the dataclass fields.
+
+    @cached_property
+    def _component_of(self) -> tuple[int, ...]:
+        """The ghost component of every vertex."""
+        return _ghost_components(self.graph, self.labels)
+
+    @cached_property
+    def _circular_vertex(self) -> tuple[bool, ...]:
+        """For each vertex, whether it lies on a circle."""
+        labels = self.labels
+        return tuple(
+            any(labels[h] == CIRCULAR for h in orbit)
+            for orbit in self.graph.vertices()
+        )
+
 
 @dataclass(frozen=True)
 class CollapsedGraph:
@@ -109,21 +125,6 @@ class CollapsedGraph:
     s_graph: FatGraph
     projection: tuple[int, ...]      # vertex index of c -> vertex index of S(c)
     half_edge_map: tuple[int, ...]   # half-edge of c -> half-edge of S(c), -1 on ghosts
-
-
-@lru_cache(maxsize=65536)
-def _cycles(graph: FatGraph) -> tuple[tuple[int, ...], ...]:
-    # a tuple, because every caller of the cache shares the result
-    return tuple(fg.boundary_cycles(graph))
-
-
-def _cycle_of_map(graph: FatGraph) -> dict[int, int]:
-    """half-edge -> least half-edge of its boundary cycle."""
-    out = {}
-    for cyc in _cycles(graph):
-        for h in cyc:
-            out[h] = cyc[0]
-    return out
 
 
 def _ghost_components(graph: FatGraph, labels) -> tuple[int, ...]:
@@ -189,10 +190,10 @@ def validate_chord(
 
     _ghost_components(graph, labels)  # raises GhostCycle
 
-    cycles = _cycles(graph)
-    by_rep = {cyc[0]: cyc for cyc in cycles}
+    cycles = fg.boundary_cycles(graph)
+    cycle_of = graph.cycle_of()
     boundary_order = tuple(boundary_order)
-    if sorted(boundary_order) != sorted(by_rep):
+    if sorted(boundary_order) != [cyc[0] for cyc in cycles]:
         raise InconsistentTables("boundary_order is not a permutation of the cycles")
     if not (1 <= p <= len(boundary_order)):
         raise IncomingNotBoundaryCycle(f"incoming count {p} out of range")
@@ -201,7 +202,7 @@ def validate_chord(
     # them cover every circular edge exactly once
     covered = set()
     for r in boundary_order[:p]:
-        cyc = by_rep[r]
+        cyc = cycle_of[r]
         if any(labels[h] == GHOST for h in cyc):
             raise IncomingNotBoundaryCycle(
                 f"incoming cycle at {r} traverses a ghost edge"
@@ -225,7 +226,7 @@ def validate_chord(
 
     if markings is None:
         markings = tuple(
-            next(h for h in by_rep[r] if labels[h] == CIRCULAR)
+            next(h for h in cycle_of[r] if labels[h] == CIRCULAR)
             for r in boundary_order
         )
     else:
@@ -233,7 +234,7 @@ def validate_chord(
         if len(markings) != len(boundary_order):
             raise BadMarking("one marking per boundary cycle expected")
         for r, m in zip(boundary_order, markings):
-            if m not in by_rep[r] or labels[m] != CIRCULAR:
+            if m not in cycle_of[r] or labels[m] != CIRCULAR:
                 raise BadMarking(f"marking {m} is not a circular occurrence on {r}")
 
     g, n_bnd = fg.topological_type(graph)
@@ -252,8 +253,6 @@ def validate_chord(
 def collapse_ghosts(c: ChordDiagram) -> CollapsedGraph:
     """Contract every ghost edge; circular edges biject with edges of S(c)."""
     graph, labels = c.graph, c.labels
-    comp = _ghost_components(graph, labels)
-
     circ = [h for h in range(graph.n_half_edges) if labels[h] == CIRCULAR]
     rank = {h: i for i, h in enumerate(circ)}
     half_map = tuple(rank.get(h, -1) for h in range(graph.n_half_edges))
@@ -270,35 +269,26 @@ def collapse_ghosts(c: ChordDiagram) -> CollapsedGraph:
 
     s_graph = FatGraph(pairing=tuple(pairing), next_at_vertex=tuple(nxt))
 
-    # S(c) vertex index: dense renumbering of components in vertex order
-    order = []
-    for v in range(graph.n_vertices):
-        if comp[v] not in order:
-            order.append(comp[v])
-    remap = {cpt: i for i, cpt in enumerate(order)}
-    projection = tuple(remap[comp[v]] for v in range(graph.n_vertices))
+    # a ghost component becomes the S(c) vertex of its circular half-edges
+    comp, vertex_of = c._component_of, graph.vertex_of()
+    s_vertex = {comp[vertex_of[h]]: v for h, v in zip(circ, s_graph.vertex_of())}
+    projection = tuple(s_vertex[comp[v]] for v in range(graph.n_vertices))
     return CollapsedGraph(s_graph=s_graph, projection=projection, half_edge_map=half_map)
 
 
 def multiplicities(c: ChordDiagram) -> list[int]:
-    """mu(v) for every vertex v of S(c): circular vertices collapsing to v."""
-    graph, labels = c.graph, c.labels
+    """mu(v) for every vertex v of S(c), in the order of S(c).vertices():
+    the number of circular vertices of c collapsing to v."""
     collapsed = collapse_ghosts(c)
-    counts = [0] * (max(collapsed.projection) + 1)
-    for v, orbit in enumerate(graph.vertices()):
-        if any(labels[h] == CIRCULAR for h in orbit):
-            counts[collapsed.projection[v]] += 1
+    counts = [0] * collapsed.s_graph.n_vertices
+    for v, circular in enumerate(c._circular_vertex):
+        counts[collapsed.projection[v]] += circular
     return counts
 
 
 def chi_defect(c: ChordDiagram) -> int:
     """v(c) - sigma(c); always equals -chi of the underlying fat graph."""
-    graph, labels = c.graph, c.labels
-    comp = _ghost_components(graph, labels)
-    n_circ = sum(
-        1 for orbit in graph.vertices() if any(labels[h] == CIRCULAR for h in orbit)
-    )
-    return n_circ - len(set(comp))
+    return sum(c._circular_vertex) - len(set(c._component_of))
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +308,8 @@ def is_essential(c: ChordDiagram, e: int) -> bool:
     vertex_of = graph.vertex_of()
     va, vb = vertex_of[e], vertex_of[graph.pairing[e]]
     if labels[e] == CIRCULAR:
-        if va == vb:
-            return True
-        comp = _ghost_components(graph, labels)
-        return comp[va] == comp[vb]
-    circ_vertex = [
-        any(labels[h] == CIRCULAR for h in orbit) for orbit in graph.vertices()
-    ]
-    return circ_vertex[va] and circ_vertex[vb]
+        return va == vb or c._component_of[va] == c._component_of[vb]
+    return c._circular_vertex[va] and c._circular_vertex[vb]
 
 
 def is_collapsible(c: ChordDiagram, e: int) -> bool:
@@ -369,7 +353,8 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     arc_a, arc_b = _open_rotations(graph, a)
     new_vertex_lists = [[new_id[h] for h in arc_a + arc_b]] + [
         [new_id[h] for h in orbit]
-        for orbit in graph.vertices() if a not in orbit and b not in orbit
+        for v, orbit in enumerate(graph.vertices())
+        if v not in (vertex_of[a], vertex_of[b])
     ]
     new_pairing = [0] * len(kept)
     for h in kept:
@@ -379,11 +364,10 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
 
     # boundary cycles survive edge contraction with the occurrences of a and b
     # dropped; transport order and markings along that correspondence
-    old_by_rep = {cyc[0]: cyc for cyc in _cycles(graph)}
-    new_cycle_of = _cycle_of_map(new_graph)
+    old_cycle_of, new_cycle_of = graph.cycle_of(), new_graph.cycle_of()
     new_order, new_marks = [], []
     for r, m in zip(c.boundary_order, c.markings):
-        cyc = old_by_rep[r]
+        cyc = old_cycle_of[r]
         if m in (a, b):
             m = next(
                 (h for h in _rotate_to(cyc, m)
@@ -392,7 +376,7 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
             )
             if m is None:
                 raise NoCircularEdgeOnCycle(f"cycle at {r} loses its last marking")
-        new_order.append(new_cycle_of[new_id[m]])
+        new_order.append(new_cycle_of[new_id[m]][0])
         new_marks.append(new_id[m])
 
     result, top = validate_chord(new_graph, new_labels, c.p, new_order, new_marks)
@@ -430,8 +414,9 @@ def apply_expansion(
     graph, labels = c.graph, c.labels
     n = graph.n_half_edges
     n1, n2 = n, n + 1
+    split = graph.vertex_of()[arc1[0]]
     new_vertex_lists = [list(arc1) + [n1], list(arc2) + [n2]] + [
-        list(orbit) for orbit in graph.vertices() if arc1[0] not in orbit
+        list(orbit) for v, orbit in enumerate(graph.vertices()) if v != split
     ]
     new_pairing = list(graph.pairing) + [n2, n1]
     new_labels = labels + (label, label)
@@ -443,10 +428,10 @@ def apply_expansion(
 
     # transport boundary order/markings: every old half-edge survives, so each
     # old cycle maps to the new cycle containing its marking
-    new_cycle_of = _cycle_of_map(new_graph)
-    new_order = [new_cycle_of[m] for m in c.markings]
+    new_cycle_of = new_graph.cycle_of()
+    new_order = [new_cycle_of[m][0] for m in c.markings]
     if len(set(new_order)) != len(new_order) or len(new_order) != len(
-        _cycles(new_graph)
+        fg.boundary_cycles(new_graph)
     ):
         return None
     try:
@@ -475,11 +460,11 @@ def expansions(c: ChordDiagram) -> list[ChordDiagram]:
 
 
 def _code_colors(c: ChordDiagram, with_markings: bool) -> tuple:
-    cycle_of = _cycle_of_map(c.graph)
+    cycle_of = c.graph.cycle_of()
     position = {r: i for i, r in enumerate(c.boundary_order)}
     marked = set(c.markings) if with_markings else set()
     return tuple(
-        (c.labels[h], position[cycle_of[h]], h in marked)
+        (c.labels[h], position[cycle_of[h][0]], h in marked)
         for h in range(c.graph.n_half_edges)
     )
 
@@ -521,8 +506,8 @@ def canonical_form_with_map(
     graph = FatGraph(pairing=tuple(pairing), next_at_vertex=tuple(nxt))
     labels = tuple(c.labels[inv[l]] for l in range(n))
 
-    cycle_of = _cycle_of_map(graph)
-    order = [cycle_of[label[m]] for m in c.markings]
+    cycle_of = graph.cycle_of()
+    order = [cycle_of[label[m]][0] for m in c.markings]
     marks = [label[m] for m in c.markings]
     result, _ = validate_chord(graph, labels, c.p, order, marks)
     return result, label, fg._encode(c.graph, colors, label)
@@ -611,12 +596,12 @@ def canonical_gamma0(g: int, p: int, q: int) -> ChordDiagram:
     label_list = [labels[h] for h in range(n_half)]
     graph = fg.validate(pairing_list, vertex_lists)
 
-    cycle_of = _cycle_of_map(graph)
-    order = [cycle_of[fwd[0]]]
-    order += [cycle_of[lf] for lf, _, _ in loops]
-    order += [cycle_of[chord_v0[k]] for k in range(q - 1)]
-    rest = [cyc[0] for cyc in _cycles(graph) if cyc[0] not in set(order)]
-    if len(rest) != 1 or len(order) + 1 != len(_cycles(graph)):
+    cycles, cycle_of = fg.boundary_cycles(graph), graph.cycle_of()
+    order = [cycle_of[fwd[0]][0]]
+    order += [cycle_of[lf][0] for lf, _, _ in loops]
+    order += [cycle_of[chord_v0[k]][0] for k in range(q - 1)]
+    rest = [cyc[0] for cyc in cycles if cyc[0] not in set(order)]
+    if len(rest) != 1 or len(order) + 1 != len(cycles):
         raise ChordLabError(f"base-point construction broke for ({g};{p},{q})")
     order.append(rest[0])
 
@@ -659,6 +644,14 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
     q = c1.q
     if q != c2.p:
         raise ArityMismatch(f"c1 has {q} outgoing, c2 has {c2.p} incoming")
+    if schedule is not None:
+        if not isinstance(schedule, (list, tuple)) or len(schedule) != q:
+            raise InvalidSchedule("one position list per outgoing cycle")
+        if not all(
+            isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
+            for row in schedule
+        ):
+            raise InvalidSchedule("schedule positions must be lists of integers")
 
     g1 = c1.graph
     g2 = c2.graph
@@ -686,16 +679,13 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
         if all(c2.labels[h] == GHOST for h in orbit):
             rotations[("c2", i)] = [ghost_map[h] for h in orbit]
 
-    by_rep1 = {cyc[0]: cyc for cyc in _cycles(g1)}
-    by_rep2 = {cyc[0]: cyc for cyc in _cycles(g2)}
-
     for k in range(q):
         out_rep = c1.boundary_order[c1.p + k]
         out_mark = c1.markings[c1.p + k]
         in_rep = c2.boundary_order[k]
         in_mark = c2.markings[k]
 
-        circle = _rotate_to(by_rep2[in_rep], in_mark)   # c2 circle, forward
+        circle = _rotate_to(g2.cycle_of()[in_rep], in_mark)   # c2 circle, forward
         m = len(circle)
 
         # ghost bundles: rotation at a circle vertex reads (back, fwd,
@@ -709,14 +699,12 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
         # occurrence sequence of the outgoing cycle from its marking,
         # traversed against the boundary orientation (= along the incoming
         # circles of c1)
-        out_cycle = _rotate_to(by_rep1[out_rep], out_mark)
+        out_cycle = _rotate_to(g1.cycle_of()[out_rep], out_mark)
         occurrences = [out_cycle[0]] + list(reversed(out_cycle[1:]))
 
         if schedule is None:
             positions = [0] * m
         else:
-            if len(schedule) != q:
-                raise InvalidSchedule("one position list per outgoing cycle")
             positions = list(schedule[k])
             if len(positions) != m:
                 raise InvalidSchedule(
@@ -782,25 +770,24 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
     except ChordLabError as exc:
         raise GlueValidationFailed(f"glued graph invalid: {exc}") from exc
 
-    cycle_of = _cycle_of_map(graph)
-    by_rep = {cyc[0]: cyc for cyc in _cycles(graph)}
-
+    cycle_of = graph.cycle_of()
     order, marks = [], []
     for i in range(c1.p):
         h = new_id[c1.markings[i]]
-        order.append(cycle_of[h])
+        order.append(cycle_of[h][0])
         marks.append(h)
     for j in range(c2.q):
         rep = c2.boundary_order[c2.p + j]
-        cyc2 = _rotate_to(by_rep2[rep], c2.markings[c2.p + j])
+        cyc2 = _rotate_to(g2.cycle_of()[rep], c2.markings[c2.p + j])
         anchor = next(ghost_map[h] for h in cyc2 if c2.labels[h] == GHOST)
         h = new_id[anchor]
-        rep_new = cycle_of[h]
-        order.append(rep_new)
-        cyc = _rotate_to(by_rep[rep_new], h)
+        order.append(cycle_of[h][0])
+        cyc = _rotate_to(cycle_of[h], h)
         marks.append(next(x for x in cyc if label_list[x] == CIRCULAR))
 
-    if len(set(order)) != len(order) or len(order) != len(_cycles(graph)):
+    if len(set(order)) != len(order) or len(order) != len(
+        fg.boundary_cycles(graph)
+    ):
         raise GlueValidationFailed("boundary cycles of the glued graph do not "
                                    "match the expected incoming/outgoing split")
 

@@ -100,14 +100,13 @@ def emit_dot(c: ChordDiagram, canon: bool = False) -> str:
     if canon:
         c = ch.canonical_form(c)
     graph = c.graph
-    vertex_of = graph.vertex_of()
-    by_rep = {cyc[0]: cyc for cyc in c.cycles()}
+    vertex_of, cycle_of = graph.vertex_of(), graph.cycle_of()
 
     circle_vertices: list[list[int]] = []
     on_circle: set[int] = set()
     for r in c.boundary_order[: c.p]:
         vs = []
-        for h in by_rep[r]:
+        for h in cycle_of[r]:
             v = vertex_of[h]
             if v not in vs:
                 vs.append(v)

@@ -18,7 +18,8 @@ throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -80,14 +81,28 @@ class FatGraph:
     def n_edges(self) -> int:
         return len(self.pairing) // 2
 
-    def vertices(self) -> list[tuple[int, ...]]:
+    # Each structural table is derived once per graph, on first use.  The
+    # cached values live in the instance dict, outside the dataclass fields,
+    # so equality and hashing still see only the two permutations.
+
+    @cached_property
+    def _vertex_table(self):
+        return _orbits(self.next_at_vertex)
+
+    @cached_property
+    def _cycle_table(self):
+        nxt, pairing = self.next_at_vertex, self.pairing
+        orbits, index = _orbits(tuple(nxt[pairing[h]] for h in range(len(pairing))))
+        return orbits, tuple(orbits[i] for i in index)
+
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of next_at_vertex, each starting at its least half-edge,
         listed in order of that least element."""
-        return _orbits(self.next_at_vertex)
+        return self._vertex_table[0]
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices())
+        return len(self._vertex_table[0])
 
     def trace(self, h: int) -> int:
         """One step of the boundary tracing permutation."""
@@ -95,12 +110,12 @@ class FatGraph:
 
     def vertex_of(self) -> tuple[int, ...]:
         """Map from half-edge to the index of its vertex in vertices()."""
-        verts = self.vertices()
-        out = [0] * self.n_half_edges
-        for i, orbit in enumerate(verts):
-            for h in orbit:
-                out[h] = i
-        return tuple(out)
+        return self._vertex_table[1]
+
+    def cycle_of(self) -> tuple[tuple[int, ...], ...]:
+        """Map from half-edge to its boundary cycle (as in boundary_cycles),
+        so cycle_of()[h][0] is the least half-edge of h's cycle."""
+        return self._cycle_table[1]
 
     def edge_of(self, h: int) -> int:
         """Canonical id of the edge through h: the smaller half-edge."""
@@ -110,20 +125,22 @@ class FatGraph:
         return sorted(h for h in range(self.n_half_edges) if h < self.pairing[h])
 
 
-def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
-    seen = [False] * len(perm)
+def _orbits(perm: Sequence[int]):
+    """The orbits of perm, each from its least element, in order of that
+    element; and the index of each element's orbit."""
+    index = [-1] * len(perm)
     out = []
     for start in range(len(perm)):
-        if seen[start]:
+        if index[start] >= 0:
             continue
         orbit = []
         h = start
-        while not seen[h]:
-            seen[h] = True
+        while index[h] < 0:
+            index[h] = len(out)
             orbit.append(h)
             h = perm[h]
         out.append(tuple(orbit))
-    return out
+    return tuple(out), tuple(index)
 
 
 def _is_connected(pairing: Sequence[int], nxt: Sequence[int]) -> bool:
@@ -187,15 +204,14 @@ def validate(
     return FatGraph(pairing=pairing, next_at_vertex=tuple(nxt))
 
 
-def boundary_cycles(graph: FatGraph) -> list[tuple[int, ...]]:
+def boundary_cycles(graph: FatGraph) -> tuple[tuple[int, ...], ...]:
     """The orbits of t(h) = next_at_vertex(pairing(h)).
 
     Each cycle is rotated to start at its least half-edge; cycles are listed
     in order of that least element.  Every half-edge occurs exactly once in
     exactly one cycle.
     """
-    perm = tuple(graph.next_at_vertex[graph.pairing[h]] for h in range(graph.n_half_edges))
-    return _orbits(perm)
+    return graph._cycle_table[0]
 
 
 def euler_characteristic(graph: FatGraph) -> int:

@@ -120,16 +120,21 @@ def _parse_graph_records(records):
     return pairing, vertex_lists, extras
 
 
+def _validate_graph(pairing, vertex_lists) -> FatGraph:
+    """fg.validate, its errors reported at the first vertex record."""
+    try:
+        return fg.validate(pairing, [v for _ln, v in vertex_lists])
+    except ChordLabError as exc:
+        raise ValidationError(vertex_lists[0][0] if vertex_lists else 1, exc)
+
+
 def parse_fatgraph(text: str) -> FatGraph:
     records = _records(text, "fatgraph v1")
     pairing, vertex_lists, extras = _parse_graph_records(records)
     if extras:
         ln, col, toks = extras[0]
         raise SyntaxError(ln, col, f"pair or vertex record, got {toks[0]!r}")
-    try:
-        return fg.validate(pairing, [v for _ln, v in vertex_lists])
-    except ChordLabError as exc:
-        raise ValidationError(vertex_lists[0][0] if vertex_lists else 1, exc)
+    return _validate_graph(pairing, vertex_lists)
 
 
 def parse_chord(text: str) -> ChordDiagram:
@@ -164,10 +169,7 @@ def parse_chord(text: str) -> ChordDiagram:
     if order is None:
         raise SyntaxError(1, 1, "an `order ...` record")
 
-    try:
-        graph = fg.validate(pairing, [v for _ln, v in vertex_lists])
-    except ChordLabError as exc:
-        raise ValidationError(vertex_lists[0][0] if vertex_lists else 1, exc)
+    graph = _validate_graph(pairing, vertex_lists)
 
     labels = [None] * n
     for eid, (ln, lab) in edge_labels.items():
@@ -186,7 +188,7 @@ def parse_chord(text: str) -> ChordDiagram:
         for r in order[1]:
             if r not in marks:
                 raise ValidationError(
-                    marks[min(marks)][0] if marks else 1,
+                    marks[min(marks)][0],
                     ChordLabError(f"cycle {r} has no mark record"))
             markings.append(marks[r][1])
     try:

@@ -93,13 +93,13 @@ def random_diagram(
     return c
 
 
-_SMALL_TYPES = [
+_SMALL_TYPES = tuple(
     (g, p, q)
     for g in range(3)
     for p in range(1, 4)
     for q in range(1, 4)
     if (g, p, q) != (0, 1, 1)
-]
+)
 
 
 def random_gluable_pair(rng: random.Random) -> tuple[ChordDiagram, ChordDiagram]:

@@ -208,17 +208,7 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     pending = set(unreached)
     while pending:
         component_count += 1
-        seed = min(pending)
-        stack = [seed]
-        pending.discard(seed)
-        while stack:
-            code = stack.pop()
-            for ncode, _rep, _fwd, _inv in neighbors_with_moves(
-                universe[code], edge_bound
-            ):
-                if ncode in pending:
-                    pending.discard(ncode)
-                    stack.append(ncode)
+        pending -= set(_bfs(universe[min(pending)], edge_bound))
 
     witness: dict[bytes, list[Move]] = {}
 

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from chordlab import chord as ch
 from chordlab import fatgraph as fg
-from chordlab import generate
+from chordlab import formats, generate
 from chordlab.chord import CIRCULAR, GHOST
 from chordlab.errors import (
     EssentialEdge,
     GhostCycle,
+    GlueValidationFailed,
     IncomingNotBoundaryCycle,
+    InvalidSchedule,
     LoopEdge,
     UnrepresentableType,
 )
@@ -112,6 +114,69 @@ class TestCollapseGhosts:
         collapsed = ch.collapse_ghosts(d)
         assert set(collapsed.projection) == set(
             range(max(collapsed.projection) + 1))
+
+
+    def test_projection_follows_s_graph_vertices(self):
+        # c's vertex (0, 3, 5) has its circular half-edges 0, 3 and 5 in the
+        # second vertex of S(c), so its projection is 1 (not 0, its
+        # component's rank in c's vertex order)
+        d = formats.parse_chord(PROJECTION_CASE)
+        collapsed = ch.collapse_ghosts(d)
+        v = d.graph.vertices().index((0, 3, 5))
+        assert collapsed.projection[v] == 1
+        _check_projection(d)
+
+    @pytest.mark.parametrize("g,p,q", [
+        (0, 1, 2), (0, 2, 1), (0, 2, 2), (0, 1, 3), (0, 3, 1), (1, 1, 1),
+        (1, 1, 2), (1, 2, 1), (0, 3, 2), (0, 2, 3),
+    ])
+    def test_projection_under_relabeling(self, g, p, q):
+        rng = random.Random(10 * g + 100 * p + q)
+        for _ in range(60):
+            d = generate.random_diagram(rng, g, p, q, steps=6)
+            perm = list(range(d.graph.n_half_edges))
+            rng.shuffle(perm)
+            _check_projection(_relabel_diagram(d, perm))
+
+
+PROJECTION_CASE = """chord v1
+pair 0 1
+pair 2 9
+pair 3 4
+pair 5 7
+pair 6 8
+pair 10 11
+vertex 0 3 5
+vertex 1 11 10
+vertex 2 4 8
+vertex 6 7 9
+edge 0 G
+edge 2 C
+edge 3 C
+edge 5 C
+edge 6 G
+edge 10 C
+incoming 2
+order 4 10 2 0
+mark 4 9
+mark 10 10
+mark 2 2
+mark 0 7
+"""
+
+
+def _check_projection(d):
+    """projection and multiplicities read against S(c).vertices() directly."""
+    collapsed = ch.collapse_ghosts(d)
+    s_vertex_of = collapsed.s_graph.vertex_of()
+    vertex_of = d.graph.vertex_of()
+    counts = [set() for _ in collapsed.s_graph.vertices()]
+    for h in range(d.graph.n_half_edges):
+        if d.labels[h] == CIRCULAR:
+            s_v = s_vertex_of[collapsed.half_edge_map[h]]
+            assert collapsed.projection[vertex_of[h]] == s_v
+            counts[s_v].add(vertex_of[h])
+    assert ch.multiplicities(d) == [len(vs) for vs in counts]
 
 
 def _rotate_min(seq):
@@ -361,6 +426,21 @@ class TestGlue:
         r = ch.glue(c1, c2)
         assert len(r.ghost_edges()) == len(c1.ghost_edges()) + len(
             c2.ghost_edges())
+
+    def test_schedule_places_circle_vertices(self):
+        c1, c2 = ch.canonical_gamma0(0, 1, 2), ch.canonical_gamma0(0, 2, 2)
+        r = ch.glue(c1, c2, [[0, 1], [0]])
+        assert r.top_type() == TopType(1, 1, 2)
+        with pytest.raises(GlueValidationFailed):
+            ch.glue(c1, c2, [[1, 1], [0]])
+
+    @pytest.mark.parametrize("schedule", [
+        [1, 2], 5, [["x", "y"], [0]], [[0, 0.5], [0]], [[0, 1]], [[0, True], [0]],
+    ])
+    def test_malformed_schedule(self, schedule):
+        c1, c2 = ch.canonical_gamma0(0, 1, 2), ch.canonical_gamma0(0, 2, 2)
+        with pytest.raises(InvalidSchedule):
+            ch.glue(c1, c2, schedule)
 
     def test_arity_mismatch(self):
         from chordlab.errors import ArityMismatch

@@ -133,6 +133,26 @@ class TestConnect:
         assert on_disk["classes"] == payload["classes"]
 
 
+    def test_disconnected_within_bound_exits_one(self, capsys):
+        code, out, _ = run(capsys, "connect", "--type", "0,2,2",
+                           "--max-edges", "5")
+        assert code == 1
+        assert out == ("type (0;2,2): 12 classes, 12 component(s), "
+                       "11 unreached within 5 edges\n")
+
+
+@pytest.mark.parametrize("schedule", [
+    "[1,2]", "5", '[["x","y"],[0]]', "[[0,0.5],[0]]",
+])
+def test_malformed_schedule_exits_one(capsys, gamma_file, tmp_path, schedule):
+    path = tmp_path / "schedule.json"
+    path.write_text(schedule)
+    code, _, err = run(capsys, "glue", gamma_file(0, 1, 2), gamma_file(0, 2, 2),
+                       "--schedule", str(path))
+    assert code == 1
+    assert err.startswith("chordlab: ")
+
+
 class TestTqftCommands:
     def test_op_json(self, capsys):
         code, out, _ = run(capsys, "tqft", "op", "--algebra", "pd2",

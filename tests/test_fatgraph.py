@@ -77,6 +77,42 @@ class TestBoundaryCycles:
             assert seen == list(range(G.n_half_edges))
 
 
+class TestTables:
+    """Each table is derived once per graph and handed out as a tuple."""
+
+    def test_tables_are_shared_tuples(self):
+        for G in (theta_graph(), rose(PANTS_ROSE), rose(TORUS_ROSE)):
+            assert G.vertices() is G.vertices()
+            assert fg.boundary_cycles(G) is fg.boundary_cycles(G)
+            assert G.vertex_of() is G.vertex_of()
+            assert G.cycle_of() is G.cycle_of()
+            for table in (G.vertices(), fg.boundary_cycles(G),
+                          G.vertex_of(), G.cycle_of()):
+                assert type(table) is tuple
+
+    def test_cycle_of_maps_each_half_edge_to_its_cycle(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            G = generate.random_fatgraph(rng)
+            cycles = fg.boundary_cycles(G)
+            for cyc in cycles:
+                for h in cyc:
+                    assert G.cycle_of()[h] is cyc
+                    assert G.cycle_of()[G.trace(h)] is cyc
+            for i, orbit in enumerate(G.vertices()):
+                assert all(G.vertex_of()[h] == i for h in orbit)
+
+    def test_tables_leave_equality_hash_and_pickle_alone(self):
+        import pickle
+        G = theta_graph()
+        H = fg.FatGraph(pairing=G.pairing, next_at_vertex=G.next_at_vertex)
+        fg.boundary_cycles(G), G.vertices()  # G holds its tables, H not yet
+        assert G == H and hash(G) == hash(H)
+        K = pickle.loads(pickle.dumps(G))
+        assert K == H and K.vertices() == H.vertices()
+        assert fg.boundary_cycles(K) == fg.boundary_cycles(H)
+
+
 class TestClassification:
     def test_euler_characteristic(self):
         assert fg.euler_characteristic(theta_graph()) == -1

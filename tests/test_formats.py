@@ -2,6 +2,7 @@
 
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,24 @@ FIXTURES = [
 
 def _fixture_text(name):
     return resources.files("chordlab.data").joinpath(name).read_text()
+
+
+def _readme_block(header):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    return next(b.lstrip("\n") for b in blocks if b.lstrip("\n").startswith(header))
+
+
+def test_readme_examples_parse():
+    text = _readme_block("chord v1")
+    d = formats.parse(text)
+    assert str(d.top_type()) == "(0;1,2)"
+    # the example is canonical text with comments added
+    stripped = "".join(line.split("#")[0].rstrip() + "\n"
+                       for line in text.splitlines())
+    assert formats.serialize(d) == stripped
+    assert isinstance(formats.parse(_readme_block("frob v1")),
+                      tqft.FrobeniusAlgebra)
 
 
 class TestRoundTrip:

@@ -1,0 +1,45 @@
+"""Golden outputs: sha256 of reports and serialized diagrams that every
+refactor must reproduce byte for byte.  The digests were recorded from the
+release before the structural tables moved onto FatGraph and ChordDiagram;
+a change that alters any of them changes what chordlab reports."""
+
+import hashlib
+import random
+
+import pytest
+
+from chordlab import chord as ch
+from chordlab import formats, generate
+from chordlab.cli import main
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("top,bound,exit_code,digest", [
+    ("1,1,2", 9, 0,
+     "255ef343bb7ddc0d4bd8b373d11c528b38472479975e6f5689d4b6c13f778b94"),
+    ("0,2,2", 5, 1,
+     "2373b88098444c0f4f0ecd38096a03c4474d5d40773b631e069b9af87e430e7c"),
+])
+def test_connect_json(capsys, top, bound, exit_code, digest):
+    code = main(["connect", "--json", "--type", top, "--max-edges", str(bound)])
+    assert code == exit_code
+    assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("top,digest", [
+    ((1, 1, 2), "9ddad6ae871d81cd7119881b818557e8c1a218d6dd4ca49800fad02bf9816ff2"),
+    ((1, 2, 1), "3f304f8861b0517adbe4c9f04d7b277a4322dea72af929d4e7048ed9af6465eb"),
+    ((0, 3, 2), "e88526c9fd9de3edbdf82ad0664403c93792f01ca8a22bd0dc321d98127f281b"),
+    ((0, 2, 3), "3e7690deb5f28bf05cd26f97edf7676ab3b76e83e89b0fcca23ace701cfdefcc"),
+    ((2, 1, 1), "cc42f726ffdc301780dc135665bbab69845e48ea35e4aa96ab23f7c3ef511af4"),
+])
+def test_canonical_forms_of_random_walks(top, digest):
+    text = "".join(
+        formats.serialize_chord(ch.canonical_form(
+            generate.random_diagram(random.Random(seed), *top, steps=6)))
+        for seed in range(10)
+    )
+    assert _sha(text) == digest

@@ -101,6 +101,15 @@ class TestExplore:
         with pytest.raises(BoundTooSmall):
             moves.explore(TopType(1, 1, 1), 3)
 
+    def test_unreached_classes_counted_by_component(self):
+        # at the base point's own edge count no move stays within the bound,
+        # so each of the 12 classes is its own component
+        report = moves.explore(TopType(0, 2, 2), 5)
+        assert report.class_count == 12
+        assert report.component_count == 12
+        assert len(report.unreached) == 11
+        assert len(report.witness_paths) == 1
+
     def test_unrepresentable_type(self):
         with pytest.raises(UnrepresentableType):
             moves.explore(TopType(0, 1, 1), 10)
