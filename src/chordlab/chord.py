@@ -179,16 +179,17 @@ def validate_chord(
 
     # circular edges form p pairwise-disjoint simple cycles: every vertex
     # carries either exactly two circular half-edges or none at all
-    n_circ_vertices = 0
+    circular_vertex = []
     for orbit in graph.vertices():
         k = sum(1 for h in orbit if labels[h] == CIRCULAR)
         if k not in (0, 2):
             raise CircleNotDisjoint(
                 f"vertex {orbit} has {k} circular half-edges (want 0 or 2)"
             )
-        n_circ_vertices += k == 2
+        circular_vertex.append(k == 2)
+    n_circ_vertices = sum(circular_vertex)
 
-    _ghost_components(graph, labels)  # raises GhostCycle
+    component_of = _ghost_components(graph, labels)  # raises GhostCycle
 
     cycles = fg.boundary_cycles(graph)
     cycle_of = graph.cycle_of()
@@ -243,6 +244,9 @@ def validate_chord(
         graph=graph, labels=labels, p=p, boundary_order=boundary_order,
         markings=markings,
     )
+    # hand the tables computed above to the diagram's derived attributes
+    vars(diagram).update(
+        _component_of=component_of, _circular_vertex=tuple(circular_vertex))
     return diagram, TopType(g, p, q)
 
 

@@ -240,7 +240,11 @@ def _cmd_gamma0(args) -> int:
 
 def _cmd_connect(args) -> int:
     top = _parse_type(args.type)
-    report = moves.explore(top, args.max_edges, jobs=args.jobs)
+    bound = args.max_edges
+    if bound is None:
+        # trivalent diagrams have the most edges, 3(2g+p+q-2)
+        bound = 3 * (2 * top.genus + top.p + top.q - 2)
+    report = moves.explore(top, bound, jobs=args.jobs)
     payload = report.to_json_dict()
     if args.report:
         _write(args.report, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -250,7 +254,7 @@ def _cmd_connect(args) -> int:
         print(
             f"type {top}: {report.class_count} classes, "
             f"{report.component_count} component(s), "
-            f"{len(report.unreached)} unreached within {args.max_edges} edges"
+            f"{len(report.unreached)} unreached within {bound} edges"
         )
     return 0 if report.component_count == 1 else 1
 
@@ -384,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("connect", _cmd_connect, help="verify move-graph connectivity")
     p.add_argument("--type", required=True, help="g,p,q")
-    p.add_argument("--max-edges", type=int, required=True)
+    p.add_argument("--max-edges", type=int,
+                   help="edge cap (default: the trivalent maximum 3(2g+p+q-2))")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", help="write a JSON report to this path")
 

@@ -244,31 +244,47 @@ def _color_index(n, colors):
 def _canonical_search(graph, colors, step_counter=None) -> tuple[int, ...]:
     """Weinberg's per-dart search: for every starting half-edge, relabel by
     breadth-first traversal along next_at_vertex and pairing; return the
-    labeling (old half-edge -> new label) whose word is least."""
+    first labeling (old half-edge -> new label) whose word is least.
+
+    Word entry i, (label[nxt[h]], label[pairing[h]], color[h]) for the
+    half-edge h labelled i, is known as soon as h is processed, so each start
+    is compared with the best word entry by entry: it is dropped at its first
+    larger entry, and after its first smaller one it is the new best.  The
+    first start always runs to the end, which checks connectivity."""
     n = graph.n_half_edges
     pairing = graph.pairing
     nxt = graph.next_at_vertex
     _, color_ix = _color_index(n, colors)
+    color = color_ix or (0,) * n
 
-    best = best_label = None
+    best = best_label = None  # best: the least word, one entry per label
     for start in range(n):
         label = [-1] * n
         order = [start]
         label[start] = 0
+        word = []
+        tied = best is not None  # equal to best on every entry so far
         head = 0
         while head < len(order):
             h = order[head]
-            head += 1
             for k in (nxt[h], pairing[h]):
                 if label[k] < 0:
                     label[k] = len(order)
                     order.append(k)
+            entry = (label[nxt[h]], label[pairing[h]], color[h])
+            if tied:
+                if entry > best[head]:
+                    break
+                tied = entry == best[head]
+            word.append(entry)
+            head += 1
         if step_counter is not None:
-            step_counter[0] += n
-        if len(order) != n:
-            raise Disconnected("canonical code requires a connected graph")
-        word = _word(graph, color_ix, label, order)
-        if best is None or word < best:
+            step_counter[0] += len(order)
+        if head < n:
+            if best is None:
+                raise Disconnected("canonical code requires a connected graph")
+            continue
+        if not tied:
             best = word
             best_label = tuple(label)
     return best_label
@@ -310,8 +326,10 @@ def canonical_code(
     For every starting half-edge, relabel by breadth-first traversal along
     pairing and next_at_vertex, serialize both permutations (plus per-half-edge
     colors, used as decoration tie-breaks), and keep the lexicographic minimum.
-    The graph must be connected.  ``_step_counter`` accumulates traversal step
-    counts for complexity tests.
+    The word is compared with the least one so far while it is produced, so a
+    start is dropped at its first larger entry.  The graph must be connected.
+    ``_step_counter`` accumulates the half-edges labelled, including the
+    partial traversals of dropped starts, for complexity tests.
     """
     return _encode(graph, colors, _canonical_search(graph, colors, _step_counter))
 

@@ -7,7 +7,10 @@ means alternating apply_move and canonical_form.
 
 explore() verifies, at desk scale, that all classes of a type within an edge
 bound form a single move-connected component, cross-checking the breadth-first
-search against an independent exhaustive enumeration of the classes.
+search against an independent exhaustive enumeration of the classes.  Its
+witness paths are checked by induction on depth: each class's recorded
+inverse move must reach its parent's class, which is as strong as replaying
+every path in full (see explore).
 """
 
 from __future__ import annotations
@@ -180,14 +183,14 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     Starts at the base-point diagram, discovers classes by breadth-first
     search, independently enumerates every class of the type within the
     bound, and reports the classes the search did not reach.  Witness paths
-    (move sequences back to the base point) are replay-verified.  ``jobs``
+    (move sequences back to the base point) are checked by induction: each
+    class's first move must lead to its parent's class.  ``jobs``
     (at least 1) worker processes, at most one per CPU, expand each layer.
     """
     if jobs < 1:
         raise ChordLabError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    g0, _, g0_code = ch.canonical_form_with_map(
-        ch.canonical_gamma0(top.genus, top.p, top.q))
+    g0 = ch.canonical_form(ch.canonical_gamma0(top.genus, top.p, top.q))
     if edge_bound < g0.graph.n_edges:
         raise BoundTooSmall(
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
@@ -218,9 +221,21 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
             witness[code] = [] if parent is None else [inv] + path_of(parent)
         return witness[code]
 
+    # A witness path is its class's inverse move followed by its parent's
+    # path, so checking every class's one move against its parent's code
+    # checks every path, by induction on depth.  Every representative in info
+    # is a canonical form, so the diagram a full replay reaches after that
+    # move, canonical_form(apply_move(rep, inv)), agrees with the parent's
+    # representative in graph, labels, p and boundary order, and may differ
+    # only in its markings.  Whether a move applies, and which unmarked class
+    # it reaches, depends only on that unmarked data: markings only pick out
+    # a cycle, and collapse and expansion keep every cycle.  So the parent's
+    # path replays from there as it does from the parent's representative.
     for code in sorted(info):
-        if _replay(info[code][0], path_of(code)) != g0_code:
+        rep, parent, inv = info[code]
+        if parent is not None and ch.diagram_code(apply_move(rep, inv)) != parent:
             raise ChordLabError(f"witness path for {code!r} does not replay")
+        path_of(code)
 
     return MoveGraphReport(
         top_type=top,

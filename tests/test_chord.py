@@ -1,5 +1,6 @@
 """Chord diagrams: validation, ghost collapse, moves, base points, gluing."""
 
+import dataclasses
 import random
 
 import pytest
@@ -65,6 +66,28 @@ class TestValidateChord:
         with pytest.raises(GhostCycle):
             reps = [cyc[0] for cyc in fg.boundary_cycles(graph)]
             ch.validate_chord(graph, [labels[h] for h in range(n)], 3, reps)
+
+    def test_validation_tables_are_handed_to_the_diagram(self, monkeypatch):
+        base = generate.random_diagram(random.Random(3), 1, 1, 2, steps=3)
+        calls = []
+        original = ch._ghost_components
+
+        def counted(graph, labels):
+            calls.append(graph)
+            return original(graph, labels)
+
+        monkeypatch.setattr(ch, "_ghost_components", counted)
+        d, _ = ch.validate_chord(
+            base.graph, base.labels, base.p, base.boundary_order, base.markings)
+        for e in d.graph.edges():
+            ch.is_essential(d, e)
+        assert len(calls) == 1
+        # the tables are the ones the diagram would derive, and they stay out
+        # of equality and hashing
+        fresh = dataclasses.replace(d)
+        assert fresh == d and hash(fresh) == hash(d)
+        assert fresh._component_of == d._component_of
+        assert fresh._circular_vertex == d._circular_vertex
 
     def test_incoming_must_be_circular_cycle(self):
         d = single_chord_diagram()

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chordlab import chord as ch
 from chordlab import fatgraph as fg
 from chordlab import generate
 from chordlab.errors import (
@@ -177,6 +178,94 @@ class TestCanonicalCode:
             cG = self._relabel(G, fg.canonical_labeling(G))
             cH = self._relabel(H, fg.canonical_labeling(H))
             assert cG == cH
+
+
+# ---------------------------------------------------------------------------
+# the pruned search against a brute-force reference
+# ---------------------------------------------------------------------------
+
+def _reference_labeling(G, colors=None):
+    """Every start's complete breadth-first word, then the first labeling
+    (old half-edge -> new label) whose word is least."""
+    n = G.n_half_edges
+    key = colors if colors is not None else [0] * n
+    words = []
+    for start in range(n):
+        label, order = {start: 0}, [start]
+        for h in order:
+            for k in (G.next_at_vertex[h], G.pairing[h]):
+                if k not in label:
+                    label[k] = len(order)
+                    order.append(k)
+        word = [(label[G.next_at_vertex[h]], label[G.pairing[h]], key[h])
+                for h in order]
+        words.append((word, start, tuple(label[h] for h in range(n))))
+    return min(words)[2]
+
+
+def _reference_code(G, colors, label):
+    """The code bytes: the tables (and color ranks) read in label order."""
+    palette = sorted(set(colors)) if colors is not None else []
+    inv = sorted(range(G.n_half_edges), key=label.__getitem__)
+    word = []
+    for h in inv:
+        word += [label[G.next_at_vertex[h]], label[G.pairing[h]]]
+        if colors is not None:
+            word.append(palette.index(colors[h]))
+    return repr((G.n_half_edges, tuple(map(repr, palette)), tuple(word))).encode()
+
+
+def _check_against_reference(G, colors=None):
+    expected = _reference_labeling(G, colors)
+    assert fg.canonical_labeling(G, colors) == expected
+    assert fg.canonical_code(G, colors) == _reference_code(G, colors, expected)
+
+
+def _relabeled_diagram(d, rng):
+    perm = list(range(d.graph.n_half_edges))
+    rng.shuffle(perm)
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    graph = fg.FatGraph(
+        pairing=tuple(perm[d.graph.pairing[h]] for h in inv),
+        next_at_vertex=tuple(perm[d.graph.next_at_vertex[h]] for h in inv),
+    )
+    order = [min(perm[h] for h in d.cycle_by_rep(r)) for r in d.boundary_order]
+    marks = [perm[m] for m in d.markings]
+    return ch.validate_chord(graph, [d.labels[h] for h in inv], d.p, order, marks)[0]
+
+
+@pytest.mark.parametrize("g,p,q", generate._SMALL_TYPES)
+def test_pruned_search_matches_reference_on_diagrams(g, p, q):
+    rng = random.Random(1000 * g + 100 * p + q)
+    for _ in range(2):
+        d = _relabeled_diagram(generate.random_diagram(rng, g, p, q, steps=3), rng)
+        _check_against_reference(d.graph)
+        _check_against_reference(d.graph, ch._code_colors(d, False))
+        _check_against_reference(d.graph, ch._code_colors(d, True))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_pruned_search_matches_reference_when_starts_tie(k):
+    # k-loop roses and the theta graph have many automorphisms, so many
+    # starts (for the uncolored (a b .. a-bar b-bar ..) rose and the theta
+    # graph, every start) give the least word and a full tie
+    for rotation in ([2 * i for i in range(k)] + [2 * i + 1 for i in range(k)],
+                     list(range(2 * k))):
+        pairing = [h ^ 1 for h in range(2 * k)]
+        G = fg.validate(pairing, [rotation])
+        _check_against_reference(G)
+        _check_against_reference(G, [0] * (2 * k))
+        _check_against_reference(G, [h % 2 for h in range(2 * k)])
+    _check_against_reference(theta_graph())
+    _check_against_reference(theta_graph(), [0, 1, 0, 1, 0, 1])
+
+
+def test_pruned_search_matches_reference_on_random_fatgraphs():
+    rng = random.Random(23)
+    for _ in range(40):
+        G = generate.random_fatgraph(rng, max_edges=7)
+        _check_against_reference(G)
+        _check_against_reference(G, [rng.randrange(2) for _ in range(G.n_half_edges)])
 
 
 # ---------------------------------------------------------------------------

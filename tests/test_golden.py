@@ -1,7 +1,9 @@
 """Golden outputs: sha256 of reports and serialized diagrams that every
 refactor must reproduce byte for byte.  The digests were recorded from the
-release before the structural tables moved onto FatGraph and ChordDiagram;
-a change that alters any of them changes what chordlab reports."""
+release before the structural tables moved onto FatGraph and ChordDiagram
+(those of (0;3,2)@9 and (2;1,1)@12 from the release before the canonical
+search dropped losing starts early); a change that alters any of them
+changes what chordlab reports."""
 
 import hashlib
 import random
@@ -22,11 +24,23 @@ def _sha(text: str) -> str:
      "255ef343bb7ddc0d4bd8b373d11c528b38472479975e6f5689d4b6c13f778b94"),
     ("0,2,2", 5, 1,
      "2373b88098444c0f4f0ecd38096a03c4474d5d40773b631e069b9af87e430e7c"),
+    # the two complexes the benchmark's connect workload times
+    ("0,3,2", 9, 0,
+     "96cd0b15ecb37c7c02d5d0cae664d472b62b1af9921d2f4916da610f7079097e"),
+    ("2,1,1", 12, 0,
+     "9dec3e98683302f573d3137eb0d1532952d458e45cc7fb5cb754202b1529981d"),
 ])
 def test_connect_json(capsys, top, bound, exit_code, digest):
     code = main(["connect", "--json", "--type", top, "--max-edges", str(bound)])
     assert code == exit_code
     assert _sha(capsys.readouterr().out) == digest
+
+
+def test_connect_bound_defaults_to_trivalent_maximum(capsys):
+    # 3(2g+p+q-2) = 9 for (1;1,2): the same report as --max-edges 9
+    assert main(["connect", "--json", "--type", "1,1,2"]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "255ef343bb7ddc0d4bd8b373d11c528b38472479975e6f5689d4b6c13f778b94")
 
 
 @pytest.mark.parametrize("top,digest", [

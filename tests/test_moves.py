@@ -7,7 +7,12 @@ import pytest
 
 from chordlab import chord as ch
 from chordlab import generate, moves
-from chordlab.errors import BoundTooSmall, SearchExhausted, UnrepresentableType
+from chordlab.errors import (
+    BoundTooSmall,
+    ChordLabError,
+    SearchExhausted,
+    UnrepresentableType,
+)
 from chordlab.fatgraph import TopType
 
 
@@ -68,6 +73,25 @@ class TestExplore:
             for move in path:
                 d = ch.canonical_form(moves.apply_move(d, move))
             assert ch.diagram_code(d) == g0_code
+
+    def test_witness_check_refuses_a_wrong_inverse(self, monkeypatch):
+        # record a sibling's inverse move for one child of the base point;
+        # the child's single move no longer leads to its parent's class
+        original = moves.neighbors_with_moves
+        tampered = []
+
+        def swapped(c, max_edges=None):
+            out = original(c, max_edges)
+            if not tampered and len(out) >= 2:
+                tampered.append(c)
+                code, rep, fwd, _inv = out[0]
+                out[0] = (code, rep, fwd, out[1][3])
+            return out
+
+        monkeypatch.setattr(moves, "neighbors_with_moves", swapped)
+        with pytest.raises(ChordLabError):
+            moves.explore(TopType(1, 1, 2), 9)
+        assert tampered
 
     def test_deterministic_across_workers(self):
         top = TopType(0, 2, 2)
