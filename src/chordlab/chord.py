@@ -63,7 +63,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChordDiagram:
-    """Validated chord diagram.  Build through :func:`validate_chord`."""
+    """Validated chord diagram, from :func:`validate_chord` or a relabeling."""
 
     graph: FatGraph
     labels: tuple[str, ...]          # C/G per half-edge, equal on paired halves
@@ -325,15 +325,10 @@ def is_collapsible(c: ChordDiagram, e: int) -> bool:
 def _open_rotations(graph: FatGraph, a: int):
     """The rotations at the two ends of edge a, each opened at the edge: the
     half-edges following a (resp. pairing(a)) around its vertex, in order."""
-    arcs = []
-    for h in (a, graph.pairing[a]):
-        arc = []
-        x = graph.next_at_vertex[h]
-        while x != h:
-            arc.append(x)
-            x = graph.next_at_vertex[x]
-        arcs.append(arc)
-    return arcs[0], arcs[1]
+    orbits, vertex_of = graph.vertices(), graph.vertex_of()
+    arc1, arc2 = (_rotate_to(orbits[vertex_of[h]], h)[1:]
+                  for h in (a, graph.pairing[a]))
+    return arc1, arc2
 
 
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
@@ -498,23 +493,19 @@ def canonical_form_with_map(
     c: ChordDiagram,
 ) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
     """canonical_form plus the relabeling (old half-edge -> new label) and
-    the class code, diagram_code(c), both from one canonical search."""
-    colors = _code_colors(c, False)
-    label = fg.canonical_labeling(c.graph, colors)
-    n = c.graph.n_half_edges
-    inv = [0] * n
-    for h, l in enumerate(label):
-        inv[l] = h
-    pairing = [label[c.graph.pairing[inv[l]]] for l in range(n)]
-    nxt = [label[c.graph.next_at_vertex[inv[l]]] for l in range(n)]
-    graph = FatGraph(pairing=tuple(pairing), next_at_vertex=tuple(nxt))
-    labels = tuple(c.labels[inv[l]] for l in range(n))
-
+    the class code, diagram_code(c), all from one canonical search.  Entry l
+    of its least word is (next_at_vertex, pairing, color) at label l, so the
+    form is read off the word; a relabeling keeps every invariant, so the
+    form is not validated again."""
+    label, word, palette = fg._canonical_search(c.graph, _code_colors(c, False))
+    graph = FatGraph(pairing=tuple(e[1] for e in word),
+                     next_at_vertex=tuple(e[0] for e in word))
+    labels = tuple(palette[e[2]][0] for e in word)  # a color is (C/G, ...)
     cycle_of = graph.cycle_of()
-    order = [cycle_of[label[m]][0] for m in c.markings]
-    marks = [label[m] for m in c.markings]
-    result, _ = validate_chord(graph, labels, c.p, order, marks)
-    return result, label, fg._encode(c.graph, colors, label)
+    order = tuple(cycle_of[label[m]][0] for m in c.markings)
+    marks = tuple(label[m] for m in c.markings)
+    form = ChordDiagram(graph, labels, c.p, order, marks)
+    return form, label, fg._encode(word, palette)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -231,20 +232,11 @@ def topological_type(graph: FatGraph) -> tuple[int, int]:
     return g, n
 
 
-def _color_index(n, colors):
-    if colors is None:
-        return [], None
-    if len(colors) != n:
-        raise ValueError("one color per half-edge expected")
-    palette = sorted(set(colors))
-    index = {c: i for i, c in enumerate(palette)}
-    return palette, tuple(index[c] for c in colors)
-
-
-def _canonical_search(graph, colors, step_counter=None) -> tuple[int, ...]:
+def _canonical_search(graph, colors, step_counter=None):
     """Weinberg's per-dart search: for every starting half-edge, relabel by
-    breadth-first traversal along next_at_vertex and pairing; return the
-    first labeling (old half-edge -> new label) whose word is least.
+    breadth-first traversal along next_at_vertex and pairing.  Returns the
+    first labeling (old half-edge -> new label) whose word is least, that
+    word (None for the empty graph) and the sorted palette of the colors.
 
     Word entry i, (label[nxt[h]], label[pairing[h]], color[h]) for the
     half-edge h labelled i, is known as soon as h is processed, so each start
@@ -254,8 +246,13 @@ def _canonical_search(graph, colors, step_counter=None) -> tuple[int, ...]:
     n = graph.n_half_edges
     pairing = graph.pairing
     nxt = graph.next_at_vertex
-    _, color_ix = _color_index(n, colors)
-    color = color_ix or (0,) * n
+    palette, color = [], (0,) * n  # color[h]: index of h's color in palette
+    if colors is not None:
+        if len(colors) != n:
+            raise ValueError("one color per half-edge expected")
+        palette = sorted(set(colors))
+        index = {c: i for i, c in enumerate(palette)}
+        color = tuple(index[c] for c in colors)
 
     best = best_label = None  # best: the least word, one entry per label
     for start in range(n):
@@ -287,32 +284,17 @@ def _canonical_search(graph, colors, step_counter=None) -> tuple[int, ...]:
         if not tied:
             best = word
             best_label = tuple(label)
-    return best_label
+    return best_label, best, palette
 
 
-def _word(graph, color_ix, label, order) -> tuple[int, ...]:
-    """Both permutations (and colors) serialized in label order."""
-    nxt, pairing = graph.next_at_vertex, graph.pairing
-    word = []
-    for h in order:
-        word.append(label[nxt[h]])
-        word.append(label[pairing[h]])
-        if color_ix is not None:
-            word.append(color_ix[h])
-    return tuple(word)
-
-
-def _encode(
-    graph: FatGraph, colors: Sequence[object] | None, label: Sequence[int]
-) -> bytes:
-    """The code bytes of graph relabeled by label (None: the empty graph)."""
-    n = graph.n_half_edges
-    palette, color_ix = _color_index(n, colors)
-    word = None
-    if label is not None:
-        order = sorted(range(n), key=label.__getitem__)
-        word = _word(graph, color_ix, label, order)
-    payload = (n, tuple(repr(c) for c in palette), word)
+def _encode(word, palette) -> bytes:
+    """The code bytes of a least word (None: the empty graph); the entries'
+    colors index palette, and are left out when there are no colors."""
+    flat = None
+    if word is not None:
+        flat = tuple(chain.from_iterable(
+            word if palette else (entry[:2] for entry in word)))
+    payload = (len(word or ()), tuple(repr(c) for c in palette), flat)
     return repr(payload).encode("ascii")
 
 
@@ -323,15 +305,17 @@ def canonical_code(
 ) -> bytes:
     """Relabeling-invariant code; equal codes iff isomorphic fat graphs.
 
-    For every starting half-edge, relabel by breadth-first traversal along
-    pairing and next_at_vertex, serialize both permutations (plus per-half-edge
-    colors, used as decoration tie-breaks), and keep the lexicographic minimum.
-    The word is compared with the least one so far while it is produced, so a
-    start is dropped at its first larger entry.  The graph must be connected.
-    ``_step_counter`` accumulates the half-edges labelled, including the
-    partial traversals of dropped starts, for complexity tests.
+    The code is the least word of the canonical search, flattened, with the
+    sorted colors its entries index (colors act as decoration tie-breaks).
+    The search relabels by breadth-first traversal from every starting
+    half-edge and drops a start at its first entry above the least word so
+    far.  The same search yields canonical_labeling, and
+    chord.canonical_form_with_map reads the canonical form off its word.
+    The graph must be connected.  ``_step_counter`` accumulates the
+    half-edges labelled, including the partial traversals of dropped starts,
+    for complexity tests.
     """
-    return _encode(graph, colors, _canonical_search(graph, colors, _step_counter))
+    return _encode(*_canonical_search(graph, colors, _step_counter)[1:])
 
 
 def canonical_labeling(
@@ -343,4 +327,4 @@ def canonical_labeling(
     and next_at_vertex tables (and colors) for every member of its
     isomorphism class.
     """
-    return _canonical_search(graph, colors)
+    return _canonical_search(graph, colors)[0]

@@ -14,6 +14,9 @@ half-edge), so equal values produce byte-identical files.
     order <r> <r> ...       least half-edge of every boundary cycle
     mark <r> <h>            marking of the cycle whose least half-edge is r
 
+A repeated incoming, order, edge or mark record, or a mark for a cycle not
+in order, is refused.
+
     frob v1
     field Q | field Fp <prime>
     basis <name> [<degree>]
@@ -120,6 +123,13 @@ def _parse_graph_records(records):
     return pairing, vertex_lists, extras
 
 
+def _once(first, ln: int, what: str) -> None:
+    """Refuse a second `what` record; first is the earlier (line, value)."""
+    if first is not None:
+        raise ValidationError(ln, ChordLabError(
+            f"repeated {what} record (first on line {first[0]})"))
+
+
 def _validate_graph(pairing, vertex_lists) -> FatGraph:
     """fg.validate, its errors reported at the first vertex record."""
     try:
@@ -150,18 +160,23 @@ def parse_chord(text: str) -> ChordDiagram:
         if kind == "edge":
             if len(toks) != 3 or toks[2] not in (CIRCULAR, GHOST):
                 raise SyntaxError(ln, col, "edge <id> C|G")
-            edge_labels[_int(toks[1], ln, "edge id")] = (ln, toks[2])
+            eid = _int(toks[1], ln, "edge id")
+            _once(edge_labels.get(eid), ln, f"edge {eid}")
+            edge_labels[eid] = (ln, toks[2])
         elif kind == "incoming":
             if len(toks) != 2:
                 raise SyntaxError(ln, col, "incoming <p>")
+            _once(incoming, ln, "incoming")
             incoming = (ln, _int(toks[1], ln, "count"))
         elif kind == "order":
+            _once(order, ln, "order")
             order = (ln, [_int(t, ln, "cycle id") for t in toks[1:]])
         elif kind == "mark":
             if len(toks) != 3:
                 raise SyntaxError(ln, col, "mark <cycle> <half-edge>")
-            marks[_int(toks[1], ln, "cycle id")] = (
-                ln, _int(toks[2], ln, "half-edge"))
+            r = _int(toks[1], ln, "cycle id")
+            _once(marks.get(r), ln, f"mark {r}")
+            marks[r] = (ln, _int(toks[2], ln, "half-edge"))
         else:
             raise SyntaxError(ln, col, f"known record type, got {kind!r}")
     if incoming is None:
@@ -184,6 +199,10 @@ def parse_chord(text: str) -> ChordDiagram:
 
     markings = None
     if marks:
+        stray = min(set(marks) - set(order[1]), default=None)
+        if stray is not None:
+            raise ValidationError(marks[stray][0], ChordLabError(
+                f"mark for cycle {stray}, which is not in the order"))
         markings = []
         for r in order[1]:
             if r not in marks:

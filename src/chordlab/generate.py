@@ -284,7 +284,6 @@ def enumerate_classes(
             for comp in _compositions(n_circ, p):
                 for forest in _ghost_forests(n_circ, n_int, n_ghost):
                     for d in _diagram_candidates(g, p, q, comp, forest, n_int):
-                        code = ch.diagram_code(d)
-                        if code not in classes:
-                            classes[code] = ch.canonical_form(d)
+                        form, _, code = ch.canonical_form_with_map(d)
+                        classes.setdefault(code, form)
     return classes

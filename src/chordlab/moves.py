@@ -233,8 +233,12 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     # path replays from there as it does from the parent's representative.
     for code in sorted(info):
         rep, parent, inv = info[code]
-        if parent is not None and ch.diagram_code(apply_move(rep, inv)) != parent:
-            raise ChordLabError(f"witness path for {code!r} does not replay")
+        try:
+            if parent is not None and ch.diagram_code(apply_move(rep, inv)) != parent:
+                raise ChordLabError("its move reaches another class")
+        except ChordLabError as exc:
+            raise ChordLabError(
+                f"witness path for {code!r} does not replay: {exc}") from exc
         path_of(code)
 
     return MoveGraphReport(

@@ -27,6 +27,7 @@ def single_chord_diagram():
     return ch.canonical_gamma0(0, 1, 2)
 
 
+CONNECT_TYPES = [(0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 1, 1), (1, 1, 2)]
 SMALL_TYPES = [
     (g, p, q)
     for g in range(3)
@@ -361,6 +362,50 @@ class TestCanonicalForm:
             a, b = ch.canonical_form(back), ch.canonical_form(d)
             assert (a.graph, a.labels, a.p, a.boundary_order) == (
                 b.graph, b.labels, b.p, b.boundary_order)
+
+
+    @pytest.mark.parametrize("g,p,q", CONNECT_TYPES)
+    def test_forms_of_every_class_are_valid(self, g, p, q):
+        # canonical_form_with_map builds the form without validate_chord, so
+        # validate every class's form here, against the same data
+        bound = ch.canonical_gamma0(g, p, q).graph.n_edges + 4
+        for form in generate.enumerate_classes(TopType(g, p, q), bound).values():
+            checked, top = ch.validate_chord(
+                form.graph, form.labels, form.p, form.boundary_order,
+                form.markings)
+            assert checked == form and top == form.top_type() == TopType(g, p, q)
+            assert form._component_of == checked._component_of
+            assert form._circular_vertex == checked._circular_vertex
+            assert formats.parse(formats.serialize(form)) == form
+
+    def test_one_search_per_form(self, monkeypatch):
+        searches, validations, candidates = [], [], []
+        search, validate = fg._canonical_search, ch.validate_chord
+        make_candidates = generate._diagram_candidates
+
+        def counted_search(graph, colors, step_counter=None):
+            searches.append(graph)
+            return search(graph, colors, step_counter)
+
+        def counted_validate(*args, **kwargs):
+            validations.append(args)
+            return validate(*args, **kwargs)
+
+        def counted_candidates(*args):
+            for d in make_candidates(*args):
+                candidates.append(d)
+                yield d
+
+        d = generate.random_diagram(random.Random(5), 1, 1, 2, steps=4)
+        monkeypatch.setattr(fg, "_canonical_search", counted_search)
+        monkeypatch.setattr(ch, "validate_chord", counted_validate)
+        ch.canonical_form_with_map(d)
+        assert (len(searches), len(validations)) == (1, 0)
+
+        monkeypatch.setattr(generate, "_diagram_candidates", counted_candidates)
+        del searches[:]
+        generate.enumerate_classes(TopType(0, 2, 2), 9)
+        assert len(searches) == len(candidates) > 21
 
 
 def _relabel_diagram(d, perm):

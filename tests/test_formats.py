@@ -102,6 +102,24 @@ class TestErrors:
         with pytest.raises(formats.ValidationError):
             formats.parse(text)
 
+    def test_mark_for_a_cycle_outside_the_order(self):
+        text = formats.serialize(ch.canonical_gamma0(0, 1, 2)) + "mark 99 0\n"
+        with pytest.raises(formats.ValidationError) as err:
+            formats.parse(text)
+        assert err.value.line == len(text.splitlines())
+        assert "99" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["mark", "incoming", "order", "edge"])
+    def test_repeated_record(self, kind):
+        lines = formats.serialize(ch.canonical_gamma0(0, 1, 2)).splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.split()[0] == kind)
+        lines.append(lines[first])
+        with pytest.raises(formats.ValidationError) as err:
+            formats.parse("\n".join(lines) + "\n")
+        assert err.value.line == len(lines)
+        assert f"first on line {first + 1}" in str(err.value)
+
     def test_frob_without_field(self):
         with pytest.raises(formats.SyntaxError):
             formats.parse("frob v1\nbasis e\nunit 1\n")

@@ -89,7 +89,7 @@ class TestExplore:
             return out
 
         monkeypatch.setattr(moves, "neighbors_with_moves", swapped)
-        with pytest.raises(ChordLabError):
+        with pytest.raises(ChordLabError, match="witness path"):
             moves.explore(TopType(1, 1, 2), 9)
         assert tampered
 
