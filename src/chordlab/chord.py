@@ -63,7 +63,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChordDiagram:
-    """Validated chord diagram, from :func:`validate_chord` or a relabeling."""
+    """Chord diagram, from :func:`validate_chord`, a relabeling or a move;
+    relabelings and moves keep every invariant, so they build it directly."""
 
     graph: FatGraph
     labels: tuple[str, ...]          # C/G per half-edge, equal on paired halves
@@ -334,9 +335,11 @@ def _open_rotations(graph: FatGraph, a: int):
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     """Contract a single non-essential, non-loop edge.
 
+    The child is built directly: the two rotations are joined at the corners
+    before a and pairing(a), and the half-edges above them are renumbered.
     Markings on the collapsed edge are transported to the next surviving
-    circular half-edge in their boundary cycle.  The topological type is
-    preserved.
+    circular half-edge in their boundary cycle.  The type is preserved, so
+    the child is not validated again.
     """
     graph, labels = c.graph, c.labels
     a = graph.edge_of(e)
@@ -347,45 +350,46 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     if is_essential(c, a):
         raise EssentialEdge(f"edge {a} is essential")
 
+    def new_id(h):
+        return h - (h > a) - (h > b)
+
+    # the merged rotation is the rotation after a, then the one after b
+    nxt = list(graph.next_at_vertex)
+    before_a, before_b = nxt.index(a), nxt.index(b)
+    nxt[before_a], nxt[before_b] = nxt[b], nxt[a]
     kept = [h for h in range(graph.n_half_edges) if h not in (a, b)]
-    new_id = {h: i for i, h in enumerate(kept)}
-    arc_a, arc_b = _open_rotations(graph, a)
-    new_vertex_lists = [[new_id[h] for h in arc_a + arc_b]] + [
-        [new_id[h] for h in orbit]
-        for v, orbit in enumerate(graph.vertices())
-        if v not in (vertex_of[a], vertex_of[b])
-    ]
-    new_pairing = [0] * len(kept)
-    for h in kept:
-        new_pairing[new_id[h]] = new_id[graph.pairing[h]]
-    new_labels = tuple(labels[h] for h in kept)
-    new_graph = fg.validate(new_pairing, new_vertex_lists)
+    new_graph = FatGraph(pairing=tuple(new_id(graph.pairing[h]) for h in kept),
+                         next_at_vertex=tuple(new_id(nxt[h]) for h in kept))
 
     # boundary cycles survive edge contraction with the occurrences of a and b
     # dropped; transport order and markings along that correspondence
     old_cycle_of, new_cycle_of = graph.cycle_of(), new_graph.cycle_of()
     new_order, new_marks = [], []
     for r, m in zip(c.boundary_order, c.markings):
-        cyc = old_cycle_of[r]
         if m in (a, b):
-            m = next(
-                (h for h in _rotate_to(cyc, m)
-                 if h not in (a, b) and labels[h] == CIRCULAR),
-                None,
-            )
-            if m is None:
-                raise NoCircularEdgeOnCycle(f"cycle at {r} loses its last marking")
-        new_order.append(new_cycle_of[new_id[m]][0])
-        new_marks.append(new_id[m])
+            # there is one: were a its cycle's last circular edge, a ghost
+            # path would join its ends (essential) or it would be a loop
+            m = next(h for h in _rotate_to(old_cycle_of[r], m)
+                     if h not in (a, b) and labels[h] == CIRCULAR)
+        new_order.append(new_cycle_of[new_id(m)][0])
+        new_marks.append(new_id(m))
+    return ChordDiagram(new_graph, tuple(labels[h] for h in kept), c.p,
+                        tuple(new_order), tuple(new_marks))
 
-    result, top = validate_chord(new_graph, new_labels, c.p, new_order, new_marks)
-    if top != c.top_type():
-        raise ChordLabError(f"collapse changed the type to {top}")  # unreachable
-    return result
+
+def _split_label(c: ChordDiagram, arc1, arc2) -> str:
+    """The one label that makes the split of a vertex into arc1 and arc2 a
+    diagram: C iff one of its cuts, after arc1[-1] or after arc2[-1], is the
+    corner (back, fwd) the vertex's circle runs through, G otherwise.  A
+    split keeps valence >= 3, the ghost forest and every boundary cycle, so
+    it keeps the type."""
+    labels, nxt = c.labels, c.graph.next_at_vertex
+    corner = any(labels[h] == CIRCULAR == labels[nxt[h]] for h in (arc1[-1], arc2[-1]))
+    return CIRCULAR if corner else GHOST
 
 
 def _expansion_candidates(c: ChordDiagram):
-    """All (arc1, arc2, label) single-vertex splits to try."""
+    """Every single-vertex split, once, as (arc1, arc2, its label)."""
     for orbit in c.graph.vertices():
         d = len(orbit)
         if d < 4:
@@ -400,62 +404,44 @@ def _expansion_candidates(c: ChordDiagram):
                 if key in seen:
                     continue
                 seen.add(key)
-                for label in (CIRCULAR, GHOST):
-                    yield arc1, arc2, label
+                yield arc1, arc2, _split_label(c, arc1, arc2)
 
 
 def apply_expansion(
     c: ChordDiagram, arc1, arc2, label: str
 ) -> ChordDiagram | None:
     """Split one vertex along two cyclically contiguous arcs, joined by a new
-    edge with the given label.  Returns None when the split does not validate
-    to a diagram of the same type."""
-    graph, labels = c.graph, c.labels
+    edge with the given label, half-edge n ending arc1 and n+1 ending arc2.
+
+    The child is built directly: old half-edges keep their ids and each
+    boundary cycle only gains new ones, so order and markings carry over.
+    Returns None unless the arcs split one vertex into arcs of length >= 2
+    and the label is the split's (_split_label).
+    """
+    graph = c.graph
     n = graph.n_half_edges
-    n1, n2 = n, n + 1
-    split = graph.vertex_of()[arc1[0]]
-    new_vertex_lists = [list(arc1) + [n1], list(arc2) + [n2]] + [
-        list(orbit) for v, orbit in enumerate(graph.vertices()) if v != split
-    ]
-    new_pairing = list(graph.pairing) + [n2, n1]
-    new_labels = labels + (label, label)
-
-    try:
-        new_graph = fg.validate(new_pairing, new_vertex_lists)
-    except ChordLabError:
+    arc1, arc2 = tuple(arc1), tuple(arc2)
+    if min(len(arc1), len(arc2)) < 2 or arc1[0] not in range(n):
         return None
-
-    # transport boundary order/markings: every old half-edge survives, so each
-    # old cycle maps to the new cycle containing its marking
-    new_cycle_of = new_graph.cycle_of()
-    new_order = [new_cycle_of[m][0] for m in c.markings]
-    if len(set(new_order)) != len(new_order) or len(new_order) != len(
-        fg.boundary_cycles(new_graph)
-    ):
+    orbit = graph.vertices()[graph.vertex_of()[arc1[0]]]
+    if (_rotate_to(orbit, arc1[0]) != list(arc1 + arc2)
+            or label != _split_label(c, arc1, arc2)):
         return None
-    try:
-        result, top = validate_chord(
-            new_graph, new_labels, c.p, new_order, c.markings
-        )
-    except ChordLabError:
-        return None
-    if top != c.top_type():
-        return None
-    return result
+    nxt = list(graph.next_at_vertex) + [arc1[0], arc2[0]]
+    nxt[arc1[-1]], nxt[arc2[-1]] = n, n + 1
+    new_graph = FatGraph(pairing=graph.pairing + (n + 1, n),
+                         next_at_vertex=tuple(nxt))
+    return ChordDiagram(new_graph, c.labels + (label, label), c.p,
+                        c.boundary_order, c.markings)
 
 
 def expansions(c: ChordDiagram) -> list[ChordDiagram]:
-    """Every diagram obtained by one valid type-preserving vertex split.
+    """Every diagram obtained by one vertex split, one per split.
 
     The new edge is the last one, half-edges n-2 and n-1; collapsing it
     gives back c's class.
     """
-    out = []
-    for arc1, arc2, label in _expansion_candidates(c):
-        d = apply_expansion(c, arc1, arc2, label)
-        if d is not None:
-            out.append(d)
-    return out
+    return [apply_expansion(c, *split) for split in _expansion_candidates(c)]
 
 
 def _code_colors(c: ChordDiagram, with_markings: bool) -> tuple:

@@ -313,6 +313,9 @@ def _cmd_tqft(args) -> int:
         return 0
     if args.action == "verify":
         pm, qm, rm, g1m, g2m = _ints(args.range, "--range", "p,q,r,g1,g2")
+        if min(pm, qm, rm) < 1 or min(g1m, g2m) < 0:
+            raise ChordLabError(f"--range {args.range}: p, q and r must be at "
+                                "least 1, g1 and g2 at least 0")
         failures = []
         for p in range(1, pm + 1):
             for q in range(1, qm + 1):

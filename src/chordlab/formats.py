@@ -24,6 +24,9 @@ in order, is refused.
     unit <c> <c> ...
     m <i> <j> -> <k> <c>
     Delta <i> -> <j> <k> <c>
+
+A repeated field, ambient or unit record, or a repeated `m i j -> k` or
+`Delta i -> j k` key, is refused.
 """
 
 from __future__ import annotations
@@ -249,8 +252,9 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
     basis, degrees = [], []
     ambient = None
     unit = None
-    m_entries: dict[tuple, object] = {}
-    d_entries: dict[tuple, object] = {}
+    once: dict[str, tuple] = {}  # field, ambient, unit -> (line,)
+    m_entries: dict[tuple, tuple] = {}  # key -> (line, coefficient)
+    d_entries: dict[tuple, tuple] = {}
 
     def coeff(tok, ln):
         if field_ is None:
@@ -269,6 +273,9 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
 
     for ln, col, toks in records:
         kind = toks[0]
+        if kind in ("field", "ambient", "unit"):
+            _once(once.get(kind), ln, kind)
+            once[kind] = (ln,)
         if kind == "field":
             if len(toks) == 2 and toks[1] == "Q":
                 field_ = tqft.Rationals()
@@ -294,12 +301,14 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
             if len(toks) != 6 or toks[3] != "->":
                 raise SyntaxError(ln, col, "m <i> <j> -> <k> <coeff>")
             key = (index(toks[1], ln), index(toks[2], ln), index(toks[4], ln))
-            m_entries[key] = coeff(toks[5], ln)
+            _once(m_entries.get(key), ln, "m {} {} -> {}".format(*key))
+            m_entries[key] = (ln, coeff(toks[5], ln))
         elif kind == "Delta":
             if len(toks) != 6 or toks[2] != "->":
                 raise SyntaxError(ln, col, "Delta <i> -> <j> <k> <coeff>")
             key = (index(toks[1], ln), index(toks[3], ln), index(toks[4], ln))
-            d_entries[key] = coeff(toks[5], ln)
+            _once(d_entries.get(key), ln, "Delta {} -> {} {}".format(*key))
+            d_entries[key] = (ln, coeff(toks[5], ln))
         else:
             raise SyntaxError(ln, col, f"known record type, got {kind!r}")
 
@@ -315,7 +324,7 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
     d = len(basis)
     dense = lambda entries: tuple(
         tuple(
-            tuple(entries.get((i, j, k), field_.zero) for k in range(d))
+            tuple(entries.get((i, j, k), (None, field_.zero))[1] for k in range(d))
             for j in range(d)
         )
         for i in range(d)

@@ -53,11 +53,12 @@ def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
     raise ChordLabError(f"unknown move {move!r}")
 
 
-def _replay(d: ChordDiagram, path: list[Move]) -> bytes:
-    """The class code reached by replaying path from the representative d."""
+def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
+    """The class code reached by replaying path from the representative d
+    of the class code."""
     for move in path:
-        d = ch.canonical_form(apply_move(d, move))
-    return ch.diagram_code(d)
+        d, _, code = ch.canonical_form_with_map(apply_move(d, move))
+    return code
 
 
 def _collapse_with_inverse(c: ChordDiagram, e: int):
@@ -97,8 +98,6 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
     if max_edges is None or c.graph.n_edges < max_edges:
         for arc1, arc2, lbl in ch._expansion_candidates(c):
             d = ch.apply_expansion(c, arc1, arc2, lbl)
-            if d is None:
-                continue
             canon, label, code = ch.canonical_form_with_map(d)
             if code not in found:
                 n = d.graph.n_half_edges
@@ -303,6 +302,6 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
         path.append(b_info[code][2])
         code = b_info[code][1]
 
-    if _replay(start, path) != goal_code:
+    if _replay(start, start_code, path) != goal_code:
         raise ChordLabError("path replay does not reach the base point")
     return path

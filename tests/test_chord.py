@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from chordlab import chord as ch
 from chordlab import fatgraph as fg
-from chordlab import formats, generate
+from chordlab import formats, generate, moves
 from chordlab.chord import CIRCULAR, GHOST
 from chordlab.errors import (
+    ChordLabError,
     EssentialEdge,
     GhostCycle,
     GlueValidationFailed,
@@ -316,6 +317,53 @@ class TestMoves:
         # every vertex of the single-chord diagram is trivalent
         assert ch.expansions(single_chord_diagram()) == []
 
+    @pytest.mark.parametrize("g,p,q", CONNECT_TYPES + [(0, 3, 2)])
+    def test_direct_children_match_validated_build(self, g, p, q):
+        # moves build their children without validation; check every split
+        # of every class against the split validated the long way, and every
+        # collapse against validate_chord
+        top = TopType(g, p, q)
+        for c in generate.enumerate_classes(top, 3 * (2 * g + p + q - 2)).values():
+            offered = set()
+            for orbit in c.graph.vertices():
+                d = len(orbit)
+                for i in range(d if d >= 4 else 0):
+                    rotated = orbit[i:] + orbit[:i]
+                    for l1 in range(2, d - 1):
+                        arc1, arc2 = rotated[:l1], rotated[l1:]
+                        valid = []
+                        for label in (CIRCULAR, GHOST):
+                            child = ch.apply_expansion(c, arc1, arc2, label)
+                            assert child == _validated_expansion(c, arc1, arc2, label)
+                            valid += [label] if child is not None else []
+                        assert len(valid) == 1
+                        offered.add((frozenset((arc1, arc2)), valid[0]))
+            assert offered == {(frozenset((a1, a2)), label)
+                               for a1, a2, label in ch._expansion_candidates(c)}
+            for e in c.graph.edges():
+                if ch.is_collapsible(c, e):
+                    child = ch.collapse_edge(c, e)
+                    checked, child_top = ch.validate_chord(
+                        child.graph, child.labels, child.p,
+                        child.boundary_order, child.markings)
+                    assert checked == child and child_top == top
+
+    def test_stale_expansions_are_refused(self):
+        c = next(c for c in generate.enumerate_classes(TopType(0, 2, 2), 5).values()
+                 if any(len(orbit) == 4 for orbit in c.graph.vertices()))
+        a, b, x, y = next(o for o in c.graph.vertices() if len(o) == 4)
+        label = ch._split_label(c, (a, b), (x, y))
+        other = GHOST if label == CIRCULAR else CIRCULAR
+        child = moves.apply_move(c, ("expand", (a, b), (x, y), label))
+        assert child.top_type() == c.top_type()
+        for move in [("expand", (a, x), (b, y), label),
+                     ("expand", (a, x), (b, y), other),
+                     ("expand", (a,), (b, x, y), label),
+                     ("expand", (a,), (b, x, y), other),
+                     ("expand", (a, b), (x, y), other)]:
+            with pytest.raises(ChordLabError, match="no longer applies"):
+                moves.apply_move(c, move)
+
     def test_ghost_forest_after_moves(self):
         rng = random.Random(6)
         for _ in range(20):
@@ -406,6 +454,23 @@ class TestCanonicalForm:
         del searches[:]
         generate.enumerate_classes(TopType(0, 2, 2), 9)
         assert len(searches) == len(candidates) > 21
+
+
+def _validated_expansion(c, arc1, arc2, label):
+    """The split of a vertex of c into arc1 and arc2, built from vertex lists
+    and kept only if fg.validate, validate_chord and the type all agree."""
+    n = c.graph.n_half_edges
+    split = c.graph.vertex_of()[arc1[0]]
+    vertex_lists = [list(arc1) + [n], list(arc2) + [n + 1]] + [
+        list(orbit) for v, orbit in enumerate(c.graph.vertices()) if v != split]
+    try:
+        graph = fg.validate(c.graph.pairing + (n + 1, n), vertex_lists)
+        order = [graph.cycle_of()[m][0] for m in c.markings]
+        d, top = ch.validate_chord(graph, c.labels + (label, label), c.p,
+                                   order, c.markings)
+    except ChordLabError:
+        return None
+    return d if top == c.top_type() else None
 
 
 def _relabel_diagram(d, perm):

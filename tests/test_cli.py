@@ -113,6 +113,8 @@ class TestExitCodes:
     ["connect", "--type", "1,1,x", "--max-edges", "6"],
     ["connect", "--type=-1,1,1", "--max-edges", "6"],
     ["connect", "--type", "0,1,2", "--max-edges", "3", "--jobs", "0"],
+    ["tqft", "verify", "--algebra", "pd2", "--range", "0,0,0,0,0"],
+    ["tqft", "verify", "--algebra", "pd2", "--range", "2,2,2,-1,1"],
 ])
 def test_bad_option_values_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -120,6 +120,25 @@ class TestErrors:
         assert err.value.line == len(lines)
         assert f"first on line {first + 1}" in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["field", "ambient", "unit", "m", "Delta"])
+    def test_repeated_frob_record(self, kind):
+        lines = formats.serialize(tqft.st2()).splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.split()[0] == kind)
+        # the same key with another coefficient is refused too
+        lines.append(lines[first] if kind != "m" else lines[first] + "0")
+        with pytest.raises(formats.ValidationError) as err:
+            formats.parse("\n".join(lines) + "\n")
+        assert err.value.line == len(lines)
+        assert f"first on line {first + 1}" in str(err.value)
+
+    def test_second_field_after_coefficients(self):
+        # a unit parsed over Q must not end up in an F5 algebra
+        with pytest.raises(formats.ValidationError) as err:
+            formats.parse("frob v1\nbasis 1\nbasis x\nfield Q\n"
+                          "unit 1/2 0\nfield Fp 5\n")
+        assert err.value.line == 6
+
     def test_frob_without_field(self):
         with pytest.raises(formats.SyntaxError):
             formats.parse("frob v1\nbasis e\nunit 1\n")
