@@ -25,8 +25,9 @@ in order, is refused.
     m <i> <j> -> <k> <c>
     Delta <i> -> <j> <k> <c>
 
-A repeated field, ambient or unit record, or a repeated `m i j -> k` or
-`Delta i -> j k` key, is refused.
+A repeated field, ambient or unit record, a repeated `m i j -> k` or
+`Delta i -> j k` key, or a basis record past the FROB_BASIS_BUDGET-th, is
+refused.
 """
 
 from __future__ import annotations
@@ -246,6 +247,11 @@ def serialize_chord(c: ChordDiagram) -> str:
 # frob v1
 # ---------------------------------------------------------------------------
 
+# the most basis records a frob v1 file may hold: check_axioms builds
+# d^2 x d^3 Kronecker products
+FROB_BASIS_BUDGET = 8
+
+
 def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
     records = _records(text, "frob v1")
     field_ = None
@@ -289,6 +295,10 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
         elif kind == "basis":
             if len(toks) not in (2, 3):
                 raise SyntaxError(ln, col, "basis <name> [<degree>]")
+            if len(basis) == FROB_BASIS_BUDGET:
+                raise ValidationError(ln, ChordLabError(
+                    f"more than FROB_BASIS_BUDGET = {FROB_BASIS_BUDGET} "
+                    "basis records"))
             basis.append(toks[1])
             degrees.append(_int(toks[2], ln, "degree") if len(toks) == 3 else None)
         elif kind == "ambient":

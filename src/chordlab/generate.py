@@ -1,9 +1,9 @@
 """Generators: random fat graphs, random chord diagrams, gluable pairs,
 and exhaustive enumeration of all chord-diagram classes of a type.
 
-The exhaustive enumerator is independent of the move machinery (it builds
-candidates from circle compositions, labeled ghost forests and rotation
-choices), so it can serve as an oracle for move-graph searches.
+The exhaustive enumerator builds each candidate directly, unvalidated, from
+a circle composition, a labeled ghost forest and a rotation choice.  It uses
+no moves, so it is an independent check on move-graph searches.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from . import chord as ch
 from . import fatgraph as fg
 from .chord import CIRCULAR, GHOST, ChordDiagram
 from .errors import ChordLabError
-from .fatgraph import TopType
+from .fatgraph import FatGraph, TopType
 
 __all__ = [
     "random_fatgraph",
@@ -144,7 +144,7 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
 
     out = []
 
-    def need(i):
+    def need():
         # minimum edges still required by unmet degree lower bounds
         lack = sum(max(0, 1 - deg[v]) for v in range(n_circ))
         lack3 = sum(max(0, 3 - deg[v]) for v in range(n_circ, nv))
@@ -153,12 +153,10 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
     def rec(i, chosen):
         left = n_edges - len(chosen)
         if left == 0:
-            if all(deg[v] >= 1 for v in range(n_circ)) and all(
-                deg[v] >= 3 for v in range(n_circ, nv)
-            ) and all(has_circ[find(v)] for v in range(nv)):
+            if need() == 0 and all(has_circ[find(v)] for v in range(nv)):
                 out.append(tuple(chosen))
             return
-        if i >= len(pairs) or len(pairs) - i < left or need(i) > left:
+        if i >= len(pairs) or len(pairs) - i < left or need() > left:
             return
         a, b = pairs[i]
         ra, rb = find(a), find(b)
@@ -182,84 +180,61 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
     return out
 
 
-def _diagram_candidates(g, p, q, comp, forest, n_int):
-    """Build every rotation assignment for one circle composition + forest."""
+def _diagram_candidates(p, q, comp, forest, n_int):
+    """Every diagram of one circle composition + ghost forest: one per
+    rotation choice with p + q boundary cycles and order of its outgoing
+    cycles, each marked at its cycles' first circular half-edges.
+
+    Each is a diagram by construction, so none is validated.  A circle
+    vertex reads (back, fwd, stubs...), so each circle is its own incoming
+    boundary cycle.  Stub degrees give valence >= 3 and the ghost edges form
+    a forest.  E - V = 2g+p+q-2, so p + q cycles fix the genus.  Connectivity
+    does not depend on the rotations: it is checked at the first choice.
+    """
+    # circle vertex v holds forward half 2v and backward half 2v+1, and edge
+    # j of a circle runs from its vertex j to j+1 (mod k); ghost halves follow
     n_circ = sum(comp)
-    nv = n_circ + n_int
-
-    # half-edge layout: circle halves first, then ghost halves per forest edge
-    fwd = [2 * i for i in range(n_circ)]
-    bwd = [2 * i + 1 for i in range(n_circ)]
     base = 2 * n_circ
-    stubs: list[list[int]] = [[] for _ in range(nv)]
     pairing = [0] * (base + 2 * len(forest))
-    labels = [CIRCULAR] * base + [GHOST] * (2 * len(forest))
-    for j, (a, b) in enumerate(forest):
-        x, y = base + 2 * j, base + 2 * j + 1
-        pairing[x], pairing[y] = y, x
-        stubs[a].append(x)
-        stubs[b].append(y)
-
-    # circle i occupies vertices block_start..block_start+k-1; edge j of the
-    # circle joins vertex j to vertex j+1 (mod k), forward half at j
-    vertex_circ: list[tuple[int, int]] = []
-    at = 0
-    circle_reps = []
+    labels = (CIRCULAR,) * base + (GHOST,) * (2 * len(forest))
+    circle_reps, at = (), 0  # each circle's least half leads its cycle
     for k in comp:
         for j in range(k):
-            v = at + j
-            f, b = fwd[v], bwd[at + (j + 1) % k]
+            f, b = 2 * (at + j), 2 * (at + (j + 1) % k) + 1
             pairing[f], pairing[b] = b, f
-            vertex_circ.append((bwd[v], fwd[v]))
-        circle_reps.append(min(fwd[at + j] for j in range(k)))
+        circle_reps += (2 * at,)
         at += k
+    stubs: list[list[int]] = [[] for _ in range(n_circ + n_int)]
+    for x, (a, b) in enumerate(forest, n_circ):
+        pairing[2 * x], pairing[2 * x + 1] = 2 * x + 1, 2 * x
+        stubs[a].append(2 * x)
+        stubs[b].append(2 * x + 1)
+    pairing = tuple(pairing)
 
-    per_vertex = []
-    for v in range(nv):
-        if v < n_circ:
-            per_vertex.append([list(s) for s in itertools.permutations(stubs[v])])
-        else:
-            first, rest = stubs[v][0], stubs[v][1:]
-            per_vertex.append(
-                [[first] + list(s) for s in itertools.permutations(rest)]
-            )
-
-    for choice in itertools.product(*per_vertex):
-        vertex_lists = []
-        for v in range(nv):
-            if v < n_circ:
-                b, f = vertex_circ[v]
-                vertex_lists.append([b, f] + choice[v])
-            else:
-                vertex_lists.append(list(choice[v]))
-        try:
-            graph = fg.validate(list(pairing), vertex_lists)
-        except ChordLabError:
-            continue
+    rotations = [
+        [(2 * v + 1, 2 * v) + s for s in itertools.permutations(stubs[v])]
+        if v < n_circ else
+        [(stubs[v][0],) + s for s in itertools.permutations(stubs[v][1:])]
+        for v in range(len(stubs))
+    ]
+    nxt = [0] * len(pairing)
+    for i, choice in enumerate(itertools.product(*rotations)):
+        for rot in choice:
+            for a, b in zip(rot, rot[1:] + rot[:1]):
+                nxt[a] = b
+        if i == 0 and not fg._is_connected(pairing, nxt):
+            return
+        graph = FatGraph(pairing, tuple(nxt))
         cycles = fg.boundary_cycles(graph)
         if len(cycles) != p + q:
             continue
-        reps = {cyc[0] for cyc in cycles}
-        # the vertex-j forward half leads the circle's boundary cycle
-        in_order = []
-        ok = True
-        for r in circle_reps:
-            if r not in reps:
-                ok = False
-                break
-            in_order.append(r)
-        if not ok:
-            continue
-        rest_reps = sorted(reps - set(in_order))
-        for perm in itertools.permutations(rest_reps):
-            try:
-                d, top = ch.validate_chord(
-                    graph, labels, p, in_order + list(perm)
-                )
-            except ChordLabError:
-                continue
-            if top == TopType(g, p, q):
-                yield d
+        marks = {cyc[0]: next(h for h in cyc if labels[h] == CIRCULAR)
+                 for cyc in cycles}
+        out = [r for r in marks if r not in circle_reps]
+        for perm in itertools.permutations(out):
+            order = circle_reps + perm
+            yield ChordDiagram(graph, labels, p, order,
+                               tuple(marks[r] for r in order))
 
 
 def enumerate_classes(
@@ -276,14 +251,14 @@ def enumerate_classes(
     const = 2 * g + p + q - 2
     classes: dict[bytes, ChordDiagram] = {}
     for n_circ in range(max(p, const + 1), edge_bound - const + 1):
-        sigma = n_circ - const
         for n_int in range(0, edge_bound - const - n_circ + 1):
-            n_ghost = n_circ + n_int - sigma
+            n_ghost = n_int + const
             if 2 * n_ghost < n_circ + 3 * n_int:
                 continue
+            forests = _ghost_forests(n_circ, n_int, n_ghost)
             for comp in _compositions(n_circ, p):
-                for forest in _ghost_forests(n_circ, n_int, n_ghost):
-                    for d in _diagram_candidates(g, p, q, comp, forest, n_int):
+                for forest in forests:
+                    for d in _diagram_candidates(p, q, comp, forest, n_int):
                         form, _, code = ch.canonical_form_with_map(d)
                         classes.setdefault(code, form)
     return classes

@@ -412,12 +412,20 @@ def _delta_power(A, q):
     return M
 
 
+# the largest (g+1)*d^(p+q) mu accepts: the cells of its d^q x d^p result,
+# once more for each of its g handle products (over Q the entries can still
+# grow with g)
+MU_CELL_BUDGET = 1 << 18
+
+
 def mu(A: FrobeniusAlgebra, p: int, q: int, g: int) -> OperationMatrix:
     """The operation of the connected genus-g cobordism from p to q circles.
 
     Computed as Delta^(q-1) o H^g o m^(p-1) with handle operator H = m o
     Delta.  q = 0 is rejected: a positive-boundary theory has no counit, so
     operations exist only for surfaces with at least one outgoing boundary.
+    A call with (g+1)*d^(p+q) over MU_CELL_BUDGET is refused before any
+    matrix is built.
     """
     if q < 1:
         raise NoOutgoing(
@@ -427,6 +435,11 @@ def mu(A: FrobeniusAlgebra, p: int, q: int, g: int) -> OperationMatrix:
         )
     if p < 0 or g < 0:
         raise ChordLabError("p and g must be non-negative")
+    # d^L > MU_CELL_BUDGET for d >= 2 and L its bit length: no huge power
+    if (g + 1) * A.dim ** min(p + q, MU_CELL_BUDGET.bit_length()) > MU_CELL_BUDGET:
+        raise ChordLabError(
+            f"mu_{{{p},{q}}}({g}): (g+1)*d^(p+q) = {g + 1}*{A.dim}^{p + q} is "
+            f"over the matrix budget MU_CELL_BUDGET = {MU_CELL_BUDGET}")
     F = A.field_
     H = _matmul(F, A.m_matrix(), A.delta_matrix())
     M = _m_power(A, p)

@@ -1,6 +1,7 @@
 """Chord diagrams: validation, ghost collapse, moves, base points, gluing."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from chordlab import formats, generate, moves
 from chordlab.chord import CIRCULAR, GHOST
 from chordlab.errors import (
     ChordLabError,
+    Disconnected,
     EssentialEdge,
     GhostCycle,
     GlueValidationFailed,
@@ -471,6 +473,102 @@ def _validated_expansion(c, arc1, arc2, label):
     except ChordLabError:
         return None
     return d if top == c.top_type() else None
+
+
+def _validated_candidates(g, p, q, comp, forest, n_int):
+    """The enumerator's candidates of one block built the long way: vertex
+    lists through fg.validate, each order of the outgoing cycles through
+    validate_chord, kept if the type is (g;p,q).  Also returns the set of
+    whether each rotation choice gave a connected graph."""
+    base = 2 * sum(comp)
+    pairing = [0] * (base + 2 * len(forest))
+    labels = [CIRCULAR] * base + [GHOST] * (2 * len(forest))
+    stubs = [[] for _ in range(sum(comp) + n_int)]
+    for j, (a, b) in enumerate(forest):
+        x, y = base + 2 * j, base + 2 * j + 1
+        pairing[x], pairing[y] = y, x
+        stubs[a].append(x)
+        stubs[b].append(y)
+    circles, at = [], 0
+    for k in comp:
+        for j in range(k):
+            f, b = 2 * (at + j), 2 * (at + (j + 1) % k) + 1
+            pairing[f], pairing[b] = b, f
+        circles.append(2 * at)
+        at += k
+    per_vertex = [
+        [[2 * v + 1, 2 * v] + list(s) for s in itertools.permutations(stubs[v])]
+        if v < at else
+        [stubs[v][:1] + list(s) for s in itertools.permutations(stubs[v][1:])]
+        for v in range(len(stubs))
+    ]
+    out, connected = [], set()
+    for vertex_lists in itertools.product(*per_vertex):
+        try:
+            graph = fg.validate(pairing, vertex_lists)
+        except ChordLabError as exc:
+            assert isinstance(exc, Disconnected)
+            connected.add(False)
+            continue
+        connected.add(True)
+        reps = {cyc[0] for cyc in fg.boundary_cycles(graph)}
+        if len(reps) != p + q or not reps >= set(circles):
+            continue
+        for perm in itertools.permutations(sorted(reps - set(circles))):
+            try:
+                d, top = ch.validate_chord(graph, labels, p, circles + list(perm))
+            except ChordLabError:
+                continue
+            if top == TopType(g, p, q):
+                out.append(d)
+    return out, connected
+
+
+@pytest.mark.parametrize("g,p,q", [(0, 3, 2), (0, 2, 3), (0, 4, 1), (1, 1, 2)])
+def test_enumerator_candidates_match_validated_build(monkeypatch, g, p, q):
+    # the enumerator builds its candidates without validation; check every
+    # (composition, forest) block it visits against the long way, in order
+    blocks, make = [], generate._diagram_candidates
+
+    def recorded(*args):
+        blocks.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(generate, "_diagram_candidates", recorded)
+    generate.enumerate_classes(TopType(g, p, q), 9)
+    disconnected = 0
+    for args in blocks:
+        expected, connected = _validated_candidates(g, *args)
+        assert list(make(*args)) == expected
+        # connectivity does not depend on the rotations
+        assert len(connected) == 1
+        disconnected += connected == {False}
+    assert blocks and (disconnected > 0 or (g, p, q) != (0, 4, 1))
+
+
+def test_enumerator_validates_nothing(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ch, "validate_chord", counted("chord", ch.validate_chord))
+    monkeypatch.setattr(fg, "validate", counted("graph", fg.validate))
+    assert len(generate.enumerate_classes(TopType(0, 3, 2), 9)) == 698
+    assert calls == []
+
+
+@pytest.mark.parametrize("g,p,q,classes", [
+    (0, 1, 3, 11), (0, 3, 1, 11), (1, 1, 2, 90), (1, 2, 1, 90),
+    (0, 3, 2, 698), (0, 2, 3, 698), (0, 1, 4, 254), (0, 4, 1, 254),
+])
+def test_class_counts_agree_under_p_q_swap(g, p, q, classes):
+    # at the trivalent bound 3(2g+p+q-2), past which no count grows
+    bound = 3 * (2 * g + p + q - 2)
+    assert len(generate.enumerate_classes(TopType(g, p, q), bound)) == classes
 
 
 def _relabel_diagram(d, perm):

@@ -115,6 +115,7 @@ class TestExitCodes:
     ["connect", "--type", "0,1,2", "--max-edges", "3", "--jobs", "0"],
     ["tqft", "verify", "--algebra", "pd2", "--range", "0,0,0,0,0"],
     ["tqft", "verify", "--algebra", "pd2", "--range", "2,2,2,-1,1"],
+    ["tqft", "op", "--algebra", "pd2", "--p", "40", "--q", "1"],
 ])
 def test_bad_option_values_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -139,6 +139,17 @@ class TestErrors:
                           "unit 1/2 0\nfield Fp 5\n")
         assert err.value.line == 6
 
+    def test_basis_budget(self):
+        n = formats.FROB_BASIS_BUDGET
+        lines = ["frob v1", "field Q"] + [f"basis e{i}" for i in range(n)]
+        unit = "unit " + " ".join(["1"] + ["0"] * (n - 1))
+        assert formats.parse("\n".join(lines + [unit]) + "\n").dim == n
+        # the first basis record over the budget is refused at its line
+        lines += [f"basis e{n}", unit + " 0"]
+        with pytest.raises(formats.ValidationError, match="FROB_BASIS_BUDGET") as err:
+            formats.parse("\n".join(lines) + "\n")
+        assert err.value.line == n + 3
+
     def test_frob_without_field(self):
         with pytest.raises(formats.SyntaxError):
             formats.parse("frob v1\nbasis e\nunit 1\n")

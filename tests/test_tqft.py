@@ -7,7 +7,7 @@ import pytest
 
 from chordlab import chord as ch
 from chordlab import formats, tqft
-from chordlab.errors import NoOutgoing
+from chordlab.errors import ChordLabError, NoOutgoing
 
 FIELDS = [tqft.Rationals(), tqft.PrimeField(2), tqft.PrimeField(3),
           tqft.PrimeField(5)]
@@ -87,6 +87,19 @@ class TestMu:
     def test_no_outgoing_rejected(self):
         with pytest.raises(NoOutgoing):
             tqft.mu(tqft.pd2(), 2, 0, 0)
+
+    def test_cell_budget(self, monkeypatch):
+        # just above the budget: (g+1)*2^1 = MU_CELL_BUDGET + 2, and 2^41
+        A = tqft.pd2()
+        for p, q, g in [(0, 1, tqft.MU_CELL_BUDGET // 2), (40, 1, 0)]:
+            with pytest.raises(ChordLabError, match="MU_CELL_BUDGET"):
+                tqft.mu(A, p, q, g)
+        # at a small budget, a call of exactly that cost still runs
+        monkeypatch.setattr(tqft, "MU_CELL_BUDGET", 16)
+        assert len(tqft.mu(A, 1, 2, 1).rows()) == len(tqft.mu(A, 2, 2, 0).rows()) == 4
+        for p, q, g in [(1, 2, 2), (2, 3, 0)]:
+            with pytest.raises(ChordLabError, match="MU_CELL_BUDGET = 16"):
+                tqft.mu(A, p, q, g)
 
     def test_handle_operator_is_central(self):
         # H commutes with multiplication by every basis element
