@@ -21,6 +21,10 @@ from .fatgraph import FatGraph, TopType
 
 __all__ = ["main", "emit_dot"]
 
+# the most points `tqft verify --range` checks, one verify_gluing each (each
+# mu is capped by tqft.MU_CELL_BUDGET, the grid by this)
+VERIFY_GRID_BUDGET = 1 << 10
+
 
 def _use_color() -> bool:
     mode = os.environ.get("CHORDLAB_COLOR", "auto")
@@ -316,6 +320,11 @@ def _cmd_tqft(args) -> int:
         if min(pm, qm, rm) < 1 or min(g1m, g2m) < 0:
             raise ChordLabError(f"--range {args.range}: p, q and r must be at "
                                 "least 1, g1 and g2 at least 0")
+        points = pm * qm * rm * (g1m + 1) * (g2m + 1)
+        if points > VERIFY_GRID_BUDGET:
+            raise ChordLabError(
+                f"--range {args.range}: {points} grid points is over the "
+                f"grid budget VERIFY_GRID_BUDGET = {VERIFY_GRID_BUDGET}")
         failures = []
         for p in range(1, pm + 1):
             for q in range(1, qm + 1):

@@ -2,8 +2,10 @@
 and exhaustive enumeration of all chord-diagram classes of a type.
 
 The exhaustive enumerator builds each candidate directly, unvalidated, from
-a circle composition, a labeled ghost forest and a rotation choice.  It uses
-no moves, so it is an independent check on move-graph searches.
+a circle composition, a labeled ghost forest and a rotation choice.  It
+visits one (composition, forest) block per orbit of the relabelings that keep
+a block's diagrams up to isomorphism.  It uses no moves, so it is an
+independent check on move-graph searches.
 """
 
 from __future__ import annotations
@@ -133,6 +135,7 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
     every internal vertex degree >= 3, and no component is all-internal."""
     nv = n_circ + n_int
     pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+    floor = [1] * n_circ + [3] * n_int
     deg = [0] * nv
     parent = list(range(nv))
     has_circ = [v < n_circ for v in range(nv)]
@@ -144,19 +147,14 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
 
     out = []
 
-    def need():
-        # minimum edges still required by unmet degree lower bounds
-        lack = sum(max(0, 1 - deg[v]) for v in range(n_circ))
-        lack3 = sum(max(0, 3 - deg[v]) for v in range(n_circ, nv))
-        return (lack + lack3 + 1) // 2
-
-    def rec(i, chosen):
+    def rec(i, chosen, lack):
+        # lack: unmet degree lower bounds; each edge meets at most two
         left = n_edges - len(chosen)
         if left == 0:
-            if need() == 0 and all(has_circ[find(v)] for v in range(nv)):
+            if lack == 0 and all(has_circ[find(v)] for v in range(nv)):
                 out.append(tuple(chosen))
             return
-        if i >= len(pairs) or len(pairs) - i < left or need() > left:
+        if i >= len(pairs) or len(pairs) - i < left or (lack + 1) // 2 > left:
             return
         a, b = pairs[i]
         ra, rb = find(a), find(b)
@@ -165,19 +163,51 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
             old_parent, old_flag = parent[ra], has_circ[rb]
             parent[ra] = rb
             has_circ[rb] = has_circ[rb] or has_circ[ra]
+            met = (deg[a] < floor[a]) + (deg[b] < floor[b])
             deg[a] += 1
             deg[b] += 1
             chosen.append((a, b))
-            rec(i + 1, chosen)
+            rec(i + 1, chosen, lack - met)
             chosen.pop()
             deg[a] -= 1
             deg[b] -= 1
             parent[ra] = old_parent
             has_circ[rb] = old_flag
-        rec(i + 1, chosen)
+        rec(i + 1, chosen, lack)
 
-    rec(0, [])
+    rec(0, [], sum(floor))
     return out
+
+
+def _block_symmetries(comp, n_int):
+    """The relabelings of a block's vertex ids, other than the identity,
+    that keep its diagrams up to isomorphism: a rotation of each circle's
+    vertex ids within that circle, times any permutation of the internal
+    ids.  Incoming circles keep their boundary positions, so no two are
+    swapped, and circles are oriented, so none is reflected.  There are
+    prod(comp) * n_int! of them, less one."""
+    n_circ = sum(comp)
+    circle_maps = [()]
+    at = 0
+    for k in comp:
+        circle_maps = [m + tuple(at + (j + r) % k for j in range(k))
+                       for m in circle_maps for r in range(k)]
+        at += k
+    return [
+        m + perm
+        for m in circle_maps
+        for perm in itertools.permutations(range(n_circ, n_circ + n_int))
+    ][1:]
+
+
+def _least_in_orbit(forest, symmetries) -> bool:
+    """Whether no relabeling in symmetries maps forest to a smaller one."""
+    for s in symmetries:
+        image = tuple(sorted((s[a], s[b]) if s[a] < s[b] else (s[b], s[a])
+                             for a, b in forest))
+        if image < forest:
+            return False
+    return True
 
 
 def _diagram_candidates(p, q, comp, forest, n_int):
@@ -246,6 +276,17 @@ def enumerate_classes(
     For a type (g;p,q), every diagram satisfies E = V + (2g+p+q-2) where V is
     the total vertex count, and the ghost forest has exactly
     V_circ - (2g+p+q-2) components; these identities drive the enumeration.
+
+    A block is visited only when its forest is the least in its orbit under
+    `_block_symmetries`: rotating each circle's vertex ids within that circle
+    and permuting the internal ids.  A relabeling sigma keeps which vertices
+    are circular and the circles' order and orientation, so every candidate
+    of sigma(F) is a relabeling of a candidate of F and the set of class
+    codes is unchanged; only which candidate reaches a class first, and so
+    the markings of the stored form, can change.  The test stops at the
+    first smaller image and costs at most prod(comp) * n_int! images per
+    block: at most 8 * 3! = 48 on (0;3,2)@9 and (2;1,1)@12, where
+    prod(comp) <= 8 and n_int <= 3.
     """
     g, p, q = top.genus, top.p, top.q
     const = 2 * g + p + q - 2
@@ -257,7 +298,10 @@ def enumerate_classes(
                 continue
             forests = _ghost_forests(n_circ, n_int, n_ghost)
             for comp in _compositions(n_circ, p):
+                symmetries = _block_symmetries(comp, n_int)
                 for forest in forests:
+                    if not _least_in_orbit(forest, symmetries):
+                        continue
                     for d in _diagram_candidates(p, q, comp, forest, n_int):
                         form, _, code = ch.canonical_form_with_map(d)
                         classes.setdefault(code, form)

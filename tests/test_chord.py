@@ -571,6 +571,99 @@ def test_class_counts_agree_under_p_q_swap(g, p, q, classes):
     assert len(generate.enumerate_classes(TopType(g, p, q), bound)) == classes
 
 
+def _every_block(g, p, q, bound):
+    """Every (composition, forest, internal count) block of the type within
+    the edge bound, with no symmetry reduction."""
+    const = 2 * g + p + q - 2
+    for n_circ in range(max(p, const + 1), bound - const + 1):
+        for n_int in range(bound - const - n_circ + 1):
+            if 2 * (n_int + const) < n_circ + 3 * n_int:
+                continue
+            forests = generate._ghost_forests(n_circ, n_int, n_int + const)
+            for comp in generate._compositions(n_circ, p):
+                for forest in forests:
+                    yield comp, forest, n_int
+
+
+def _orbit(comp, forest, n_int):
+    """The forest relabeled by every rotation of each circle's vertex ids
+    within that circle and every permutation of the internal ids."""
+    n_circ, starts = sum(comp), [sum(comp[:i]) for i in range(len(comp))]
+    images = set()
+    for shifts in itertools.product(*(range(k) for k in comp)):
+        for internal in itertools.permutations(range(n_circ, n_circ + n_int)):
+            s = [at + (v - at + r) % k
+                 for at, k, r in zip(starts, comp, shifts)
+                 for v in range(at, at + k)] + list(internal)
+            images.add(tuple(sorted(tuple(sorted((s[a], s[b])))
+                                    for a, b in forest)))
+    return images
+
+
+@pytest.mark.parametrize("g,p,q,bound", [
+    (0, 2, 2, 5), (0, 1, 3, 6), (1, 1, 1, 7), (0, 4, 1, 9), (1, 2, 1, 9),
+    (0, 3, 2, 9), (2, 1, 1, 12), (0, 3, 1, 6), (1, 1, 2, 9), (0, 2, 3, 9),
+    (0, 1, 4, 9), (0, 2, 2, 8),
+])
+def test_one_block_per_symmetry_orbit(monkeypatch, g, p, q, bound):
+    # reference: the unreduced enumerator, every block through
+    # _diagram_candidates, gives the same class codes
+    codes = {ch.diagram_code(d) for comp, forest, n_int in _every_block(g, p, q, bound)
+             for d in generate._diagram_candidates(p, q, comp, forest, n_int)}
+    visited, make = [], generate._diagram_candidates
+
+    def recorded(p_, q_, comp, forest, n_int):
+        visited.append((comp, forest, n_int))
+        return make(p_, q_, comp, forest, n_int)
+
+    monkeypatch.setattr(generate, "_diagram_candidates", recorded)
+    assert set(generate.enumerate_classes(TopType(g, p, q), bound)) == codes
+    # each block visited is the least of its orbit, and each orbit is visited
+    least = {(comp, min(_orbit(comp, forest, n_int)), n_int)
+             for comp, forest, n_int in _every_block(g, p, q, bound)}
+    assert len(visited) == len(set(visited)) and set(visited) == least
+
+
+def _brute_forests(n_circ, n_int, n_edges):
+    """Every edge set of n_edges vertex pairs that is a forest with circular
+    degrees >= 1, internal degrees >= 3 and a circular vertex in each
+    component, in itertools.combinations order."""
+    nv = n_circ + n_int
+    out = []
+    for edges in itertools.combinations(itertools.combinations(range(nv), 2),
+                                        n_edges):
+        deg = [0] * nv
+        comp = list(range(nv))  # component label of each vertex
+        acyclic = True
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+            if comp[a] == comp[b]:
+                acyclic = False
+            old = comp[b]
+            comp = [comp[a] if c == old else c for c in comp]
+        if (acyclic and min(deg[:n_circ]) >= 1 and min(deg[n_circ:], default=3) >= 3
+                and set(comp) <= set(comp[:n_circ])):
+            out.append(edges)
+    return out
+
+
+def test_forest_search_matches_brute_force(monkeypatch):
+    used, search = set(), generate._ghost_forests
+
+    def recorded(*args):
+        used.add(args)
+        return search(*args)
+
+    monkeypatch.setattr(generate, "_ghost_forests", recorded)
+    generate.enumerate_classes(TopType(0, 3, 2), 9)
+    generate.enumerate_classes(TopType(1, 1, 2), 9)
+    assert {(c, i) for c, i, _ in used} == {
+        (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0)}
+    for args in sorted(used):
+        assert search(*args) == _brute_forests(*args)
+
+
 def _relabel_diagram(d, perm):
     """d with every half-edge h renamed perm[h]."""
     inv = sorted(range(len(perm)), key=perm.__getitem__)

@@ -116,6 +116,7 @@ class TestExitCodes:
     ["tqft", "verify", "--algebra", "pd2", "--range", "0,0,0,0,0"],
     ["tqft", "verify", "--algebra", "pd2", "--range", "2,2,2,-1,1"],
     ["tqft", "op", "--algebra", "pd2", "--p", "40", "--q", "1"],
+    ["tqft", "verify", "--algebra", "pd2", "--range", "5,5,1,40,0"],
 ])
 def test_bad_option_values_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -167,6 +168,30 @@ class TestTqftCommands:
         code, out, _ = run(capsys, "tqft", "verify", "--algebra", "st2",
                            "--field", "F2", "--range", "2,2,2,1,1")
         assert code == 0
+
+    def test_verify_grid_budget(self, capsys, monkeypatch):
+        calls, verify = [], cli.tqft.verify_gluing
+
+        def counted(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(cli.tqft, "verify_gluing", counted)
+        # just above the budget: 5*5*1*41*1 = VERIFY_GRID_BUDGET + 1 points
+        assert 5 * 5 * 41 == cli.VERIFY_GRID_BUDGET + 1
+        code, _, err = run(capsys, "tqft", "verify", "--algebra", "pd2",
+                           "--range", "5,5,1,40,0")
+        assert code == 1 and "VERIFY_GRID_BUDGET = 1024" in err
+        assert calls == []
+        # at a small budget, a grid of exactly that size still runs
+        monkeypatch.setattr(cli, "VERIFY_GRID_BUDGET", 4)
+        code, _, _ = run(capsys, "tqft", "verify", "--algebra", "pd2",
+                         "--range", "2,2,1,0,0")
+        assert code == 0 and len(calls) == 4
+        code, _, err = run(capsys, "tqft", "verify", "--algebra", "pd2",
+                           "--range", "2,2,1,1,0")
+        assert code == 1 and "VERIFY_GRID_BUDGET = 4" in err
+        assert len(calls) == 4
 
     def test_counit(self, capsys):
         code, out, _ = run(capsys, "tqft", "counit", "--algebra", "st2")
