@@ -4,15 +4,18 @@ A chord diagram of type (g; p, q) is a fat graph consisting of p disjoint
 circles (circular edges) plus a forest of ghost edges whose endpoints lie on
 the circles, decorated with:
 
-* an ordering of all boundary cycles, the first p being the incoming circles
-  (each incoming circle, traversed with its orientation, is itself a boundary
-  cycle of the fat graph);
 * a marking per boundary cycle: one oriented circular-edge occurrence, which
-  doubles as the start of the cycle's parameterization.
+  doubles as the start of the cycle's parameterization;
+* an ordering of the markings, and so of all boundary cycles, the first p
+  being the incoming circles (each incoming circle, traversed with its
+  orientation, is itself a boundary cycle of the fat graph).
 
 The module provides validation, ghost collapse, vertex multiplicities, the
 essential-edge test, elementary collapse/expansion moves, the canonical
-base-point diagram of each type, and gluing along matched boundaries.
+base-point diagram of each type, and gluing along matched boundaries.  A
+diagram and a move hold only free data: the boundary order is read off the
+markings, and a vertex split is named by the two half-edges that end its
+arcs, its label being read off the vertex.
 """
 
 from __future__ import annotations
@@ -64,17 +67,17 @@ __all__ = [
 @dataclass(frozen=True)
 class ChordDiagram:
     """Chord diagram, from :func:`validate_chord`, a relabeling or a move;
-    relabelings and moves keep every invariant, so they build it directly."""
+    relabelings and moves keep every invariant, so they build it directly.
+    The markings fix the boundary order, which is derived from them."""
 
     graph: FatGraph
     labels: tuple[str, ...]          # C/G per half-edge, equal on paired halves
     p: int                           # number of incoming circles
-    boundary_order: tuple[int, ...]  # least half-edge of each boundary cycle
-    markings: tuple[int, ...]        # circular half-edge per cycle, same order
+    markings: tuple[int, ...]        # circular half-edge per cycle, in order
 
     @property
     def q(self) -> int:
-        return len(self.boundary_order) - self.p
+        return len(self.markings) - self.p
 
     def top_type(self) -> TopType:
         g, n = fg.topological_type(self.graph)
@@ -91,7 +94,7 @@ class ChordDiagram:
 
     def incoming_circles(self) -> list[tuple[int, ...]]:
         cycle_of = self.graph.cycle_of()
-        return [cycle_of[r] for r in self.boundary_order[: self.p]]
+        return [cycle_of[m] for m in self.markings[: self.p]]
 
     def is_circular(self, h: int) -> bool:
         return self.labels[h] == CIRCULAR
@@ -103,6 +106,12 @@ class ChordDiagram:
         return [e for e in self.graph.edges() if self.labels[e] == GHOST]
 
     # Derived once per diagram, outside the dataclass fields.
+
+    @cached_property
+    def boundary_order(self) -> tuple[int, ...]:
+        """The least half-edge of each boundary cycle, in marking order."""
+        cycle_of = self.graph.cycle_of()
+        return tuple(cycle_of[m][0] for m in self.markings)
 
     @cached_property
     def _component_of(self) -> tuple[int, ...]:
@@ -241,10 +250,7 @@ def validate_chord(
 
     g, n_bnd = fg.topological_type(graph)
     q = n_bnd - p
-    diagram = ChordDiagram(
-        graph=graph, labels=labels, p=p, boundary_order=boundary_order,
-        markings=markings,
-    )
+    diagram = ChordDiagram(graph=graph, labels=labels, p=p, markings=markings)
     # hand the tables computed above to the diagram's derived attributes
     vars(diagram).update(
         _component_of=component_of, _circular_vertex=tuple(circular_vertex))
@@ -323,15 +329,6 @@ def is_collapsible(c: ChordDiagram, e: int) -> bool:
     return vertex_of[e] != vertex_of[c.graph.pairing[e]] and not is_essential(c, e)
 
 
-def _open_rotations(graph: FatGraph, a: int):
-    """The rotations at the two ends of edge a, each opened at the edge: the
-    half-edges following a (resp. pairing(a)) around its vertex, in order."""
-    orbits, vertex_of = graph.vertices(), graph.vertex_of()
-    arc1, arc2 = (_rotate_to(orbits[vertex_of[h]], h)[1:]
-                  for h in (a, graph.pairing[a]))
-    return arc1, arc2
-
-
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     """Contract a single non-essential, non-loop edge.
 
@@ -362,77 +359,63 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
                          next_at_vertex=tuple(new_id(nxt[h]) for h in kept))
 
     # boundary cycles survive edge contraction with the occurrences of a and b
-    # dropped; transport order and markings along that correspondence
-    old_cycle_of, new_cycle_of = graph.cycle_of(), new_graph.cycle_of()
-    new_order, new_marks = [], []
-    for r, m in zip(c.boundary_order, c.markings):
+    # dropped; transport the markings along that correspondence
+    cycle_of, new_marks = graph.cycle_of(), []
+    for m in c.markings:
         if m in (a, b):
             # there is one: were a its cycle's last circular edge, a ghost
             # path would join its ends (essential) or it would be a loop
-            m = next(h for h in _rotate_to(old_cycle_of[r], m)
+            m = next(h for h in _rotate_to(cycle_of[m], m)
                      if h not in (a, b) and labels[h] == CIRCULAR)
-        new_order.append(new_cycle_of[new_id(m)][0])
         new_marks.append(new_id(m))
     return ChordDiagram(new_graph, tuple(labels[h] for h in kept), c.p,
-                        tuple(new_order), tuple(new_marks))
+                        tuple(new_marks))
 
 
-def _split_label(c: ChordDiagram, arc1, arc2) -> str:
-    """The one label that makes the split of a vertex into arc1 and arc2 a
-    diagram: C iff one of its cuts, after arc1[-1] or after arc2[-1], is the
-    corner (back, fwd) the vertex's circle runs through, G otherwise.  A
-    split keeps valence >= 3, the ghost forest and every boundary cycle, so
-    it keeps the type."""
+def _split_label(c: ChordDiagram, x: int, y: int) -> str:
+    """The one label that makes the split (x, y) a diagram: C iff one of its
+    cuts, after x or after y, is the corner (back, fwd) the vertex's circle
+    runs through, G otherwise.  A split keeps valence >= 3, the ghost forest
+    and every boundary cycle, so it keeps the type."""
     labels, nxt = c.labels, c.graph.next_at_vertex
-    corner = any(labels[h] == CIRCULAR == labels[nxt[h]] for h in (arc1[-1], arc2[-1]))
+    corner = any(labels[h] == CIRCULAR == labels[nxt[h]] for h in (x, y))
     return CIRCULAR if corner else GHOST
 
 
-def _expansion_candidates(c: ChordDiagram):
-    """Every single-vertex split, once, as (arc1, arc2, its label)."""
+def _splits(c: ChordDiagram):
+    """Every single-vertex split, once, as (x, y): vertex by vertex, cuts
+    before orbit[i] and before orbit[j] for i < j, the arcs orbit[i:j] and
+    orbit[j:] + orbit[:i] each holding at least two half-edges."""
     for orbit in c.graph.vertices():
         d = len(orbit)
-        if d < 4:
-            continue
-        seen = set()
-        doubled = orbit + orbit
         for i in range(d):
-            for l1 in range(2, d - 1):
-                arc1 = tuple(doubled[i: i + l1])
-                arc2 = tuple(doubled[i + l1: i + d])
-                key = frozenset((arc1, arc2))
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield arc1, arc2, _split_label(c, arc1, arc2)
+            for j in range(i + 2, min(d, i + d - 1)):
+                yield orbit[j - 1], orbit[i - 1]
 
 
-def apply_expansion(
-    c: ChordDiagram, arc1, arc2, label: str
-) -> ChordDiagram | None:
-    """Split one vertex along two cyclically contiguous arcs, joined by a new
-    edge with the given label, half-edge n ending arc1 and n+1 ending arc2.
+def apply_expansion(c: ChordDiagram, x: int, y: int) -> ChordDiagram:
+    """Split the vertex of x and y by cutting its rotation after x and after
+    y: half-edge n ends the arc that ends at x, n+1 the arc that ends at y,
+    and the new edge takes the split's one label (_split_label).
 
     The child is built directly: old half-edges keep their ids and each
-    boundary cycle only gains new ones, so order and markings carry over.
-    Returns None unless the arcs split one vertex into arcs of length >= 2
-    and the label is the split's (_split_label).
+    boundary cycle only gains new ones, so the markings carry over.  Raises
+    ChordLabError unless x and y are distinct half-edges of one vertex,
+    neither following the other, so that both arcs hold two or more.
     """
     graph = c.graph
     n = graph.n_half_edges
-    arc1, arc2 = tuple(arc1), tuple(arc2)
-    if min(len(arc1), len(arc2)) < 2 or arc1[0] not in range(n):
-        return None
-    orbit = graph.vertices()[graph.vertex_of()[arc1[0]]]
-    if (_rotate_to(orbit, arc1[0]) != list(arc1 + arc2)
-            or label != _split_label(c, arc1, arc2)):
-        return None
-    nxt = list(graph.next_at_vertex) + [arc1[0], arc2[0]]
-    nxt[arc1[-1]], nxt[arc2[-1]] = n, n + 1
+    nxt = list(graph.next_at_vertex)
+    vertex_of = graph.vertex_of()
+    if not (x in range(n) and y in range(n) and x != y and nxt[x] != y
+            and nxt[y] != x and vertex_of[x] == vertex_of[y]):
+        raise ChordLabError(f"({x}, {y}) does not split a vertex")
+    label = _split_label(c, x, y)
+    nxt += [nxt[y], nxt[x]]
+    nxt[x], nxt[y] = n, n + 1
     new_graph = FatGraph(pairing=graph.pairing + (n + 1, n),
                          next_at_vertex=tuple(nxt))
-    return ChordDiagram(new_graph, c.labels + (label, label), c.p,
-                        c.boundary_order, c.markings)
+    return ChordDiagram(new_graph, c.labels + (label, label), c.p, c.markings)
 
 
 def expansions(c: ChordDiagram) -> list[ChordDiagram]:
@@ -441,7 +424,7 @@ def expansions(c: ChordDiagram) -> list[ChordDiagram]:
     The new edge is the last one, half-edges n-2 and n-1; collapsing it
     gives back c's class.
     """
-    return [apply_expansion(c, *split) for split in _expansion_candidates(c)]
+    return [apply_expansion(c, x, y) for x, y in _splits(c)]
 
 
 def _code_colors(c: ChordDiagram, with_markings: bool) -> tuple:
@@ -487,10 +470,7 @@ def canonical_form_with_map(
     graph = FatGraph(pairing=tuple(e[1] for e in word),
                      next_at_vertex=tuple(e[0] for e in word))
     labels = tuple(palette[e[2]][0] for e in word)  # a color is (C/G, ...)
-    cycle_of = graph.cycle_of()
-    order = tuple(cycle_of[label[m]][0] for m in c.markings)
-    marks = tuple(label[m] for m in c.markings)
-    form = ChordDiagram(graph, labels, c.p, order, marks)
+    form = ChordDiagram(graph, labels, c.p, tuple(label[m] for m in c.markings))
     return form, label, fg._encode(word, palette)
 
 
@@ -661,12 +641,10 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
             rotations[("c2", i)] = [ghost_map[h] for h in orbit]
 
     for k in range(q):
-        out_rep = c1.boundary_order[c1.p + k]
         out_mark = c1.markings[c1.p + k]
-        in_rep = c2.boundary_order[k]
         in_mark = c2.markings[k]
 
-        circle = _rotate_to(g2.cycle_of()[in_rep], in_mark)   # c2 circle, forward
+        circle = _rotate_to(g2.cycle_of()[in_mark], in_mark)  # c2 circle, forward
         m = len(circle)
 
         # ghost bundles: rotation at a circle vertex reads (back, fwd,
@@ -680,7 +658,7 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
         # occurrence sequence of the outgoing cycle from its marking,
         # traversed against the boundary orientation (= along the incoming
         # circles of c1)
-        out_cycle = _rotate_to(g1.cycle_of()[out_rep], out_mark)
+        out_cycle = _rotate_to(g1.cycle_of()[out_mark], out_mark)
         occurrences = [out_cycle[0]] + list(reversed(out_cycle[1:]))
 
         if schedule is None:
@@ -752,19 +730,13 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
         raise GlueValidationFailed(f"glued graph invalid: {exc}") from exc
 
     cycle_of = graph.cycle_of()
-    order, marks = [], []
-    for i in range(c1.p):
-        h = new_id[c1.markings[i]]
-        order.append(cycle_of[h][0])
-        marks.append(h)
-    for j in range(c2.q):
-        rep = c2.boundary_order[c2.p + j]
-        cyc2 = _rotate_to(g2.cycle_of()[rep], c2.markings[c2.p + j])
+    marks = [new_id[m] for m in c1.markings[: c1.p]]
+    for mark in c2.markings[c2.p:]:
+        cyc2 = _rotate_to(g2.cycle_of()[mark], mark)
         anchor = next(ghost_map[h] for h in cyc2 if c2.labels[h] == GHOST)
-        h = new_id[anchor]
-        order.append(cycle_of[h][0])
-        cyc = _rotate_to(cycle_of[h], h)
+        cyc = _rotate_to(cycle_of[new_id[anchor]], new_id[anchor])
         marks.append(next(x for x in cyc if label_list[x] == CIRCULAR))
+    order = [cycle_of[m][0] for m in marks]
 
     if len(set(order)) != len(order) or len(order) != len(
         fg.boundary_cycles(graph)

@@ -89,7 +89,10 @@ class BoundTooSmall(ChordLabError):
 
 
 class SearchExhausted(ChordLabError):
-    """Bidirectional search hit its ceiling without connecting the endpoints."""
+    """A move-graph search hit its limit: bidirectional path search reached
+    its edge ceiling without connecting the endpoints, or explore's
+    breadth-first search outgrew its class budget.  frontier_size is the
+    size of the last frontier."""
 
     def __init__(self, message, frontier_size=0):
         super().__init__(message)

@@ -258,13 +258,11 @@ def _diagram_candidates(p, q, comp, forest, n_int):
         cycles = fg.boundary_cycles(graph)
         if len(cycles) != p + q:
             continue
-        marks = {cyc[0]: next(h for h in cyc if labels[h] == CIRCULAR)
-                 for cyc in cycles}
-        out = [r for r in marks if r not in circle_reps]
+        # a circle's least half is circular, so it marks its own cycle
+        out = [next(h for h in cyc if labels[h] == CIRCULAR)
+               for cyc in cycles if cyc[0] not in circle_reps]
         for perm in itertools.permutations(out):
-            order = circle_reps + perm
-            yield ChordDiagram(graph, labels, p, order,
-                               tuple(marks[r] for r in order))
+            yield ChordDiagram(graph, labels, p, circle_reps + perm)
 
 
 def enumerate_classes(

@@ -3,14 +3,18 @@
 Classes are keyed by the unmarked diagram code and represented by their
 canonically relabeled diagram, so every move in a recorded path refers to
 half-edge ids of the canonical representative at that step; replaying a path
-means alternating apply_move and canonical_form.
+means alternating apply_move and canonical_form.  A move names only what is
+free: a collapse its edge, an expansion the two half-edges that end its arcs.
+The inverse of a collapse is the split at the half-edges before the edge's
+two ends; the inverse of an expansion collapses its new edge.
 
 explore() verifies, at desk scale, that all classes of a type within an edge
 bound form a single move-connected component, cross-checking the breadth-first
 search against an independent exhaustive enumeration of the classes.  Its
 witness paths are checked by induction on depth: each class's recorded
 inverse move must reach its parent's class, which is as strong as replaying
-every path in full (see explore).
+every path in full (see explore).  Its breadth-first search gives up with
+SearchExhausted past EXPLORE_CLASS_BUDGET classes.
 """
 
 from __future__ import annotations
@@ -34,9 +38,13 @@ __all__ = [
     "path_to_canonical",
 ]
 
-# A move is ("collapse", edge) or ("expand", arc1, arc2, label); half-edge ids
-# refer to the diagram the move is applied to.
+# A move is ("collapse", edge) or ("expand", x, y), the vertex split cutting
+# the rotation after x and after y (its label is read off the vertex); half-edge
+# ids refer to the diagram the move is applied to.
 Move = tuple
+
+# classes _bfs may hold after a layer before it gives up
+EXPLORE_CLASS_BUDGET = 1 << 16
 
 # edges above the larger endpoint that path_to_canonical may search through
 _PATH_SLACK = 4
@@ -46,10 +54,7 @@ def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
     if move[0] == "collapse":
         return ch.collapse_edge(c, move[1])
     if move[0] == "expand":
-        d = ch.apply_expansion(c, move[1], move[2], move[3])
-        if d is None:
-            raise ChordLabError(f"recorded expansion {move} no longer applies")
-        return d
+        return ch.apply_expansion(c, move[1], move[2])
     raise ChordLabError(f"unknown move {move!r}")
 
 
@@ -63,22 +68,15 @@ def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
 
 def _collapse_with_inverse(c: ChordDiagram, e: int):
     """Collapse e; return the class code, the canonical representative and
-    the inverse expansion in the representative's labeling."""
+    the inverse expansion in the representative's labeling: the split at the
+    half-edges before a and before pairing(a), where the collapse joined the
+    two rotations."""
     a = c.graph.edge_of(e)
     b = c.graph.pairing[a]
-    arc1, arc2 = ch._open_rotations(c.graph, a)
     canon, label, code = ch.canonical_form_with_map(ch.collapse_edge(c, a))
-
-    def new_id(h):
-        return label[h - (h > a) - (h > b)]
-
-    inverse = (
-        "expand",
-        tuple(new_id(h) for h in arc1),
-        tuple(new_id(h) for h in arc2),
-        c.labels[a],
-    )
-    return code, canon, inverse
+    before = c.graph.next_at_vertex.index
+    x, y = (label[h - (h > a) - (h > b)] for h in (before(a), before(b)))
+    return code, canon, ("expand", x, y)
 
 
 def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
@@ -96,13 +94,13 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
         if code not in found:
             found[code] = (code, canon, ("collapse", e), inverse)
     if max_edges is None or c.graph.n_edges < max_edges:
-        for arc1, arc2, lbl in ch._expansion_candidates(c):
-            d = ch.apply_expansion(c, arc1, arc2, lbl)
-            canon, label, code = ch.canonical_form_with_map(d)
+        n = c.graph.n_half_edges  # the new edge's halves are n and n+1
+        for x, y in ch._splits(c):
+            canon, label, code = ch.canonical_form_with_map(
+                ch.apply_expansion(c, x, y))
             if code not in found:
-                n = d.graph.n_half_edges
-                inverse = ("collapse", min(label[n - 2], label[n - 1]))
-                found[code] = (code, canon, ("expand", arc1, arc2, lbl), inverse)
+                inverse = ("collapse", min(label[n], label[n + 1]))
+                found[code] = (code, canon, ("expand", x, y), inverse)
     return [found[k] for k in sorted(found)]
 
 
@@ -160,7 +158,9 @@ def _grow(info: dict, frontier, max_edges: int, forward=False, pool=None):
 
 
 def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
-    """Breadth-first search over classes; returns code -> (rep, parent, inv)."""
+    """Breadth-first search over classes; returns code -> (rep, parent, inv).
+    Raises SearchExhausted once a layer leaves more than EXPLORE_CLASS_BUDGET
+    classes."""
     start_code = ch.diagram_code(start)
     info: dict[bytes, tuple] = {start_code: (start, None, None)}
     frontier = [start_code]
@@ -170,6 +170,11 @@ def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
     try:
         while frontier:
             frontier = _grow(info, frontier, max_edges, pool=pool)
+            if len(info) > EXPLORE_CLASS_BUDGET:
+                raise SearchExhausted(
+                    f"{len(info)} classes exceed the class budget "
+                    f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}",
+                    frontier_size=len(frontier))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -185,6 +190,8 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     (move sequences back to the base point) are checked by induction: each
     class's first move must lead to its parent's class.  ``jobs``
     (at least 1) worker processes, at most one per CPU, expand each layer.
+    A search that holds more than EXPLORE_CLASS_BUDGET classes after a layer
+    raises SearchExhausted.
     """
     if jobs < 1:
         raise ChordLabError(f"jobs must be at least 1, got {jobs}")

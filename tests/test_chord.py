@@ -326,22 +326,22 @@ class TestMoves:
         # collapse against validate_chord
         top = TopType(g, p, q)
         for c in generate.enumerate_classes(top, 3 * (2 * g + p + q - 2)).values():
-            offered = set()
+            splits = set()
             for orbit in c.graph.vertices():
                 d = len(orbit)
                 for i in range(d if d >= 4 else 0):
                     rotated = orbit[i:] + orbit[:i]
                     for l1 in range(2, d - 1):
                         arc1, arc2 = rotated[:l1], rotated[l1:]
-                        valid = []
-                        for label in (CIRCULAR, GHOST):
-                            child = ch.apply_expansion(c, arc1, arc2, label)
-                            assert child == _validated_expansion(c, arc1, arc2, label)
-                            valid += [label] if child is not None else []
+                        valid = [_validated_expansion(c, arc1, arc2, label)
+                                 for label in (CIRCULAR, GHOST)]
+                        valid = [child for child in valid if child is not None]
                         assert len(valid) == 1
-                        offered.add((frozenset((arc1, arc2)), valid[0]))
-            assert offered == {(frozenset((a1, a2)), label)
-                               for a1, a2, label in ch._expansion_candidates(c)}
+                        assert ch.apply_expansion(c, arc1[-1], arc2[-1]) == valid[0]
+                        splits.add(frozenset((arc1[-1], arc2[-1])))
+            generated = [frozenset(split) for split in ch._splits(c)]
+            assert len(set(generated)) == len(generated)
+            assert set(generated) == splits
             for e in c.graph.edges():
                 if ch.is_collapsible(c, e):
                     child = ch.collapse_edge(c, e)
@@ -354,17 +354,16 @@ class TestMoves:
         c = next(c for c in generate.enumerate_classes(TopType(0, 2, 2), 5).values()
                  if any(len(orbit) == 4 for orbit in c.graph.vertices()))
         a, b, x, y = next(o for o in c.graph.vertices() if len(o) == 4)
-        label = ch._split_label(c, (a, b), (x, y))
-        other = GHOST if label == CIRCULAR else CIRCULAR
-        child = moves.apply_move(c, ("expand", (a, b), (x, y), label))
-        assert child.top_type() == c.top_type()
-        for move in [("expand", (a, x), (b, y), label),
-                     ("expand", (a, x), (b, y), other),
-                     ("expand", (a,), (b, x, y), label),
-                     ("expand", (a,), (b, x, y), other),
-                     ("expand", (a, b), (x, y), other)]:
-            with pytest.raises(ChordLabError, match="no longer applies"):
-                moves.apply_move(c, move)
+        for split in [(b, y), (y, b), (a, x), (x, a)]:
+            child = moves.apply_move(c, ("expand", *split))
+            assert child.top_type() == c.top_type()
+        n = c.graph.n_half_edges
+        vertex_of = c.graph.vertex_of()
+        far = next(h for h in range(n) if vertex_of[h] != vertex_of[a])
+        for u, v in [(a, b), (b, a), (y, a), (a, y), (a, a), (a, far),
+                       (far, a), (a, n), (n, a), (a, -1), (-1, a)]:
+            with pytest.raises(ChordLabError, match="does not split a vertex"):
+                moves.apply_move(c, ("expand", u, v))
 
     def test_ghost_forest_after_moves(self):
         rng = random.Random(6)

@@ -37,12 +37,16 @@ class TestNeighbors:
         assert len(codes) == len(set(codes))
 
     def test_apply_move_round_trip(self):
-        d = ch.canonical_form(ch.canonical_gamma0(0, 2, 2))
-        for code, rep, fwd, inv in moves.neighbors_with_moves(d):
-            stepped = ch.canonical_form(moves.apply_move(d, fwd))
-            assert ch.diagram_code(stepped) == code
-            back = ch.canonical_form(moves.apply_move(rep, inv))
-            assert ch.diagram_code(back) == ch.diagram_code(d)
+        # every recorded move of every class within the bound, both ways
+        pairs = 0
+        for top in (TopType(1, 1, 2), TopType(0, 3, 2)):
+            for c in generate.enumerate_classes(top, 9).values():
+                c_code = ch.diagram_code(c)
+                for code, rep, fwd, inv in moves.neighbors_with_moves(c, 9):
+                    assert ch.diagram_code(moves.apply_move(c, fwd)) == code
+                    assert ch.diagram_code(moves.apply_move(rep, inv)) == c_code
+                    pairs += 1
+        assert pairs == 3660
 
 
 class TestExplore:
@@ -137,6 +141,17 @@ class TestExplore:
     def test_unrepresentable_type(self):
         with pytest.raises(UnrepresentableType):
             moves.explore(TopType(0, 1, 1), 10)
+
+    def test_class_budget(self, monkeypatch):
+        # (1;1,2)@9 has 90 classes: one over the budget is refused
+        top = TopType(1, 1, 2)
+        monkeypatch.setattr(moves, "EXPLORE_CLASS_BUDGET", 89)
+        with pytest.raises(SearchExhausted,
+                           match="EXPLORE_CLASS_BUDGET = 89") as refused:
+            moves.explore(top, 9)
+        assert refused.value.frontier_size >= 1
+        monkeypatch.setattr(moves, "EXPLORE_CLASS_BUDGET", 90)
+        assert moves.explore(top, 9).class_count == 90
 
 
 class TestPathToCanonical:
