@@ -336,9 +336,12 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     before a and pairing(a), and the half-edges above them are renumbered.
     Markings on the collapsed edge are transported to the next surviving
     circular half-edge in their boundary cycle.  The type is preserved, so
-    the child is not validated again.
+    the child is not validated again.  Raises ChordLabError unless e is a
+    half-edge of c.
     """
     graph, labels = c.graph, c.labels
+    if e not in range(graph.n_half_edges):
+        raise ChordLabError(f"edge {e} is not a half-edge of the diagram")
     a = graph.edge_of(e)
     b = graph.pairing[a]
     vertex_of = graph.vertex_of()

@@ -15,6 +15,17 @@ witness paths are checked by induction on depth: each class's recorded
 inverse move must reach its parent's class, which is as strong as replaying
 every path in full (see explore).  Its breadth-first search gives up with
 SearchExhausted past EXPLORE_CLASS_BUDGET classes.
+
+The searches canonicalize each move once, bar a second move between the
+same two classes.  A move changes the edge count by one, so it joins two
+consecutive layers of a breadth-first search.  It is canonicalized when the
+class of the earlier layer is expanded, and its inverse, which is then known,
+is recorded as a move the later class skips.  A skipped move only leads to a
+class already recorded, so first discoveries, depths, witness paths and
+path_to_canonical's answers are unchanged.  Skipping can only drop an edge of
+the search, never add one: connectivity is still proven only by moves
+actually applied and canonicalized, and a class no longer reached would show
+against the enumerator as unreached.
 """
 
 from __future__ import annotations
@@ -51,9 +62,9 @@ _PATH_SLACK = 4
 
 
 def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
-    if move[0] == "collapse":
+    if len(move) == 2 and move[0] == "collapse":
         return ch.collapse_edge(c, move[1])
-    if move[0] == "expand":
+    if len(move) == 3 and move[0] == "expand":
         return ch.apply_expansion(c, move[1], move[2])
     raise ChordLabError(f"unknown move {move!r}")
 
@@ -79,16 +90,18 @@ def _collapse_with_inverse(c: ChordDiagram, e: int):
     return code, canon, ("expand", x, y)
 
 
-def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
-    """All move-graph neighbors of c (itself assumed canonical).
+def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
+                         skip=()):
+    """All move-graph neighbors of c (itself assumed canonical), passing over
+    the moves in skip; a split in skip matches in either order.
 
     Returns a code-sorted, deduplicated list of
     (code, canonical representative, forward move on c, inverse move on the
-    representative).
+    representative).  A skipped move is neither applied nor canonicalized.
     """
     found: dict[bytes, tuple] = {}
     for e in c.graph.edges():
-        if not ch.is_collapsible(c, e):
+        if ("collapse", e) in skip or not ch.is_collapsible(c, e):
             continue
         code, canon, inverse = _collapse_with_inverse(c, e)
         if code not in found:
@@ -96,6 +109,8 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
     if max_edges is None or c.graph.n_edges < max_edges:
         n = c.graph.n_half_edges  # the new edge's halves are n and n+1
         for x, y in ch._splits(c):
+            if ("expand", x, y) in skip or ("expand", y, x) in skip:
+                continue
             canon, label, code = ch.canonical_form_with_map(
                 ch.apply_expansion(c, x, y))
             if code not in found:
@@ -135,26 +150,34 @@ class MoveGraphReport:
 
 
 def _expand_one(args):
-    rep, max_edges = args
-    return neighbors_with_moves(rep, max_edges)
+    rep, max_edges, skip = args
+    return neighbors_with_moves(rep, max_edges, skip)
 
 
-def _grow(info: dict, frontier, max_edges: int, forward=False, pool=None):
+def _grow(info: dict, frontier: dict, max_edges: int, forward=False,
+          pool=None):
     """Expand one search layer: record each unseen neighbour of the frontier
     in info as (rep, parent code, move), the move being the forward one or,
-    by default, the inverse.  Returns the new frontier, sorted."""
-    reps = [(info[code][0], max_edges) for code in frontier]
+    by default, the inverse.
+
+    The frontier maps each code to the moves its class skips.  Returns the
+    new frontier, sorted by code; each new class skips the inverse of every
+    move of this layer that reached it (see the module docstring).
+    """
+    reps = [(info[code][0], max_edges, skip) for code, skip in frontier.items()]
     if pool is None:
         results = map(_expand_one, reps)
     else:
         results = pool.map(_expand_one, reps, chunksize=4)
-    new = []
+    new: dict[bytes, set] = {}
     for parent, neigh in zip(frontier, results):
         for code, rep, fwd, inv in neigh:
             if code not in info:
                 info[code] = (rep, parent, fwd if forward else inv)
-                new.append(code)
-    return sorted(new)
+                new[code] = set()
+            if code in new:
+                new[code].add(inv)
+    return {code: new[code] for code in sorted(new)}
 
 
 def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
@@ -163,7 +186,7 @@ def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
     classes."""
     start_code = ch.diagram_code(start)
     info: dict[bytes, tuple] = {start_code: (start, None, None)}
-    frontier = [start_code]
+    frontier = {start_code: set()}
     pool = None
     if jobs > 1:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
@@ -276,7 +299,7 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     # parent), so a meeting class yields a full path without re-searching
     a_info: dict[bytes, tuple] = {start_code: (start, None, None)}
     b_info: dict[bytes, tuple] = {goal_code: (goal, None, None)}
-    a_frontier, b_frontier = [start_code], [goal_code]
+    a_frontier, b_frontier = {start_code: set()}, {goal_code: set()}
 
     def meet_code():
         common = set(a_info) & set(b_info)

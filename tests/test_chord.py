@@ -365,6 +365,25 @@ class TestMoves:
             with pytest.raises(ChordLabError, match="does not split a vertex"):
                 moves.apply_move(c, ("expand", u, v))
 
+    def test_out_of_range_collapses_are_refused(self):
+        # ids just outside 0..n-1, negative ones included, name themselves
+        # rather than index the tables from the end
+        c = ch.canonical_form(ch.canonical_gamma0(1, 1, 2))
+        n = c.graph.n_half_edges
+        assert n == 14
+        for e in (n, -1, -n - 1):
+            with pytest.raises(ChordLabError, match=f"edge {e} is not a half-edge"):
+                ch.collapse_edge(c, e)
+            with pytest.raises(ChordLabError, match=f"edge {e} is not a half-edge"):
+                moves.apply_move(c, ("collapse", e))
+
+    @pytest.mark.parametrize("move", [("expand", 3), ("collapse",), ()])
+    def test_short_moves_are_refused(self, move):
+        c = ch.canonical_form(ch.canonical_gamma0(1, 1, 2))
+        with pytest.raises(ChordLabError, match="unknown move") as info:
+            moves.apply_move(c, move)
+        assert repr(move) in str(info.value)
+
     def test_ghost_forest_after_moves(self):
         rng = random.Random(6)
         for _ in range(20):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from chordlab import chord as ch
+from chordlab import fatgraph as fg
 from chordlab import generate, moves
 from chordlab.errors import (
     BoundTooSmall,
@@ -49,6 +50,68 @@ class TestNeighbors:
         assert pairs == 3660
 
 
+def _split_free(move):
+    """A move with a split's two half-edges in a fixed order."""
+    return move if move[0] == "collapse" else ("expand", *sorted(move[1:]))
+
+
+class TestSkippedMoves:
+    @pytest.mark.parametrize("top,bound", [((1, 1, 2), 9), ((0, 2, 2), 8)])
+    def test_skipped_moves_reach_recorded_classes(self, monkeypatch, top, bound):
+        # every move the search skips is one of its class's moves, and
+        # applying it and canonicalizing gives a class already in the record
+        original = moves.neighbors_with_moves
+        expanded = []
+
+        def recording(c, max_edges=None, skip=()):
+            expanded.append((c, set(skip)))
+            return original(c, max_edges, skip)
+
+        monkeypatch.setattr(moves, "neighbors_with_moves", recording)
+        start = ch.canonical_form(ch.canonical_gamma0(*top))
+        info = moves._bfs(start, bound)
+        assert len(expanded) == len(info)
+        skipped = 0
+        for c, skip in expanded:
+            _rep, parent, inv = info[ch.diagram_code(c)]
+            own = [("collapse", e) for e in c.graph.edges()
+                   if ch.is_collapsible(c, e)]
+            if c.graph.n_edges < bound:
+                own += [("expand", x, y) for x, y in ch._splits(c)]
+            skip = {_split_free(move) for move in skip}
+            assert skip <= {_split_free(move) for move in own}
+            if parent is not None:
+                assert _split_free(inv) in skip
+            for move in own:
+                if _split_free(move) in skip:
+                    assert ch.diagram_code(moves.apply_move(c, move)) in info
+                    skipped += 1
+        assert skipped >= len(info) - 1
+
+    def test_each_move_canonicalized_about_once(self, monkeypatch):
+        # without the skip each move below the bound is canonicalized from
+        # both of its ends, so searches ~ moves; with it, about half that
+        bound = 9
+        start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
+        original = fg._canonical_search
+        searches = []
+
+        def counted(*args):
+            searches.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(fg, "_canonical_search", counted)
+        info = moves._bfs(start, bound)
+        monkeypatch.undo()
+        total = 1
+        for rep, _parent, _inv in info.values():
+            total += sum(ch.is_collapsible(rep, e) for e in rep.graph.edges())
+            if rep.graph.n_edges < bound:
+                total += len(list(ch._splits(rep)))
+        assert len(info) == 698
+        assert len(searches) <= 0.55 * total
+
+
 class TestExplore:
     @pytest.mark.parametrize("top", [(0, 1, 2), (0, 2, 1), (1, 1, 1)])
     def test_small_types_connected(self, top):
@@ -84,8 +147,8 @@ class TestExplore:
         original = moves.neighbors_with_moves
         tampered = []
 
-        def swapped(c, max_edges=None):
-            out = original(c, max_edges)
+        def swapped(c, max_edges=None, skip=()):
+            out = original(c, max_edges, skip)
             if not tampered and len(out) >= 2:
                 tampered.append(c)
                 code, rep, fwd, _inv = out[0]
