@@ -306,6 +306,11 @@ def chi_defect(c: ChordDiagram) -> int:
 # moves
 # ---------------------------------------------------------------------------
 
+def _check_edge(graph: FatGraph, e: int) -> None:
+    if e not in range(graph.n_half_edges):
+        raise ChordLabError(f"edge {e} is not a half-edge of the diagram")
+
+
 def is_essential(c: ChordDiagram, e: int) -> bool:
     """True iff no morphism may collapse the edge e.
 
@@ -313,20 +318,29 @@ def is_essential(c: ChordDiagram, e: int) -> bool:
     in the same ghost component (collapsing it would close a ghost cycle); a
     ghost edge is essential when both endpoints are circular vertices
     (collapsing a chord would merge or pinch the disjoint incoming circles).
+    Raises ChordLabError unless e is a half-edge of c.
     """
-    graph, labels = c.graph, c.labels
-    e = graph.edge_of(e)
+    _check_edge(c.graph, e)
+    return _essential(c, e)
+
+
+def _essential(c: ChordDiagram, e: int) -> bool:
+    """is_essential for a half-edge e of c; either half of an edge gives
+    the same answer."""
+    graph = c.graph
     vertex_of = graph.vertex_of()
     va, vb = vertex_of[e], vertex_of[graph.pairing[e]]
-    if labels[e] == CIRCULAR:
+    if c.labels[e] == CIRCULAR:
         return va == vb or c._component_of[va] == c._component_of[vb]
     return c._circular_vertex[va] and c._circular_vertex[vb]
 
 
 def is_collapsible(c: ChordDiagram, e: int) -> bool:
-    """True iff collapse_edge accepts e: neither a loop nor essential."""
+    """True iff collapse_edge accepts e: neither a loop nor essential.
+    Raises ChordLabError unless e is a half-edge of c."""
+    _check_edge(c.graph, e)
     vertex_of = c.graph.vertex_of()
-    return vertex_of[e] != vertex_of[c.graph.pairing[e]] and not is_essential(c, e)
+    return vertex_of[e] != vertex_of[c.graph.pairing[e]] and not _essential(c, e)
 
 
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
@@ -340,39 +354,39 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     half-edge of c.
     """
     graph, labels = c.graph, c.labels
-    if e not in range(graph.n_half_edges):
-        raise ChordLabError(f"edge {e} is not a half-edge of the diagram")
+    _check_edge(graph, e)
     a = graph.edge_of(e)
     b = graph.pairing[a]
     vertex_of = graph.vertex_of()
     if vertex_of[a] == vertex_of[b]:
         raise LoopEdge(f"edge {a} is a loop")
-    if is_essential(c, a):
+    if _essential(c, a):
         raise EssentialEdge(f"edge {a} is essential")
-
-    def new_id(h):
-        return h - (h > a) - (h > b)
 
     # the merged rotation is the rotation after a, then the one after b
     nxt = list(graph.next_at_vertex)
     before_a, before_b = nxt.index(a), nxt.index(b)
     nxt[before_a], nxt[before_b] = nxt[b], nxt[a]
-    kept = [h for h in range(graph.n_half_edges) if h not in (a, b)]
-    new_graph = FatGraph(pairing=tuple(new_id(graph.pairing[h]) for h in kept),
-                         next_at_vertex=tuple(new_id(nxt[h]) for h in kept))
+    new_id = [h - (h > a) - (h > b) for h in range(graph.n_half_edges)]
+
+    def kept(table):
+        return tuple(map(new_id.__getitem__,
+                         table[:a] + table[a + 1:b] + table[b + 1:]))
+
+    new_graph = FatGraph(pairing=kept(graph.pairing), next_at_vertex=kept(nxt))
 
     # boundary cycles survive edge contraction with the occurrences of a and b
     # dropped; transport the markings along that correspondence
-    cycle_of, new_marks = graph.cycle_of(), []
+    new_marks = []
     for m in c.markings:
         if m in (a, b):
             # there is one: were a its cycle's last circular edge, a ghost
             # path would join its ends (essential) or it would be a loop
-            m = next(h for h in _rotate_to(cycle_of[m], m)
+            m = next(h for h in _rotate_to(graph.cycle_of()[m], m)
                      if h not in (a, b) and labels[h] == CIRCULAR)
-        new_marks.append(new_id(m))
-    return ChordDiagram(new_graph, tuple(labels[h] for h in kept), c.p,
-                        tuple(new_marks))
+        new_marks.append(new_id[m])
+    return ChordDiagram(new_graph, labels[:a] + labels[a + 1:b] + labels[b + 1:],
+                        c.p, tuple(new_marks))
 
 
 def _split_label(c: ChordDiagram, x: int, y: int) -> str:
@@ -431,13 +445,21 @@ def expansions(c: ChordDiagram) -> list[ChordDiagram]:
 
 
 def _code_colors(c: ChordDiagram, with_markings: bool) -> tuple:
-    cycle_of = c.graph.cycle_of()
-    position = {r: i for i, r in enumerate(c.boundary_order)}
-    marked = set(c.markings) if with_markings else set()
-    return tuple(
-        (c.labels[h], position[cycle_of[h][0]], h in marked)
-        for h in range(c.graph.n_half_edges)
-    )
+    """Each half-edge's color: its C/G label, the position of its boundary
+    cycle in the boundary order, and whether it is a marking (always False
+    without markings).  Each cycle is traced from its marking, so no table
+    is derived, and none is kept on c."""
+    nxt, pairing = c.graph.next_at_vertex, c.graph.pairing
+    position = [0] * len(pairing)
+    marked = [False] * len(pairing)
+    for i, m in enumerate(c.markings):
+        marked[m] = with_markings
+        position[m] = i
+        h = nxt[pairing[m]]
+        while h != m:
+            position[h] = i
+            h = nxt[pairing[h]]
+    return tuple(zip(c.labels, position, marked))
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -470,11 +492,16 @@ def canonical_form_with_map(
     form is read off the word; a relabeling keeps every invariant, so the
     form is not validated again."""
     label, word, palette = fg._canonical_search(c.graph, _code_colors(c, False))
+    return _read_form(c, label, word, palette), label, fg._encode(word, palette)
+
+
+def _read_form(c: ChordDiagram, label, word, palette) -> ChordDiagram:
+    """The canonical form of c from its canonical search: the tables are
+    read off the least word, and the markings are relabelled."""
     graph = FatGraph(pairing=tuple(e[1] for e in word),
                      next_at_vertex=tuple(e[0] for e in word))
     labels = tuple(palette[e[2]][0] for e in word)  # a color is (C/G, ...)
-    form = ChordDiagram(graph, labels, c.p, tuple(label[m] for m in c.markings))
-    return form, label, fg._encode(word, palette)
+    return ChordDiagram(graph, labels, c.p, tuple(label[m] for m in c.markings))
 
 
 # ---------------------------------------------------------------------------

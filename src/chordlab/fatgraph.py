@@ -239,10 +239,14 @@ def _canonical_search(graph, colors, step_counter=None):
     word (None for the empty graph) and the sorted palette of the colors.
 
     Word entry i, (label[nxt[h]], label[pairing[h]], color[h]) for the
-    half-edge h labelled i, is known as soon as h is processed, so each start
-    is compared with the best word entry by entry: it is dropped at its first
-    larger entry, and after its first smaller one it is the new best.  The
-    first start always runs to the end, which checks connectivity."""
+    half-edge h labelled i, is known as soon as h is processed.  Entry 0 of
+    a start s depends on s alone (the pairing has no fixed point): (0, 1, c)
+    if nxt[s] == s, (1, 1, c) if pairing[s] == nxt[s] and (1, 2, c)
+    otherwise, c being s's color.  So a start whose entry 0 is above the
+    least one is never run.  Every other start is compared with the best
+    word entry by entry: it is dropped at its first larger entry, and after
+    its first smaller one it is the new best.  The first start that is run
+    always runs to the end, which checks connectivity."""
     n = graph.n_half_edges
     pairing = graph.pairing
     nxt = graph.next_at_vertex
@@ -252,27 +256,37 @@ def _canonical_search(graph, colors, step_counter=None):
             raise ValueError("one color per half-edge expected")
         palette = sorted(set(colors))
         index = {c: i for i, c in enumerate(palette)}
-        color = tuple(index[c] for c in colors)
+        color = tuple(map(index.__getitem__, colors))
+
+    # entry 0 of each start: nxt[s] is labelled first, then pairing[s]
+    first = [(0, 1, c) if x == s else (1, 1 if y == x else 2, c)
+             for s, x, y, c in zip(range(n), nxt, pairing, color)]
+    least = min(first, default=None)
 
     best = best_label = None  # best: the least word, one entry per label
-    for start in range(n):
+    for start in [s for s in range(n) if first[s] == least]:
         label = [-1] * n
         order = [start]
         label[start] = 0
         word = []
         tied = best is not None  # equal to best on every entry so far
         head = 0
-        while head < len(order):
-            h = order[head]
-            for k in (nxt[h], pairing[h]):
-                if label[k] < 0:
-                    label[k] = len(order)
-                    order.append(k)
-            entry = (label[nxt[h]], label[pairing[h]], color[h])
+        for h in order:
+            k = nxt[h]
+            if label[k] < 0:
+                label[k] = len(order)
+                order.append(k)
+            j = pairing[h]
+            if label[j] < 0:
+                label[j] = len(order)
+                order.append(j)
+            entry = (label[k], label[j], color[h])
             if tied:
-                if entry > best[head]:
-                    break
-                tied = entry == best[head]
+                b = best[head]
+                if entry != b:
+                    if entry > b:
+                        break
+                    tied = False
             word.append(entry)
             head += 1
         if step_counter is not None:
@@ -307,13 +321,15 @@ def canonical_code(
 
     The code is the least word of the canonical search, flattened, with the
     sorted colors its entries index (colors act as decoration tie-breaks).
-    The search relabels by breadth-first traversal from every starting
-    half-edge and drops a start at its first entry above the least word so
+    The search relabels by breadth-first traversal from each starting
+    half-edge whose first word entry, read off the half-edge alone, is
+    least, and drops a start at its first entry above the least word so
     far.  The same search yields canonical_labeling, and
     chord.canonical_form_with_map reads the canonical form off its word.
     The graph must be connected.  ``_step_counter`` accumulates the
     half-edges labelled, including the partial traversals of dropped starts,
-    for complexity tests.
+    for complexity tests; a start passed over for its first entry labels
+    none.
     """
     return _encode(*_canonical_search(graph, colors, _step_counter)[1:])
 

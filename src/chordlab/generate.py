@@ -157,6 +157,8 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
         if i >= len(pairs) or len(pairs) - i < left or (lack + 1) // 2 > left:
             return
         a, b = pairs[i]
+        if b == a + 1 and a and deg[a - 1] < floor[a - 1]:
+            return  # every pair at vertex a-1 is behind: its degree is final
         ra, rb = find(a), find(b)
         if ra != rb:
             # include pairs[i]

@@ -26,6 +26,14 @@ path_to_canonical's answers are unchanged.  Skipping can only drop an edge of
 the search, never add one: connectivity is still proven only by moves
 actually applied and canonicalized, and a class no longer reached would show
 against the enumerator as unreached.
+
+Each canonicalization costs one canonical search.  The colors the search
+needs are derived from the parent's, which are computed once per expanded
+class: a collapse drops its edge's two halves, and a split appends its two
+new halves on the cycles they join (_child_colors).  No child derives a
+cycle table.  Each search also keeps a record, freed when it ends, of the
+least words it has met, so each class is encoded and its canonical form
+built once (_canonicalize).
 """
 
 from __future__ import annotations
@@ -33,8 +41,10 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 from . import chord as ch
+from . import fatgraph as fg
 from . import generate
 from .chord import ChordDiagram
 from .errors import BoundTooSmall, ChordLabError, SearchExhausted
@@ -77,45 +87,86 @@ def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
     return code
 
 
-def _collapse_with_inverse(c: ChordDiagram, e: int):
-    """Collapse e; return the class code, the canonical representative and
-    the inverse expansion in the representative's labeling: the split at the
-    half-edges before a and before pairing(a), where the collapse joined the
-    two rotations."""
-    a = c.graph.edge_of(e)
-    b = c.graph.pairing[a]
-    canon, label, code = ch.canonical_form_with_map(ch.collapse_edge(c, a))
-    before = c.graph.next_at_vertex.index
-    x, y = (label[h - (h > a) - (h > b)] for h in (before(a), before(b)))
-    return code, canon, ("expand", x, y)
+def _child_colors(c: ChordDiagram, colors: tuple, move: Move,
+                  child: ChordDiagram) -> tuple:
+    """chord._code_colors(child, False) for the child that move makes of c,
+    derived from c's colors: each half-edge keeps its label and its cycle's
+    position.  A collapse drops its edge's two halves; a split (x, y) adds
+    n, on the cycle of the old nxt[x], and n+1, on that of the old nxt[y]."""
+    if move[0] == "collapse":
+        a = c.graph.edge_of(move[1])
+        b = c.graph.pairing[a]
+        return colors[:a] + colors[a + 1:b] + colors[b + 1:]
+    _, x, y = move
+    nxt, label = c.graph.next_at_vertex, child.labels[-1]
+    return colors + ((label, colors[nxt[x]][1], False),
+                     (label, colors[nxt[y]][1], False))
+
+
+def _canonicalize(child: ChordDiagram, colors: tuple, record: dict):
+    """The class code, a canonical representative and the relabeling of
+    child, from one canonical search with the given colors.
+
+    record maps each palette seen to a map from each least word seen with
+    it, flattened, to its code and form.  So each class is encoded and its
+    form built once; a class seen before gets the recorded form, which may
+    differ from child's own in the markings only.  A word's labels and color
+    indices are below its length, so up to 256 entries it is kept as bytes.
+    """
+    label, word, palette = fg._canonical_search(child.graph, colors)
+    words = record.setdefault(tuple(palette), {})
+    flat = chain.from_iterable(word)
+    flat = bytes(flat) if len(word) <= 256 else tuple(flat)
+    known = words.get(flat)
+    if known is None:
+        known = words[flat] = (fg._encode(word, palette),
+                               ch._read_form(child, label, word, palette))
+    return known + (label,)
 
 
 def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
-                         skip=()):
+                         skip=(), record=None):
     """All move-graph neighbors of c (itself assumed canonical), passing over
     the moves in skip; a split in skip matches in either order.
 
     Returns a code-sorted, deduplicated list of
     (code, canonical representative, forward move on c, inverse move on the
     representative).  A skipped move is neither applied nor canonicalized.
+    Each child costs one canonical search: its colors are derived from c's
+    (_child_colors), and record, a dict a whole search may share across
+    calls (see _canonicalize), keeps one code and form per class.
     """
+    if record is None:
+        record = {}
+    colors = ch._code_colors(c, False)
     found: dict[bytes, tuple] = {}
+    pairing, nxt = c.graph.pairing, c.graph.next_at_vertex
     for e in c.graph.edges():
-        if ("collapse", e) in skip or not ch.is_collapsible(c, e):
+        move = ("collapse", e)
+        if move in skip or not ch.is_collapsible(c, e):
             continue
-        code, canon, inverse = _collapse_with_inverse(c, e)
+        child = ch.collapse_edge(c, e)
+        code, canon, label = _canonicalize(
+            child, _child_colors(c, colors, move, child), record)
         if code not in found:
-            found[code] = (code, canon, ("collapse", e), inverse)
+            # the inverse is the split at the half-edges before e and before
+            # pairing(e), where the collapse joined the two rotations
+            b = pairing[e]
+            x, y = (label[h - (h > e) - (h > b)]
+                    for h in (nxt.index(e), nxt.index(b)))
+            found[code] = (code, canon, move, ("expand", x, y))
     if max_edges is None or c.graph.n_edges < max_edges:
         n = c.graph.n_half_edges  # the new edge's halves are n and n+1
         for x, y in ch._splits(c):
-            if ("expand", x, y) in skip or ("expand", y, x) in skip:
+            move = ("expand", x, y)
+            if move in skip or ("expand", y, x) in skip:
                 continue
-            canon, label, code = ch.canonical_form_with_map(
-                ch.apply_expansion(c, x, y))
+            child = ch.apply_expansion(c, x, y)
+            code, canon, label = _canonicalize(
+                child, _child_colors(c, colors, move, child), record)
             if code not in found:
                 inverse = ("collapse", min(label[n], label[n + 1]))
-                found[code] = (code, canon, ("expand", x, y), inverse)
+                found[code] = (code, canon, move, inverse)
     return [found[k] for k in sorted(found)]
 
 
@@ -154,19 +205,21 @@ def _expand_one(args):
     return neighbors_with_moves(rep, max_edges, skip)
 
 
-def _grow(info: dict, frontier: dict, max_edges: int, forward=False,
-          pool=None):
+def _grow(info: dict, frontier: dict, max_edges: int, record: dict,
+          forward=False, pool=None):
     """Expand one search layer: record each unseen neighbour of the frontier
     in info as (rep, parent code, move), the move being the forward one or,
     by default, the inverse.
 
     The frontier maps each code to the moves its class skips.  Returns the
     new frontier, sorted by code; each new class skips the inverse of every
-    move of this layer that reached it (see the module docstring).
+    move of this layer that reached it (see the module docstring).  record
+    is the search's own map of least words (see _canonicalize); a pool's
+    workers keep one per call instead.
     """
     reps = [(info[code][0], max_edges, skip) for code, skip in frontier.items()]
     if pool is None:
-        results = map(_expand_one, reps)
+        results = (neighbors_with_moves(*args, record) for args in reps)
     else:
         results = pool.map(_expand_one, reps, chunksize=4)
     new: dict[bytes, set] = {}
@@ -187,12 +240,13 @@ def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
     start_code = ch.diagram_code(start)
     info: dict[bytes, tuple] = {start_code: (start, None, None)}
     frontier = {start_code: set()}
+    record: dict = {}
     pool = None
     if jobs > 1:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
     try:
         while frontier:
-            frontier = _grow(info, frontier, max_edges, pool=pool)
+            frontier = _grow(info, frontier, max_edges, record, pool=pool)
             if len(info) > EXPLORE_CLASS_BUDGET:
                 raise SearchExhausted(
                     f"{len(info)} classes exceed the class budget "
@@ -300,6 +354,8 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     a_info: dict[bytes, tuple] = {start_code: (start, None, None)}
     b_info: dict[bytes, tuple] = {goal_code: (goal, None, None)}
     a_frontier, b_frontier = {start_code: set()}, {goal_code: set()}
+    a_record: dict = {}
+    b_record: dict = {}
 
     def meet_code():
         common = set(a_info) & set(b_info)
@@ -308,9 +364,10 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     meet = meet_code()
     while meet is None and (a_frontier or b_frontier):
         if a_frontier and (not b_frontier or len(a_frontier) <= len(b_frontier)):
-            a_frontier = _grow(a_info, a_frontier, ceiling, forward=True)
+            a_frontier = _grow(a_info, a_frontier, ceiling, a_record,
+                               forward=True)
         else:
-            b_frontier = _grow(b_info, b_frontier, ceiling)
+            b_frontier = _grow(b_info, b_frontier, ceiling, b_record)
         meet = meet_code()
 
     if meet is None:

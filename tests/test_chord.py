@@ -372,10 +372,11 @@ class TestMoves:
         n = c.graph.n_half_edges
         assert n == 14
         for e in (n, -1, -n - 1):
-            with pytest.raises(ChordLabError, match=f"edge {e} is not a half-edge"):
-                ch.collapse_edge(c, e)
-            with pytest.raises(ChordLabError, match=f"edge {e} is not a half-edge"):
-                moves.apply_move(c, ("collapse", e))
+            for refuse in (ch.collapse_edge, ch.is_collapsible, ch.is_essential,
+                           lambda c, e: moves.apply_move(c, ("collapse", e))):
+                with pytest.raises(ChordLabError,
+                                   match=f"edge {e} is not a half-edge"):
+                    refuse(c, e)
 
     @pytest.mark.parametrize("move", [("expand", 3), ("collapse",), ()])
     def test_short_moves_are_refused(self, move):
@@ -682,6 +683,16 @@ def test_forest_search_matches_brute_force(monkeypatch):
         assert search(*args) == _brute_forests(*args)
 
 
+@pytest.mark.parametrize("n_circ,n_int", [
+    (n_circ, n_int) for n_circ in range(1, 7) for n_int in range(3)
+    if n_circ + n_int <= 6])
+def test_forest_search_matches_brute_force_on_small_sizes(n_circ, n_int):
+    # every edge count, so the search also meets sizes it must refuse
+    for n_edges in range(n_circ + n_int + 1):
+        assert (generate._ghost_forests(n_circ, n_int, n_edges)
+                == _brute_forests(n_circ, n_int, n_edges))
+
+
 def _relabel_diagram(d, perm):
     """d with every half-edge h renamed perm[h]."""
     inv = sorted(range(len(perm)), key=perm.__getitem__)
@@ -723,6 +734,22 @@ def test_one_search_gives_code_form_and_labeling(g, p, q):
             x for h in inv for x in (L[G.next_at_vertex[h]], L[G.pairing[h]])
         )
         assert fg.canonical_code(G) == repr((n, (), word)).encode("ascii")
+
+
+@pytest.mark.parametrize("g,p,q", SMALL_TYPES)
+def test_code_colors_agree_with_the_cycle_tables(g, p, q):
+    # the colors, traced from the markings, against the boundary order and
+    # each half-edge's cycle as the graph's cycle table gives them
+    rng = random.Random(10 * g + p + 100 * q)
+    for _ in range(3):
+        d = generate.random_diagram(rng, g, p, q, steps=3)
+        cycle_of = d.graph.cycle_of()
+        position = {r: i for i, r in enumerate(d.boundary_order)}
+        for marked in (False, True):
+            assert ch._code_colors(d, marked) == tuple(
+                (d.labels[h], position[cycle_of[h][0]],
+                 marked and h in d.markings)
+                for h in range(d.graph.n_half_edges))
 
 
 @settings(max_examples=40, deadline=None)

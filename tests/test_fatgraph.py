@@ -184,11 +184,14 @@ class TestCanonicalCode:
 # the pruned search against a brute-force reference
 # ---------------------------------------------------------------------------
 
-def _reference_labeling(G, colors=None):
-    """Every start's complete breadth-first word, then the first labeling
-    (old half-edge -> new label) whose word is least."""
+def _reference_search(G, colors=None):
+    """The plain search: every start's complete breadth-first word, with no
+    filter and no early stop.  Returns the first labeling (old half-edge ->
+    new label) whose word is least, that word (None for the empty graph)
+    and the sorted palette, as fatgraph._canonical_search does."""
     n = G.n_half_edges
-    key = colors if colors is not None else [0] * n
+    palette = sorted(set(colors)) if colors is not None else []
+    key = [palette.index(c) for c in colors] if colors is not None else [0] * n
     words = []
     for start in range(n):
         label, order = {start: 0}, [start]
@@ -200,7 +203,10 @@ def _reference_labeling(G, colors=None):
         word = [(label[G.next_at_vertex[h]], label[G.pairing[h]], key[h])
                 for h in order]
         words.append((word, start, tuple(label[h] for h in range(n))))
-    return min(words)[2]
+    if not words:
+        return None, None, palette
+    word, _start, label = min(words)
+    return label, word, palette
 
 
 def _reference_code(G, colors, label):
@@ -216,9 +222,10 @@ def _reference_code(G, colors, label):
 
 
 def _check_against_reference(G, colors=None):
-    expected = _reference_labeling(G, colors)
-    assert fg.canonical_labeling(G, colors) == expected
-    assert fg.canonical_code(G, colors) == _reference_code(G, colors, expected)
+    expected = _reference_search(G, colors)
+    assert fg._canonical_search(G, colors) == expected
+    assert fg.canonical_labeling(G, colors) == expected[0]
+    assert fg.canonical_code(G, colors) == _reference_code(G, colors, expected[0])
 
 
 def _relabeled_diagram(d, rng):
@@ -266,6 +273,68 @@ def test_pruned_search_matches_reference_on_random_fatgraphs():
         G = generate.random_fatgraph(rng, max_edges=7)
         _check_against_reference(G)
         _check_against_reference(G, [rng.randrange(2) for _ in range(G.n_half_edges)])
+
+
+def _relabeled(G, colors, rng):
+    """G and its colors with the half-edges renamed by a random permutation."""
+    perm = list(range(G.n_half_edges))
+    rng.shuffle(perm)
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    H = fg.FatGraph(pairing=tuple(perm[G.pairing[h]] for h in inv),
+                    next_at_vertex=tuple(perm[G.next_at_vertex[h]] for h in inv))
+    return H, [colors[h] for h in inv]
+
+
+@pytest.mark.parametrize("pairing,nxt", [
+    ((), ()),                                  # the empty graph
+    ((1, 0), (0, 1)),                          # one edge, two 1-valent ends
+    ((1, 0), (1, 0)),                          # a 2-valent loop
+    ((1, 0, 3, 2), (1, 2, 3, 0)),              # a rose, pairing[s] == nxt[s]
+    ((1, 0, 3, 2), (1, 2, 0, 3)),              # a loop with a 1-valent stick
+    ((3, 2, 1, 0), (1, 0, 3, 2)),              # two 2-valent vertices
+    ((5, 4, 3, 2, 1, 0), (1, 2, 0, 4, 3, 5)),  # 1-, 2- and 3-valent
+])
+def test_search_matches_the_plain_search_on_small_graphs(pairing, nxt):
+    # the first-entry filter meets every kind of entry 0: (0, 1, c) at a
+    # 1-valent vertex, (1, 1, c) where pairing[s] == nxt[s], (1, 2, c)
+    G = fg.FatGraph(pairing=pairing, next_at_vertex=nxt)
+    n = len(pairing)
+    for colors in (None, [0] * n, [h % 2 for h in range(n)],
+                   [(h * 7) % 3 for h in range(n)]):
+        assert fg._canonical_search(G, colors) == _reference_search(G, colors)
+
+
+def test_search_matches_the_plain_search_on_random_relabelings():
+    rng = random.Random(31)
+    for _ in range(60):
+        G = generate.random_fatgraph(rng, max_edges=8)
+        colors = [rng.randrange(3) for _ in range(G.n_half_edges)]
+        for H, C in ((G, None), (G, colors), _relabeled(G, colors, rng)):
+            assert fg._canonical_search(H, C) == _reference_search(H, C)
+
+
+@pytest.mark.parametrize("top,bound", [((0, 3, 2), 9), ((2, 1, 1), 12)])
+def test_search_matches_the_plain_search_on_every_class(top, bound):
+    rng = random.Random(sum(top) + bound)
+    for d in generate.enumerate_classes(fg.TopType(*top), bound).values():
+        for marked in (False, True):
+            colors = ch._code_colors(d, marked)
+            H, C = _relabeled(d.graph, colors, rng)
+            assert fg._canonical_search(H, C) == _reference_search(H, C)
+        assert fg._canonical_search(d.graph, None) == _reference_search(d.graph)
+
+
+def test_disconnected_graph_refused_when_start_zero_is_filtered():
+    # a theta graph on 0..5, whose starts read (1, 2, 0) first, beside an
+    # edge with two 1-valent ends, whose start 6 reads (0, 1, 0): the only
+    # starts run are 6 and 7, and neither reaches the theta graph
+    theta = theta_graph()
+    G = fg.FatGraph(pairing=theta.pairing + (7, 6),
+                    next_at_vertex=theta.next_at_vertex + (6, 7))
+    with pytest.raises(Disconnected):
+        fg._canonical_search(G, None)
+    with pytest.raises(Disconnected):
+        fg.canonical_code(G)
 
 
 # ---------------------------------------------------------------------------

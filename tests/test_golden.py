@@ -1,9 +1,10 @@
-"""Golden outputs: sha256 of reports and serialized diagrams that every
-refactor must reproduce byte for byte.  The digests were recorded from the
-release before the structural tables moved onto FatGraph and ChordDiagram
-(those of (0;3,2)@9 and (2;1,1)@12 from the release before the canonical
-search dropped losing starts early); a change that alters any of them
-changes what chordlab reports."""
+"""Golden outputs: sha256 of reports, serialized diagrams and move paths
+that every refactor must reproduce byte for byte.  The digests were recorded
+from the release before the structural tables moved onto FatGraph and
+ChordDiagram (those of (0;3,2)@9 and (2;1,1)@12 from the release before the
+canonical search dropped losing starts early, those of the paths from the
+release before children's colors were derived from their parent's); a
+change that alters any of them changes what chordlab reports."""
 
 import hashlib
 import random
@@ -11,7 +12,7 @@ import random
 import pytest
 
 from chordlab import chord as ch
-from chordlab import formats, generate
+from chordlab import formats, generate, moves
 from chordlab.cli import main
 
 
@@ -54,6 +55,24 @@ def test_canonical_forms_of_random_walks(top, digest):
     text = "".join(
         formats.serialize_chord(ch.canonical_form(
             generate.random_diagram(random.Random(seed), *top, steps=6)))
+        for seed in range(10)
+    )
+    assert _sha(text) == digest
+
+
+@pytest.mark.parametrize("top,digest", [
+    ((1, 1, 2), "a673a2012011d52ca1d6250f2a6388ec4ac5bfdb9a59a847d65a97db82f4d972"),
+    ((1, 2, 1), "fe710bd6d226ed2704df127d5e2faa0dfd3b54c926a0832fab4e9bf76ab72f27"),
+    ((0, 3, 2), "29d7f7a194c5493e9efd685d96fe502d2b6d03634b10884b0dbfa7a94a295adb"),
+    ((0, 2, 3), "940e9fdfa86c55c3e6b14b6d59dd98f3944c0659c1085cb6d0ceb6b37b80eea1"),
+    ((2, 1, 1), "aada834c58829ad1e846d152eaec7894866123e6fd7ccbf06769cdd6199090d1"),
+])
+def test_paths_of_random_walks(top, digest):
+    # path_to_canonical's answer from the end of each walk above, one line
+    # per walk
+    text = "".join(
+        repr(moves.path_to_canonical(
+            generate.random_diagram(random.Random(seed), *top, steps=6))) + "\n"
         for seed in range(10)
     )
     assert _sha(text) == digest

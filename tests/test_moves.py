@@ -50,6 +50,59 @@ class TestNeighbors:
         assert pairs == 3660
 
 
+class TestChildColors:
+    @pytest.mark.parametrize("top", [(1, 1, 2), (0, 3, 2)])
+    def test_derived_colors_are_the_childs_own(self, top):
+        # every collapse and split of every class; swapping the two new
+        # halves' cycle positions is caught on some split
+        swaps_caught = 0
+        for c in generate.enumerate_classes(TopType(*top), 9).values():
+            colors = ch._code_colors(c, False)
+            children = [(("collapse", e), ch.collapse_edge(c, e))
+                        for e in c.graph.edges() if ch.is_collapsible(c, e)]
+            children += [(("expand", x, y), ch.apply_expansion(c, x, y))
+                         for x, y in ch._splits(c)]
+            for move, child in children:
+                own = ch._code_colors(child, False)
+                derived = moves._child_colors(c, colors, move, child)
+                assert derived == own
+                if move[0] == "expand":
+                    (l1, p1, f1), (l2, p2, f2) = derived[-2:]
+                    swapped = derived[:-2] + ((l1, p2, f1), (l2, p1, f2))
+                    swaps_caught += swapped != own
+        assert swaps_caught > 0
+
+
+class TestRecord:
+    def test_shared_record_changes_no_answer(self):
+        # one record across every class's call gives the codes and moves of
+        # plain calls, and representatives that differ in markings only
+        record = {}
+        for c in generate.enumerate_classes(TopType(1, 1, 2), 9).values():
+            shared = moves.neighbors_with_moves(c, 9, (), record)
+            plain = moves.neighbors_with_moves(c, 9)
+            assert ([e[:1] + e[2:] for e in shared]
+                    == [e[:1] + e[2:] for e in plain])
+            for (code, rep, _, _), (_, own, _, _) in zip(shared, plain):
+                assert (rep.graph, rep.labels, rep.p) == (
+                    own.graph, own.labels, own.p)
+                assert rep.boundary_order == own.boundary_order
+                assert ch.diagram_code(rep) == code
+                assert ch.canonical_form(rep).graph == rep.graph
+        assert sum(map(len, record.values())) == 90
+
+    def test_words_past_256_entries(self):
+        # 2g = 66 chords give 266 half-edges, too many labels for bytes
+        d = ch.canonical_gamma0(33, 1, 1)
+        assert d.graph.n_half_edges > 256
+        record = {}
+        code, form, label = moves._canonicalize(
+            d, ch._code_colors(d, False), record)
+        assert (form, label, code) == ch.canonical_form_with_map(d)
+        (words,) = record.values()
+        assert [type(w) for w in words] == [tuple]
+
+
 def _split_free(move):
     """A move with a split's two half-edges in a fixed order."""
     return move if move[0] == "collapse" else ("expand", *sorted(move[1:]))
@@ -63,9 +116,9 @@ class TestSkippedMoves:
         original = moves.neighbors_with_moves
         expanded = []
 
-        def recording(c, max_edges=None, skip=()):
+        def recording(c, max_edges=None, skip=(), record=None):
             expanded.append((c, set(skip)))
-            return original(c, max_edges, skip)
+            return original(c, max_edges, skip, record)
 
         monkeypatch.setattr(moves, "neighbors_with_moves", recording)
         start = ch.canonical_form(ch.canonical_gamma0(*top))
@@ -147,8 +200,8 @@ class TestExplore:
         original = moves.neighbors_with_moves
         tampered = []
 
-        def swapped(c, max_edges=None, skip=()):
-            out = original(c, max_edges, skip)
+        def swapped(c, max_edges=None, skip=(), record=None):
+            out = original(c, max_edges, skip, record)
             if not tampered and len(out) >= 2:
                 tampered.append(c)
                 code, rep, fwd, _inv = out[0]
