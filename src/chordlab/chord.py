@@ -346,12 +346,12 @@ def is_collapsible(c: ChordDiagram, e: int) -> bool:
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     """Contract a single non-essential, non-loop edge.
 
-    The child is built directly: the two rotations are joined at the corners
-    before a and pairing(a), and the half-edges above them are renumbered.
-    Markings on the collapsed edge are transported to the next surviving
-    circular half-edge in their boundary cycle.  The type is preserved, so
-    the child is not validated again.  Raises ChordLabError unless e is a
-    half-edge of c.
+    The child is built directly (_collapse): the two rotations are joined at
+    the corners before a and pairing(a), and the half-edges above them are
+    renumbered.  Markings on the collapsed edge are transported to the next
+    surviving circular half-edge in their boundary cycle.  The type is
+    preserved, so the child is not validated again.  Raises ChordLabError
+    unless e is a half-edge of c.
     """
     graph, labels = c.graph, c.labels
     _check_edge(graph, e)
@@ -362,41 +362,70 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
         raise LoopEdge(f"edge {a} is a loop")
     if _essential(c, a):
         raise EssentialEdge(f"edge {a} is essential")
+    nxt = graph.next_at_vertex
+    pairing, nxt, markings = _collapse(graph.pairing, nxt, _prev(nxt), labels,
+                                       c.markings, a, b)
+    return ChordDiagram(FatGraph(pairing, nxt),
+                        labels[:a] + labels[a + 1:b] + labels[b + 1:],
+                        c.p, markings)
 
-    # the merged rotation is the rotation after a, then the one after b
-    nxt = list(graph.next_at_vertex)
-    before_a, before_b = nxt.index(a), nxt.index(b)
-    nxt[before_a], nxt[before_b] = nxt[b], nxt[a]
-    new_id = [h - (h > a) - (h > b) for h in range(graph.n_half_edges)]
+
+def _prev(nxt) -> list[int]:
+    """The inverse rotation: prev[nxt[h]] == h."""
+    prev = [0] * len(nxt)
+    for h, k in enumerate(nxt):
+        prev[k] = h
+    return prev
+
+
+def _collapse(pairing, nxt, prev, labels, markings, a, b):
+    """The pairing, rotation and markings left by contracting the edge
+    a < b = pairing[a] of a diagram, its ends on two vertices; prev is the
+    inverse of nxt.
+
+    The merged rotation is the rotation after a, then the one after b; every
+    half-edge above a or b moves down by one for each.  Boundary cycles
+    survive the contraction with a and b dropped, so a marking on a or b
+    moves to the next circular half-edge of its cycle.  There is one: were
+    a its cycle's last circular edge, a ghost path would join its ends
+    (essential) or it would be a loop."""
+    n = len(nxt)
+    new_id = [*range(a), -1, *range(a, b - 1), -1, *range(b - 1, n - 2)]
+    merged = list(nxt)
+    merged[prev[a]], merged[prev[b]] = nxt[b], nxt[a]
 
     def kept(table):
         return tuple(map(new_id.__getitem__,
                          table[:a] + table[a + 1:b] + table[b + 1:]))
 
-    new_graph = FatGraph(pairing=kept(graph.pairing), next_at_vertex=kept(nxt))
-
-    # boundary cycles survive edge contraction with the occurrences of a and b
-    # dropped; transport the markings along that correspondence
-    new_marks = []
-    for m in c.markings:
-        if m in (a, b):
-            # there is one: were a its cycle's last circular edge, a ghost
-            # path would join its ends (essential) or it would be a loop
-            m = next(h for h in _rotate_to(graph.cycle_of()[m], m)
-                     if h not in (a, b) and labels[h] == CIRCULAR)
-        new_marks.append(new_id[m])
-    return ChordDiagram(new_graph, labels[:a] + labels[a + 1:b] + labels[b + 1:],
-                        c.p, tuple(new_marks))
+    moved = []
+    for m in markings:
+        while m == a or m == b or labels[m] != CIRCULAR:
+            m = nxt[pairing[m]]
+        moved.append(new_id[m])
+    return kept(pairing), kept(merged), tuple(moved)
 
 
-def _split_label(c: ChordDiagram, x: int, y: int) -> str:
+def _split_label(labels, nxt, x: int, y: int) -> str:
     """The one label that makes the split (x, y) a diagram: C iff one of its
     cuts, after x or after y, is the corner (back, fwd) the vertex's circle
     runs through, G otherwise.  A split keeps valence >= 3, the ghost forest
     and every boundary cycle, so it keeps the type."""
-    labels, nxt = c.labels, c.graph.next_at_vertex
-    corner = any(labels[h] == CIRCULAR == labels[nxt[h]] for h in (x, y))
-    return CIRCULAR if corner else GHOST
+    if (labels[x] == CIRCULAR == labels[nxt[x]]
+            or labels[y] == CIRCULAR == labels[nxt[y]]):
+        return CIRCULAR
+    return GHOST
+
+
+def _split(pairing, nxt, x: int, y: int):
+    """The pairing and rotation after the split (x, y): the rotation is cut
+    after x and after y, half-edge n = len(nxt) ends the arc that ends at x
+    and n+1 the arc that ends at y, and n and n+1 form the new edge."""
+    n = len(nxt)
+    split = list(nxt)
+    split += (nxt[y], nxt[x])
+    split[x], split[y] = n, n + 1
+    return pairing + (n + 1, n), tuple(split)
 
 
 def _splits(c: ChordDiagram):
@@ -415,24 +444,22 @@ def apply_expansion(c: ChordDiagram, x: int, y: int) -> ChordDiagram:
     y: half-edge n ends the arc that ends at x, n+1 the arc that ends at y,
     and the new edge takes the split's one label (_split_label).
 
-    The child is built directly: old half-edges keep their ids and each
-    boundary cycle only gains new ones, so the markings carry over.  Raises
-    ChordLabError unless x and y are distinct half-edges of one vertex,
-    neither following the other, so that both arcs hold two or more.
+    The child is built directly (_split): old half-edges keep their ids and
+    each boundary cycle only gains new ones, so the markings carry over.
+    Raises ChordLabError unless x and y are distinct half-edges of one
+    vertex, neither following the other, so that both arcs hold two or
+    more.
     """
     graph = c.graph
     n = graph.n_half_edges
-    nxt = list(graph.next_at_vertex)
+    nxt = graph.next_at_vertex
     vertex_of = graph.vertex_of()
     if not (x in range(n) and y in range(n) and x != y and nxt[x] != y
             and nxt[y] != x and vertex_of[x] == vertex_of[y]):
         raise ChordLabError(f"({x}, {y}) does not split a vertex")
-    label = _split_label(c, x, y)
-    nxt += [nxt[y], nxt[x]]
-    nxt[x], nxt[y] = n, n + 1
-    new_graph = FatGraph(pairing=graph.pairing + (n + 1, n),
-                         next_at_vertex=tuple(nxt))
-    return ChordDiagram(new_graph, c.labels + (label, label), c.p, c.markings)
+    label = _split_label(c.labels, nxt, x, y)
+    return ChordDiagram(FatGraph(*_split(graph.pairing, nxt, x, y)),
+                        c.labels + (label, label), c.p, c.markings)
 
 
 def expansions(c: ChordDiagram) -> list[ChordDiagram]:
@@ -444,22 +471,66 @@ def expansions(c: ChordDiagram) -> list[ChordDiagram]:
     return [apply_expansion(c, x, y) for x, y in _splits(c)]
 
 
-def _code_colors(c: ChordDiagram, with_markings: bool) -> tuple:
-    """Each half-edge's color: its C/G label, the position of its boundary
-    cycle in the boundary order, and whether it is a marking (always False
-    without markings).  Each cycle is traced from its marking, so no table
-    is derived, and none is kept on c."""
+def _cycle_position(c: ChordDiagram) -> list[int]:
+    """The position of each half-edge's boundary cycle in the boundary
+    order.  Each cycle is traced from its marking, so no table is derived,
+    and none is kept on c."""
     nxt, pairing = c.graph.next_at_vertex, c.graph.pairing
     position = [0] * len(pairing)
-    marked = [False] * len(pairing)
     for i, m in enumerate(c.markings):
-        marked[m] = with_markings
         position[m] = i
         h = nxt[pairing[m]]
         while h != m:
             position[h] = i
             h = nxt[pairing[h]]
-    return tuple(zip(c.labels, position, marked))
+    return position
+
+
+def _code_colors(c: ChordDiagram, with_markings: bool) -> tuple:
+    """Each half-edge's color: its C/G label, the position of its boundary
+    cycle in the boundary order, and whether it is a marking (always False
+    without markings)."""
+    marked = [False] * c.graph.n_half_edges
+    if with_markings:
+        for m in c.markings:
+            marked[m] = True
+    return tuple(zip(c.labels, _cycle_position(c), marked))
+
+
+def _palette(p: int, q: int) -> list[tuple]:
+    """The sorted set of _code_colors(c, False) for every diagram c of type
+    (g;p,q): (C, i, False) for i < p+q and (G, j, False) for p <= j < p+q.
+
+    Every cycle holds a circular half-edge.  An incoming cycle is a circle
+    traced along its forward halves, so it holds nothing else.  At a circle
+    vertex, which reads (back, fwd, ghosts...) with at least one ghost, the
+    trace goes from the back half to the ghost after the previous vertex's
+    forward half; so each outgoing cycle, which holds a back half, holds a
+    ghost half too."""
+    return ([(CIRCULAR, i, False) for i in range(p + q)]
+            + [(GHOST, j, False) for j in range(p, p + q)])
+
+
+def _int_colors(c: ChordDiagram) -> list[int]:
+    """Each half-edge's rank in _palette(c.p, c.q), the index of its
+    unmarked color: its cycle's position, plus q on a ghost half-edge."""
+    q = c.q
+    return [i + q if label == GHOST else i
+            for label, i in zip(c.labels, _cycle_position(c))]
+
+
+def _form_and_code(word, label, p: int, q: int, markings):
+    """The canonical form and the class code of a diagram of type (g;p,q)
+    with the given markings, from its search over _int_colors.  Entry l of
+    the word is (next_at_vertex, pairing, color) at label l, so the tables
+    are read off the flattened word, each ghost color being at least p+q;
+    the markings are relabelled.  A relabeling keeps every invariant, so the
+    form is not validated again."""
+    flat = fg._flat(word, len(word), p + 2 * q)
+    labels = tuple(GHOST if k >= p + q else CIRCULAR for k in flat[2::3])
+    form = ChordDiagram(FatGraph(flat[1::3], flat[0::3]), labels, p,
+                        tuple(label[m] for m in markings))
+    return form, fg._encode(flat, _palette(p, q))
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -470,7 +541,9 @@ def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
     incoming designation).  Markings are excluded by default, matching the
     reduction of connectivity questions to the unmarked space.
     """
-    return fg.canonical_code(c.graph, _code_colors(c, with_markings))
+    if with_markings:
+        return fg.canonical_code(c.graph, _code_colors(c, True))
+    return canonical_form_with_map(c)[2]
 
 
 def canonical_form(c: ChordDiagram) -> ChordDiagram:
@@ -487,21 +560,12 @@ def canonical_form_with_map(
     c: ChordDiagram,
 ) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
     """canonical_form plus the relabeling (old half-edge -> new label) and
-    the class code, diagram_code(c), all from one canonical search.  Entry l
-    of its least word is (next_at_vertex, pairing, color) at label l, so the
-    form is read off the word; a relabeling keeps every invariant, so the
-    form is not validated again."""
-    label, word, palette = fg._canonical_search(c.graph, _code_colors(c, False))
-    return _read_form(c, label, word, palette), label, fg._encode(word, palette)
-
-
-def _read_form(c: ChordDiagram, label, word, palette) -> ChordDiagram:
-    """The canonical form of c from its canonical search: the tables are
-    read off the least word, and the markings are relabelled."""
-    graph = FatGraph(pairing=tuple(e[1] for e in word),
-                     next_at_vertex=tuple(e[0] for e in word))
-    labels = tuple(palette[e[2]][0] for e in word)  # a color is (C/G, ...)
-    return ChordDiagram(graph, labels, c.p, tuple(label[m] for m in c.markings))
+    the class code, diagram_code(c), all from one canonical search
+    (_form_and_code)."""
+    label, word = fg._search(c.graph.pairing, c.graph.next_at_vertex,
+                             _int_colors(c), c.p + 2 * c.q)
+    form, code = _form_and_code(word, label, c.p, c.q, c.markings)
+    return form, label, code
 
 
 # ---------------------------------------------------------------------------

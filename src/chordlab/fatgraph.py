@@ -232,36 +232,32 @@ def topological_type(graph: FatGraph) -> tuple[int, int]:
     return g, n
 
 
-def _canonical_search(graph, colors, step_counter=None):
-    """Weinberg's per-dart search: for every starting half-edge, relabel by
-    breadth-first traversal along next_at_vertex and pairing.  Returns the
-    first labeling (old half-edge -> new label) whose word is least, that
-    word (None for the empty graph) and the sorted palette of the colors.
+def _search(pairing, nxt, color, n_colors, step_counter=None):
+    """The canonical search, Weinberg's per-dart search over integer colors:
+    for every starting half-edge, relabel by breadth-first traversal along
+    nxt and pairing.  Returns the first labeling (old half-edge -> new
+    label) whose word is least, and that word; both are None for the empty
+    graph.  Each color is an int in range(n_colors).
 
-    Word entry i, (label[nxt[h]], label[pairing[h]], color[h]) for the
-    half-edge h labelled i, is known as soon as h is processed.  Entry 0 of
-    a start s depends on s alone (the pairing has no fixed point): (0, 1, c)
-    if nxt[s] == s, (1, 1, c) if pairing[s] == nxt[s] and (1, 2, c)
-    otherwise, c being s's color.  So a start whose entry 0 is above the
-    least one is never run.  Every other start is compared with the best
-    word entry by entry: it is dropped at its first larger entry, and after
-    its first smaller one it is the new best.  The first start that is run
-    always runs to the end, which checks connectivity."""
-    n = graph.n_half_edges
-    pairing = graph.pairing
-    nxt = graph.next_at_vertex
-    palette, color = [], (0,) * n  # color[h]: index of h's color in palette
-    if colors is not None:
-        if len(colors) != n:
-            raise ValueError("one color per half-edge expected")
-        palette = sorted(set(colors))
-        index = {c: i for i, c in enumerate(palette)}
-        color = tuple(map(index.__getitem__, colors))
-
-    # entry 0 of each start: nxt[s] is labelled first, then pairing[s]
-    first = [(0, 1, c) if x == s else (1, 1 if y == x else 2, c)
+    Word entry i, for the half-edge h labelled i, is the int
+    (label[nxt[h]] * n + label[pairing[h]]) * n_colors + color[h]; its three
+    parts are below n, n and n_colors, so ints order words as the triples
+    would.  Entry 0 of a start s depends on s alone (the pairing has no
+    fixed point): (0, 1, c) if nxt[s] == s, (1, 1, c) if pairing[s] ==
+    nxt[s] and (1, 2, c) otherwise, c being s's color.  So a start whose
+    entry 0 is above the least one is never run.  Every other start is
+    compared with the best word entry by entry: it is dropped at its first
+    larger entry, and after its first smaller one it is the new best.  The
+    first start that is run always runs to the end, which checks
+    connectivity."""
+    n = len(pairing)
+    if n == 0:
+        return None, None
+    step = n * n_colors  # the weight of label[nxt[h]]
+    first = [n_colors + c if x == s else
+             step + (n_colors if y == x else 2 * n_colors) + c
              for s, x, y, c in zip(range(n), nxt, pairing, color)]
-    least = min(first, default=None)
+    least = min(first)
 
     best = best_label = None  # best: the least word, one entry per label
     for start in [s for s in range(n) if first[s] == least]:
@@ -280,7 +276,7 @@ def _canonical_search(graph, colors, step_counter=None):
             if label[j] < 0:
                 label[j] = len(order)
                 order.append(j)
-            entry = (label[k], label[j], color[h])
+            entry = label[k] * step + label[j] * n_colors + color[h]
             if tied:
                 b = best[head]
                 if entry != b:
@@ -298,18 +294,55 @@ def _canonical_search(graph, colors, step_counter=None):
         if not tied:
             best = word
             best_label = tuple(label)
-    return best_label, best, palette
+    return best_label, best
 
 
-def _encode(word, palette) -> bytes:
-    """The code bytes of a least word (None: the empty graph); the entries'
-    colors index palette, and are left out when there are no colors."""
-    flat = None
-    if word is not None:
-        flat = tuple(chain.from_iterable(
-            word if palette else (entry[:2] for entry in word)))
-    payload = (len(word or ()), tuple(repr(c) for c in palette), flat)
-    return repr(payload).encode("ascii")
+def _flat(word, n, n_colors):
+    """A word of _search as one tuple of its entries' parts: label of
+    nxt, label of pairing and color, entry by entry (None: the empty
+    graph)."""
+    if word is None:
+        return None
+    flat = []
+    for entry in word:
+        rest, color = divmod(entry, n_colors)
+        flat += divmod(rest, n)
+        flat.append(color)
+    return tuple(flat)
+
+
+def _canonical_search(graph, colors, step_counter=None):
+    """_search for arbitrary colors (None: no colors), each ranked in their
+    sorted palette.  Returns the labeling, the least word as (label of nxt,
+    label of pairing, color rank) triples (None for the empty graph) and
+    the palette."""
+    n = graph.n_half_edges
+    palette, color = [], (0,) * n
+    if colors is not None:
+        if len(colors) != n:
+            raise ValueError("one color per half-edge expected")
+        palette = sorted(set(colors))
+        index = {c: i for i, c in enumerate(palette)}
+        color = tuple(map(index.__getitem__, colors))
+    n_colors = len(palette) or 1
+    label, word = _search(graph.pairing, graph.next_at_vertex, color,
+                          n_colors, step_counter)
+    flat = _flat(word, n, n_colors)
+    if flat is not None:
+        flat = list(zip(flat[0::3], flat[1::3], flat[2::3]))
+    return label, flat, palette
+
+
+def _encode(flat, palette) -> bytes:
+    """The code bytes of a least word, flattened (None: the empty graph);
+    its colors index palette, and are left out when there are no
+    colors."""
+    n = 0
+    if flat is not None:
+        n = len(flat) // 3
+        if not palette:
+            flat = tuple(chain.from_iterable(zip(flat[0::3], flat[1::3])))
+    return repr((n, tuple(repr(c) for c in palette), flat)).encode("ascii")
 
 
 def canonical_code(
@@ -331,7 +364,8 @@ def canonical_code(
     for complexity tests; a start passed over for its first entry labels
     none.
     """
-    return _encode(*_canonical_search(graph, colors, _step_counter)[1:])
+    _label, word, palette = _canonical_search(graph, colors, _step_counter)
+    return _encode(word and tuple(chain.from_iterable(word)), palette)
 
 
 def canonical_labeling(

@@ -16,7 +16,7 @@ import random
 from . import chord as ch
 from . import fatgraph as fg
 from .chord import CIRCULAR, GHOST, ChordDiagram
-from .errors import ChordLabError
+from .errors import ChordLabError, SearchExhausted
 from .fatgraph import FatGraph, TopType
 
 __all__ = [
@@ -25,6 +25,9 @@ __all__ = [
     "random_gluable_pair",
     "enumerate_classes",
 ]
+
+# classes a search or an enumeration of one type may hold before it gives up
+EXPLORE_CLASS_BUDGET = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -79,19 +82,22 @@ def random_diagram(
     rng: random.Random, g: int, p: int, q: int, steps: int | None = None
 ) -> ChordDiagram:
     """A random diagram of the given type: a random collapse/expansion walk
-    starting at the base-point diagram."""
+    starting at the base-point diagram.  Each step draws one of the
+    collapsible edges, in edge order, or one of the splits, in the order of
+    chord._splits, and builds only the child it draws."""
     c = ch.canonical_gamma0(g, p, q)
     if steps is None:
         steps = rng.randint(0, 4)
     for _ in range(steps):
-        options = [
-            ch.collapse_edge(c, e) for e in c.graph.edges()
-            if ch.is_collapsible(c, e)
-        ]
-        options.extend(ch.expansions(c))
-        if not options:
+        edges = [e for e in c.graph.edges() if ch.is_collapsible(c, e)]
+        splits = list(ch._splits(c))
+        if not edges and not splits:
             break
-        c = options[rng.randrange(len(options))]
+        i = rng.randrange(len(edges) + len(splits))
+        if i < len(edges):
+            c = ch.collapse_edge(c, edges[i])
+        else:
+            c = ch.apply_expansion(c, *splits[i - len(edges)])
     return c
 
 
@@ -287,6 +293,9 @@ def enumerate_classes(
     first smaller image and costs at most prod(comp) * n_int! images per
     block: at most 8 * 3! = 48 on (0;3,2)@9 and (2;1,1)@12, where
     prod(comp) <= 8 and n_int <= 3.
+
+    Raises SearchExhausted once it holds more than EXPLORE_CLASS_BUDGET
+    classes.
     """
     g, p, q = top.genus, top.p, top.q
     const = 2 * g + p + q - 2
@@ -305,4 +314,8 @@ def enumerate_classes(
                     for d in _diagram_candidates(p, q, comp, forest, n_int):
                         form, _, code = ch.canonical_form_with_map(d)
                         classes.setdefault(code, form)
+                    if len(classes) > EXPLORE_CLASS_BUDGET:
+                        raise SearchExhausted(
+                            f"{len(classes)} classes exceed the class budget "
+                            f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}")
     return classes

@@ -14,7 +14,7 @@ search against an independent exhaustive enumeration of the classes.  Its
 witness paths are checked by induction on depth: each class's recorded
 inverse move must reach its parent's class, which is as strong as replaying
 every path in full (see explore).  Its breadth-first search gives up with
-SearchExhausted past EXPLORE_CLASS_BUDGET classes.
+SearchExhausted past generate.EXPLORE_CLASS_BUDGET classes.
 
 The searches canonicalize each move once, bar a second move between the
 same two classes.  A move changes the edge count by one, so it joins two
@@ -27,21 +27,26 @@ the search, never add one: connectivity is still proven only by moves
 actually applied and canonicalized, and a class no longer reached would show
 against the enumerator as unreached.
 
-Each canonicalization costs one canonical search.  The colors the search
-needs are derived from the parent's, which are computed once per expanded
-class: a collapse drops its edge's two halves, and a split appends its two
-new halves on the cycles they join (_child_colors).  No child derives a
-cycle table.  Each search also keeps a record, freed when it ends, of the
-least words it has met, so each class is encoded and its canonical form
-built once (_canonicalize).
+Each canonicalization costs one canonical search, and no child diagram is
+built for it.  Every diagram of type (g;p,q) takes the same colors, so a
+half-edge's color is an int: its cycle's position, plus q on a ghost
+(chord._int_colors).  A child's tables and colors are derived from its
+parent's, which are computed once per expanded class, with the inverse
+rotation: a collapse joins two rotations and drops its edge's two halves,
+and a split cuts one rotation and appends its two new halves, colored by
+the cycles they join (chord._collapse, chord._split).  The search runs on
+those (fatgraph._search), and the least word names the class.  Each search
+also keeps a record, freed when it ends, of the least words it has met, so
+each class is encoded and its canonical form read off its word once
+(_canonicalize).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 from . import chord as ch
 from . import fatgraph as fg
@@ -64,9 +69,6 @@ __all__ = [
 # ids refer to the diagram the move is applied to.
 Move = tuple
 
-# classes _bfs may hold after a layer before it gives up
-EXPLORE_CLASS_BUDGET = 1 << 16
-
 # edges above the larger endpoint that path_to_canonical may search through
 _PATH_SLACK = 4
 
@@ -87,41 +89,65 @@ def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
     return code
 
 
-def _child_colors(c: ChordDiagram, colors: tuple, move: Move,
-                  child: ChordDiagram) -> tuple:
-    """chord._code_colors(child, False) for the child that move makes of c,
-    derived from c's colors: each half-edge keeps its label and its cycle's
-    position.  A collapse drops its edge's two halves; a split (x, y) adds
-    n, on the cycle of the old nxt[x], and n+1, on that of the old nxt[y]."""
-    if move[0] == "collapse":
-        a = c.graph.edge_of(move[1])
-        b = c.graph.pairing[a]
-        return colors[:a] + colors[a + 1:b] + colors[b + 1:]
-    _, x, y = move
-    nxt, label = c.graph.next_at_vertex, child.labels[-1]
-    return colors + ((label, colors[nxt[x]][1], False),
-                     (label, colors[nxt[y]][1], False))
-
-
-def _canonicalize(child: ChordDiagram, colors: tuple, record: dict):
+def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
+                  words: dict):
     """The class code, a canonical representative and the relabeling of
-    child, from one canonical search with the given colors.
+    the diagram of type (g;p,q) with these tables, markings and
+    chord._int_colors, from one canonical search.
 
-    record maps each palette seen to a map from each least word seen with
-    it, flattened, to its code and form.  So each class is encoded and its
-    form built once; a class seen before gets the recorded form, which may
-    differ from child's own in the markings only.  A word's labels and color
-    indices are below its length, so up to 256 entries it is kept as bytes.
+    words maps each least word seen to its class's code and form, so each
+    class is encoded and its form built once; a class seen before gets the
+    recorded form, which may differ from this diagram's own in the markings
+    only.  An entry of a word on n half-edges is below n * n * (p + 2q), so
+    up to 2^16 the word is kept as 2-byte array bytes.
     """
-    label, word, palette = fg._canonical_search(child.graph, colors)
-    words = record.setdefault(tuple(palette), {})
-    flat = chain.from_iterable(word)
-    flat = bytes(flat) if len(word) <= 256 else tuple(flat)
-    known = words.get(flat)
+    n_colors = p + 2 * q
+    label, word = fg._search(pairing, nxt, colors, n_colors)
+    n = len(pairing)
+    key = (array("H", word).tobytes() if n * n * n_colors <= 1 << 16
+           else tuple(word))
+    known = words.get(key)
     if known is None:
-        known = words[flat] = (fg._encode(word, palette),
-                               ch._read_form(child, label, word, palette))
+        form, code = ch._form_and_code(word, label, p, q, markings)
+        known = words[key] = (code, form)
     return known + (label,)
+
+
+def _children(c: ChordDiagram, max_edges: int | None, skip):
+    """Each move of c not in skip, with its child's pairing, rotation,
+    chord._int_colors and markings, derived from c's without building the
+    child; and the two child half-edges its inverse names: the half-edges
+    before the collapsed edge's two ends, where the collapse joined the two
+    rotations, or a split's new edge, n and n+1.  A split in skip matches in
+    either order; splits are left out at max_edges edges."""
+    q = c.q
+    pairing, nxt = c.graph.pairing, c.graph.next_at_vertex
+    labels, markings = c.labels, c.markings
+    prev = ch._prev(nxt)
+    colors = ch._int_colors(c)
+    for a in c.graph.edges():
+        move = ("collapse", a)
+        if move in skip or not ch.is_collapsible(c, a):
+            continue
+        b = pairing[a]
+        ends = tuple(h - (h > a) - (h > b) for h in (prev[a], prev[b]))
+        child_pairing, child_nxt, child_markings = ch._collapse(
+            pairing, nxt, prev, labels, markings, a, b)
+        yield (move, ends, child_pairing, child_nxt,
+               colors[:a] + colors[a + 1:b] + colors[b + 1:], child_markings)
+    if max_edges is not None and c.graph.n_edges >= max_edges:
+        return
+    n = len(pairing)
+    position = ch._cycle_position(c)
+    for x, y in ch._splits(c):
+        move = ("expand", x, y)
+        if move in skip or ("expand", y, x) in skip:
+            continue
+        # n lies on the cycle of the old nxt[x], n+1 on that of nxt[y]
+        ghost = q if ch._split_label(labels, nxt, x, y) == ch.GHOST else 0
+        yield (move, (n, n + 1), *ch._split(pairing, nxt, x, y),
+               colors + [position[nxt[x]] + ghost, position[nxt[y]] + ghost],
+               markings)
 
 
 def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
@@ -132,41 +158,26 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
     Returns a code-sorted, deduplicated list of
     (code, canonical representative, forward move on c, inverse move on the
     representative).  A skipped move is neither applied nor canonicalized.
-    Each child costs one canonical search: its colors are derived from c's
-    (_child_colors), and record, a dict a whole search may share across
-    calls (see _canonicalize), keeps one code and form per class.
+    Each child costs one canonical search: its tables and colors are derived
+    from c's (_children), and record, a dict a whole search may share
+    across calls, keeps one code and form per class of each type (see
+    _canonicalize).
     """
     if record is None:
         record = {}
-    colors = ch._code_colors(c, False)
+    p, q = c.p, c.q
+    words = record.setdefault((p, q), {})
     found: dict[bytes, tuple] = {}
-    pairing, nxt = c.graph.pairing, c.graph.next_at_vertex
-    for e in c.graph.edges():
-        move = ("collapse", e)
-        if move in skip or not ch.is_collapsible(c, e):
-            continue
-        child = ch.collapse_edge(c, e)
-        code, canon, label = _canonicalize(
-            child, _child_colors(c, colors, move, child), record)
+    for move, (u, v), pairing, nxt, colors, markings in _children(
+            c, max_edges, skip):
+        code, canon, label = _canonicalize(pairing, nxt, colors, p, q,
+                                           markings, words)
         if code not in found:
-            # the inverse is the split at the half-edges before e and before
-            # pairing(e), where the collapse joined the two rotations
-            b = pairing[e]
-            x, y = (label[h - (h > e) - (h > b)]
-                    for h in (nxt.index(e), nxt.index(b)))
-            found[code] = (code, canon, move, ("expand", x, y))
-    if max_edges is None or c.graph.n_edges < max_edges:
-        n = c.graph.n_half_edges  # the new edge's halves are n and n+1
-        for x, y in ch._splits(c):
-            move = ("expand", x, y)
-            if move in skip or ("expand", y, x) in skip:
-                continue
-            child = ch.apply_expansion(c, x, y)
-            code, canon, label = _canonicalize(
-                child, _child_colors(c, colors, move, child), record)
-            if code not in found:
-                inverse = ("collapse", min(label[n], label[n + 1]))
-                found[code] = (code, canon, move, inverse)
+            if move[0] == "collapse":
+                inverse = ("expand", label[u], label[v])
+            else:
+                inverse = ("collapse", min(label[u], label[v]))
+            found[code] = (code, canon, move, inverse)
     return [found[k] for k in sorted(found)]
 
 
@@ -235,8 +246,8 @@ def _grow(info: dict, frontier: dict, max_edges: int, record: dict,
 
 def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
     """Breadth-first search over classes; returns code -> (rep, parent, inv).
-    Raises SearchExhausted once a layer leaves more than EXPLORE_CLASS_BUDGET
-    classes."""
+    Raises SearchExhausted once a layer leaves more than
+    generate.EXPLORE_CLASS_BUDGET classes."""
     start_code = ch.diagram_code(start)
     info: dict[bytes, tuple] = {start_code: (start, None, None)}
     frontier = {start_code: set()}
@@ -247,10 +258,11 @@ def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
     try:
         while frontier:
             frontier = _grow(info, frontier, max_edges, record, pool=pool)
-            if len(info) > EXPLORE_CLASS_BUDGET:
+            budget = generate.EXPLORE_CLASS_BUDGET
+            if len(info) > budget:
                 raise SearchExhausted(
                     f"{len(info)} classes exceed the class budget "
-                    f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}",
+                    f"EXPLORE_CLASS_BUDGET = {budget}",
                     frontier_size=len(frontier))
     finally:
         if pool is not None:
@@ -267,8 +279,8 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     (move sequences back to the base point) are checked by induction: each
     class's first move must lead to its parent's class.  ``jobs``
     (at least 1) worker processes, at most one per CPU, expand each layer.
-    A search that holds more than EXPLORE_CLASS_BUDGET classes after a layer
-    raises SearchExhausted.
+    A search that holds more than generate.EXPLORE_CLASS_BUDGET classes after
+    a layer, or an enumeration that holds more, raises SearchExhausted.
     """
     if jobs < 1:
         raise ChordLabError(f"jobs must be at least 1, got {jobs}")

@@ -349,6 +349,19 @@ class TestMoves:
                         child.graph, child.labels, child.p,
                         child.boundary_order, child.markings)
                     assert checked == child and child_top == top
+            # the searches' children, built from c's tables without a
+            # diagram, against the public moves: every collapse and split
+            moved = 0
+            for move, _ends, pairing, nxt, colors, markings in moves._children(
+                    c, None, ()):
+                child = moves.apply_move(c, move)
+                labels = tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
+                assert (pairing, nxt, labels, markings) == (
+                    child.graph.pairing, child.graph.next_at_vertex,
+                    child.labels, child.markings)
+                moved += 1
+            assert moved == len(splits) + sum(
+                ch.is_collapsible(c, e) for e in c.graph.edges())
 
     def test_stale_expansions_are_refused(self):
         c = next(c for c in generate.enumerate_classes(TopType(0, 2, 2), 5).values()
@@ -449,12 +462,12 @@ class TestCanonicalForm:
 
     def test_one_search_per_form(self, monkeypatch):
         searches, validations, candidates = [], [], []
-        search, validate = fg._canonical_search, ch.validate_chord
+        search, validate = fg._search, ch.validate_chord
         make_candidates = generate._diagram_candidates
 
-        def counted_search(graph, colors, step_counter=None):
-            searches.append(graph)
-            return search(graph, colors, step_counter)
+        def counted_search(*args):
+            searches.append(args)
+            return search(*args)
 
         def counted_validate(*args, **kwargs):
             validations.append(args)
@@ -466,7 +479,7 @@ class TestCanonicalForm:
                 yield d
 
         d = generate.random_diagram(random.Random(5), 1, 1, 2, steps=4)
-        monkeypatch.setattr(fg, "_canonical_search", counted_search)
+        monkeypatch.setattr(fg, "_search", counted_search)
         monkeypatch.setattr(ch, "validate_chord", counted_validate)
         ch.canonical_form_with_map(d)
         assert (len(searches), len(validations)) == (1, 0)

@@ -53,24 +53,38 @@ class TestNeighbors:
 class TestChildColors:
     @pytest.mark.parametrize("top", [(1, 1, 2), (0, 3, 2)])
     def test_derived_colors_are_the_childs_own(self, top):
-        # every collapse and split of every class; swapping the two new
-        # halves' cycle positions is caught on some split
+        # every collapse and split of every class: the integer colors derived
+        # from the parent's are the child's own, and those are the ranks of
+        # its tuple colors in the type's palette; swapping the two new halves'
+        # colors is caught on some split
+        palette = ch._palette(top[1], top[2])
         swaps_caught = 0
         for c in generate.enumerate_classes(TopType(*top), 9).values():
-            colors = ch._code_colors(c, False)
-            children = [(("collapse", e), ch.collapse_edge(c, e))
-                        for e in c.graph.edges() if ch.is_collapsible(c, e)]
-            children += [(("expand", x, y), ch.apply_expansion(c, x, y))
-                         for x, y in ch._splits(c)]
-            for move, child in children:
-                own = ch._code_colors(child, False)
-                derived = moves._child_colors(c, colors, move, child)
+            for move, _ends, _p, _n, derived, _m in moves._children(c, None, ()):
+                child = moves.apply_move(c, move)
+                own = ch._int_colors(child)
                 assert derived == own
+                assert own == [palette.index(color)
+                               for color in ch._code_colors(child, False)]
                 if move[0] == "expand":
-                    (l1, p1, f1), (l2, p2, f2) = derived[-2:]
-                    swapped = derived[:-2] + ((l1, p2, f1), (l2, p1, f2))
+                    swapped = derived[:-2] + derived[-1:] + derived[-2:-1]
                     swaps_caught += swapped != own
         assert swaps_caught > 0
+
+    @pytest.mark.parametrize("top,bound,classes", [
+        ((0, 3, 2), 9, 698), ((2, 1, 1), 12, 412), ((1, 1, 2), 9, 90),
+        ((1, 2, 1), 9, 90), ((0, 1, 4), 9, 254)])
+    def test_colors_are_fixed_by_the_type(self, top, bound, classes):
+        # every class takes exactly the colors of the closed form: each
+        # position i < p+q circular, each outgoing position j ghost
+        _g, p, q = top
+        closed = ([("C", i, False) for i in range(p + q)]
+                  + [("G", j, False) for j in range(p, p + q)])
+        assert ch._palette(p, q) == closed
+        found = generate.enumerate_classes(TopType(*top), bound)
+        assert len(found) == classes
+        for c in found.values():
+            assert sorted(set(ch._code_colors(c, False))) == closed
 
 
 class TestRecord:
@@ -92,15 +106,16 @@ class TestRecord:
         assert sum(map(len, record.values())) == 90
 
     def test_words_past_256_entries(self):
-        # 2g = 66 chords give 266 half-edges, too many labels for bytes
-        d = ch.canonical_gamma0(33, 1, 1)
-        assert d.graph.n_half_edges > 256
-        record = {}
-        code, form, label = moves._canonicalize(
-            d, ch._code_colors(d, False), record)
-        assert (form, label, code) == ch.canonical_form_with_map(d)
-        (words,) = record.values()
-        assert [type(w) for w in words] == [tuple]
+        # 2g = 66 chords give 266 half-edges, too many for 2-byte entries;
+        # 2g = 12 give 56, which fit
+        for genus, key_type in ((33, tuple), (6, bytes)):
+            d = ch.canonical_gamma0(genus, 1, 1)
+            words = {}
+            code, form, label = moves._canonicalize(
+                d.graph.pairing, d.graph.next_at_vertex, ch._int_colors(d),
+                d.p, d.q, d.markings, words)
+            assert (form, label, code) == ch.canonical_form_with_map(d)
+            assert [type(w) for w in words] == [key_type]
 
 
 def _split_free(move):
@@ -146,14 +161,14 @@ class TestSkippedMoves:
         # both of its ends, so searches ~ moves; with it, about half that
         bound = 9
         start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
-        original = fg._canonical_search
+        original = fg._search
         searches = []
 
         def counted(*args):
             searches.append(None)
             return original(*args)
 
-        monkeypatch.setattr(fg, "_canonical_search", counted)
+        monkeypatch.setattr(fg, "_search", counted)
         info = moves._bfs(start, bound)
         monkeypatch.undo()
         total = 1
@@ -162,7 +177,8 @@ class TestSkippedMoves:
             if rep.graph.n_edges < bound:
                 total += len(list(ch._splits(rep)))
         assert len(info) == 698
-        assert len(searches) <= 0.55 * total
+        # every class but the start is reached by a search of its own
+        assert len(info) - 1 <= len(searches) <= 0.55 * total
 
 
 class TestExplore:
@@ -261,13 +277,22 @@ class TestExplore:
     def test_class_budget(self, monkeypatch):
         # (1;1,2)@9 has 90 classes: one over the budget is refused
         top = TopType(1, 1, 2)
-        monkeypatch.setattr(moves, "EXPLORE_CLASS_BUDGET", 89)
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 89)
         with pytest.raises(SearchExhausted,
                            match="EXPLORE_CLASS_BUDGET = 89") as refused:
             moves.explore(top, 9)
         assert refused.value.frontier_size >= 1
-        monkeypatch.setattr(moves, "EXPLORE_CLASS_BUDGET", 90)
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 90)
         assert moves.explore(top, 9).class_count == 90
+
+    def test_enumeration_class_budget(self, monkeypatch):
+        # the enumerator gives up on its own: (0;3,2)@9 has 698 classes
+        top = TopType(0, 3, 2)
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 697)
+        with pytest.raises(SearchExhausted, match="EXPLORE_CLASS_BUDGET = 697"):
+            generate.enumerate_classes(top, 9)
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 698)
+        assert len(generate.enumerate_classes(top, 9)) == 698
 
 
 class TestPathToCanonical:
