@@ -343,6 +343,23 @@ def is_collapsible(c: ChordDiagram, e: int) -> bool:
     return vertex_of[e] != vertex_of[c.graph.pairing[e]] and not _essential(c, e)
 
 
+def _collapsible_edges(c: ChordDiagram):
+    """Every edge a < b = pairing[a] of c that collapse_edge accepts, in
+    edge order, read off c's vertex, ghost-component and circular-vertex
+    tables in one pass by the rule of is_collapsible: an edge is kept
+    unless it is a loop, a circular edge within one ghost component, or a
+    ghost edge between two circular vertices."""
+    vertex_of = c.graph.vertex_of()
+    component, circular, labels = c._component_of, c._circular_vertex, c.labels
+    for a, b in enumerate(c.graph.pairing):
+        if a < b:
+            va, vb = vertex_of[a], vertex_of[b]
+            if va != vb and not (component[va] == component[vb]
+                                 if labels[a] == CIRCULAR
+                                 else circular[va] and circular[vb]):
+                yield a, b
+
+
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     """Contract a single non-essential, non-loop edge.
 
@@ -511,26 +528,42 @@ def _palette(p: int, q: int) -> list[tuple]:
             + [(GHOST, j, False) for j in range(p, p + q)])
 
 
-def _int_colors(c: ChordDiagram) -> list[int]:
+def _palette_text(p: int, q: int) -> str:
+    """The palette part of every class code of type (g;p,q), as
+    fatgraph._encode writes it; each search formats it once."""
+    return repr(tuple(repr(c) for c in _palette(p, q)))
+
+
+def _int_colors(c: ChordDiagram, position=None) -> list[int]:
     """Each half-edge's rank in _palette(c.p, c.q), the index of its
-    unmarked color: its cycle's position, plus q on a ghost half-edge."""
+    unmarked color: its cycle's position, plus q on a ghost half-edge.
+    position, if given, is _cycle_position(c)."""
     q = c.q
+    if position is None:
+        position = _cycle_position(c)
     return [i + q if label == GHOST else i
-            for label, i in zip(c.labels, _cycle_position(c))]
+            for label, i in zip(c.labels, position)]
 
 
-def _form_and_code(word, label, p: int, q: int, markings):
-    """The canonical form and the class code of a diagram of type (g;p,q)
-    with the given markings, from its search over _int_colors.  Entry l of
-    the word is (next_at_vertex, pairing, color) at label l, so the tables
-    are read off the flattened word, each ghost color being at least p+q;
-    the markings are relabelled.  A relabeling keeps every invariant, so the
-    form is not validated again."""
-    flat = fg._flat(word, len(word), p + 2 * q)
-    labels = tuple(GHOST if k >= p + q else CIRCULAR for k in flat[2::3])
-    form = ChordDiagram(FatGraph(flat[1::3], flat[0::3]), labels, p,
+def _form(columns, label, p: int, q: int, markings) -> ChordDiagram:
+    """The canonical form of a diagram of type (g;p,q) with the given
+    markings, from the fatgraph._columns of its least word over _int_colors
+    and its labeling.  Entry l of the word is (next_at_vertex, pairing,
+    color) at label l, so the tables are read off the columns, each ghost
+    color being at least p+q; the markings are relabelled.  A relabeling
+    keeps every invariant, so the form is not validated again."""
+    nxt, pairing, colors = columns
+    labels = tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
+    return ChordDiagram(FatGraph(tuple(pairing), tuple(nxt)), labels, p,
                         tuple(label[m] for m in markings))
-    return form, fg._encode(flat, _palette(p, q))
+
+
+def _form_and_code(word, label, p: int, q: int, markings, palette_text):
+    """_form and the class code of a diagram of type (g;p,q), from its
+    search over _int_colors; palette_text is _palette_text(p, q)."""
+    columns = fg._columns(word, p + 2 * q)
+    return (_form(columns, label, p, q, markings),
+            fg._write_code(columns, palette_text))
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -539,11 +572,16 @@ def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
     Decorations used as colors: the C/G label of each half-edge and the
     position of its boundary cycle in the boundary order (which encodes the
     incoming designation).  Markings are excluded by default, matching the
-    reduction of connectivity questions to the unmarked space.
+    reduction of connectivity questions to the unmarked space; the unmarked
+    code is written off the least word, and no canonical form is built.
     """
     if with_markings:
         return fg.canonical_code(c.graph, _code_colors(c, True))
-    return canonical_form_with_map(c)[2]
+    n_colors = c.p + 2 * c.q
+    _label, word = fg._search(c.graph.pairing, c.graph.next_at_vertex,
+                              _int_colors(c), n_colors)
+    return fg._write_code(fg._columns(word, n_colors),
+                          _palette_text(c.p, c.q))
 
 
 def canonical_form(c: ChordDiagram) -> ChordDiagram:
@@ -564,7 +602,8 @@ def canonical_form_with_map(
     (_form_and_code)."""
     label, word = fg._search(c.graph.pairing, c.graph.next_at_vertex,
                              _int_colors(c), c.p + 2 * c.q)
-    form, code = _form_and_code(word, label, c.p, c.q, c.markings)
+    form, code = _form_and_code(word, label, c.p, c.q, c.markings,
+                                _palette_text(c.p, c.q))
     return form, label, code
 
 

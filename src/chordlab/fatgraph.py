@@ -297,18 +297,14 @@ def _search(pairing, nxt, color, n_colors, step_counter=None):
     return best_label, best
 
 
-def _flat(word, n, n_colors):
-    """A word of _search as one tuple of its entries' parts: label of
-    nxt, label of pairing and color, entry by entry (None: the empty
-    graph)."""
-    if word is None:
-        return None
-    flat = []
-    for entry in word:
-        rest, color = divmod(entry, n_colors)
-        flat += divmod(rest, n)
-        flat.append(color)
-    return tuple(flat)
+def _columns(word, n_colors):
+    """The three parts of every entry of a nonempty word of _search, as
+    three lists indexed by label: the label of nxt, the label of pairing
+    and the color."""
+    n = len(word)
+    step = n * n_colors
+    return ([e // step for e in word], [e // n_colors % n for e in word],
+            [e % n_colors for e in word])
 
 
 def _canonical_search(graph, colors, step_counter=None):
@@ -327,10 +323,9 @@ def _canonical_search(graph, colors, step_counter=None):
     n_colors = len(palette) or 1
     label, word = _search(graph.pairing, graph.next_at_vertex, color,
                           n_colors, step_counter)
-    flat = _flat(word, n, n_colors)
-    if flat is not None:
-        flat = list(zip(flat[0::3], flat[1::3], flat[2::3]))
-    return label, flat, palette
+    if word is not None:
+        word = list(zip(*_columns(word, n_colors)))
+    return label, word, palette
 
 
 def _encode(flat, palette) -> bytes:
@@ -343,6 +338,17 @@ def _encode(flat, palette) -> bytes:
         if not palette:
             flat = tuple(chain.from_iterable(zip(flat[0::3], flat[1::3])))
     return repr((n, tuple(repr(c) for c in palette), flat)).encode("ascii")
+
+
+def _write_code(columns, palette_text) -> bytes:
+    """_encode(flat, palette) of the least word whose _columns are given,
+    its palette part already written (palette_text, the repr of the tuple
+    of the palette's reprs), so a caller that writes many codes over one
+    palette formats it once."""
+    n = len(columns[0])
+    flat = [0] * (3 * n)
+    flat[0::3], flat[1::3], flat[2::3] = columns
+    return f"({n}, {palette_text}, {tuple(flat)!r})".encode("ascii")
 
 
 def canonical_code(

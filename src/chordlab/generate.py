@@ -1,8 +1,11 @@
 """Generators: random fat graphs, random chord diagrams, gluable pairs,
 and exhaustive enumeration of all chord-diagram classes of a type.
 
-The exhaustive enumerator builds each candidate directly, unvalidated, from
-a circle composition, a labeled ghost forest and a rotation choice.  It
+The exhaustive enumerator derives each candidate's tables directly,
+unvalidated, from a circle composition, a labeled ghost forest and a
+rotation choice.  A candidate is raw tables (pairing, rotation, integer
+colors and markings), not a diagram: it costs one canonical search and one
+code, and only a class not seen before gets its canonical form built.  It
 visits one (composition, forest) block per orbit of the relabelings that keep
 a block's diagrams up to isomorphism.  It uses no moves, so it is an
 independent check on move-graph searches.
@@ -15,9 +18,9 @@ import random
 
 from . import chord as ch
 from . import fatgraph as fg
-from .chord import CIRCULAR, GHOST, ChordDiagram
+from .chord import ChordDiagram
 from .errors import ChordLabError, SearchExhausted
-from .fatgraph import FatGraph, TopType
+from .fatgraph import TopType
 
 __all__ = [
     "random_fatgraph",
@@ -219,35 +222,43 @@ def _least_in_orbit(forest, symmetries) -> bool:
 
 
 def _diagram_candidates(p, q, comp, forest, n_int):
-    """Every diagram of one circle composition + ghost forest: one per
-    rotation choice with p + q boundary cycles and order of its outgoing
-    cycles, each marked at its cycles' first circular half-edges.
+    """Every diagram of one circle composition + ghost forest, as raw
+    tables (pairing, rotation, colors, markings): one per rotation choice
+    with p + q boundary cycles and order of its outgoing cycles, each marked
+    at its cycles' first circular half-edges.  The colors are
+    chord._int_colors of the diagram: each half-edge's boundary cycle is
+    traced once per rotation choice, from the cycle's least half-edge, and
+    its position in the boundary order, plus q on a ghost, is its color.
 
-    Each is a diagram by construction, so none is validated.  A circle
-    vertex reads (back, fwd, stubs...), so each circle is its own incoming
-    boundary cycle.  Stub degrees give valence >= 3 and the ghost edges form
-    a forest.  E - V = 2g+p+q-2, so p + q cycles fix the genus.  Connectivity
-    does not depend on the rotations: it is checked at the first choice.
+    Each is a diagram by construction, so none is validated, and none is
+    built.  A circle vertex reads (back, fwd, stubs...), so each circle is
+    its own incoming boundary cycle.  Stub degrees give valence >= 3 and
+    the ghost edges form a forest.  E - V = 2g+p+q-2, so p + q cycles fix
+    the genus.  Connectivity does not depend on the rotations: it is checked
+    at the first choice.
     """
     # circle vertex v holds forward half 2v and backward half 2v+1, and edge
     # j of a circle runs from its vertex j to j+1 (mod k); ghost halves follow
     n_circ = sum(comp)
     base = 2 * n_circ
-    pairing = [0] * (base + 2 * len(forest))
-    labels = (CIRCULAR,) * base + (GHOST,) * (2 * len(forest))
-    circle_reps, at = (), 0  # each circle's least half leads its cycle
+    n = base + 2 * len(forest)
+    pairing = [0] * n
+    circle_at = {}  # each circle's least half leads its cycle: its position
+    at = 0
     for k in comp:
         for j in range(k):
             f, b = 2 * (at + j), 2 * (at + (j + 1) % k) + 1
             pairing[f], pairing[b] = b, f
-        circle_reps += (2 * at,)
+        circle_at[2 * at] = len(circle_at)
         at += k
+    circle_reps = tuple(circle_at)
     stubs: list[list[int]] = [[] for _ in range(n_circ + n_int)]
     for x, (a, b) in enumerate(forest, n_circ):
         pairing[2 * x], pairing[2 * x + 1] = 2 * x + 1, 2 * x
         stubs[a].append(2 * x)
         stubs[b].append(2 * x + 1)
     pairing = tuple(pairing)
+    ghost = [0] * base + [q] * (n - base)  # the color a ghost half adds
 
     rotations = [
         [(2 * v + 1, 2 * v) + s for s in itertools.permutations(stubs[v])]
@@ -255,22 +266,36 @@ def _diagram_candidates(p, q, comp, forest, n_int):
         [(stubs[v][0],) + s for s in itertools.permutations(stubs[v][1:])]
         for v in range(len(stubs))
     ]
-    nxt = [0] * len(pairing)
+    nxt = [0] * n
     for i, choice in enumerate(itertools.product(*rotations)):
         for rot in choice:
             for a, b in zip(rot, rot[1:] + rot[:1]):
                 nxt[a] = b
         if i == 0 and not fg._is_connected(pairing, nxt):
             return
-        graph = FatGraph(pairing, tuple(nxt))
-        cycles = fg.boundary_cycles(graph)
-        if len(cycles) != p + q:
+        # cycle k in order of least half-edge, and its first circular half
+        cycle, marks = [-1] * n, []
+        for s in range(n):
+            if cycle[s] < 0:
+                h, mark = s, -1
+                while cycle[h] < 0:
+                    cycle[h] = len(marks)
+                    if mark < 0 and h < base:
+                        mark = h
+                    h = nxt[pairing[h]]
+                marks.append(mark)
+        if len(marks) != p + q:
             continue
         # a circle's least half is circular, so it marks its own cycle
-        out = [next(h for h in cyc if labels[h] == CIRCULAR)
-               for cyc in cycles if cyc[0] not in circle_reps]
+        position = [circle_at.get(m, 0) for m in marks]
+        out = [k for k, m in enumerate(marks) if m not in circle_at]
+        rotation = tuple(nxt)
         for perm in itertools.permutations(out):
-            yield ChordDiagram(graph, labels, p, circle_reps + perm)
+            for at, k in enumerate(perm, p):
+                position[k] = at
+            yield (pairing, rotation,
+                   [position[k] + add for k, add in zip(cycle, ghost)],
+                   circle_reps + tuple(marks[k] for k in perm))
 
 
 def enumerate_classes(
@@ -299,6 +324,7 @@ def enumerate_classes(
     """
     g, p, q = top.genus, top.p, top.q
     const = 2 * g + p + q - 2
+    n_colors, palette_text = p + 2 * q, ch._palette_text(p, q)
     classes: dict[bytes, ChordDiagram] = {}
     for n_circ in range(max(p, const + 1), edge_bound - const + 1):
         for n_int in range(0, edge_bound - const - n_circ + 1):
@@ -311,9 +337,15 @@ def enumerate_classes(
                 for forest in forests:
                     if not _least_in_orbit(forest, symmetries):
                         continue
-                    for d in _diagram_candidates(p, q, comp, forest, n_int):
-                        form, _, code = ch.canonical_form_with_map(d)
-                        classes.setdefault(code, form)
+                    for pairing, nxt, colors, markings in _diagram_candidates(
+                            p, q, comp, forest, n_int):
+                        label, word = fg._search(pairing, nxt, colors,
+                                                 n_colors)
+                        columns = fg._columns(word, n_colors)
+                        code = fg._write_code(columns, palette_text)
+                        if code not in classes:
+                            classes[code] = ch._form(columns, label, p, q,
+                                                     markings)
                     if len(classes) > EXPLORE_CLASS_BUDGET:
                         raise SearchExhausted(
                             f"{len(classes)} classes exceed the class budget "

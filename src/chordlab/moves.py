@@ -31,14 +31,18 @@ Each canonicalization costs one canonical search, and no child diagram is
 built for it.  Every diagram of type (g;p,q) takes the same colors, so a
 half-edge's color is an int: its cycle's position, plus q on a ghost
 (chord._int_colors).  A child's tables and colors are derived from its
-parent's, which are computed once per expanded class, with the inverse
-rotation: a collapse joins two rotations and drops its edge's two halves,
-and a split cuts one rotation and appends its two new halves, colored by
-the cycles they join (chord._collapse, chord._split).  The search runs on
-those (fatgraph._search), and the least word names the class.  Each search
-also keeps a record, freed when it ends, of the least words it has met, so
-each class is encoded and its canonical form read off its word once
-(_canonicalize).
+parent's (_children) with the inverse rotation: a collapse joins two
+rotations and drops its edge's two halves, and a split cuts one rotation
+and appends its two new halves, colored by the cycles they join
+(chord._collapse, chord._split).  Per expanded class, _children makes one
+pass over the class's tables: the collapsible edges are read off its
+vertex, ghost-component and circular-vertex tables in one loop, and its
+cycle positions are traced once, for its own colors and its splits' new
+halves.  The search runs on the child's tables (fatgraph._search), and the
+least word names the class.  Each search also keeps a record, freed when it
+ends, of the palette part of each type's codes, formatted once, and of the
+least words it has met, so each class's code is written and its canonical
+form read off its word once (_canonicalize).
 """
 
 from __future__ import annotations
@@ -90,10 +94,11 @@ def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
 
 
 def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
-                  words: dict):
+                  words: dict, palette_text: str):
     """The class code, a canonical representative and the relabeling of
     the diagram of type (g;p,q) with these tables, markings and
-    chord._int_colors, from one canonical search.
+    chord._int_colors, from one canonical search; palette_text is
+    chord._palette_text(p, q).
 
     words maps each least word seen to its class's code and form, so each
     class is encoded and its form built once; a class seen before gets the
@@ -108,7 +113,8 @@ def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
            else tuple(word))
     known = words.get(key)
     if known is None:
-        form, code = ch._form_and_code(word, label, p, q, markings)
+        form, code = ch._form_and_code(word, label, p, q, markings,
+                                       palette_text)
         known = words[key] = (code, form)
     return known + (label,)
 
@@ -119,17 +125,21 @@ def _children(c: ChordDiagram, max_edges: int | None, skip):
     child; and the two child half-edges its inverse names: the half-edges
     before the collapsed edge's two ends, where the collapse joined the two
     rotations, or a split's new edge, n and n+1.  A split in skip matches in
-    either order; splits are left out at max_edges edges."""
+    either order; splits are left out at max_edges edges.
+
+    The collapsible edges are read off c's tables in one pass
+    (chord._collapsible_edges), and each half-edge's cycle position is
+    traced once, for c's colors and the new halves' alike."""
     q = c.q
     pairing, nxt = c.graph.pairing, c.graph.next_at_vertex
     labels, markings = c.labels, c.markings
     prev = ch._prev(nxt)
-    colors = ch._int_colors(c)
-    for a in c.graph.edges():
+    position = ch._cycle_position(c)
+    colors = ch._int_colors(c, position)
+    for a, b in ch._collapsible_edges(c):
         move = ("collapse", a)
-        if move in skip or not ch.is_collapsible(c, a):
+        if move in skip:
             continue
-        b = pairing[a]
         ends = tuple(h - (h > a) - (h > b) for h in (prev[a], prev[b]))
         child_pairing, child_nxt, child_markings = ch._collapse(
             pairing, nxt, prev, labels, markings, a, b)
@@ -138,7 +148,6 @@ def _children(c: ChordDiagram, max_edges: int | None, skip):
     if max_edges is not None and c.graph.n_edges >= max_edges:
         return
     n = len(pairing)
-    position = ch._cycle_position(c)
     for x, y in ch._splits(c):
         move = ("expand", x, y)
         if move in skip or ("expand", y, x) in skip:
@@ -160,18 +169,21 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
     representative).  A skipped move is neither applied nor canonicalized.
     Each child costs one canonical search: its tables and colors are derived
     from c's (_children), and record, a dict a whole search may share
-    across calls, keeps one code and form per class of each type (see
-    _canonicalize).
+    across calls, keeps per type the palette part of its codes and one
+    code and form per class (see _canonicalize).
     """
     if record is None:
         record = {}
     p, q = c.p, c.q
-    words = record.setdefault((p, q), {})
+    kept = record.get((p, q))
+    if kept is None:
+        kept = record[p, q] = (ch._palette_text(p, q), {})
+    palette_text, words = kept
     found: dict[bytes, tuple] = {}
     for move, (u, v), pairing, nxt, colors, markings in _children(
             c, max_edges, skip):
         code, canon, label = _canonicalize(pairing, nxt, colors, p, q,
-                                           markings, words)
+                                           markings, words, palette_text)
         if code not in found:
             if move[0] == "collapse":
                 inverse = ("expand", label[u], label[v])

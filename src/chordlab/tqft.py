@@ -417,6 +417,11 @@ def _delta_power(A, q):
 # grow with g)
 MU_CELL_BUDGET = 1 << 18
 
+# the largest genus mu accepts over Q, where its entries grow with g: on a
+# dense rank-8 algebra by about 11 bits per handle, so that mu_{0,1}(1000)
+# took 4.4 s (2-core box, Python 3.11) and mu_{0,1}(64) 0.1 s
+MU_GENUS_BUDGET_Q = 64
+
 
 def mu(A: FrobeniusAlgebra, p: int, q: int, g: int) -> OperationMatrix:
     """The operation of the connected genus-g cobordism from p to q circles.
@@ -424,8 +429,8 @@ def mu(A: FrobeniusAlgebra, p: int, q: int, g: int) -> OperationMatrix:
     Computed as Delta^(q-1) o H^g o m^(p-1) with handle operator H = m o
     Delta.  q = 0 is rejected: a positive-boundary theory has no counit, so
     operations exist only for surfaces with at least one outgoing boundary.
-    A call with (g+1)*d^(p+q) over MU_CELL_BUDGET is refused before any
-    matrix is built.
+    A call with (g+1)*d^(p+q) over MU_CELL_BUDGET, or over Q with g over
+    MU_GENUS_BUDGET_Q, is refused before any matrix is built.
     """
     if q < 1:
         raise NoOutgoing(
@@ -441,6 +446,10 @@ def mu(A: FrobeniusAlgebra, p: int, q: int, g: int) -> OperationMatrix:
             f"mu_{{{p},{q}}}({g}): (g+1)*d^(p+q) = {g + 1}*{A.dim}^{p + q} is "
             f"over the matrix budget MU_CELL_BUDGET = {MU_CELL_BUDGET}")
     F = A.field_
+    if g > MU_GENUS_BUDGET_Q and isinstance(F, Rationals):
+        raise ChordLabError(
+            f"mu_{{{p},{q}}}({g}): genus {g} over Q is over the genus budget "
+            f"MU_GENUS_BUDGET_Q = {MU_GENUS_BUDGET_Q}")
     H = _matmul(F, A.m_matrix(), A.delta_matrix())
     M = _m_power(A, p)
     for _ in range(g):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from chordlab import chord as ch
 from chordlab import fatgraph as fg
 from chordlab import formats, generate, moves
-from chordlab.chord import CIRCULAR, GHOST
+from chordlab.chord import CIRCULAR, GHOST, ChordDiagram
 from chordlab.errors import (
     ChordLabError,
     Disconnected,
@@ -22,7 +22,7 @@ from chordlab.errors import (
     LoopEdge,
     UnrepresentableType,
 )
-from chordlab.fatgraph import TopType
+from chordlab.fatgraph import FatGraph, TopType
 
 
 def single_chord_diagram():
@@ -460,6 +460,43 @@ class TestCanonicalForm:
             assert form._circular_vertex == checked._circular_vertex
             assert formats.parse(formats.serialize(form)) == form
 
+    @pytest.mark.parametrize("g,p,q", CONNECT_TYPES)
+    def test_code_writer_matches_encode(self, g, p, q):
+        # the code written off the search's columns with the type's palette
+        # text, against _encode of the word flattened entry by entry
+        n_colors = p + 2 * q
+        bound = 3 * (2 * g + p + q - 2)
+        classes = generate.enumerate_classes(TopType(g, p, q), bound)
+        for code, c in classes.items():
+            n = c.graph.n_half_edges
+            _label, word = fg._search(c.graph.pairing, c.graph.next_at_vertex,
+                                      ch._int_colors(c), n_colors)
+            flat = []
+            for entry in word:
+                rest, color = divmod(entry, n_colors)
+                flat += [*divmod(rest, n), color]
+            written = fg._write_code(fg._columns(word, n_colors),
+                                     ch._palette_text(p, q))
+            assert written == fg._encode(tuple(flat), ch._palette(p, q)) == code
+
+    def test_unmarked_code_builds_no_form(self, monkeypatch):
+        # diagram_code writes the code of canonical_form_with_map without a
+        # form, on canonical and on relabeled diagrams
+        forms, make_form = [], ch._form
+
+        def counted(*args):
+            forms.append(args)
+            return make_form(*args)
+
+        rng = random.Random(11)
+        diagrams = [generate.random_diagram(rng, *SMALL_TYPES[i % len(SMALL_TYPES)])
+                    for i in range(30)]
+        diagrams += list(generate.enumerate_classes(TopType(0, 3, 2), 9).values())
+        expected = [ch.canonical_form_with_map(d)[2] for d in diagrams]
+        monkeypatch.setattr(ch, "_form", counted)
+        assert [ch.diagram_code(d) for d in diagrams] == expected
+        assert forms == []
+
     def test_one_search_per_form(self, monkeypatch):
         searches, validations, candidates = [], [], []
         search, validate = fg._search, ch.validate_chord
@@ -556,10 +593,18 @@ def _validated_candidates(g, p, q, comp, forest, n_int):
     return out, connected
 
 
+def _raw_labels(colors, p, q):
+    """The C/G labels that a raw candidate's integer colors imply: a ghost
+    color is at least p+q."""
+    return tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
+
+
 @pytest.mark.parametrize("g,p,q", [(0, 3, 2), (0, 2, 3), (0, 4, 1), (1, 1, 2)])
 def test_enumerator_candidates_match_validated_build(monkeypatch, g, p, q):
-    # the enumerator builds its candidates without validation; check every
-    # (composition, forest) block it visits against the long way, in order
+    # the enumerator yields its candidates as raw tables, unvalidated; check
+    # every (composition, forest) block it visits against the long way, in
+    # order: the tables, the labels the colors imply, the markings and the
+    # integer colors the diagram gives itself
     blocks, make = [], generate._diagram_candidates
 
     def recorded(*args):
@@ -571,7 +616,12 @@ def test_enumerator_candidates_match_validated_build(monkeypatch, g, p, q):
     disconnected = 0
     for args in blocks:
         expected, connected = _validated_candidates(g, *args)
-        assert list(make(*args)) == expected
+        raw = list(make(*args))
+        assert len(raw) == len(expected)
+        for (pairing, nxt, colors, markings), d in zip(raw, expected):
+            assert (pairing, nxt, _raw_labels(colors, p, q), markings) == (
+                d.graph.pairing, d.graph.next_at_vertex, d.labels, d.markings)
+            assert colors == ch._int_colors(d)
         # connectivity does not depend on the rotations
         assert len(connected) == 1
         disconnected += connected == {False}
@@ -639,9 +689,13 @@ def _orbit(comp, forest, n_int):
 ])
 def test_one_block_per_symmetry_orbit(monkeypatch, g, p, q, bound):
     # reference: the unreduced enumerator, every block through
-    # _diagram_candidates, gives the same class codes
-    codes = {ch.diagram_code(d) for comp, forest, n_int in _every_block(g, p, q, bound)
-             for d in generate._diagram_candidates(p, q, comp, forest, n_int)}
+    # _diagram_candidates, each candidate built as a diagram, gives the same
+    # class codes
+    codes = {ch.diagram_code(ChordDiagram(FatGraph(pairing, nxt),
+                                          _raw_labels(colors, p, q), p, markings))
+             for comp, forest, n_int in _every_block(g, p, q, bound)
+             for pairing, nxt, colors, markings in generate._diagram_candidates(
+                 p, q, comp, forest, n_int)}
     visited, make = [], generate._diagram_candidates
 
     def recorded(p_, q_, comp, forest, n_int):

@@ -3,8 +3,9 @@ that every refactor must reproduce byte for byte.  The digests were recorded
 from the release before the structural tables moved onto FatGraph and
 ChordDiagram (those of (0;3,2)@9 and (2;1,1)@12 from the release before the
 canonical search dropped losing starts early, those of the paths from the
-release before children's colors were derived from their parent's); a
-change that alters any of them changes what chordlab reports."""
+release before children's colors were derived from their parent's, those of
+the enumerated classes from the release before the enumerator yielded raw
+tables); a change that alters any of them changes what chordlab reports."""
 
 import hashlib
 import random
@@ -14,6 +15,7 @@ import pytest
 from chordlab import chord as ch
 from chordlab import formats, generate, moves
 from chordlab.cli import main
+from chordlab.fatgraph import TopType
 
 
 def _sha(text: str) -> str:
@@ -75,4 +77,20 @@ def test_paths_of_random_walks(top, digest):
             generate.random_diagram(random.Random(seed), *top, steps=6))) + "\n"
         for seed in range(10)
     )
+    assert _sha(text) == digest
+
+
+@pytest.mark.parametrize("top,bound,digest", [
+    ((0, 3, 2), 9,
+     "9c966663ca03f70b9e2d6a286e204767849788508af546fd327d851b5716e3ed"),
+    ((2, 1, 1), 12,
+     "a51d5cf04de2facb5645a08372050c29bc54f1f9c89c3f5d78f1d788a7198db4"),
+])
+def test_enumerated_classes(top, bound, digest):
+    # every class code and its stored form, in the enumerator's insertion
+    # order, one line per class: which candidate reaches a class first, and
+    # so the markings of its form, is pinned too
+    classes = generate.enumerate_classes(TopType(*top), bound)
+    text = "".join(code.decode("ascii") + "|" + formats.serialize_chord(form)
+                   + "\n" for code, form in classes.items())
     assert _sha(text) == digest

@@ -71,6 +71,21 @@ class TestChildColors:
                     swaps_caught += swapped != own
         assert swaps_caught > 0
 
+    @pytest.mark.parametrize("top,bound", [
+        ((1, 1, 2), 9), ((0, 3, 2), 9), ((2, 1, 1), 12)])
+    def test_collapses_are_the_collapsible_edges(self, top, bound):
+        # _children takes its collapses from one pass over the class's
+        # tables (chord._collapsible_edges); every edge it collapses, and
+        # only those, passes the public test
+        kinds = set()
+        for c in generate.enumerate_classes(TopType(*top), bound).values():
+            collapsed = [move[1] for move, *_ in moves._children(c, bound, ())
+                         if move[0] == "collapse"]
+            assert collapsed == [e for e in c.graph.edges()
+                                 if ch.is_collapsible(c, e)]
+            kinds.update(c.labels[e] for e in collapsed)
+        assert kinds == {ch.CIRCULAR, ch.GHOST}
+
     @pytest.mark.parametrize("top,bound,classes", [
         ((0, 3, 2), 9, 698), ((2, 1, 1), 12, 412), ((1, 1, 2), 9, 90),
         ((1, 2, 1), 9, 90), ((0, 1, 4), 9, 254)])
@@ -103,7 +118,10 @@ class TestRecord:
                 assert rep.boundary_order == own.boundary_order
                 assert ch.diagram_code(rep) == code
                 assert ch.canonical_form(rep).graph == rep.graph
-        assert sum(map(len, record.values())) == 90
+        # one palette text and one word table per type
+        assert [text for text, _words in record.values()] == [
+            ch._palette_text(1, 2)]
+        assert sum(len(words) for _text, words in record.values()) == 90
 
     def test_words_past_256_entries(self):
         # 2g = 66 chords give 266 half-edges, too many for 2-byte entries;
@@ -113,7 +131,7 @@ class TestRecord:
             words = {}
             code, form, label = moves._canonicalize(
                 d.graph.pairing, d.graph.next_at_vertex, ch._int_colors(d),
-                d.p, d.q, d.markings, words)
+                d.p, d.q, d.markings, words, ch._palette_text(d.p, d.q))
             assert (form, label, code) == ch.canonical_form_with_map(d)
             assert [type(w) for w in words] == [key_type]
 

@@ -101,6 +101,31 @@ class TestMu:
             with pytest.raises(ChordLabError, match="MU_CELL_BUDGET = 16"):
                 tqft.mu(A, p, q, g)
 
+    def test_genus_budget_over_q(self, monkeypatch):
+        # just above the cap over Q: refused before any matrix is built; the
+        # same genus over F_p, and the cap itself over Q, still run
+        products, matmul = [], tqft._matmul
+
+        def counted(*args):
+            products.append(args)
+            return matmul(*args)
+
+        monkeypatch.setattr(tqft, "_matmul", counted)
+        cap = tqft.MU_GENUS_BUDGET_Q
+        with pytest.raises(ChordLabError, match=f"MU_GENUS_BUDGET_Q = {cap}"):
+            tqft.mu(tqft.pd2(), 1, 1, cap + 1)
+        assert products == []
+        assert len(tqft.mu(tqft.pd2(tqft.PrimeField(3)), 1, 1, cap + 1).rows()) == 2
+        assert len(tqft.mu(tqft.pd2(), 1, 1, cap).rows()) == 2
+        # at a small cap, verify_gluing's glued genus g1+g2+q-1 is capped too
+        monkeypatch.setattr(tqft, "MU_GENUS_BUDGET_Q", 2)
+        assert tqft.verify_gluing(tqft.pd2(), 1, 2, 1, 1, 0)[0]
+        for call in (lambda: tqft.mu(tqft.pd2(), 2, 1, 3),
+                     lambda: tqft.verify_gluing(tqft.pd2(), 1, 2, 1, 1, 1)):
+            with pytest.raises(ChordLabError, match="MU_GENUS_BUDGET_Q = 2"):
+                call()
+        assert tqft.verify_gluing(tqft.st2(tqft.PrimeField(5)), 1, 2, 1, 1, 1)[0]
+
     def test_handle_operator_is_central(self):
         # H commutes with multiplication by every basis element
         for maker in (tqft.pd2, tqft.st2):
