@@ -21,8 +21,9 @@ arcs, its label being read off the vertex.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import fatgraph as fg
 from .errors import (
@@ -95,9 +96,6 @@ class ChordDiagram:
     def incoming_circles(self) -> list[tuple[int, ...]]:
         cycle_of = self.graph.cycle_of()
         return [cycle_of[m] for m in self.markings[: self.p]]
-
-    def is_circular(self, h: int) -> bool:
-        return self.labels[h] == CIRCULAR
 
     def circular_edges(self) -> list[int]:
         return [e for e in self.graph.edges() if self.labels[e] == CIRCULAR]
@@ -307,7 +305,7 @@ def chi_defect(c: ChordDiagram) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_edge(graph: FatGraph, e: int) -> None:
-    if e not in range(graph.n_half_edges):
+    if not (isinstance(e, int) and e in range(graph.n_half_edges)):
         raise ChordLabError(f"edge {e} is not a half-edge of the diagram")
 
 
@@ -471,8 +469,9 @@ def apply_expansion(c: ChordDiagram, x: int, y: int) -> ChordDiagram:
     n = graph.n_half_edges
     nxt = graph.next_at_vertex
     vertex_of = graph.vertex_of()
-    if not (x in range(n) and y in range(n) and x != y and nxt[x] != y
-            and nxt[y] != x and vertex_of[x] == vertex_of[y]):
+    if not (isinstance(x, int) and isinstance(y, int) and x in range(n)
+            and y in range(n) and x != y and nxt[x] != y and nxt[y] != x
+            and vertex_of[x] == vertex_of[y]):
         raise ChordLabError(f"({x}, {y}) does not split a vertex")
     label = _split_label(c.labels, nxt, x, y)
     return ChordDiagram(FatGraph(*_split(graph.pairing, nxt, x, y)),
@@ -528,9 +527,11 @@ def _palette(p: int, q: int) -> list[tuple]:
             + [(GHOST, j, False) for j in range(p, p + q)])
 
 
+@cache
 def _palette_text(p: int, q: int) -> str:
     """The palette part of every class code of type (g;p,q), as
-    fatgraph._encode writes it; each search formats it once."""
+    fatgraph.canonical_code writes it, formatted once per type; the cache
+    maps two ints to an immutable str, so it shares nothing mutable."""
     return repr(tuple(repr(c) for c in _palette(p, q)))
 
 
@@ -558,12 +559,29 @@ def _form(columns, label, p: int, q: int, markings) -> ChordDiagram:
                         tuple(label[m] for m in markings))
 
 
-def _form_and_code(word, label, p: int, q: int, markings, palette_text):
-    """_form and the class code of a diagram of type (g;p,q), from its
-    search over _int_colors; palette_text is _palette_text(p, q)."""
-    columns = fg._columns(word, p + 2 * q)
-    return (_form(columns, label, p, q, markings),
-            fg._write_code(columns, palette_text))
+def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
+                  words: dict):
+    """The class code, a canonical representative and the relabeling of
+    the diagram of type (g;p,q) with these tables, markings and
+    _int_colors, from one canonical search.
+
+    words maps each least word seen to its class's code and form, so each
+    class is encoded and its form built once; a class seen before gets the
+    recorded form, which may differ from this diagram's own in the markings
+    only.  An entry of a word on n half-edges is below n * n * (p + 2q), so
+    up to 2^16 the word is kept as 2-byte array bytes.
+    """
+    n_colors = p + 2 * q
+    label, word = fg._search(pairing, nxt, colors, n_colors)
+    n = len(pairing)
+    key = (array("H", word).tobytes() if n * n * n_colors <= 1 << 16
+           else tuple(word))
+    known = words.get(key)
+    if known is None:
+        columns = fg._columns(word, n_colors)
+        known = words[key] = (fg._write_code(columns, _palette_text(p, q)),
+                              _form(columns, label, p, q, markings))
+    return known + (label,)
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -599,11 +617,10 @@ def canonical_form_with_map(
 ) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
     """canonical_form plus the relabeling (old half-edge -> new label) and
     the class code, diagram_code(c), all from one canonical search
-    (_form_and_code)."""
-    label, word = fg._search(c.graph.pairing, c.graph.next_at_vertex,
-                             _int_colors(c), c.p + 2 * c.q)
-    form, code = _form_and_code(word, label, c.p, c.q, c.markings,
-                                _palette_text(c.p, c.q))
+    (_canonicalize)."""
+    code, form, label = _canonicalize(
+        c.graph.pairing, c.graph.next_at_vertex, _int_colors(c), c.p, c.q,
+        c.markings, {})
     return form, label, code
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -328,27 +327,16 @@ def _canonical_search(graph, colors, step_counter=None):
     return label, word, palette
 
 
-def _encode(flat, palette) -> bytes:
-    """The code bytes of a least word, flattened (None: the empty graph);
-    its colors index palette, and are left out when there are no
-    colors."""
-    n = 0
-    if flat is not None:
-        n = len(flat) // 3
-        if not palette:
-            flat = tuple(chain.from_iterable(zip(flat[0::3], flat[1::3])))
-    return repr((n, tuple(repr(c) for c in palette), flat)).encode("ascii")
-
-
-def _write_code(columns, palette_text) -> bytes:
-    """_encode(flat, palette) of the least word whose _columns are given,
-    its palette part already written (palette_text, the repr of the tuple
-    of the palette's reprs), so a caller that writes many codes over one
-    palette formats it once."""
-    n = len(columns[0])
-    flat = [0] * (3 * n)
-    flat[0::3], flat[1::3], flat[2::3] = columns
-    return f"({n}, {palette_text}, {tuple(flat)!r})".encode("ascii")
+def _write_code(columns, palette_repr) -> bytes:
+    """The code bytes of a nonempty least word, from its _columns: its
+    length, palette_repr (the repr of the tuple of its palette's reprs) and
+    its entries flattened.  Without colors the color column is left out,
+    so columns are two."""
+    k, n = len(columns), len(columns[0])
+    flat = [0] * (k * n)
+    for i, column in enumerate(columns):
+        flat[i::k] = column
+    return f"({n}, {palette_repr}, {tuple(flat)!r})".encode("ascii")
 
 
 def canonical_code(
@@ -364,14 +352,18 @@ def canonical_code(
     half-edge whose first word entry, read off the half-edge alone, is
     least, and drops a start at its first entry above the least word so
     far.  The same search yields canonical_labeling, and
-    chord.canonical_form_with_map reads the canonical form off its word.
+    chord._canonicalize reads a diagram's canonical form off its word.
     The graph must be connected.  ``_step_counter`` accumulates the
     half-edges labelled, including the partial traversals of dropped starts,
     for complexity tests; a start passed over for its first entry labels
     none.
     """
     _label, word, palette = _canonical_search(graph, colors, _step_counter)
-    return _encode(word and tuple(chain.from_iterable(word)), palette)
+    if word is None:
+        return b"(0, (), None)"
+    columns = tuple(zip(*word))
+    return _write_code(columns if palette else columns[:2],
+                       repr(tuple(repr(c) for c in palette)))
 
 
 def canonical_labeling(

@@ -4,11 +4,11 @@ and exhaustive enumeration of all chord-diagram classes of a type.
 The exhaustive enumerator derives each candidate's tables directly,
 unvalidated, from a circle composition, a labeled ghost forest and a
 rotation choice.  A candidate is raw tables (pairing, rotation, integer
-colors and markings), not a diagram: it costs one canonical search and one
-code, and only a class not seen before gets its canonical form built.  It
-visits one (composition, forest) block per orbit of the relabelings that keep
-a block's diagrams up to isomorphism.  It uses no moves, so it is an
-independent check on move-graph searches.
+colors and markings), not a diagram: it costs one canonical search, and
+only a class not seen before gets its code written and its canonical form
+built (chord._canonicalize).  It visits one (composition, forest) block per
+orbit of the relabelings that keep a block's diagrams up to isomorphism.
+It uses no moves, so it is an independent check on move-graph searches.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from . import chord as ch
 from . import fatgraph as fg
 from .chord import ChordDiagram
-from .errors import ChordLabError, SearchExhausted
+from .errors import ChordLabError, SearchExhausted, UnrepresentableType
 from .fatgraph import TopType
 
 __all__ = [
@@ -319,13 +319,14 @@ def enumerate_classes(
     block: at most 8 * 3! = 48 on (0;3,2)@9 and (2;1,1)@12, where
     prod(comp) <= 8 and n_int <= 3.
 
-    Raises SearchExhausted once it holds more than EXPLORE_CLASS_BUDGET
-    classes.
+    Raises UnrepresentableType unless p and q are at least 1, and
+    SearchExhausted once it holds more than EXPLORE_CLASS_BUDGET classes.
     """
     g, p, q = top.genus, top.p, top.q
+    if p < 1 or q < 1:
+        raise UnrepresentableType(f"{top} is not a chord-diagram type")
     const = 2 * g + p + q - 2
-    n_colors, palette_text = p + 2 * q, ch._palette_text(p, q)
-    classes: dict[bytes, ChordDiagram] = {}
+    words: dict = {}
     for n_circ in range(max(p, const + 1), edge_bound - const + 1):
         for n_int in range(0, edge_bound - const - n_circ + 1):
             n_ghost = n_int + const
@@ -339,15 +340,10 @@ def enumerate_classes(
                         continue
                     for pairing, nxt, colors, markings in _diagram_candidates(
                             p, q, comp, forest, n_int):
-                        label, word = fg._search(pairing, nxt, colors,
-                                                 n_colors)
-                        columns = fg._columns(word, n_colors)
-                        code = fg._write_code(columns, palette_text)
-                        if code not in classes:
-                            classes[code] = ch._form(columns, label, p, q,
-                                                     markings)
-                    if len(classes) > EXPLORE_CLASS_BUDGET:
+                        ch._canonicalize(pairing, nxt, colors, p, q,
+                                         markings, words)
+                    if len(words) > EXPLORE_CLASS_BUDGET:
                         raise SearchExhausted(
-                            f"{len(classes)} classes exceed the class budget "
+                            f"{len(words)} classes exceed the class budget "
                             f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}")
-    return classes
+    return dict(words.values())

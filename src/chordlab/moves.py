@@ -38,22 +38,20 @@ and appends its two new halves, colored by the cycles they join
 pass over the class's tables: the collapsible edges are read off its
 vertex, ghost-component and circular-vertex tables in one loop, and its
 cycle positions are traced once, for its own colors and its splits' new
-halves.  The search runs on the child's tables (fatgraph._search), and the
-least word names the class.  Each search also keeps a record, freed when it
-ends, of the palette part of each type's codes, formatted once, and of the
-least words it has met, so each class's code is written and its canonical
-form read off its word once (_canonicalize).
+halves.  The search runs on the child's tables, and the least word names
+the class (chord._canonicalize, the one routine from raw tables to code,
+form and labeling, which the enumerator and canonical_form_with_map share).
+Each search also keeps a record, freed when it ends, of the least words it
+has met, so each class's code is written and its canonical form read off
+its word once.  The search is serial: one process expands each layer
+class by class, in code order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-from array import array
 from dataclasses import dataclass
 
 from . import chord as ch
-from . import fatgraph as fg
 from . import generate
 from .chord import ChordDiagram
 from .errors import BoundTooSmall, ChordLabError, SearchExhausted
@@ -78,10 +76,11 @@ _PATH_SLACK = 4
 
 
 def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
-    if len(move) == 2 and move[0] == "collapse":
-        return ch.collapse_edge(c, move[1])
-    if len(move) == 3 and move[0] == "expand":
-        return ch.apply_expansion(c, move[1], move[2])
+    if isinstance(move, (tuple, list)):
+        if len(move) == 2 and move[0] == "collapse":
+            return ch.collapse_edge(c, move[1])
+        if len(move) == 3 and move[0] == "expand":
+            return ch.apply_expansion(c, move[1], move[2])
     raise ChordLabError(f"unknown move {move!r}")
 
 
@@ -91,32 +90,6 @@ def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
     for move in path:
         d, _, code = ch.canonical_form_with_map(apply_move(d, move))
     return code
-
-
-def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
-                  words: dict, palette_text: str):
-    """The class code, a canonical representative and the relabeling of
-    the diagram of type (g;p,q) with these tables, markings and
-    chord._int_colors, from one canonical search; palette_text is
-    chord._palette_text(p, q).
-
-    words maps each least word seen to its class's code and form, so each
-    class is encoded and its form built once; a class seen before gets the
-    recorded form, which may differ from this diagram's own in the markings
-    only.  An entry of a word on n half-edges is below n * n * (p + 2q), so
-    up to 2^16 the word is kept as 2-byte array bytes.
-    """
-    n_colors = p + 2 * q
-    label, word = fg._search(pairing, nxt, colors, n_colors)
-    n = len(pairing)
-    key = (array("H", word).tobytes() if n * n * n_colors <= 1 << 16
-           else tuple(word))
-    known = words.get(key)
-    if known is None:
-        form, code = ch._form_and_code(word, label, p, q, markings,
-                                       palette_text)
-        known = words[key] = (code, form)
-    return known + (label,)
 
 
 def _children(c: ChordDiagram, max_edges: int | None, skip):
@@ -169,21 +142,18 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
     representative).  A skipped move is neither applied nor canonicalized.
     Each child costs one canonical search: its tables and colors are derived
     from c's (_children), and record, a dict a whole search may share
-    across calls, keeps per type the palette part of its codes and one
-    code and form per class (see _canonicalize).
+    across calls, keeps per type one code and form per class (see
+    chord._canonicalize); the words of two types may coincide.
     """
     if record is None:
         record = {}
     p, q = c.p, c.q
-    kept = record.get((p, q))
-    if kept is None:
-        kept = record[p, q] = (ch._palette_text(p, q), {})
-    palette_text, words = kept
+    words = record.setdefault((p, q), {})
     found: dict[bytes, tuple] = {}
     for move, (u, v), pairing, nxt, colors, markings in _children(
             c, max_edges, skip):
-        code, canon, label = _canonicalize(pairing, nxt, colors, p, q,
-                                           markings, words, palette_text)
+        code, canon, label = ch._canonicalize(pairing, nxt, colors, p, q,
+                                              markings, words)
         if code not in found:
             if move[0] == "collapse":
                 inverse = ("expand", label[u], label[v])
@@ -223,30 +193,21 @@ class MoveGraphReport:
         }
 
 
-def _expand_one(args):
-    rep, max_edges, skip = args
-    return neighbors_with_moves(rep, max_edges, skip)
-
-
 def _grow(info: dict, frontier: dict, max_edges: int, record: dict,
-          forward=False, pool=None):
-    """Expand one search layer: record each unseen neighbour of the frontier
-    in info as (rep, parent code, move), the move being the forward one or,
-    by default, the inverse.
+          forward=False):
+    """Expand one search layer, class by class in code order: record each
+    unseen neighbour of the frontier in info as (rep, parent code, move),
+    the move being the forward one or, by default, the inverse.
 
     The frontier maps each code to the moves its class skips.  Returns the
     new frontier, sorted by code; each new class skips the inverse of every
     move of this layer that reached it (see the module docstring).  record
-    is the search's own map of least words (see _canonicalize); a pool's
-    workers keep one per call instead.
+    is the search's own map of least words (see chord._canonicalize),
+    shared by every layer.
     """
-    reps = [(info[code][0], max_edges, skip) for code, skip in frontier.items()]
-    if pool is None:
-        results = (neighbors_with_moves(*args, record) for args in reps)
-    else:
-        results = pool.map(_expand_one, reps, chunksize=4)
     new: dict[bytes, set] = {}
-    for parent, neigh in zip(frontier, results):
+    for parent, skip in frontier.items():
+        neigh = neighbors_with_moves(info[parent][0], max_edges, skip, record)
         for code, rep, fwd, inv in neigh:
             if code not in info:
                 info[code] = (rep, parent, fwd if forward else inv)
@@ -256,7 +217,7 @@ def _grow(info: dict, frontier: dict, max_edges: int, record: dict,
     return {code: new[code] for code in sorted(new)}
 
 
-def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
+def _bfs(start: ChordDiagram, max_edges: int):
     """Breadth-first search over classes; returns code -> (rep, parent, inv).
     Raises SearchExhausted once a layer leaves more than
     generate.EXPLORE_CLASS_BUDGET classes."""
@@ -264,21 +225,14 @@ def _bfs(start: ChordDiagram, max_edges: int, jobs: int = 1):
     info: dict[bytes, tuple] = {start_code: (start, None, None)}
     frontier = {start_code: set()}
     record: dict = {}
-    pool = None
-    if jobs > 1:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-    try:
-        while frontier:
-            frontier = _grow(info, frontier, max_edges, record, pool=pool)
-            budget = generate.EXPLORE_CLASS_BUDGET
-            if len(info) > budget:
-                raise SearchExhausted(
-                    f"{len(info)} classes exceed the class budget "
-                    f"EXPLORE_CLASS_BUDGET = {budget}",
-                    frontier_size=len(frontier))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    budget = generate.EXPLORE_CLASS_BUDGET
+    while frontier:
+        frontier = _grow(info, frontier, max_edges, record)
+        if len(info) > budget:
+            raise SearchExhausted(
+                f"{len(info)} classes exceed the class budget "
+                f"EXPLORE_CLASS_BUDGET = {budget}",
+                frontier_size=len(frontier))
     return info
 
 
@@ -289,21 +243,20 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     search, independently enumerates every class of the type within the
     bound, and reports the classes the search did not reach.  Witness paths
     (move sequences back to the base point) are checked by induction: each
-    class's first move must lead to its parent's class.  ``jobs``
-    (at least 1) worker processes, at most one per CPU, expand each layer.
-    A search that holds more than generate.EXPLORE_CLASS_BUDGET classes after
-    a layer, or an enumeration that holds more, raises SearchExhausted.
+    class's first move must lead to its parent's class.  ``jobs`` must be
+    at least 1; every value runs the same serial search.  A search that
+    holds more than generate.EXPLORE_CLASS_BUDGET classes after a layer,
+    or an enumeration that holds more, raises SearchExhausted.
     """
     if jobs < 1:
         raise ChordLabError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
     g0 = ch.canonical_form(ch.canonical_gamma0(top.genus, top.p, top.q))
     if edge_bound < g0.graph.n_edges:
         raise BoundTooSmall(
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
 
-    info = _bfs(g0, edge_bound, jobs=jobs)
+    info = _bfs(g0, edge_bound)
     universe = generate.enumerate_classes(top, edge_bound)
     stray = set(info) - set(universe)
     if stray:

@@ -398,6 +398,24 @@ class TestMoves:
             moves.apply_move(c, move)
         assert repr(move) in str(info.value)
 
+    @pytest.mark.parametrize("call,args", [
+        (ch.collapse_edge, (1.0,)),
+        (ch.is_collapsible, (2.0,)),
+        (ch.is_essential, ("0",)),
+        (ch.apply_expansion, (0.0, 3)),
+        (moves.apply_move, (("collapse", 1.0),)),
+        (moves.apply_move, (5,)),
+        (moves.apply_move, (None,)),
+        (moves.apply_move, ("collapse",)),
+    ], ids=["collapse_edge-float", "is_collapsible-float", "is_essential-str",
+            "apply_expansion-float", "apply_move-float", "apply_move-int",
+            "apply_move-None", "apply_move-str"])
+    def test_ids_and_moves_of_other_types_are_refused(self, call, args):
+        # ids are ints and moves are tuples or lists: anything else is
+        # refused with a ChordLabError rather than a TypeError
+        with pytest.raises(ChordLabError):
+            call(ch.canonical_form(ch.canonical_gamma0(1, 1, 2)), *args)
+
     def test_ghost_forest_after_moves(self):
         rng = random.Random(6)
         for _ in range(20):
@@ -463,9 +481,12 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("g,p,q", CONNECT_TYPES)
     def test_code_writer_matches_encode(self, g, p, q):
         # the code written off the search's columns with the type's palette
-        # text, against _encode of the word flattened entry by entry
+        # text, against the repr of (length, palette reprs, flattened word),
+        # the word split entry by entry; and the colorless code of the graph
+        # alone, whose color column is left out
         n_colors = p + 2 * q
         bound = 3 * (2 * g + p + q - 2)
+        palette = tuple(repr(color) for color in ch._palette(p, q))
         classes = generate.enumerate_classes(TopType(g, p, q), bound)
         for code, c in classes.items():
             n = c.graph.n_half_edges
@@ -477,7 +498,11 @@ class TestCanonicalForm:
                 flat += [*divmod(rest, n), color]
             written = fg._write_code(fg._columns(word, n_colors),
                                      ch._palette_text(p, q))
-            assert written == fg._encode(tuple(flat), ch._palette(p, q)) == code
+            expected = repr((n, palette, tuple(flat))).encode("ascii")
+            assert written == expected == code
+            plain = tuple(x for i, x in enumerate(flat) if i % 3 != 2)
+            assert fg._write_code(fg._columns(word, n_colors)[:2], "()") == (
+                repr((n, (), plain)).encode("ascii"))
 
     def test_unmarked_code_builds_no_form(self, monkeypatch):
         # diagram_code writes the code of canonical_form_with_map without a

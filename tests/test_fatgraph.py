@@ -168,6 +168,17 @@ class TestCanonicalCode:
         colored = fg.canonical_code(G, colors=[0, 1, 0, 1, 0, 1])
         assert plain != colored
 
+    def test_code_bytes_pinned(self):
+        # the literal codes: length, palette reprs and the flattened least
+        # word, whose color column is left out without colors
+        G = theta_graph()
+        assert fg.canonical_code(fg.FatGraph((), ())) == b"(0, (), None)"
+        assert fg.canonical_code(G) == (
+            b"(6, (), (1, 2, 3, 4, 5, 0, 0, 5, 2, 1, 4, 3))")
+        assert fg.canonical_code(G, colors=[0, 1, 0, 1, 0, 1]) == (
+            b"(6, ('0', '1'), "
+            b"(1, 2, 0, 3, 4, 0, 5, 0, 1, 0, 5, 1, 2, 1, 1, 4, 3, 0))")
+
     def test_canonical_labeling_normalizes(self):
         rng = random.Random(17)
         for _ in range(10):

@@ -118,10 +118,9 @@ class TestRecord:
                 assert rep.boundary_order == own.boundary_order
                 assert ch.diagram_code(rep) == code
                 assert ch.canonical_form(rep).graph == rep.graph
-        # one palette text and one word table per type
-        assert [text for text, _words in record.values()] == [
-            ch._palette_text(1, 2)]
-        assert sum(len(words) for _text, words in record.values()) == 90
+        # one word table per type, one word per class
+        assert list(record) == [(1, 2)]
+        assert len(record[1, 2]) == 90
 
     def test_words_past_256_entries(self):
         # 2g = 66 chords give 266 half-edges, too many for 2-byte entries;
@@ -129,9 +128,9 @@ class TestRecord:
         for genus, key_type in ((33, tuple), (6, bytes)):
             d = ch.canonical_gamma0(genus, 1, 1)
             words = {}
-            code, form, label = moves._canonicalize(
+            code, form, label = ch._canonicalize(
                 d.graph.pairing, d.graph.next_at_vertex, ch._int_colors(d),
-                d.p, d.q, d.markings, words, ch._palette_text(d.p, d.q))
+                d.p, d.q, d.markings, words)
             assert (form, label, code) == ch.canonical_form_with_map(d)
             assert [type(w) for w in words] == [key_type]
 
@@ -254,26 +253,10 @@ class TestExplore:
         assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
             r2.to_json_dict(), sort_keys=True)
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(moves.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(
-            moves.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        top = TopType(0, 2, 2)
-        report = moves.explore(top, 8, jobs=4)
-        assert started == [2]
-        assert report.to_json_dict() == moves.explore(top, 8).to_json_dict()
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused(self, jobs):
+        with pytest.raises(ChordLabError, match="jobs must be at least 1"):
+            moves.explore(TopType(0, 2, 2), 8, jobs=jobs)
 
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
@@ -291,6 +274,14 @@ class TestExplore:
     def test_unrepresentable_type(self):
         with pytest.raises(UnrepresentableType):
             moves.explore(TopType(0, 1, 1), 10)
+
+    @pytest.mark.parametrize("top", [(1, 0, 1), (1, 1, 0), (0, 0, 0)])
+    def test_enumeration_refuses_empty_sides(self, top):
+        # no chord diagram has no incoming or no outgoing boundary: the
+        # enumerator names the type rather than recursing or returning {}
+        with pytest.raises(UnrepresentableType,
+                           match=rf"\({top[0]};{top[1]},{top[2]}\)"):
+            generate.enumerate_classes(TopType(*top), 6)
 
     def test_class_budget(self, monkeypatch):
         # (1;1,2)@9 has 90 classes: one over the budget is refused
