@@ -565,10 +565,10 @@ def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
     the diagram of type (g;p,q) with these tables, markings and
     _int_colors, from one canonical search.
 
-    words maps each least word seen to its class's code and form, so each
-    class is encoded and its form built once; a class seen before gets the
-    recorded form, which may differ from this diagram's own in the markings
-    only.  An entry of a word on n half-edges is below n * n * (p + 2q), so
+    words maps each least word seen to its class's code, and nothing else,
+    so each class is encoded once.  The form is built and returned only
+    the first time a word is met; a class seen before gets None for its
+    form.  An entry of a word on n half-edges is below n * n * (p + 2q), so
     up to 2^16 the word is kept as 2-byte array bytes.
     """
     n_colors = p + 2 * q
@@ -576,12 +576,12 @@ def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
     n = len(pairing)
     key = (array("H", word).tobytes() if n * n * n_colors <= 1 << 16
            else tuple(word))
-    known = words.get(key)
-    if known is None:
-        columns = fg._columns(word, n_colors)
-        known = words[key] = (fg._write_code(columns, _palette_text(p, q)),
-                              _form(columns, label, p, q, markings))
-    return known + (label,)
+    code = words.get(key)
+    if code is not None:
+        return code, None, label
+    columns = fg._columns(word, n_colors)
+    code = words[key] = fg._write_code(columns, _palette_text(p, q))
+    return code, _form(columns, label, p, q, markings), label
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -617,7 +617,7 @@ def canonical_form_with_map(
 ) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
     """canonical_form plus the relabeling (old half-edge -> new label) and
     the class code, diagram_code(c), all from one canonical search
-    (_canonicalize)."""
+    (_canonicalize, with a fresh record, so the form is always built)."""
     code, form, label = _canonicalize(
         c.graph.pairing, c.graph.next_at_vertex, _int_colors(c), c.p, c.q,
         c.markings, {})

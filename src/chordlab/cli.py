@@ -253,7 +253,10 @@ def _cmd_connect(args) -> int:
     if args.report:
         _write(args.report, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        # streamed: one witness length per class, so the text of a large
+        # type would otherwise be held whole, and twice while it is joined
+        json.dump(payload, sys.stdout, sort_keys=True)
+        print()
     else:
         print(
             f"type {top}: {report.class_count} classes, "

@@ -6,7 +6,9 @@ unvalidated, from a circle composition, a labeled ghost forest and a
 rotation choice.  A candidate is raw tables (pairing, rotation, integer
 colors and markings), not a diagram: it costs one canonical search, and
 only a class not seen before gets its code written and its canonical form
-built (chord._canonicalize).  It visits one (composition, forest) block per
+built (chord._canonicalize).  The enumeration is a generator (_classes) that
+holds codes, not diagrams: it yields each class's form once, so a caller
+keeps only the forms it needs.  It visits one (composition, forest) block per
 orbit of the relabelings that keep a block's diagrams up to isomorphism.
 It uses no moves, so it is an independent check on move-graph searches.
 """
@@ -298,11 +300,19 @@ def _diagram_candidates(p, q, comp, forest, n_int):
                    circle_reps + tuple(marks[k] for k in perm))
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse a value that is not an int, bool included, with a
+    ChordLabError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ChordLabError(f"{name} must be an int, got {value!r}")
+
+
 def enumerate_classes(
     top: TopType, edge_bound: int
 ) -> dict[bytes, ChordDiagram]:
     """All isomorphism classes of chord diagrams of the given type with at
-    most edge_bound edges, keyed by unmarked diagram code.
+    most edge_bound edges: a dict from unmarked diagram code to the class's
+    canonical form, in the order _classes meets the classes.
 
     For a type (g;p,q), every diagram satisfies E = V + (2g+p+q-2) where V is
     the total vertex count, and the ghost forest has exactly
@@ -319,9 +329,19 @@ def enumerate_classes(
     block: at most 8 * 3! = 48 on (0;3,2)@9 and (2;1,1)@12, where
     prod(comp) <= 8 and n_int <= 3.
 
-    Raises UnrepresentableType unless p and q are at least 1, and
-    SearchExhausted once it holds more than EXPLORE_CLASS_BUDGET classes.
+    Raises ChordLabError unless edge_bound is an int, UnrepresentableType
+    unless p and q are at least 1, and SearchExhausted once it has met more
+    than EXPLORE_CLASS_BUDGET classes.
     """
+    return dict(_classes(top, edge_bound))
+
+
+def _classes(top: TopType, edge_bound: int):
+    """Yield (code, canonical form) for each class of enumerate_classes, in
+    its order, the moment its first candidate is met.  The generator keeps
+    only a record of least words and their codes (chord._canonicalize), so
+    a caller that drops a form holds no diagram for its class."""
+    _require_int("edge_bound", edge_bound)
     g, p, q = top.genus, top.p, top.q
     if p < 1 or q < 1:
         raise UnrepresentableType(f"{top} is not a chord-diagram type")
@@ -340,10 +360,11 @@ def enumerate_classes(
                         continue
                     for pairing, nxt, colors, markings in _diagram_candidates(
                             p, q, comp, forest, n_int):
-                        ch._canonicalize(pairing, nxt, colors, p, q,
-                                         markings, words)
+                        code, form, _label = ch._canonicalize(
+                            pairing, nxt, colors, p, q, markings, words)
+                        if form is not None:
+                            yield code, form
                     if len(words) > EXPLORE_CLASS_BUDGET:
                         raise SearchExhausted(
                             f"{len(words)} classes exceed the class budget "
                             f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}")
-    return dict(words.values())

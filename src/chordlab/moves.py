@@ -1,12 +1,15 @@
 """The collapse/expansion move graph on isomorphism classes of chord diagrams.
 
-Classes are keyed by the unmarked diagram code and represented by their
-canonically relabeled diagram, so every move in a recorded path refers to
-half-edge ids of the canonical representative at that step; replaying a path
-means alternating apply_move and canonical_form.  A move names only what is
-free: a collapse its edge, an expansion the two half-edges that end its arcs.
-The inverse of a collapse is the split at the half-edges before the edge's
-two ends; the inverse of an expansion collapses its new edge.
+A class is its unmarked diagram code.  A search records each class it
+reaches as its code, its parent's code and one move, and holds a diagram
+for it only while it is on the frontier: its canonically relabeled
+representative, the first form the search met, which its moves are made
+from.  So every move in a recorded path refers to half-edge ids of the
+canonical representative at that step; replaying a path means alternating
+apply_move and canonical_form.  A move names only what is free: a collapse
+its edge, an expansion the two half-edges that end its arcs.  The inverse of
+a collapse is the split at the half-edges before the edge's two ends; the
+inverse of an expansion collapses its new edge.
 
 explore() verifies, at desk scale, that all classes of a type within an edge
 bound form a single move-connected component, cross-checking the breadth-first
@@ -41,10 +44,11 @@ cycle positions are traced once, for its own colors and its splits' new
 halves.  The search runs on the child's tables, and the least word names
 the class (chord._canonicalize, the one routine from raw tables to code,
 form and labeling, which the enumerator and canonical_form_with_map share).
-Each search also keeps a record, freed when it ends, of the least words it
-has met, so each class's code is written and its canonical form read off
-its word once.  The search is serial: one process expands each layer
-class by class, in code order.
+Each search also keeps a record, freed when it ends, that maps each least
+word it has met to its class's code, so each class's code is written, and
+its canonical form read off its word, once: the first time it is met.  The
+search is serial: one process expands each layer class by class, in code
+order.
 """
 
 from __future__ import annotations
@@ -141,9 +145,12 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
     (code, canonical representative, forward move on c, inverse move on the
     representative).  A skipped move is neither applied nor canonicalized.
     Each child costs one canonical search: its tables and colors are derived
-    from c's (_children), and record, a dict a whole search may share
-    across calls, keeps per type one code and form per class (see
-    chord._canonicalize); the words of two types may coincide.
+    from c's (_children).  record, a dict a whole search may share across
+    calls, maps per type each least word met to its class's code (see
+    chord._canonicalize); the words of two types may coincide.  The
+    representative is None exactly when the record already held the
+    class's word before this call: such a class is not built again.  Without
+    a record, every representative is built.
     """
     if record is None:
         record = {}
@@ -196,34 +203,40 @@ class MoveGraphReport:
 def _grow(info: dict, frontier: dict, max_edges: int, record: dict,
           forward=False):
     """Expand one search layer, class by class in code order: record each
-    unseen neighbour of the frontier in info as (rep, parent code, move),
-    the move being the forward one or, by default, the inverse.
+    unseen neighbour of the frontier in info as (parent code, move), the
+    move being the forward one or, by default, the inverse.
 
-    The frontier maps each code to the moves its class skips.  Returns the
-    new frontier, sorted by code; each new class skips the inverse of every
-    move of this layer that reached it (see the module docstring).  record
-    is the search's own map of least words (see chord._canonicalize),
-    shared by every layer.
+    The frontier maps each code to its class's representative and the moves
+    it skips.  Returns the new frontier, sorted by code, with the
+    representative each new class was first met with; each new class skips
+    the inverse of every move of this layer that reached it (see the module
+    docstring).  record is the search's own map of least words (see
+    chord._canonicalize), shared by every layer, so only a class already in
+    info comes back without a representative.
     """
-    new: dict[bytes, set] = {}
-    for parent, skip in frontier.items():
-        neigh = neighbors_with_moves(info[parent][0], max_edges, skip, record)
-        for code, rep, fwd, inv in neigh:
+    new: dict[bytes, tuple] = {}
+    for parent, (rep, skip) in frontier.items():
+        for code, child, fwd, inv in neighbors_with_moves(
+                rep, max_edges, skip, record):
             if code not in info:
-                info[code] = (rep, parent, fwd if forward else inv)
-                new[code] = set()
+                info[code] = (parent, fwd if forward else inv)
+                new[code] = (child, set())
             if code in new:
-                new[code].add(inv)
+                new[code][1].add(inv)
     return {code: new[code] for code in sorted(new)}
 
 
-def _bfs(start: ChordDiagram, max_edges: int):
-    """Breadth-first search over classes; returns code -> (rep, parent, inv).
-    Raises SearchExhausted once a layer leaves more than
+def _bfs(start: ChordDiagram, max_edges: int, check=None):
+    """Breadth-first search over classes from the canonical diagram start;
+    returns info, code -> (parent code, inverse move), with (None, None) for
+    the start.  Only the frontier (_grow) holds representatives, and a
+    layer's are dropped once it is expanded; check, if given, is called as
+    check(info, layer) on each new layer while they are held.  Raises
+    SearchExhausted once a layer leaves more than
     generate.EXPLORE_CLASS_BUDGET classes."""
     start_code = ch.diagram_code(start)
-    info: dict[bytes, tuple] = {start_code: (start, None, None)}
-    frontier = {start_code: set()}
+    info: dict[bytes, tuple] = {start_code: (None, None)}
+    frontier = {start_code: (start, set())}
     record: dict = {}
     budget = generate.EXPLORE_CLASS_BUDGET
     while frontier:
@@ -233,6 +246,8 @@ def _bfs(start: ChordDiagram, max_edges: int):
                 f"{len(info)} classes exceed the class budget "
                 f"EXPLORE_CLASS_BUDGET = {budget}",
                 frontier_size=len(frontier))
+        if check is not None:
+            check(info, frontier)
     return info
 
 
@@ -243,27 +258,59 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     search, independently enumerates every class of the type within the
     bound, and reports the classes the search did not reach.  Witness paths
     (move sequences back to the base point) are checked by induction: each
-    class's first move must lead to its parent's class.  ``jobs`` must be
-    at least 1; every value runs the same serial search.  A search that
-    holds more than generate.EXPLORE_CLASS_BUDGET classes after a layer,
-    or an enumeration that holds more, raises SearchExhausted.
+    class's first move must lead to its parent's class, checked on each
+    layer of the search while its representatives are held.  The enumerator
+    yields its classes one at a time (generate._classes), and explore keeps
+    a form only for a class the search did not reach.  ``jobs`` must be an
+    int of at least 1; every value runs the same serial search.  A search
+    that holds more than generate.EXPLORE_CLASS_BUDGET classes after a
+    layer, or an enumeration that meets more, raises SearchExhausted.
     """
+    generate._require_int("jobs", jobs)
     if jobs < 1:
         raise ChordLabError(f"jobs must be at least 1, got {jobs}")
+    generate._require_int("edge_bound", edge_bound)
     g0 = ch.canonical_form(ch.canonical_gamma0(top.genus, top.p, top.q))
     if edge_bound < g0.graph.n_edges:
         raise BoundTooSmall(
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
 
-    info = _bfs(g0, edge_bound)
-    universe = generate.enumerate_classes(top, edge_bound)
-    stray = set(info) - set(universe)
+    # A witness path is its class's inverse move followed by its parent's
+    # path, so checking every class's one move against its parent's code
+    # checks every path, by induction on depth.  Every representative in a
+    # layer is a canonical form, so the diagram a full replay reaches after
+    # that move, canonical_form(apply_move(rep, inv)), agrees with the
+    # parent's representative in graph, labels, p and boundary order, and
+    # may differ only in its markings.  Whether a move applies, and which
+    # unmarked class it reaches, depends only on that unmarked data:
+    # markings only pick out a cycle, and collapse and expansion keep every
+    # cycle.  So the parent's path replays from there as it does from the
+    # parent's representative.
+    def check_witnesses(info, layer):
+        for code, (rep, _skip) in layer.items():
+            parent, inv = info[code]
+            try:
+                if ch.diagram_code(apply_move(rep, inv)) != parent:
+                    raise ChordLabError("its move reaches another class")
+            except ChordLabError as exc:
+                raise ChordLabError(
+                    f"witness path for {code!r} does not replay: {exc}"
+                ) from exc
+
+    info = _bfs(g0, edge_bound, check_witnesses)
+    class_count = 0
+    unreached_forms: dict[bytes, ChordDiagram] = {}
+    for code, form in generate._classes(top, edge_bound):
+        class_count += 1
+        if code not in info:
+            unreached_forms[code] = form
+    stray = len(info) - (class_count - len(unreached_forms))
     if stray:
         raise ChordLabError(
-            f"search produced {len(stray)} classes outside the enumeration"
+            f"search produced {stray} classes outside the enumeration"
         )
-    unreached = sorted(set(universe) - set(info))
+    unreached = sorted(unreached_forms)
 
     # unreached classes can only border other unreached classes (the move
     # graph is undirected), so count their components separately
@@ -271,40 +318,23 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     pending = set(unreached)
     while pending:
         component_count += 1
-        pending -= set(_bfs(universe[min(pending)], edge_bound))
+        pending -= set(_bfs(unreached_forms[min(pending)], edge_bound))
 
     witness: dict[bytes, list[Move]] = {}
 
     def path_of(code):
         if code not in witness:
-            _rep, parent, inv = info[code]
+            parent, inv = info[code]
             witness[code] = [] if parent is None else [inv] + path_of(parent)
         return witness[code]
 
-    # A witness path is its class's inverse move followed by its parent's
-    # path, so checking every class's one move against its parent's code
-    # checks every path, by induction on depth.  Every representative in info
-    # is a canonical form, so the diagram a full replay reaches after that
-    # move, canonical_form(apply_move(rep, inv)), agrees with the parent's
-    # representative in graph, labels, p and boundary order, and may differ
-    # only in its markings.  Whether a move applies, and which unmarked class
-    # it reaches, depends only on that unmarked data: markings only pick out
-    # a cycle, and collapse and expansion keep every cycle.  So the parent's
-    # path replays from there as it does from the parent's representative.
     for code in sorted(info):
-        rep, parent, inv = info[code]
-        try:
-            if parent is not None and ch.diagram_code(apply_move(rep, inv)) != parent:
-                raise ChordLabError("its move reaches another class")
-        except ChordLabError as exc:
-            raise ChordLabError(
-                f"witness path for {code!r} does not replay: {exc}") from exc
         path_of(code)
 
     return MoveGraphReport(
         top_type=top,
         edge_bound=edge_bound,
-        class_count=len(universe),
+        class_count=class_count,
         component_count=component_count,
         witness_paths=witness,
         unreached=unreached,
@@ -328,9 +358,10 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     # side A grows from c recording forward moves (parent rep -> child);
     # side B grows from the base point recording inverse moves (child rep ->
     # parent), so a meeting class yields a full path without re-searching
-    a_info: dict[bytes, tuple] = {start_code: (start, None, None)}
-    b_info: dict[bytes, tuple] = {goal_code: (goal, None, None)}
-    a_frontier, b_frontier = {start_code: set()}, {goal_code: set()}
+    a_info: dict[bytes, tuple] = {start_code: (None, None)}
+    b_info: dict[bytes, tuple] = {goal_code: (None, None)}
+    a_frontier = {start_code: (start, set())}
+    b_frontier = {goal_code: (goal, set())}
     a_record: dict = {}
     b_record: dict = {}
 
@@ -356,15 +387,15 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     # forward moves from the start down to the meeting class
     path = []
     code = meet
-    while a_info[code][1] is not None:
-        path.append(a_info[code][2])
-        code = a_info[code][1]
+    while a_info[code][0] is not None:
+        code, move = a_info[code]
+        path.append(move)
     path.reverse()
     # inverse moves from the meeting class back to the base point
     code = meet
-    while b_info[code][1] is not None:
-        path.append(b_info[code][2])
-        code = b_info[code][1]
+    while b_info[code][0] is not None:
+        code, move = b_info[code]
+        path.append(move)
 
     if _replay(start, start_code, path) != goal_code:
         raise ChordLabError("path replay does not reach the base point")

@@ -1,5 +1,6 @@
 """Move graph: neighbors, exhaustive exploration, path extraction."""
 
+import gc
 import json
 import random
 
@@ -105,22 +106,33 @@ class TestChildColors:
 class TestRecord:
     def test_shared_record_changes_no_answer(self):
         # one record across every class's call gives the codes and moves of
-        # plain calls, and representatives that differ in markings only
+        # plain calls; a representative is None exactly when the record held
+        # its class's word before the call (a word and its code determine
+        # each other), and every other one is the plain call's
         record = {}
+        built = held = 0
         for c in generate.enumerate_classes(TopType(1, 1, 2), 9).values():
+            seen = set(record.get((1, 2), {}).values())
             shared = moves.neighbors_with_moves(c, 9, (), record)
             plain = moves.neighbors_with_moves(c, 9)
             assert ([e[:1] + e[2:] for e in shared]
                     == [e[:1] + e[2:] for e in plain])
             for (code, rep, _, _), (_, own, _, _) in zip(shared, plain):
+                assert (rep is None) == (code in seen)
+                if rep is None:
+                    held += 1
+                    continue
+                built += 1
                 assert (rep.graph, rep.labels, rep.p) == (
                     own.graph, own.labels, own.p)
                 assert rep.boundary_order == own.boundary_order
                 assert ch.diagram_code(rep) == code
                 assert ch.canonical_form(rep).graph == rep.graph
-        # one word table per type, one word per class
+        assert built and held
+        # one word table per type, one word per class, and only codes in it
         assert list(record) == [(1, 2)]
         assert len(record[1, 2]) == 90
+        assert all(type(code) is bytes for code in record[1, 2].values())
 
     def test_words_past_256_entries(self):
         # 2g = 66 chords give 266 half-edges, too many for 2-byte entries;
@@ -158,7 +170,7 @@ class TestSkippedMoves:
         assert len(expanded) == len(info)
         skipped = 0
         for c, skip in expanded:
-            _rep, parent, inv = info[ch.diagram_code(c)]
+            parent, inv = info[ch.diagram_code(c)]
             own = [("collapse", e) for e in c.graph.edges()
                    if ch.is_collapsible(c, e)]
             if c.graph.n_edges < bound:
@@ -179,23 +191,81 @@ class TestSkippedMoves:
         bound = 9
         start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
         original = fg._search
+        original_neighbors = moves.neighbors_with_moves
         searches = []
+        expanded = []
 
         def counted(*args):
             searches.append(None)
             return original(*args)
 
+        def recording(c, max_edges=None, skip=(), record=None):
+            expanded.append(c)
+            return original_neighbors(c, max_edges, skip, record)
+
         monkeypatch.setattr(fg, "_search", counted)
+        monkeypatch.setattr(moves, "neighbors_with_moves", recording)
         info = moves._bfs(start, bound)
         monkeypatch.undo()
+        assert len(expanded) == len(info)
         total = 1
-        for rep, _parent, _inv in info.values():
+        for rep in expanded:
             total += sum(ch.is_collapsible(rep, e) for e in rep.graph.edges())
             if rep.graph.n_edges < bound:
                 total += len(list(ch._splits(rep)))
         assert len(info) == 698
         # every class but the start is reached by a search of its own
         assert len(info) - 1 <= len(searches) <= 0.55 * total
+
+
+def _reachable(*roots):
+    """Every object reachable from roots through gc referents, types
+    left out."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+class TestHeldCodes:
+    def test_search_record_holds_no_diagram(self, monkeypatch):
+        # a finished search keeps each class as (parent code, move), and its
+        # record maps words to codes: no diagram is reachable from either
+        original = moves.neighbors_with_moves
+        records = []
+
+        def recording(c, max_edges=None, skip=(), record=None):
+            records.append(record)
+            return original(c, max_edges, skip, record)
+
+        monkeypatch.setattr(moves, "neighbors_with_moves", recording)
+        start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
+        info = moves._bfs(start, 9)
+        assert len(info) == 698
+        record = records[0]
+        assert all(r is record for r in records)
+        # each class's code once; the start's word may not have been met
+        assert set(info) - {ch.diagram_code(start)} <= set(
+            record[3, 2].values()) <= set(info)
+        for code, value in info.items():
+            assert type(value) is tuple and len(value) == 2
+            parent, move = value
+            if parent is None:
+                assert move is None and code == ch.diagram_code(start)
+            else:
+                assert parent in info
+                assert move[0] in ("collapse", "expand")
+                assert all(type(h) is int for h in move[1:])
+        diagram_types = (ch.ChordDiagram, fg.FatGraph)
+        assert not any(isinstance(obj, diagram_types)
+                       for obj in _reachable(info, record))
+        # the walk does find a diagram where one is held
+        assert any(isinstance(obj, ch.ChordDiagram)
+                   for obj in _reachable({b"": (None, [start])}))
 
 
 class TestExplore:
@@ -246,12 +316,40 @@ class TestExplore:
             moves.explore(TopType(1, 1, 2), 9)
         assert tampered
 
+    def test_search_checked_against_the_enumeration(self, monkeypatch):
+        # a class the search reaches but the enumerator does not yield is
+        # refused: here the enumerator drops its first class
+        original = generate._classes
+
+        def short(top, bound):
+            classes = original(top, bound)
+            next(classes)
+            yield from classes
+
+        monkeypatch.setattr(generate, "_classes", short)
+        with pytest.raises(ChordLabError,
+                           match="search produced 1 classes outside"):
+            moves.explore(TopType(1, 1, 2), 9)
+
     def test_deterministic_across_workers(self):
         top = TopType(0, 2, 2)
         r1 = moves.explore(top, 8, jobs=1)
         r2 = moves.explore(top, 8, jobs=2)
         assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
             r2.to_json_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("call,name,value", [
+        ("explore", "jobs", None), ("explore", "jobs", "2"),
+        ("explore", "jobs", True), ("explore", "edge_bound", "x"),
+        ("enumerate_classes", "edge_bound", "x"),
+        ("enumerate_classes", "edge_bound", 2.5),
+        ("enumerate_classes", "edge_bound", True)])
+    def test_non_int_arguments_refused(self, call, name, value):
+        # a domain error naming the argument, not a TypeError; a bool is
+        # refused although it is an int
+        run = moves.explore if call == "explore" else generate.enumerate_classes
+        with pytest.raises(ChordLabError, match=f"{name} must be an int"):
+            run(TopType(0, 2, 2), **{"edge_bound": 5, name: value})
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_refused(self, jobs):
