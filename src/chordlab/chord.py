@@ -24,6 +24,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple, Sequence
 
 from . import fatgraph as fg
 from .errors import (
@@ -304,8 +305,9 @@ def chi_defect(c: ChordDiagram) -> int:
 # moves
 # ---------------------------------------------------------------------------
 
-def _check_edge(graph: FatGraph, e: int) -> None:
-    if not (isinstance(e, int) and e in range(graph.n_half_edges)):
+def _check_edge(n: int, e: int) -> None:
+    """Refuse e unless it is one of the n half-edges of a diagram."""
+    if not (isinstance(e, int) and e in range(n)):
         raise ChordLabError(f"edge {e} is not a half-edge of the diagram")
 
 
@@ -318,44 +320,50 @@ def is_essential(c: ChordDiagram, e: int) -> bool:
     (collapsing a chord would merge or pinch the disjoint incoming circles).
     Raises ChordLabError unless e is a half-edge of c.
     """
-    _check_edge(c.graph, e)
-    return _essential(c, e)
-
-
-def _essential(c: ChordDiagram, e: int) -> bool:
-    """is_essential for a half-edge e of c; either half of an edge gives
-    the same answer."""
     graph = c.graph
-    vertex_of = graph.vertex_of()
-    va, vb = vertex_of[e], vertex_of[graph.pairing[e]]
-    if c.labels[e] == CIRCULAR:
-        return va == vb or c._component_of[va] == c._component_of[vb]
-    return c._circular_vertex[va] and c._circular_vertex[vb]
+    _check_edge(graph.n_half_edges, e)
+    return _essential(graph.vertex_of(), c._component_of, c._circular_vertex,
+                      c.labels, e, graph.pairing[e])
+
+
+def _essential(vertex_of, component, circular, labels, a: int, b: int) -> bool:
+    """The one rule of is_essential, for the edge a, b = pairing[a] of a
+    diagram with these vertex, ghost-component (per vertex), circular-vertex
+    (per vertex) and C/G label tables; either half gives the same answer.  A
+    loop is circular, the ghost edges being a forest, so it is essential:
+    an edge is collapsible exactly when it is not essential."""
+    va, vb = vertex_of[a], vertex_of[b]
+    if labels[a] == CIRCULAR:
+        return component[va] == component[vb]
+    return circular[va] and circular[vb]
+
+
+def _check_collapse(vertex_of, component, circular, labels, a: int, b: int):
+    """Refuse the collapse of the edge a < b = pairing[a], given the tables
+    of _essential: a loop with LoopEdge, another essential edge with
+    EssentialEdge."""
+    if vertex_of[a] == vertex_of[b]:
+        raise LoopEdge(f"edge {a} is a loop")
+    if _essential(vertex_of, component, circular, labels, a, b):
+        raise EssentialEdge(f"edge {a} is essential")
 
 
 def is_collapsible(c: ChordDiagram, e: int) -> bool:
-    """True iff collapse_edge accepts e: neither a loop nor essential.
+    """True iff collapse_edge accepts e: neither a loop nor essential.  A
+    loop is essential (_essential), so this is not is_essential(c, e).
     Raises ChordLabError unless e is a half-edge of c."""
-    _check_edge(c.graph, e)
-    vertex_of = c.graph.vertex_of()
-    return vertex_of[e] != vertex_of[c.graph.pairing[e]] and not _essential(c, e)
+    return not is_essential(c, e)
 
 
-def _collapsible_edges(c: ChordDiagram):
-    """Every edge a < b = pairing[a] of c that collapse_edge accepts, in
-    edge order, read off c's vertex, ghost-component and circular-vertex
-    tables in one pass by the rule of is_collapsible: an edge is kept
-    unless it is a loop, a circular edge within one ghost component, or a
-    ghost edge between two circular vertices."""
-    vertex_of = c.graph.vertex_of()
-    component, circular, labels = c._component_of, c._circular_vertex, c.labels
-    for a, b in enumerate(c.graph.pairing):
-        if a < b:
-            va, vb = vertex_of[a], vertex_of[b]
-            if va != vb and not (component[va] == component[vb]
-                                 if labels[a] == CIRCULAR
-                                 else circular[va] and circular[vb]):
-                yield a, b
+def _collapsible_edges(t: "_Tables"):
+    """Every edge a < b = pairing[a] of the diagram with tables t that
+    collapse_edge accepts, in edge order, by the rule of _essential."""
+    vertex_of, component, circular, labels = (
+        t.vertex_of, t.component, t.circular, t.labels)
+    for a, b in enumerate(t.pairing):
+        if a < b and not _essential(vertex_of, component, circular, labels,
+                                    a, b):
+            yield a, b
 
 
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
@@ -369,20 +377,24 @@ def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     unless e is a half-edge of c.
     """
     graph, labels = c.graph, c.labels
-    _check_edge(graph, e)
+    _check_edge(graph.n_half_edges, e)
     a = graph.edge_of(e)
     b = graph.pairing[a]
-    vertex_of = graph.vertex_of()
-    if vertex_of[a] == vertex_of[b]:
-        raise LoopEdge(f"edge {a} is a loop")
-    if _essential(c, a):
-        raise EssentialEdge(f"edge {a} is essential")
-    nxt = graph.next_at_vertex
-    pairing, nxt, markings = _collapse(graph.pairing, nxt, _prev(nxt), labels,
-                                       c.markings, a, b)
-    return ChordDiagram(FatGraph(pairing, nxt),
+    _check_collapse(graph.vertex_of(), c._component_of, c._circular_vertex,
+                    labels, a, b)
+    pairing, nxt = graph.pairing, graph.next_at_vertex
+    # Boundary cycles survive the contraction with a and b dropped, so a
+    # marking on a or b moves to the next circular half-edge of its cycle.
+    # There is one: were a its cycle's last circular edge, a ghost path
+    # would join its ends (essential) or it would be a loop.
+    markings = []
+    for m in c.markings:
+        while m == a or m == b or labels[m] != CIRCULAR:
+            m = nxt[pairing[m]]
+        markings.append(m - (m > a) - (m > b))
+    return ChordDiagram(FatGraph(*_collapse(pairing, nxt, _prev(nxt), a, b)),
                         labels[:a] + labels[a + 1:b] + labels[b + 1:],
-                        c.p, markings)
+                        c.p, tuple(markings))
 
 
 def _prev(nxt) -> list[int]:
@@ -393,17 +405,14 @@ def _prev(nxt) -> list[int]:
     return prev
 
 
-def _collapse(pairing, nxt, prev, labels, markings, a, b):
-    """The pairing, rotation and markings left by contracting the edge
-    a < b = pairing[a] of a diagram, its ends on two vertices; prev is the
-    inverse of nxt.
+def _collapse(pairing, nxt, prev, a, b):
+    """The pairing and rotation left by contracting the edge a < b =
+    pairing[a] of a diagram, its ends on two vertices; prev is the inverse
+    of nxt.
 
     The merged rotation is the rotation after a, then the one after b; every
-    half-edge above a or b moves down by one for each.  Boundary cycles
-    survive the contraction with a and b dropped, so a marking on a or b
-    moves to the next circular half-edge of its cycle.  There is one: were
-    a its cycle's last circular edge, a ghost path would join its ends
-    (essential) or it would be a loop."""
+    half-edge above a or b moves down by one for each.  Markings and labels
+    play no part."""
     n = len(nxt)
     new_id = [*range(a), -1, *range(a, b - 1), -1, *range(b - 1, n - 2)]
     merged = list(nxt)
@@ -413,12 +422,7 @@ def _collapse(pairing, nxt, prev, labels, markings, a, b):
         return tuple(map(new_id.__getitem__,
                          table[:a] + table[a + 1:b] + table[b + 1:]))
 
-    moved = []
-    for m in markings:
-        while m == a or m == b or labels[m] != CIRCULAR:
-            m = nxt[pairing[m]]
-        moved.append(new_id[m])
-    return kept(pairing), kept(merged), tuple(moved)
+    return kept(pairing), kept(merged)
 
 
 def _split_label(labels, nxt, x: int, y: int) -> str:
@@ -432,6 +436,17 @@ def _split_label(labels, nxt, x: int, y: int) -> str:
     return GHOST
 
 
+def _check_split(nxt, vertex_of, x, y) -> None:
+    """Refuse (x, y) unless x and y are distinct half-edges of one vertex,
+    neither following the other, so that both arcs of the split hold two or
+    more."""
+    n = len(nxt)
+    if not (isinstance(x, int) and isinstance(y, int) and x in range(n)
+            and y in range(n) and x != y and nxt[x] != y and nxt[y] != x
+            and vertex_of[x] == vertex_of[y]):
+        raise ChordLabError(f"({x}, {y}) does not split a vertex")
+
+
 def _split(pairing, nxt, x: int, y: int):
     """The pairing and rotation after the split (x, y): the rotation is cut
     after x and after y, half-edge n = len(nxt) ends the arc that ends at x
@@ -440,14 +455,15 @@ def _split(pairing, nxt, x: int, y: int):
     split = list(nxt)
     split += (nxt[y], nxt[x])
     split[x], split[y] = n, n + 1
-    return pairing + (n + 1, n), tuple(split)
+    return (*pairing, n + 1, n), tuple(split)
 
 
-def _splits(c: ChordDiagram):
-    """Every single-vertex split, once, as (x, y): vertex by vertex, cuts
-    before orbit[i] and before orbit[j] for i < j, the arcs orbit[i:j] and
-    orbit[j:] + orbit[:i] each holding at least two half-edges."""
-    for orbit in c.graph.vertices():
+def _splits(vertices):
+    """Every single-vertex split of a diagram with these vertex orbits,
+    once, as (x, y): vertex by vertex, cuts before orbit[i] and before
+    orbit[j] for i < j, the arcs orbit[i:j] and orbit[j:] + orbit[:i] each
+    holding at least two half-edges."""
+    for orbit in vertices:
         d = len(orbit)
         for i in range(d):
             for j in range(i + 2, min(d, i + d - 1)):
@@ -466,13 +482,8 @@ def apply_expansion(c: ChordDiagram, x: int, y: int) -> ChordDiagram:
     more.
     """
     graph = c.graph
-    n = graph.n_half_edges
     nxt = graph.next_at_vertex
-    vertex_of = graph.vertex_of()
-    if not (isinstance(x, int) and isinstance(y, int) and x in range(n)
-            and y in range(n) and x != y and nxt[x] != y and nxt[y] != x
-            and vertex_of[x] == vertex_of[y]):
-        raise ChordLabError(f"({x}, {y}) does not split a vertex")
+    _check_split(nxt, graph.vertex_of(), x, y)
     label = _split_label(c.labels, nxt, x, y)
     return ChordDiagram(FatGraph(*_split(graph.pairing, nxt, x, y)),
                         c.labels + (label, label), c.p, c.markings)
@@ -484,7 +495,7 @@ def expansions(c: ChordDiagram) -> list[ChordDiagram]:
     The new edge is the last one, half-edges n-2 and n-1; collapsing it
     gives back c's class.
     """
-    return [apply_expansion(c, x, y) for x, y in _splits(c)]
+    return [apply_expansion(c, x, y) for x, y in _splits(c.graph.vertices())]
 
 
 def _cycle_position(c: ChordDiagram) -> list[int]:
@@ -535,41 +546,107 @@ def _palette_text(p: int, q: int) -> str:
     return repr(tuple(repr(c) for c in _palette(p, q)))
 
 
-def _int_colors(c: ChordDiagram, position=None) -> list[int]:
+def _int_colors(c: ChordDiagram) -> list[int]:
     """Each half-edge's rank in _palette(c.p, c.q), the index of its
-    unmarked color: its cycle's position, plus q on a ghost half-edge.
-    position, if given, is _cycle_position(c)."""
+    unmarked color: its cycle's position, plus q on a ghost half-edge."""
     q = c.q
-    if position is None:
-        position = _cycle_position(c)
     return [i + q if label == GHOST else i
-            for label, i in zip(c.labels, position)]
+            for label, i in zip(c.labels, _cycle_position(c))]
 
 
-def _form(columns, label, p: int, q: int, markings) -> ChordDiagram:
-    """The canonical form of a diagram of type (g;p,q) with the given
-    markings, from the fatgraph._columns of its least word over _int_colors
-    and its labeling.  Entry l of the word is (next_at_vertex, pairing,
+class _Tables(NamedTuple):
+    """A diagram of type (g;p,q) as raw tables, without markings: its
+    rotation, pairing and _int_colors, and what _tables derives from them."""
+
+    nxt: Sequence[int]
+    pairing: Sequence[int]
+    colors: Sequence[int]
+    labels: tuple[str, ...]           # G iff the color is at least p+q
+    prev: list[int]                   # the inverse rotation
+    vertices: list[tuple[int, ...]]   # as FatGraph.vertices()
+    vertex_of: list[int]              # as FatGraph.vertex_of()
+    component: list[int]              # ghost component per vertex
+    circular: list[bool]              # per vertex: whether it lies on a circle
+    p: int
+    q: int
+
+
+def _tables(nxt, pairing, colors, p: int, q: int) -> _Tables:
+    """The labels, inverse rotation, vertex, ghost-component and
+    circular-vertex tables of the diagram of type (g;p,q) with these
+    rotation, pairing and _int_colors, derived together: one walk of the
+    rotation's orbits, then one flood along the ghost edges.  A ghost
+    half-edge is one whose color is at least p+q.  The diagram is taken to
+    be valid, as every search's and enumerator's is, so it is not checked.
+    A ghost component is numbered by its first vertex."""
+    n = len(nxt)
+    ghost = p + q
+    labels = tuple(GHOST if k >= ghost else CIRCULAR for k in colors)
+    prev = [0] * n
+    vertex_of = [-1] * n
+    vertices, circular = [], []
+    for s in range(n):
+        if vertex_of[s] < 0:
+            v, orbit, h = len(vertices), [], s
+            while vertex_of[h] < 0:
+                vertex_of[h] = v
+                orbit.append(h)
+                prev[nxt[h]] = h
+                h = nxt[h]
+            vertices.append(tuple(orbit))
+            circular.append(any(colors[h] < ghost for h in orbit))
+    component = [-1] * len(vertices)
+    for root in range(len(vertices)):
+        if component[root] < 0:
+            component[root] = root
+            stack = [root]
+            while stack:
+                for h in vertices[stack.pop()]:
+                    if colors[h] >= ghost:
+                        w = vertex_of[pairing[h]]
+                        if component[w] < 0:
+                            component[w] = root
+                            stack.append(w)
+    return _Tables(nxt, pairing, colors, labels, prev, vertices, vertex_of,
+                   component, circular, p, q)
+
+
+def _least_markings(colors, p: int, q: int) -> tuple[int, ...]:
+    """The least circular half-edge of each boundary cycle, in boundary
+    order, of a diagram of type (g;p,q) with these _int_colors: a circular
+    half-edge's color is its cycle's position, and every cycle has one."""
+    markings = [-1] * (p + q)
+    for h, k in enumerate(colors):
+        if k < p + q and markings[k] < 0:
+            markings[k] = h
+    return tuple(markings)
+
+
+def _form(columns, p: int, q: int, markings) -> ChordDiagram:
+    """The canonical form of a diagram of type (g;p,q), from the
+    fatgraph._columns of its least word over _int_colors and its markings,
+    already relabelled.  Entry l of the word is (next_at_vertex, pairing,
     color) at label l, so the tables are read off the columns, each ghost
-    color being at least p+q; the markings are relabelled.  A relabeling
-    keeps every invariant, so the form is not validated again."""
+    color being at least p+q.  A relabeling keeps every invariant, so the
+    form is not validated again."""
     nxt, pairing, colors = columns
     labels = tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
     return ChordDiagram(FatGraph(tuple(pairing), tuple(nxt)), labels, p,
-                        tuple(label[m] for m in markings))
+                        tuple(markings))
 
 
-def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
-                  words: dict):
-    """The class code, a canonical representative and the relabeling of
-    the diagram of type (g;p,q) with these tables, markings and
-    _int_colors, from one canonical search.
+def _canonicalize(pairing, nxt, colors, p: int, q: int, words: dict):
+    """The class code, the canonical tables and the relabeling of the
+    diagram of type (g;p,q) with these tables and _int_colors, from one
+    canonical search; markings play no part.
 
-    words maps each least word seen to its class's code, and nothing else,
-    so each class is encoded once.  The form is built and returned only
-    the first time a word is met; a class seen before gets None for its
-    form.  An entry of a word on n half-edges is below n * n * (p + 2q), so
-    up to 2^16 the word is kept as 2-byte array bytes.
+    The canonical tables are the fatgraph._columns of the least word,
+    (next_at_vertex, pairing, colors) indexed by label: the same whichever
+    member of the class is searched.  words maps each least word seen to its
+    class's code, and nothing else, so each class is encoded once.  The
+    columns are returned only the first time a word is met; a class seen
+    before gets None for them.  An entry of a word on n half-edges is below
+    n * n * (p + 2q), so up to 2^16 the word is kept as 2-byte array bytes.
     """
     n_colors = p + 2 * q
     label, word = fg._search(pairing, nxt, colors, n_colors)
@@ -581,7 +658,7 @@ def _canonicalize(pairing, nxt, colors, p: int, q: int, markings,
         return code, None, label
     columns = fg._columns(word, n_colors)
     code = words[key] = fg._write_code(columns, _palette_text(p, q))
-    return code, _form(columns, label, p, q, markings), label
+    return code, columns, label
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -617,10 +694,11 @@ def canonical_form_with_map(
 ) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
     """canonical_form plus the relabeling (old half-edge -> new label) and
     the class code, diagram_code(c), all from one canonical search
-    (_canonicalize, with a fresh record, so the form is always built)."""
-    code, form, label = _canonicalize(
-        c.graph.pairing, c.graph.next_at_vertex, _int_colors(c), c.p, c.q,
-        c.markings, {})
+    (_canonicalize, with a fresh record, so the columns always come
+    back)."""
+    code, columns, label = _canonicalize(
+        c.graph.pairing, c.graph.next_at_vertex, _int_colors(c), c.p, c.q, {})
+    form = _form(columns, c.p, c.q, [label[m] for m in c.markings])
     return form, label, code
 
 

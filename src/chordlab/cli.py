@@ -8,6 +8,7 @@ honor CHORDLAB_COLOR=never|auto.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -251,7 +252,11 @@ def _cmd_connect(args) -> int:
     report = moves.explore(top, bound, jobs=args.jobs)
     payload = report.to_json_dict()
     if args.report:
-        _write(args.report, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        # streamed, as --json is below: the indented text is not held whole
+        with (contextlib.nullcontext(sys.stdout) if args.report == "-"
+              else open(args.report, "w", encoding="utf-8")) as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     if args.json:
         # streamed: one witness length per class, so the text of a large
         # type would otherwise be held whole, and twice while it is joined

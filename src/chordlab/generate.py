@@ -5,10 +5,10 @@ The exhaustive enumerator derives each candidate's tables directly,
 unvalidated, from a circle composition, a labeled ghost forest and a
 rotation choice.  A candidate is raw tables (pairing, rotation, integer
 colors and markings), not a diagram: it costs one canonical search, and
-only a class not seen before gets its code written and its canonical form
-built (chord._canonicalize).  The enumeration is a generator (_classes) that
-holds codes, not diagrams: it yields each class's form once, so a caller
-keeps only the forms it needs.  It visits one (composition, forest) block per
+only a class not seen before gets its code written (chord._canonicalize).
+The enumeration is a generator (_classes) that holds codes, not diagrams:
+it yields each class's canonical tables and markings once, so a caller
+builds only the forms it needs.  It visits one (composition, forest) block per
 orbit of the relabelings that keep a block's diagrams up to isomorphism.
 It uses no moves, so it is an independent check on move-graph searches.
 """
@@ -95,7 +95,7 @@ def random_diagram(
         steps = rng.randint(0, 4)
     for _ in range(steps):
         edges = [e for e in c.graph.edges() if ch.is_collapsible(c, e)]
-        splits = list(ch._splits(c))
+        splits = list(ch._splits(c.graph.vertices()))
         if not edges and not splits:
             break
         i = rng.randrange(len(edges) + len(splits))
@@ -333,14 +333,17 @@ def enumerate_classes(
     unless p and q are at least 1, and SearchExhausted once it has met more
     than EXPLORE_CLASS_BUDGET classes.
     """
-    return dict(_classes(top, edge_bound))
+    return {code: ch._form(columns, top.p, top.q, markings)
+            for code, columns, markings in _classes(top, edge_bound)}
 
 
 def _classes(top: TopType, edge_bound: int):
-    """Yield (code, canonical form) for each class of enumerate_classes, in
-    its order, the moment its first candidate is met.  The generator keeps
-    only a record of least words and their codes (chord._canonicalize), so
-    a caller that drops a form holds no diagram for its class."""
+    """Yield (code, canonical columns, markings) for each class of
+    enumerate_classes, in its order, the moment its first candidate is met:
+    the columns of its least word (chord._canonicalize) and the candidate's
+    own markings, relabelled onto them, from which chord._form builds the
+    class's stored form.  The generator keeps only a record of least words
+    and their codes, and builds no diagram."""
     _require_int("edge_bound", edge_bound)
     g, p, q = top.genus, top.p, top.q
     if p < 1 or q < 1:
@@ -360,10 +363,10 @@ def _classes(top: TopType, edge_bound: int):
                         continue
                     for pairing, nxt, colors, markings in _diagram_candidates(
                             p, q, comp, forest, n_int):
-                        code, form, _label = ch._canonicalize(
-                            pairing, nxt, colors, p, q, markings, words)
-                        if form is not None:
-                            yield code, form
+                        code, columns, label = ch._canonicalize(
+                            pairing, nxt, colors, p, q, words)
+                        if columns is not None:
+                            yield code, columns, [label[m] for m in markings]
                     if len(words) > EXPLORE_CLASS_BUDGET:
                         raise SearchExhausted(
                             f"{len(words)} classes exceed the class budget "

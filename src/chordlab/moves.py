@@ -1,23 +1,29 @@
 """The collapse/expansion move graph on isomorphism classes of chord diagrams.
 
 A class is its unmarked diagram code.  A search records each class it
-reaches as its code, its parent's code and one move, and holds a diagram
-for it only while it is on the frontier: its canonically relabeled
-representative, the first form the search met, which its moves are made
-from.  So every move in a recorded path refers to half-edge ids of the
-canonical representative at that step; replaying a path means alternating
-apply_move and canonical_form.  A move names only what is free: a collapse
-its edge, an expansion the two half-edges that end its arcs.  The inverse of
-a collapse is the split at the half-edges before the edge's two ends; the
-inverse of an expansion collapses its new edge.
+reaches as its code, its parent's code and one move.  While the class is on
+the frontier, the search holds it as the columns of its least word
+(chord._canonicalize): the rotation, pairing and integer colors of its
+canonical form, the same whichever parent reached it.  So every move in a
+recorded path refers to half-edge ids of the canonical representative at
+that step; replaying a path means alternating apply_move and
+canonical_form.  A move names only what is free: a collapse its edge, an
+expansion the two half-edges that end its arcs.  The inverse of a collapse
+is the split at the half-edges before the edge's two ends; the inverse of
+an expansion collapses its new edge.  Markings play no part in an unmarked
+move: which edges collapse, which splits exist and the label and colors of
+a split's new edge are read off the labels, rotations and cycles, and every
+move keeps every cycle.  So a search carries no markings and builds no
+diagram.
 
 explore() verifies, at desk scale, that all classes of a type within an edge
 bound form a single move-connected component, cross-checking the breadth-first
 search against an independent exhaustive enumeration of the classes.  Its
 witness paths are checked by induction on depth: each class's recorded
-inverse move must reach its parent's class, which is as strong as replaying
-every path in full (see explore).  Its breadth-first search gives up with
-SearchExhausted past generate.EXPLORE_CLASS_BUDGET classes.
+inverse move, applied to the class's canonical tables, must reach its
+parent's class, which is as strong as replaying every path in full (see
+_check_witness).  Its breadth-first search gives up with SearchExhausted
+past generate.EXPLORE_CLASS_BUDGET classes.
 
 The searches canonicalize each move once, bar a second move between the
 same two classes.  A move changes the edge count by one, so it joins two
@@ -30,23 +36,23 @@ the search, never add one: connectivity is still proven only by moves
 actually applied and canonicalized, and a class no longer reached would show
 against the enumerator as unreached.
 
-Each canonicalization costs one canonical search, and no child diagram is
-built for it.  Every diagram of type (g;p,q) takes the same colors, so a
-half-edge's color is an int: its cycle's position, plus q on a ghost
-(chord._int_colors).  A child's tables and colors are derived from its
-parent's (_children) with the inverse rotation: a collapse joins two
-rotations and drops its edge's two halves, and a split cuts one rotation
-and appends its two new halves, colored by the cycles they join
-(chord._collapse, chord._split).  Per expanded class, _children makes one
-pass over the class's tables: the collapsible edges are read off its
-vertex, ghost-component and circular-vertex tables in one loop, and its
-cycle positions are traced once, for its own colors and its splits' new
-halves.  The search runs on the child's tables, and the least word names
-the class (chord._canonicalize, the one routine from raw tables to code,
-form and labeling, which the enumerator and canonical_form_with_map share).
-Each search also keeps a record, freed when it ends, that maps each least
-word it has met to its class's code, so each class's code is written, and
-its canonical form read off its word, once: the first time it is met.  The
+Each canonicalization costs one canonical search.  Every diagram of type
+(g;p,q) takes the same colors, so a half-edge's color is an int: its cycle's
+position, plus q on a ghost (chord._int_colors).  When a class is expanded,
+its labels, inverse rotation and vertex, ghost-component and
+circular-vertex tables are derived from its columns once (chord._tables).
+Its collapsible edges are read off them (chord._collapsible_edges), and
+each child's tables and colors are derived from them (_children): a
+collapse joins two rotations and drops its edge's two halves, and a split
+cuts one rotation and appends its two new halves, colored by the cycles
+they join (chord._collapse, chord._split).  The search runs on the child's
+tables, and the least word names the class (chord._canonicalize, the one
+routine from raw tables to code and canonical columns, which the enumerator
+and canonical_form_with_map share).  Each search also keeps a record, freed
+when it ends, that maps each least word it has met to its class's code, so
+each class's code is written, and its columns read off its word, once: the
+first time it is met.  The public neighbors_with_moves runs the same
+routine (_neighbors) and builds a representative from the columns.  The
 search is serial: one process expands each layer class by class, in code
 order.
 """
@@ -96,44 +102,97 @@ def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
     return code
 
 
-def _children(c: ChordDiagram, max_edges: int | None, skip):
-    """Each move of c not in skip, with its child's pairing, rotation,
-    chord._int_colors and markings, derived from c's without building the
-    child; and the two child half-edges its inverse names: the half-edges
-    before the collapsed edge's two ends, where the collapse joined the two
-    rotations, or a split's new edge, n and n+1.  A split in skip matches in
-    either order; splits are left out at max_edges edges.
+def _held(c: ChordDiagram):
+    """The canonical diagram c as a frontier holds its class: the arguments
+    of chord._tables, its rotation, pairing, chord._int_colors, p and q."""
+    return (c.graph.next_at_vertex, c.graph.pairing, ch._int_colors(c),
+            c.p, c.q)
 
-    The collapsible edges are read off c's tables in one pass
-    (chord._collapsible_edges), and each half-edge's cycle position is
-    traced once, for c's colors and the new halves' alike."""
-    q = c.q
-    pairing, nxt = c.graph.pairing, c.graph.next_at_vertex
-    labels, markings = c.labels, c.markings
-    prev = ch._prev(nxt)
-    position = ch._cycle_position(c)
-    colors = ch._int_colors(c, position)
-    for a, b in ch._collapsible_edges(c):
+
+def _collapse_child(t, a: int, b: int):
+    """The pairing, rotation and chord._int_colors left by collapsing the
+    edge a < b = pairing[a] of the class with tables t (chord._collapse):
+    the colors of a and b are dropped."""
+    colors = t.colors
+    return (*ch._collapse(t.pairing, t.nxt, t.prev, a, b),
+            colors[:a] + colors[a + 1:b] + colors[b + 1:])
+
+
+def _split_child(t, x: int, y: int):
+    """The pairing, rotation and chord._int_colors after the split (x, y) of
+    the class with tables t (chord._split).  Half-edge n lies on the cycle
+    of the old nxt[x], n+1 on that of nxt[y], and both take the split's
+    label; a color is its cycle's position, plus q on a ghost."""
+    nxt, colors, p, q = t.nxt, t.colors, t.p, t.q
+    ghost = q if ch._split_label(t.labels, nxt, x, y) == ch.GHOST else 0
+    new = [k - q + ghost if k >= p + q else k + ghost
+           for k in (colors[nxt[x]], colors[nxt[y]])]
+    return (*ch._split(t.pairing, nxt, x, y), [*colors, *new])
+
+
+def _children(t, max_edges: int | None, skip):
+    """Each move of the class with tables t not in skip, with its child's
+    pairing, rotation and chord._int_colors, derived from t without
+    building the child; and the two child half-edges its inverse names:
+    the half-edges before the collapsed edge's two ends, where the collapse
+    joined the two rotations, or a split's new edge, n and n+1.  A split in
+    skip matches in either order; splits are left out at max_edges edges.
+    The collapsible edges are read off t by chord._collapsible_edges."""
+    prev = t.prev
+    for a, b in ch._collapsible_edges(t):
         move = ("collapse", a)
         if move in skip:
             continue
         ends = tuple(h - (h > a) - (h > b) for h in (prev[a], prev[b]))
-        child_pairing, child_nxt, child_markings = ch._collapse(
-            pairing, nxt, prev, labels, markings, a, b)
-        yield (move, ends, child_pairing, child_nxt,
-               colors[:a] + colors[a + 1:b] + colors[b + 1:], child_markings)
-    if max_edges is not None and c.graph.n_edges >= max_edges:
+        yield (move, ends, *_collapse_child(t, a, b))
+    n = len(t.pairing)
+    if max_edges is not None and n >= 2 * max_edges:
         return
-    n = len(pairing)
-    for x, y in ch._splits(c):
+    for x, y in ch._splits(t.vertices):
         move = ("expand", x, y)
         if move in skip or ("expand", y, x) in skip:
             continue
-        # n lies on the cycle of the old nxt[x], n+1 on that of nxt[y]
-        ghost = q if ch._split_label(labels, nxt, x, y) == ch.GHOST else 0
-        yield (move, (n, n + 1), *ch._split(pairing, nxt, x, y),
-               colors + [position[nxt[x]] + ghost, position[nxt[y]] + ghost],
-               markings)
+        yield (move, (n, n + 1), *_split_child(t, x, y))
+
+
+def _apply(t, move: Move):
+    """The pairing, rotation and chord._int_colors that move leaves on the
+    class with tables t, refused as apply_move refuses it on a diagram: a
+    loop, an essential edge or a bad split raises a ChordLabError."""
+    if isinstance(move, (tuple, list)):
+        if len(move) == 2 and move[0] == "collapse":
+            ch._check_edge(len(t.pairing), move[1])
+            a, b = sorted((move[1], t.pairing[move[1]]))
+            ch._check_collapse(t.vertex_of, t.component, t.circular,
+                               t.labels, a, b)
+            return _collapse_child(t, a, b)
+        if len(move) == 3 and move[0] == "expand":
+            ch._check_split(t.nxt, t.vertex_of, move[1], move[2])
+            return _split_child(t, move[1], move[2])
+    raise ChordLabError(f"unknown move {move!r}")
+
+
+def _neighbors(t, max_edges: int | None, skip, words: dict):
+    """Every search's one routine per class: all move-graph neighbours of
+    the class with tables t (chord._tables), passing over the moves in
+    skip, as a code-sorted, deduplicated list of (code, canonical columns,
+    forward move on t, inverse move on the canonical columns).  Each child
+    costs one canonical search on tables derived from t (_children).  words
+    maps each least word met to its class's code (chord._canonicalize); a
+    class whose word it already held comes back with None for its columns.
+    """
+    p, q = t.p, t.q
+    found: dict[bytes, tuple] = {}
+    for move, (u, v), pairing, nxt, colors in _children(t, max_edges, skip):
+        code, columns, label = ch._canonicalize(pairing, nxt, colors, p, q,
+                                                words)
+        if code not in found:
+            if move[0] == "collapse":
+                inverse = ("expand", label[u], label[v])
+            else:
+                inverse = ("collapse", min(label[u], label[v]))
+            found[code] = (code, columns, move, inverse)
+    return [found[k] for k in sorted(found)]
 
 
 def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
@@ -143,31 +202,24 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
 
     Returns a code-sorted, deduplicated list of
     (code, canonical representative, forward move on c, inverse move on the
-    representative).  A skipped move is neither applied nor canonicalized.
-    Each child costs one canonical search: its tables and colors are derived
-    from c's (_children).  record, a dict a whole search may share across
-    calls, maps per type each least word met to its class's code (see
-    chord._canonicalize); the words of two types may coincide.  The
-    representative is None exactly when the record already held the
-    class's word before this call: such a class is not built again.  Without
-    a record, every representative is built.
+    representative), from the searches' own routine (_neighbors) on c's
+    tables.  A skipped move is neither applied nor canonicalized.  record,
+    a dict a whole search may share across calls, maps per type each least
+    word met to its class's code (see chord._canonicalize); the words of
+    two types may coincide.  The representative is None exactly when the
+    record already held the class's word before this call: such a class is
+    not built again.  Without a record, every representative is built.  A
+    representative is its class's canonical form, marked at the least
+    circular half-edge of each cycle: an unmarked move carries no marking.
     """
     if record is None:
         record = {}
     p, q = c.p, c.q
-    words = record.setdefault((p, q), {})
-    found: dict[bytes, tuple] = {}
-    for move, (u, v), pairing, nxt, colors, markings in _children(
-            c, max_edges, skip):
-        code, canon, label = ch._canonicalize(pairing, nxt, colors, p, q,
-                                              markings, words)
-        if code not in found:
-            if move[0] == "collapse":
-                inverse = ("expand", label[u], label[v])
-            else:
-                inverse = ("collapse", min(label[u], label[v]))
-            found[code] = (code, canon, move, inverse)
-    return [found[k] for k in sorted(found)]
+    return [(code, None if columns is None else ch._form(
+                columns, p, q, ch._least_markings(columns[2], p, q)), fwd, inv)
+            for code, columns, fwd, inv in _neighbors(
+                ch._tables(*_held(c)), max_edges, skip,
+                record.setdefault((p, q), {}))]
 
 
 def neighbors(c: ChordDiagram) -> list[ChordDiagram]:
@@ -200,27 +252,31 @@ class MoveGraphReport:
         }
 
 
-def _grow(info: dict, frontier: dict, max_edges: int, record: dict,
-          forward=False):
+def _grow(info: dict, frontier: dict, max_edges: int, words: dict,
+          forward=False, check=None):
     """Expand one search layer, class by class in code order: record each
     unseen neighbour of the frontier in info as (parent code, move), the
     move being the forward one or, by default, the inverse.
 
-    The frontier maps each code to its class's representative and the moves
-    it skips.  Returns the new frontier, sorted by code, with the
-    representative each new class was first met with; each new class skips
-    the inverse of every move of this layer that reached it (see the module
-    docstring).  record is the search's own map of least words (see
-    chord._canonicalize), shared by every layer, so only a class already in
-    info comes back without a representative.
+    The frontier maps each code to its class as _held gives it and the
+    moves it skips.  A class's tables are derived once, as it is expanded
+    (chord._tables), and dropped after; check, if given, is called as
+    check(info, words, code, tables) first.  Returns the new frontier,
+    sorted by code, each new class held as the columns of its least word;
+    it skips the inverse of every move of this layer that reached it (see
+    the module docstring).  words is the search's own map of least words
+    (see chord._canonicalize), shared by every layer, so only a class
+    already in info comes back without its columns.
     """
     new: dict[bytes, tuple] = {}
-    for parent, (rep, skip) in frontier.items():
-        for code, child, fwd, inv in neighbors_with_moves(
-                rep, max_edges, skip, record):
+    for parent, (held, skip) in frontier.items():
+        t = ch._tables(*held)
+        if check is not None:
+            check(info, words, parent, t)
+        for code, columns, fwd, inv in _neighbors(t, max_edges, skip, words):
             if code not in info:
                 info[code] = (parent, fwd if forward else inv)
-                new[code] = (child, set())
+                new[code] = ((*columns, t.p, t.q), set())
             if code in new:
                 new[code][1].add(inv)
     return {code: new[code] for code in sorted(new)}
@@ -229,26 +285,49 @@ def _grow(info: dict, frontier: dict, max_edges: int, record: dict,
 def _bfs(start: ChordDiagram, max_edges: int, check=None):
     """Breadth-first search over classes from the canonical diagram start;
     returns info, code -> (parent code, inverse move), with (None, None) for
-    the start.  Only the frontier (_grow) holds representatives, and a
-    layer's are dropped once it is expanded; check, if given, is called as
-    check(info, layer) on each new layer while they are held.  Raises
+    the start.  Only the frontier (_grow) holds a class, as the columns of
+    its least word, and a layer is dropped once it is expanded; no diagram
+    is built past the start.  check, if given, is passed to _grow.  Raises
     SearchExhausted once a layer leaves more than
     generate.EXPLORE_CLASS_BUDGET classes."""
     start_code = ch.diagram_code(start)
     info: dict[bytes, tuple] = {start_code: (None, None)}
-    frontier = {start_code: (start, set())}
-    record: dict = {}
+    frontier = {start_code: (_held(start), set())}
+    words: dict = {}
     budget = generate.EXPLORE_CLASS_BUDGET
     while frontier:
-        frontier = _grow(info, frontier, max_edges, record)
+        frontier = _grow(info, frontier, max_edges, words, check=check)
         if len(info) > budget:
             raise SearchExhausted(
                 f"{len(info)} classes exceed the class budget "
                 f"EXPLORE_CLASS_BUDGET = {budget}",
                 frontier_size=len(frontier))
-        if check is not None:
-            check(info, frontier)
     return info
+
+
+def _check_witness(info: dict, words: dict, code: bytes, t) -> None:
+    """Refuse the class code, with tables t, unless its recorded inverse
+    move reaches its parent's class.
+
+    A witness path is its class's inverse move followed by its parent's
+    path, so checking every class's one move against its parent's code
+    checks every path, by induction on depth.  t is the class's canonical
+    tables, those of canonical_form whatever parent reached it, and _apply
+    makes and refuses the move as apply_move does on the canonical
+    representative.  So the tables it leaves are those of the diagram a full
+    replay reaches after that move, and they canonicalize to the class the
+    replay reaches.  An unmarked move reads no marking, so the parent's
+    path replays from that class as it does from the parent's
+    representative."""
+    parent, inv = info[code]
+    if parent is None:
+        return
+    try:
+        if ch._canonicalize(*_apply(t, inv), t.p, t.q, words)[0] != parent:
+            raise ChordLabError("its move reaches another class")
+    except ChordLabError as exc:
+        raise ChordLabError(
+            f"witness path for {code!r} does not replay: {exc}") from exc
 
 
 def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
@@ -258,13 +337,14 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     search, independently enumerates every class of the type within the
     bound, and reports the classes the search did not reach.  Witness paths
     (move sequences back to the base point) are checked by induction: each
-    class's first move must lead to its parent's class, checked on each
-    layer of the search while its representatives are held.  The enumerator
-    yields its classes one at a time (generate._classes), and explore keeps
-    a form only for a class the search did not reach.  ``jobs`` must be an
-    int of at least 1; every value runs the same serial search.  A search
-    that holds more than generate.EXPLORE_CLASS_BUDGET classes after a
-    layer, or an enumeration that meets more, raises SearchExhausted.
+    class's first move, applied to the canonical tables the search derives
+    for it, must lead to its parent's class (_check_witness), checked as
+    the class is expanded.  The enumerator yields its classes one at a time
+    as tables (generate._classes), and explore builds a form only for a
+    class the search did not reach.  ``jobs`` must be an int of at least 1;
+    every value runs the same serial search.  A search that holds more than
+    generate.EXPLORE_CLASS_BUDGET classes after a layer, or an enumeration
+    that meets more, raises SearchExhausted.
     """
     generate._require_int("jobs", jobs)
     if jobs < 1:
@@ -276,35 +356,13 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
 
-    # A witness path is its class's inverse move followed by its parent's
-    # path, so checking every class's one move against its parent's code
-    # checks every path, by induction on depth.  Every representative in a
-    # layer is a canonical form, so the diagram a full replay reaches after
-    # that move, canonical_form(apply_move(rep, inv)), agrees with the
-    # parent's representative in graph, labels, p and boundary order, and
-    # may differ only in its markings.  Whether a move applies, and which
-    # unmarked class it reaches, depends only on that unmarked data:
-    # markings only pick out a cycle, and collapse and expansion keep every
-    # cycle.  So the parent's path replays from there as it does from the
-    # parent's representative.
-    def check_witnesses(info, layer):
-        for code, (rep, _skip) in layer.items():
-            parent, inv = info[code]
-            try:
-                if ch.diagram_code(apply_move(rep, inv)) != parent:
-                    raise ChordLabError("its move reaches another class")
-            except ChordLabError as exc:
-                raise ChordLabError(
-                    f"witness path for {code!r} does not replay: {exc}"
-                ) from exc
-
-    info = _bfs(g0, edge_bound, check_witnesses)
+    info = _bfs(g0, edge_bound, _check_witness)
     class_count = 0
     unreached_forms: dict[bytes, ChordDiagram] = {}
-    for code, form in generate._classes(top, edge_bound):
+    for code, columns, markings in generate._classes(top, edge_bound):
         class_count += 1
         if code not in info:
-            unreached_forms[code] = form
+            unreached_forms[code] = ch._form(columns, top.p, top.q, markings)
     stray = len(info) - (class_count - len(unreached_forms))
     if stray:
         raise ChordLabError(
@@ -360,10 +418,10 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     # parent), so a meeting class yields a full path without re-searching
     a_info: dict[bytes, tuple] = {start_code: (None, None)}
     b_info: dict[bytes, tuple] = {goal_code: (None, None)}
-    a_frontier = {start_code: (start, set())}
-    b_frontier = {goal_code: (goal, set())}
-    a_record: dict = {}
-    b_record: dict = {}
+    a_frontier = {start_code: (_held(start), set())}
+    b_frontier = {goal_code: (_held(goal), set())}
+    a_words: dict = {}
+    b_words: dict = {}
 
     def meet_code():
         common = set(a_info) & set(b_info)
@@ -372,10 +430,10 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     meet = meet_code()
     while meet is None and (a_frontier or b_frontier):
         if a_frontier and (not b_frontier or len(a_frontier) <= len(b_frontier)):
-            a_frontier = _grow(a_info, a_frontier, ceiling, a_record,
+            a_frontier = _grow(a_info, a_frontier, ceiling, a_words,
                                forward=True)
         else:
-            b_frontier = _grow(b_info, b_frontier, ceiling, b_record)
+            b_frontier = _grow(b_info, b_frontier, ceiling, b_words)
         meet = meet_code()
 
     if meet is None:

@@ -339,7 +339,8 @@ class TestMoves:
                         assert len(valid) == 1
                         assert ch.apply_expansion(c, arc1[-1], arc2[-1]) == valid[0]
                         splits.add(frozenset((arc1[-1], arc2[-1])))
-            generated = [frozenset(split) for split in ch._splits(c)]
+            generated = [frozenset(split)
+                         for split in ch._splits(c.graph.vertices())]
             assert len(set(generated)) == len(generated)
             assert set(generated) == splits
             for e in c.graph.edges():
@@ -350,15 +351,16 @@ class TestMoves:
                         child.boundary_order, child.markings)
                     assert checked == child and child_top == top
             # the searches' children, built from c's tables without a
-            # diagram, against the public moves: every collapse and split
+            # diagram or markings, against the public moves: every collapse
+            # and split
             moved = 0
-            for move, _ends, pairing, nxt, colors, markings in moves._children(
-                    c, None, ()):
+            for move, _ends, pairing, nxt, colors in moves._children(
+                    ch._tables(*moves._held(c)), None, ()):
                 child = moves.apply_move(c, move)
                 labels = tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
-                assert (pairing, nxt, labels, markings) == (
+                assert (pairing, nxt, labels) == (
                     child.graph.pairing, child.graph.next_at_vertex,
-                    child.labels, child.markings)
+                    child.labels)
                 moved += 1
             assert moved == len(splits) + sum(
                 ch.is_collapsible(c, e) for e in c.graph.edges())

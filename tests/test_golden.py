@@ -39,6 +39,16 @@ def test_connect_json(capsys, top, bound, exit_code, digest):
     assert _sha(capsys.readouterr().out) == digest
 
 
+def test_connect_report_file(tmp_path):
+    # the indented --report file, streamed to disk; its digest was recorded
+    # when the report was still written from a joined string
+    path = tmp_path / "report.json"
+    assert main(["connect", "--type", "1,1,2", "--max-edges", "9",
+                 "--report", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ea49fd2608b60f38df8972c3e21ca20e7145ada07502fdc9a8464b05202f7377")
+
+
 def test_connect_bound_defaults_to_trivalent_maximum(capsys):
     # 3(2g+p+q-2) = 9 for (1;1,2): the same report as --max-edges 9
     assert main(["connect", "--json", "--type", "1,1,2"]) == 0

@@ -61,7 +61,8 @@ class TestChildColors:
         palette = ch._palette(top[1], top[2])
         swaps_caught = 0
         for c in generate.enumerate_classes(TopType(*top), 9).values():
-            for move, _ends, _p, _n, derived, _m in moves._children(c, None, ()):
+            for move, _ends, _p, _n, derived in moves._children(
+                    ch._tables(*moves._held(c)), None, ()):
                 child = moves.apply_move(c, move)
                 own = ch._int_colors(child)
                 assert derived == own
@@ -75,13 +76,13 @@ class TestChildColors:
     @pytest.mark.parametrize("top,bound", [
         ((1, 1, 2), 9), ((0, 3, 2), 9), ((2, 1, 1), 12)])
     def test_collapses_are_the_collapsible_edges(self, top, bound):
-        # _children takes its collapses from one pass over the class's
-        # tables (chord._collapsible_edges); every edge it collapses, and
-        # only those, passes the public test
+        # _children takes its collapses from the class's one-pass tables
+        # (chord._collapsible_edges); every edge it collapses, and only
+        # those, passes the public test
         kinds = set()
         for c in generate.enumerate_classes(TopType(*top), bound).values():
-            collapsed = [move[1] for move, *_ in moves._children(c, bound, ())
-                         if move[0] == "collapse"]
+            collapsed = [move[1] for move, *_ in moves._children(
+                ch._tables(*moves._held(c)), bound, ()) if move[0] == "collapse"]
             assert collapsed == [e for e in c.graph.edges()
                                  if ch.is_collapsible(c, e)]
             kinds.update(c.labels[e] for e in collapsed)
@@ -140,11 +141,19 @@ class TestRecord:
         for genus, key_type in ((33, tuple), (6, bytes)):
             d = ch.canonical_gamma0(genus, 1, 1)
             words = {}
-            code, form, label = ch._canonicalize(
+            code, columns, label = ch._canonicalize(
                 d.graph.pairing, d.graph.next_at_vertex, ch._int_colors(d),
-                d.p, d.q, d.markings, words)
+                d.p, d.q, words)
+            form = ch._form(columns, d.p, d.q, [label[m] for m in d.markings])
             assert (form, label, code) == ch.canonical_form_with_map(d)
             assert [type(w) for w in words] == [key_type]
+
+
+def _diagram(t):
+    """The diagram with the tables t that a search holds, marked at the
+    least circular half-edge of each cycle."""
+    return ch._form((t.nxt, t.pairing, t.colors), t.p, t.q,
+                    ch._least_markings(t.colors, t.p, t.q))
 
 
 def _split_free(move):
@@ -157,24 +166,26 @@ class TestSkippedMoves:
     def test_skipped_moves_reach_recorded_classes(self, monkeypatch, top, bound):
         # every move the search skips is one of its class's moves, and
         # applying it and canonicalizing gives a class already in the record
-        original = moves.neighbors_with_moves
+        original = moves._neighbors
         expanded = []
 
-        def recording(c, max_edges=None, skip=(), record=None):
-            expanded.append((c, set(skip)))
-            return original(c, max_edges, skip, record)
+        def recording(t, max_edges, skip, words):
+            expanded.append((t, set(skip)))
+            return original(t, max_edges, skip, words)
 
-        monkeypatch.setattr(moves, "neighbors_with_moves", recording)
+        monkeypatch.setattr(moves, "_neighbors", recording)
         start = ch.canonical_form(ch.canonical_gamma0(*top))
         info = moves._bfs(start, bound)
         assert len(expanded) == len(info)
         skipped = 0
-        for c, skip in expanded:
+        for t, skip in expanded:
+            c = _diagram(t)
             parent, inv = info[ch.diagram_code(c)]
             own = [("collapse", e) for e in c.graph.edges()
                    if ch.is_collapsible(c, e)]
             if c.graph.n_edges < bound:
-                own += [("expand", x, y) for x, y in ch._splits(c)]
+                own += [("expand", x, y)
+                        for x, y in ch._splits(c.graph.vertices())]
             skip = {_split_free(move) for move in skip}
             assert skip <= {_split_free(move) for move in own}
             if parent is not None:
@@ -191,7 +202,7 @@ class TestSkippedMoves:
         bound = 9
         start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
         original = fg._search
-        original_neighbors = moves.neighbors_with_moves
+        original_neighbors = moves._neighbors
         searches = []
         expanded = []
 
@@ -199,20 +210,20 @@ class TestSkippedMoves:
             searches.append(None)
             return original(*args)
 
-        def recording(c, max_edges=None, skip=(), record=None):
-            expanded.append(c)
-            return original_neighbors(c, max_edges, skip, record)
+        def recording(t, max_edges, skip, words):
+            expanded.append(t)
+            return original_neighbors(t, max_edges, skip, words)
 
         monkeypatch.setattr(fg, "_search", counted)
-        monkeypatch.setattr(moves, "neighbors_with_moves", recording)
+        monkeypatch.setattr(moves, "_neighbors", recording)
         info = moves._bfs(start, bound)
         monkeypatch.undo()
         assert len(expanded) == len(info)
         total = 1
-        for rep in expanded:
+        for rep in map(_diagram, expanded):
             total += sum(ch.is_collapsible(rep, e) for e in rep.graph.edges())
             if rep.graph.n_edges < bound:
-                total += len(list(ch._splits(rep)))
+                total += len(list(ch._splits(rep.graph.vertices())))
         assert len(info) == 698
         # every class but the start is reached by a search of its own
         assert len(info) - 1 <= len(searches) <= 0.55 * total
@@ -235,14 +246,14 @@ class TestHeldCodes:
     def test_search_record_holds_no_diagram(self, monkeypatch):
         # a finished search keeps each class as (parent code, move), and its
         # record maps words to codes: no diagram is reachable from either
-        original = moves.neighbors_with_moves
+        original = moves._neighbors
         records = []
 
-        def recording(c, max_edges=None, skip=(), record=None):
-            records.append(record)
-            return original(c, max_edges, skip, record)
+        def recording(t, max_edges, skip, words):
+            records.append(words)
+            return original(t, max_edges, skip, words)
 
-        monkeypatch.setattr(moves, "neighbors_with_moves", recording)
+        monkeypatch.setattr(moves, "_neighbors", recording)
         start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
         info = moves._bfs(start, 9)
         assert len(info) == 698
@@ -250,7 +261,7 @@ class TestHeldCodes:
         assert all(r is record for r in records)
         # each class's code once; the start's word may not have been met
         assert set(info) - {ch.diagram_code(start)} <= set(
-            record[3, 2].values()) <= set(info)
+            record.values()) <= set(info)
         for code, value in info.items():
             assert type(value) is tuple and len(value) == 2
             parent, move = value
@@ -266,6 +277,104 @@ class TestHeldCodes:
         # the walk does find a diagram where one is held
         assert any(isinstance(obj, ch.ChordDiagram)
                    for obj in _reachable({b"": (None, [start])}))
+
+
+def _partition(component):
+    """The blocks of a per-vertex component table, each as a sorted list."""
+    blocks: dict = {}
+    for v, k in enumerate(component):
+        blocks.setdefault(k, []).append(v)
+    return sorted(blocks.values())
+
+
+def _table_mismatches(t, c):
+    """The names of the one-pass tables t that disagree with the diagram c's
+    own: its vertices, ghost components (as a partition), circular
+    vertices, labels, integer colors and collapsible edges."""
+    n = len(t.nxt)
+    checks = {
+        "vertices": (list(t.vertices), list(c.graph.vertices())),
+        "vertex_of": (list(t.vertex_of), list(c.graph.vertex_of())),
+        "prev": ([t.prev[t.nxt[h]] for h in range(n)], list(range(n))),
+        "components": (_partition(t.component), _partition(c._component_of)),
+        "circular": (list(t.circular), list(c._circular_vertex)),
+        "labels": (t.labels, c.labels),
+        "colors": (list(t.colors), ch._int_colors(c)),
+        "collapsible": ([a for a, _b in ch._collapsible_edges(t)],
+                        [e for e in c.graph.edges() if ch.is_collapsible(c, e)]),
+    }
+    return [name for name, (ours, theirs) in checks.items() if ours != theirs]
+
+
+class TestHeldTables:
+    @pytest.mark.parametrize("top,bound,classes", [
+        ((1, 1, 2), 9, 90), ((0, 3, 2), 9, 698), ((2, 1, 1), 12, 412)])
+    def test_one_pass_tables_agree_with_the_diagrams(self, monkeypatch, top,
+                                                     bound, classes):
+        # every class's tables as the search derives them, against the
+        # enumerator's form of that class, whose tables ChordDiagram derives
+        # itself; and a ghost edge turned circular splits a ghost component
+        # the diagram has
+        held, tables = [], ch._tables
+
+        def recording(*args):
+            held.append(tables(*args))
+            return held[-1]
+
+        monkeypatch.setattr(ch, "_tables", recording)
+        moves._bfs(ch.canonical_form(ch.canonical_gamma0(*top)), bound)
+        monkeypatch.undo()
+        _g, p, q = top
+        forms = generate.enumerate_classes(TopType(*top), bound)
+        assert len(held) == len(forms) == classes
+        for t in held:
+            code = ch._canonicalize(t.pairing, t.nxt, t.colors, p, q, {})[0]
+            c = forms.pop(code)
+            assert (tuple(t.nxt), tuple(t.pairing)) == (
+                c.graph.next_at_vertex, c.graph.pairing)
+            assert _table_mismatches(t, c) == []
+            a = next(h for h in range(len(t.nxt))
+                     if t.labels[h] == ch.GHOST)
+            colors = list(t.colors)
+            for h in (a, t.pairing[a]):
+                colors[h] -= q
+            tampered = ch._tables(t.nxt, t.pairing, colors, p, q)
+            assert "components" in _table_mismatches(tampered, c)
+        assert forms == {}
+
+    def test_search_builds_no_diagram_and_derives_tables_once(self,
+                                                              monkeypatch):
+        # explore's search, given its start, and its witness check construct
+        # no ChordDiagram or FatGraph, and derive each class's tables once
+        built, derived, searching = [], [], [False]
+        for cls in (ch.ChordDiagram, fg.FatGraph):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                if searching[0]:
+                    built.append(type(self))
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        tables, bfs = ch._tables, moves._bfs
+
+        def counted(*args):
+            derived.append(args)
+            return tables(*args)
+
+        def watched(*args):
+            searching[0] = True
+            try:
+                infos.append(bfs(*args))
+            finally:
+                searching[0] = False
+            return infos[-1]
+
+        infos = []
+        monkeypatch.setattr(ch, "_tables", counted)
+        monkeypatch.setattr(moves, "_bfs", watched)
+        report = moves.explore(TopType(0, 3, 2), 9)
+        assert report.class_count == 698 and report.unreached == []
+        (info,) = infos
+        assert built == []
+        assert len(derived) == len(info) == 698
 
 
 class TestExplore:
@@ -300,21 +409,53 @@ class TestExplore:
     def test_witness_check_refuses_a_wrong_inverse(self, monkeypatch):
         # record a sibling's inverse move for one child of the base point;
         # the child's single move no longer leads to its parent's class
-        original = moves.neighbors_with_moves
+        original = moves._neighbors
         tampered = []
 
-        def swapped(c, max_edges=None, skip=(), record=None):
-            out = original(c, max_edges, skip, record)
+        def swapped(t, max_edges, skip, words):
+            out = original(t, max_edges, skip, words)
             if not tampered and len(out) >= 2:
-                tampered.append(c)
-                code, rep, fwd, _inv = out[0]
-                out[0] = (code, rep, fwd, out[1][3])
+                tampered.append(t)
+                code, columns, fwd, _inv = out[0]
+                out[0] = (code, columns, fwd, out[1][3])
             return out
 
-        monkeypatch.setattr(moves, "neighbors_with_moves", swapped)
+        monkeypatch.setattr(moves, "_neighbors", swapped)
         with pytest.raises(ChordLabError, match="witness path"):
             moves.explore(TopType(1, 1, 2), 9)
         assert tampered
+
+    @pytest.mark.parametrize("loop,reason", [
+        (False, "is essential"), (True, "is a loop")])
+    def test_witness_check_refuses_an_invalid_inverse(self, monkeypatch, loop,
+                                                      reason):
+        # record, for one new class, the collapse of one of its own
+        # essential edges (a loop, or not) as its inverse move: the check
+        # refuses the move itself and names the class
+        original = moves._neighbors
+        tampered = []
+
+        def invalid(t, max_edges, skip, words):
+            out = original(t, max_edges, skip, words)
+            for i, (code, columns, fwd, _inv) in enumerate(out):
+                if tampered or columns is None:
+                    continue
+                c = _diagram(ch._tables(*columns, t.p, t.q))
+                vertex_of = c.graph.vertex_of()
+                for e in c.graph.edges():
+                    if (ch.is_essential(c, e) and loop == (
+                            vertex_of[e] == vertex_of[c.graph.pairing[e]])):
+                        out[i] = (code, columns, fwd, ("collapse", e))
+                        tampered.append(code)
+                        break
+            return out
+
+        monkeypatch.setattr(moves, "_neighbors", invalid)
+        with pytest.raises(ChordLabError, match="witness path for") as refused:
+            moves.explore(TopType(0, 3, 2), 9)
+        assert tampered
+        assert repr(tampered[0]) in str(refused.value)
+        assert reason in str(refused.value)
 
     def test_search_checked_against_the_enumeration(self, monkeypatch):
         # a class the search reaches but the enumerator does not yield is
