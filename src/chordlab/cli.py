@@ -411,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int,
                    help="edge cap (default: the trivalent maximum 3(2g+p+q-2))")
     p.add_argument("--jobs", type=int, default=1,
-                   help="at least 1; every value runs the same serial search")
+                   help="at least 1; ignored: the search is serial, and the "
+                        "enumerator runs beside it on a second CPU if one is free")
     p.add_argument("--report", help="write a JSON report to this path")
 
     p = add("tqft", _cmd_tqft, help="Frobenius-algebra operations")

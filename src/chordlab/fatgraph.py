@@ -339,6 +339,14 @@ def _write_code(columns, palette_repr) -> bytes:
     return f"({n}, {palette_repr}, {tuple(flat)!r})".encode("ascii")
 
 
+def _code_columns(code: bytes):
+    """The three _columns of the least word a code with colors was written
+    from (_write_code): its entries, flattened, are the ints after the
+    code's last parenthesis, the palette's text coming before it."""
+    flat = [int(e) for e in code[code.rindex(b"(") + 1:-2].split(b",")]
+    return flat[0::3], flat[1::3], flat[2::3]
+
+
 def canonical_code(
     graph: FatGraph,
     colors: Sequence[object] | None = None,

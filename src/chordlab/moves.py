@@ -54,15 +54,24 @@ each class's code is written, and its columns read off its word, once: the
 first time it is met.  The public neighbors_with_moves runs the same
 routine (_neighbors) and builds a representative from the columns.  The
 search is serial: one process expands each layer class by class, in code
-order.
+order.  explore's enumerator is independent of it, so where a second CPU is
+usable and the process has one thread, explore forks it before the search
+starts and reads its class codes, one a line through a pipe, once the
+search ends (_search_beside_enumerator).
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 from . import chord as ch
-from . import generate
+from . import errors, generate
+from . import fatgraph as fg
 from .chord import ChordDiagram
 from .errors import BoundTooSmall, ChordLabError, SearchExhausted
 from .fatgraph import TopType
@@ -330,6 +339,116 @@ def _check_witness(info: dict, words: dict, code: bytes, t) -> None:
             f"witness path for {code!r} does not replay: {exc}") from exc
 
 
+def _fork_pays() -> bool:
+    """Whether explore forks its enumerator: a fork is safe only while this
+    is the process's one thread, and pays only with a second usable CPU."""
+    return (hasattr(os, "fork") and threading.active_count() == 1
+            and len(getattr(os, "sched_getaffinity", lambda _pid: ())(0)) >= 2)
+
+
+def _codes(top: TopType, edge_bound: int):
+    """The code of each class generate._classes meets, in its order."""
+    return (code for code, _columns, _markings
+            in generate._classes(top, edge_bound))
+
+
+def _tally(codes, info: dict) -> tuple[int, list[bytes]]:
+    """The number of codes, and those not in info, in their order."""
+    count, unreached = 0, []
+    for code in codes:
+        count += 1
+        if code not in info:
+            unreached.append(code)
+    return count, unreached
+
+
+def _enumerate_into(r: int, w: int, top: TopType, edge_bound: int):
+    """The forked enumerator: closes the pipe's read end r, keeps every
+    code of _codes, then writes them to the write end w, one a line; or a
+    failure as one line marked "!", the JSON of its exception's class name
+    and message.  The codes are written only once all are met, since a
+    full pipe would stall the enumeration until the parent reads.  It
+    leaves through os._exit, so it never returns into its caller's stack
+    and flushes no buffer it inherited."""
+    status = 1
+    try:
+        os.close(r)
+        with os.fdopen(w, "wb") as out:
+            try:
+                codes = list(_codes(top, edge_bound))
+            except Exception as exc:
+                out.write(b"!" + json.dumps(
+                    [type(exc).__name__, str(exc)]).encode() + b"\n")
+            else:
+                for code in codes:
+                    out.write(code + b"\n")
+                status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_codes(lines):
+    """The codes _enumerate_into wrote, line by line; its failure is raised
+    here: a ChordLabError as the same subclass with the same message, any
+    other exception as a ChordLabError that names the enumerator."""
+    for line in lines:
+        if line.startswith(b"!"):
+            name, message = json.loads(line[1:])
+            cls = getattr(errors, name, None)
+            if isinstance(cls, type) and issubclass(cls, ChordLabError):
+                raise cls(message)
+            raise ChordLabError(f"the enumerator failed: {name}: {message}")
+        yield line[:-1]
+
+
+def _search_beside_enumerator(top: TopType, edge_bound: int, search):
+    """search()'s result, the number of classes the enumerator
+    (generate._classes) meets and, in its order, the codes of those not in
+    that result.
+
+    Where _fork_pays, the enumerator runs in a child forked before search()
+    starts, and sends its codes through a pipe; they are read after
+    search() ends, one line at a time.  Otherwise the enumerator runs here,
+    after search().  Either way the same codes arrive in the same order.  A
+    failure of the parent, search()'s included, kills the child before it
+    is reaped, rather than wait for an enumeration nobody will read; a
+    child that fails with nothing sent, or dies by a signal, raises a
+    ChordLabError that names the enumerator.  A fork the system refuses
+    leaves the enumerator here."""
+    pid = None
+    if _fork_pays():
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        result = search()
+        return (result, *_tally(_codes(top, edge_bound), result))
+    if pid == 0:
+        _enumerate_into(r, w, top, edge_bound)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as lines:
+            result = search()
+            tally = _tally(_read_codes(lines), result)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _pid, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        name = number = os.WTERMSIG(status)
+        with contextlib.suppress(ValueError):   # a signal with no name
+            name = signal.Signals(number).name
+        raise ChordLabError(f"the enumerator was killed by signal {name}")
+    if os.WEXITSTATUS(status):
+        raise ChordLabError(
+            f"the enumerator failed with exit status {os.WEXITSTATUS(status)}")
+    return (result, *tally)
+
+
 def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     """Search the move graph of one type, bounded by edge count.
 
@@ -339,12 +458,16 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     (move sequences back to the base point) are checked by induction: each
     class's first move, applied to the canonical tables the search derives
     for it, must lead to its parent's class (_check_witness), checked as
-    the class is expanded.  The enumerator yields its classes one at a time
-    as tables (generate._classes), and explore builds a form only for a
-    class the search did not reach.  ``jobs`` must be an int of at least 1;
-    every value runs the same serial search.  A search that holds more than
-    generate.EXPLORE_CLASS_BUDGET classes after a layer, or an enumeration
-    that meets more, raises SearchExhausted.
+    the class is expanded.  The enumerator (generate._classes) runs in a
+    child forked before the search, where that is safe and can pay
+    (_fork_pays), and in this process after the search otherwise; either
+    way explore keeps only the codes of the classes the search did not
+    reach, and rebuilds each such class from its code only to count
+    components.  No process is left behind, on success or failure.
+    ``jobs`` must be an int of at least 1; every value runs the same
+    search.  A search that holds more than generate.EXPLORE_CLASS_BUDGET
+    classes after a layer, or an enumeration that meets more, raises
+    SearchExhausted.
     """
     generate._require_int("jobs", jobs)
     if jobs < 1:
@@ -356,27 +479,26 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
 
-    info = _bfs(g0, edge_bound, _check_witness)
-    class_count = 0
-    unreached_forms: dict[bytes, ChordDiagram] = {}
-    for code, columns, markings in generate._classes(top, edge_bound):
-        class_count += 1
-        if code not in info:
-            unreached_forms[code] = ch._form(columns, top.p, top.q, markings)
-    stray = len(info) - (class_count - len(unreached_forms))
+    info, class_count, unreached = _search_beside_enumerator(
+        top, edge_bound, lambda: _bfs(g0, edge_bound, _check_witness))
+    stray = len(info) - (class_count - len(unreached))
     if stray:
         raise ChordLabError(
             f"search produced {stray} classes outside the enumeration"
         )
-    unreached = sorted(unreached_forms)
+    unreached.sort()
 
     # unreached classes can only border other unreached classes (the move
-    # graph is undirected), so count their components separately
+    # graph is undirected), so count their components separately; a class
+    # is rebuilt from its code, and an unmarked move reads no marking
     component_count = 1
     pending = set(unreached)
     while pending:
         component_count += 1
-        pending -= set(_bfs(unreached_forms[min(pending)], edge_bound))
+        columns = fg._code_columns(min(pending))
+        start = ch._form(columns, top.p, top.q,
+                         ch._least_markings(columns[2], top.p, top.q))
+        pending -= set(_bfs(start, edge_bound))
 
     witness: dict[bytes, list[Move]] = {}
 
@@ -424,7 +546,7 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     b_words: dict = {}
 
     def meet_code():
-        common = set(a_info) & set(b_info)
+        common = a_info.keys() & b_info.keys()
         return min(common) if common else None
 
     meet = meet_code()

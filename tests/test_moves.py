@@ -1,8 +1,13 @@
 """Move graph: neighbors, exhaustive exploration, path extraction."""
 
+import contextlib
 import gc
 import json
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -377,6 +382,146 @@ class TestHeldTables:
         assert len(derived) == len(info) == 698
 
 
+@pytest.fixture
+def no_child_left():
+    """Fails the test if a process it started is left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids explore forks, with two usable CPUs whatever the machine
+    has, so only the thread count decides whether it forks."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1},
+                        raising=False)
+    return pids
+
+
+@contextlib.contextmanager
+def _helper_thread():
+    """A second thread, alive until the block ends: explore must not fork."""
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    helper.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive()
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestForkedEnumerator:
+    @pytest.mark.parametrize("top,bound", [
+        ((1, 1, 2), 9), ((0, 3, 2), 9), ((2, 1, 1), 12), ((0, 2, 2), 5)])
+    def test_both_code_sources_give_the_same_report(self, forks, top, bound):
+        # (0;2,2)@5 is disconnected: 12 components, 11 classes unreached,
+        # each rebuilt from its code
+        forked = moves.explore(TopType(*top), bound).to_json_dict()
+        assert len(forks) == 1
+        with _helper_thread():
+            here = moves.explore(TopType(*top), bound).to_json_dict()
+        assert len(forks) == 1
+        assert json.dumps(forked, sort_keys=True) == json.dumps(
+            here, sort_keys=True)
+        if top == (0, 2, 2):
+            assert (here["components"], len(here["unreached"])) == (12, 11)
+
+    def test_fork_needs_one_thread_and_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1},
+                            raising=False)
+        assert moves._fork_pays()
+        with _helper_thread():
+            assert not moves._fork_pays()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0},
+                            raising=False)
+        assert not moves._fork_pays()
+
+    @pytest.mark.parametrize("top,bound", [((0, 3, 2), 9), ((2, 1, 1), 12)])
+    def test_codes_give_back_their_columns(self, top, bound):
+        palette = ch._palette_text(top[1], top[2])
+        count = 0
+        for code, columns, _markings in generate._classes(TopType(*top),
+                                                          bound):
+            assert fg._code_columns(code) == tuple(columns)
+            assert fg._write_code(fg._code_columns(code), palette) == code
+            count += 1
+        assert count == {(0, 3, 2): 698, (2, 1, 1): 412}[top]
+
+    def test_enumerator_budget_raised_from_the_child(self, monkeypatch,
+                                                     forks):
+        # the search holds the base point alone; the enumerator meets 12
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 5)
+        with pytest.raises(SearchExhausted, match="EXPLORE_CLASS_BUDGET = 5"):
+            moves.explore(TopType(0, 2, 2), 5)
+        assert len(forks) == 1
+
+    def test_other_child_failure_names_the_enumerator(self, monkeypatch,
+                                                      forks):
+        def failing(top, bound):
+            raise RuntimeError("no classes today")
+            yield
+
+        monkeypatch.setattr(generate, "_classes", failing)
+        with pytest.raises(ChordLabError, match="the enumerator failed: "
+                           "RuntimeError: no classes today"):
+            moves.explore(TopType(1, 1, 2), 9)
+        assert len(forks) == 1
+
+    def test_killed_child_is_an_error_not_a_hang(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def killed(top, bound):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("the enumerator ran in the parent")
+            yield
+
+        monkeypatch.setattr(generate, "_classes", killed)
+        with pytest.raises(ChordLabError,
+                           match="the enumerator was killed by signal SIGKILL"):
+            moves.explore(TopType(1, 1, 2), 9)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failure", [
+        KeyboardInterrupt, SearchExhausted("the search gave up")])
+    def test_failed_parent_kills_its_child(self, monkeypatch, forks,
+                                           failure):
+        # a child that would enumerate for a minute is killed, not waited
+        # for, when the search fails
+        parent = os.getpid()
+
+        def slow(top, bound):
+            if os.getpid() != parent:
+                time.sleep(60)
+            yield from ()
+
+        def failing(*args):
+            raise failure
+
+        monkeypatch.setattr(generate, "_classes", slow)
+        monkeypatch.setattr(moves, "_bfs", failing)
+        start = time.monotonic()
+        with pytest.raises(type(failure) if isinstance(failure, Exception)
+                           else failure):
+            moves.explore(TopType(1, 1, 2), 9)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+
+
+@pytest.mark.usefixtures("no_child_left", "forks")
 class TestExplore:
     @pytest.mark.parametrize("top", [(0, 1, 2), (0, 2, 1), (1, 1, 1)])
     def test_small_types_connected(self, top):
