@@ -25,6 +25,11 @@ in order, is refused.
     m <i> <j> -> <k> <c>
     Delta <i> -> <j> <k> <c>
 
+A coefficient <c> is, over Q, an integer or fraction `[+-]digits[/digits]`
+or a plain decimal `[+-]digits.digits` (one side of the point may be empty);
+exponents are refused, so a coefficient costs in proportion to its text.
+Over F_p it is an integer, read modulo p.
+
 A repeated field, ambient or unit record, a repeated `m i j -> k` or
 `Delta i -> j k` key, or a basis record past the FROB_BASIS_BUDGET-th, is
 refused.

@@ -8,15 +8,23 @@ A^{tensor q}, computed through the normal form
     mu_{p,q}(g) = Delta^(q-1) o H^g o m^(p-1),   H = m o Delta.
 
 All arithmetic is exact: rationals (fractions.Fraction) or a prime field.
+Matrices hold field elements, but the matrix products run on Python ints:
+each entry of a product is one integer dot product, reduced once -- by one
+% p over F_p, and over Q by one Fraction whose denominator is the lcm of
+the denominators in its row of the left factor times the lcm of those in
+its column of the right.  A zero entry of the left factor costs nothing.
 Operations with q = 0 do not exist in a positive-boundary theory (the counit
 is obstructed); counit_solve analyzes whether a counit happens to exist.
 """
 
 from __future__ import annotations
 
-import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from math import lcm
+from operator import add, attrgetter, mul
 
 from .chord import ChordDiagram
 from .errors import ChordLabError, NoOutgoing
@@ -44,6 +52,9 @@ __all__ = [
 # ground fields
 # ---------------------------------------------------------------------------
 
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
 class Rationals:
     """Arbitrary-precision rational field; elements are Fraction."""
 
@@ -70,6 +81,10 @@ class Rationals:
         return 1 / Fraction(a)
 
     def parse(self, text: str) -> Fraction:
+        # Fraction alone would also read exponents, and "1e1000000" is a
+        # 3.3-Mbit number: only these forms cost in proportion to the text
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"not [+-]digits[/digits] or a decimal: {text!r}")
         return Fraction(text)
 
     def serialize(self, a) -> str:
@@ -170,32 +185,56 @@ def _identity(F, n):
     return M
 
 def _matmul(F, A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    assert len(A[0]) == inner
-    C = _zeros(F, rows, cols)
-    for i in range(rows):
-        Ai = A[i]
-        Ci = C[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a == F.zero:
-                continue
-            Bk = B[k]
-            for j in range(cols):
-                Ci[j] = F.add(Ci[j], F.mul(a, Bk[j]))
-    return C
+    """A B.  Each entry is one sum of integer products, reduced once: by one
+    % p over F_p; over Q, row i of A is scaled by r_i, the lcm of its
+    denominators, and column j of B by c_j, so that entry (i, j) is one
+    Fraction(sum, r_i c_j)."""
+    assert len(A[0]) == len(B)
+    if isinstance(F, PrimeField):
+        reduce = F.p.__rmod__                                # x -> x % p
+        return [list(map(reduce, s)) for s in _integer_rows(A, B)]
+    r = [lcm(*map(_denominator, row)) for row in A]
+    c = [lcm(*map(_denominator, col)) for col in zip(*B)]
+    A_int = [list(map(_numerator, row)) if ri == 1 else
+             [x.numerator * (ri // x.denominator) for x in row]
+             for row, ri in zip(A, r)]
+    B_int = ([[x.numerator * (cj // x.denominator) for x, cj in zip(row, c)]
+              for row in B] if any(cj != 1 for cj in c) else
+             [list(map(_numerator, row)) for row in B])
+    return [[Fraction(n, ri * cj) if ri * cj != 1 else Fraction(n)
+             for n, cj in zip(s, c)]
+            for s, ri in zip(_integer_rows(A_int, B_int), r)]
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+def _integer_rows(A, B):
+    """The rows of the product of integer matrices A and B: each nonzero
+    A[i][k] adds A[i][k] times row k of B, so a zero entry of A costs
+    nothing."""
+    inner, cols = range(len(B)), len(B[0])
+    rows = []
+    for row in A:
+        s = None
+        for k in compress(inner, row):
+            terms = map(mul, repeat(row[k]), B[k])
+            s = list(terms) if s is None else list(map(add, s, terms))
+        rows.append([0] * cols if s is None else s)
+    return rows
 
 def _kron(F, A, B):
-    ra, ca, rb, cb = len(A), len(A[0]), len(B), len(B[0])
-    C = _zeros(F, ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            a = A[i][j]
-            if a == F.zero:
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    C[i * rb + k][j * cb + l] = F.mul(a, B[k][l])
+    """A (x) B, one plain product per pair of nonzero entries."""
+    p = F.p if isinstance(F, PrimeField) else None
+    cb = len(B[0])
+    B_nonzero = [[(l, b) for l, b in enumerate(Bk) if b] for Bk in B]
+    C = []
+    for Ai in A:
+        A_nonzero = [(j * cb, a) for j, a in enumerate(Ai) if a]
+        for Bk in B_nonzero:
+            row = [F.zero] * (len(Ai) * cb)
+            for base, a in A_nonzero:
+                for l, b in Bk:
+                    row[base + l] = a * b if p is None else a * b % p
+            C.append(row)
     return C
 
 def _mat_eq(A, B):
@@ -418,8 +457,9 @@ def _delta_power(A, q):
 MU_CELL_BUDGET = 1 << 18
 
 # the largest genus mu accepts over Q, where its entries grow with g: on a
-# dense rank-8 algebra by about 11 bits per handle, so that mu_{0,1}(1000)
-# took 4.4 s (2-core box, Python 3.11) and mu_{0,1}(64) 0.1 s
+# dense rank-8 algebra with constants drawn from -3..3 by about 6.4 bits per
+# handle, so that mu_{0,1}(1000) takes 0.15-0.18 s and mu_{0,1}(64) 0.01 s
+# (2-core box, Python 3.11)
 MU_GENUS_BUDGET_Q = 64
 
 
@@ -500,21 +540,10 @@ def counit_solve(A: FrobeniusAlgebra):
     theta = _solve(F, rows, rhs)
     if theta is None:
         return None
-    pairing = [
-        [
-            _sum_field(F, (F.mul(A.product[i][j][k], theta[k]) for k in range(d)))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    # pairing[i][j] = sum_k product[i][j][k] theta_k: theta times m_matrix
+    flat = _matmul(F, [list(theta)], A.m_matrix())[0]
+    pairing = [flat[i * d:(i + 1) * d] for i in range(d)]
     return tuple(theta), _is_invertible(F, pairing)
-
-
-def _sum_field(F, items):
-    total = F.zero
-    for x in items:
-        total = F.add(total, x)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Text formats: canonical serialization, round trips, error locations, fuzz."""
 
 import random
+import re
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -157,6 +159,24 @@ class TestErrors:
     def test_frob_bad_prime(self):
         with pytest.raises(formats.ValidationError):
             formats.parse("frob v1\nfield Fp 6\nbasis e\nunit 1\n")
+
+    @pytest.mark.parametrize("coeff", ["1e5", "1E-3", "2.5e1", "1/2e3",
+                                       "inf", "nan", "1_000", "0x10", "/3",
+                                       "1/", ".", "+-1"])
+    def test_q_coefficient_outside_the_grammar(self, coeff):
+        # Fraction would read exponents, whose value can dwarf the text
+        with pytest.raises(formats.SyntaxError, match=re.escape(
+                f"a field element, got '{coeff}'")) as err:
+            formats.parse(f"frob v1\nfield Q\nbasis e\nunit {coeff}\n")
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("coeff,value", [
+        ("-3/4", Fraction(-3, 4)), ("0.5", Fraction(1, 2)), ("+7", 7),
+        ("-.25", Fraction(-1, 4)), ("3.", 3), ("6/4", Fraction(3, 2)),
+    ])
+    def test_q_coefficient_in_the_grammar(self, coeff, value):
+        A = formats.parse(f"frob v1\nfield Q\nbasis e\nunit {coeff}\n")
+        assert A.unit == (value,)
 
     def test_pd2_file_passes_axioms(self):
         A = formats.parse(_fixture_text("pd2.frob"))

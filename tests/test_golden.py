@@ -5,9 +5,12 @@ ChordDiagram (those of (0;3,2)@9 and (2;1,1)@12 from the release before the
 canonical search dropped losing starts early, those of the paths from the
 release before children's colors were derived from their parent's, those of
 the enumerated classes from the release before the enumerator yielded raw
-tables); a change that alters any of them changes what chordlab reports."""
+tables, those of the tqft outputs from the release before the matrix kernels
+accumulated in ints); a change that alters any of them changes what chordlab
+reports."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -104,3 +107,66 @@ def test_enumerated_classes(top, bound, digest):
     text = "".join(code.decode("ascii") + "|" + formats.serialize_chord(form)
                    + "\n" for code, form in classes.items())
     assert _sha(text) == digest
+
+
+def _truncated_polynomial(rank: int, delta: str) -> str:
+    """k[x]/(x^rank) over Q with Delta(x^i) = delta * sum_{j+k=i+rank-1}
+    x^j (x) x^k: the cohomology-ring pattern of CP^(rank-1), Delta scaled."""
+    lines = ["frob v1", "field Q"] + [f"basis x{i}" for i in range(rank)]
+    lines.append("unit " + " ".join("1" if i == 0 else "0" for i in range(rank)))
+    lines += [f"m {i} {j} -> {i + j} 1"
+              for i in range(rank) for j in range(rank - i)]
+    lines += [f"Delta {i} -> {j} {i + rank - 1 - j} {delta}"
+              for i in range(rank) for j in range(rank)
+              if 0 <= i + rank - 1 - j < rank]
+    return "\n".join(lines) + "\n"
+
+
+# Scaling Delta by a constant keeps every axiom (each one is linear or
+# quadratic in Delta on both sides), so these algebras pass them all while
+# their operations carry denominators: pd2 is the rank-2 case.
+_THIRDS = {"pd2/3": _truncated_polynomial(2, "1/3"),
+           "cp2/3": _truncated_polynomial(3, "1/3")}
+
+
+def _algebra_args(tmp_path, algebra: str) -> list[str]:
+    if algebra in _THIRDS:
+        path = tmp_path / "algebra.frob"
+        path.write_text(_THIRDS[algebra])
+        return ["--algebra", str(path)]
+    name, field_ = algebra.split("/")
+    return ["--algebra", name, "--field", field_]
+
+
+@pytest.mark.parametrize("algebra,digest", [
+    ("pd2/Q",
+     "10ce781131afb63fcbf501ecd6a0ee55980f916c7bd5770304a6db0ead5726e2"),
+    ("st2/F5",
+     "2f070d8ca063939b07f2581fbc6ad7d539889c6d55543a59a99fa4f376145245"),
+    ("zero/F7",
+     "372f0b96c0baa0a55747732aff451e8b0edf876e63c82daf01f55b8b2df270ca"),
+    ("pd2/3",
+     "aefc1d25f4126776c70294d9833c91e6207cc1741f952c6cf68d9e5e1f186c9a"),
+    ("cp2/3",
+     "894e259d1b7b0085b0e46db2782c245d6ea6babe2057670b8bd8f66de5f29e76"),
+])
+def test_tqft_op_json(capsys, tmp_path, algebra, digest):
+    # every mu_{p,q}(g) with p <= 3, 1 <= q <= 3 and g <= 3, one JSON line
+    # each, then the axioms and the counit
+    args = _algebra_args(tmp_path, algebra)
+    for p in range(4):
+        for q in range(1, 4):
+            for g in range(4):
+                assert main(["tqft", "op", "--json", "--p", str(p),
+                             "--q", str(q), "--g", str(g)] + args) == 0
+    assert main(["tqft", "axioms", "--json"] + args) == 0
+    assert main(["tqft", "counit", "--json"] + args) == 0
+    assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("algebra", sorted(_THIRDS))
+def test_tqft_verify_scaled_delta(capsys, tmp_path, algebra):
+    args = _algebra_args(tmp_path, algebra)
+    assert main(["tqft", "verify", "--json", "--range", "3,3,3,2,2"] + args) == 0
+    assert json.loads(capsys.readouterr().out) == {"failures": [],
+                                                   "all_pass": True}

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordlab import chord as ch
 from chordlab import formats, tqft
@@ -11,6 +12,101 @@ from chordlab.errors import ChordLabError, NoOutgoing
 
 FIELDS = [tqft.Rationals(), tqft.PrimeField(2), tqft.PrimeField(3),
           tqft.PrimeField(5)]
+
+
+# the matrix kernels as they were written before they ran on ints: one F.add
+# and one F.mul per product, kept here as the reference the kernels must meet
+def _reference_matmul(F, A, B):
+    rows, inner, cols = len(A), len(B), len(B[0])
+    assert len(A[0]) == inner
+    C = tqft._zeros(F, rows, cols)
+    for i in range(rows):
+        Ai = A[i]
+        Ci = C[i]
+        for k in range(inner):
+            a = Ai[k]
+            if a == F.zero:
+                continue
+            Bk = B[k]
+            for j in range(cols):
+                Ci[j] = F.add(Ci[j], F.mul(a, Bk[j]))
+    return C
+
+
+def _reference_kron(F, A, B):
+    ra, ca, rb, cb = len(A), len(A[0]), len(B), len(B[0])
+    C = tqft._zeros(F, ra * rb, ca * cb)
+    for i in range(ra):
+        for j in range(ca):
+            a = A[i][j]
+            if a == F.zero:
+                continue
+            for k in range(rb):
+                for l in range(cb):
+                    C[i * rb + k][j * cb + l] = F.mul(a, B[k][l])
+    return C
+
+
+@st.composite
+def _matrix(draw, F, rows, cols):
+    """A rows x cols matrix over F, some of its rows and columns zeroed.
+    Over Q its entries mix negative numerators, zeros, entries too large for
+    a machine word, and denominators from a small per-matrix pool, so that
+    one row or column often holds several, coprime or not."""
+    if isinstance(F, tqft.Rationals):
+        pool = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 7, 35]),
+                             min_size=1, max_size=3))
+        element = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(pool))
+        if draw(st.booleans()):
+            element |= st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                                 st.integers(1, 2 ** 40))
+    else:
+        element = st.one_of(st.just(0), st.integers(0, F.p - 1))
+    M = [[draw(element) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=1)):
+        M[i] = [F.zero] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=1)):
+        for row in M:
+            row[j] = F.zero
+    return M
+
+
+_KERNEL_FIELDS = st.sampled_from([tqft.Rationals(), tqft.PrimeField(2),
+                                  tqft.PrimeField(7),
+                                  tqft.PrimeField(2 ** 61 - 1)])
+
+
+def _assert_field_entries(F, M):
+    for row in M:
+        for x in row:
+            if isinstance(F, tqft.Rationals):
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < F.p
+
+
+class TestKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matmul_matches_reference(self, data):
+        F = data.draw(_KERNEL_FIELDS)
+        rows, inner, cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+        A = data.draw(_matrix(F, rows, inner))
+        B = data.draw(_matrix(F, inner, cols))
+        C = tqft._matmul(F, A, B)
+        assert C == _reference_matmul(F, A, B)
+        _assert_field_entries(F, C)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kron_matches_reference(self, data):
+        F = data.draw(_KERNEL_FIELDS)
+        ra, ca, rb, cb = (data.draw(st.integers(1, 4)) for _ in range(4))
+        A = data.draw(_matrix(F, ra, ca))
+        B = data.draw(_matrix(F, rb, cb))
+        C = tqft._kron(F, A, B)
+        assert C == _reference_kron(F, A, B)
+        _assert_field_entries(F, C)
 
 
 class TestAxioms:
