@@ -635,30 +635,45 @@ def _form(columns, p: int, q: int, markings) -> ChordDiagram:
                         tuple(markings))
 
 
-def _canonicalize(pairing, nxt, colors, p: int, q: int, words: dict):
-    """The class code, the canonical tables and the relabeling of the
-    diagram of type (g;p,q) with these tables and _int_colors, from one
-    canonical search; markings play no part.
+def _canonicalize(pairing, nxt, colors, p: int, q: int):
+    """The key and least word of the class of the diagram of type (g;p,q)
+    with these tables and _int_colors, and its relabeling, from one
+    canonical search; markings play no part, and no code is written (_code).
 
-    The canonical tables are the fatgraph._columns of the least word,
-    (next_at_vertex, pairing, colors) indexed by label: the same whichever
-    member of the class is searched.  words maps each least word seen to its
-    class's code, and nothing else, so each class is encoded once.  The
-    columns are returned only the first time a word is met; a class seen
-    before gets None for them.  An entry of a word on n half-edges is below
-    n * n * (p + 2q), so up to 2^16 the word is kept as 2-byte array bytes.
-    """
+    The least word is the same whichever member of the class is searched,
+    so a class is its least word.  The key is the word's bytes: an entry of
+    a word on n half-edges is below n * n * (p + 2q), so up to 2^16 it is
+    2n bytes of 2-byte entries, past that a tuple; so keys of different edge
+    counts never coincide."""
     n_colors = p + 2 * q
     label, word = fg._search(pairing, nxt, colors, n_colors)
     n = len(pairing)
     key = (array("H", word).tobytes() if n * n * n_colors <= 1 << 16
            else tuple(word))
-    code = words.get(key)
-    if code is not None:
-        return code, None, label
-    columns = fg._columns(word, n_colors)
-    code = words[key] = fg._write_code(columns, _palette_text(p, q))
-    return code, columns, label
+    return key, word, label
+
+
+def _code(key, p: int, q: int):
+    """The code of the class of type (g;p,q) with this key (_canonicalize),
+    and its canonical tables: the fatgraph._columns of its least word."""
+    columns = fg._columns(key if type(key) is tuple else array("H", key),
+                          p + 2 * q)
+    return fg._write_code(columns, _palette_text(p, q)), columns
+
+
+def _least(c: ChordDiagram):
+    """_canonicalize of the diagram c: its class's key and least word and
+    c's relabeling, from one canonical search."""
+    return _canonicalize(c.graph.pairing, c.graph.next_at_vertex,
+                         _int_colors(c), c.p, c.q)
+
+
+def _canonical(c: ChordDiagram):
+    """The key of c's class, c's canonical form and the relabeling, from
+    one canonical search (_least); no code is written."""
+    key, word, label = _least(c)
+    return key, _form(fg._columns(word, c.p + 2 * c.q), c.p, c.q,
+                      [label[m] for m in c.markings]), label
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -672,11 +687,7 @@ def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
     """
     if with_markings:
         return fg.canonical_code(c.graph, _code_colors(c, True))
-    n_colors = c.p + 2 * c.q
-    _label, word = fg._search(c.graph.pairing, c.graph.next_at_vertex,
-                              _int_colors(c), n_colors)
-    return fg._write_code(fg._columns(word, n_colors),
-                          _palette_text(c.p, c.q))
+    return _code(_least(c)[0], c.p, c.q)[0]
 
 
 def canonical_form(c: ChordDiagram) -> ChordDiagram:
@@ -686,7 +697,7 @@ def canonical_form(c: ChordDiagram) -> ChordDiagram:
     pairing, rotation, label tables and boundary order; markings land
     wherever the relabeling sends them.
     """
-    return canonical_form_with_map(c)[0]
+    return _canonical(c)[1]
 
 
 def canonical_form_with_map(
@@ -694,12 +705,10 @@ def canonical_form_with_map(
 ) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
     """canonical_form plus the relabeling (old half-edge -> new label) and
     the class code, diagram_code(c), all from one canonical search
-    (_canonicalize, with a fresh record, so the columns always come
-    back)."""
-    code, columns, label = _canonicalize(
-        c.graph.pairing, c.graph.next_at_vertex, _int_colors(c), c.p, c.q, {})
-    form = _form(columns, c.p, c.q, [label[m] for m in c.markings])
-    return form, label, code
+    (_least)."""
+    key, _word, label = _least(c)
+    code, columns = _code(key, c.p, c.q)
+    return _form(columns, c.p, c.q, [label[m] for m in c.markings]), label, code
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def canonical_code(
     half-edge whose first word entry, read off the half-edge alone, is
     least, and drops a start at its first entry above the least word so
     far.  The same search yields canonical_labeling, and
-    chord._canonicalize reads a diagram's canonical tables off its word.
+    chord._code reads a diagram's canonical tables off its word.
     The graph must be connected.  ``_step_counter`` accumulates the
     half-edges labelled, including the partial traversals of dropped starts,
     for complexity tests; a start passed over for its first entry labels

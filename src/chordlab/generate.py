@@ -5,12 +5,12 @@ The exhaustive enumerator derives each candidate's tables directly,
 unvalidated, from a circle composition, a labeled ghost forest and a
 rotation choice.  A candidate is raw tables (pairing, rotation, integer
 colors and markings), not a diagram: it costs one canonical search, and
-only a class not seen before gets its code written (chord._canonicalize).
-The enumeration is a generator (_classes) that holds codes, not diagrams:
-it yields each class's canonical tables and markings once, so a caller
-builds only the forms it needs.  It visits one (composition, forest) block per
-orbit of the relabelings that keep a block's diagrams up to isomorphism.
-It uses no moves, so it is an independent check on move-graph searches.
+only a class whose least word is new gets its code written (chord._code).
+The enumeration is a generator (_classes) that holds least words, not
+diagrams: it yields each class's canonical tables and markings once, so a
+caller builds only the forms it needs.  It visits one (composition,
+forest) block per orbit of the relabelings that keep a block's diagrams up
+to isomorphism.  It uses no moves: an independent check on the searches.
 """
 
 from __future__ import annotations
@@ -340,16 +340,16 @@ def enumerate_classes(
 def _classes(top: TopType, edge_bound: int):
     """Yield (code, canonical columns, markings) for each class of
     enumerate_classes, in its order, the moment its first candidate is met:
-    the columns of its least word (chord._canonicalize) and the candidate's
-    own markings, relabelled onto them, from which chord._form builds the
-    class's stored form.  The generator keeps only a record of least words
-    and their codes, and builds no diagram."""
+    the columns of its least word (chord._code) and the candidate's own
+    markings, relabelled onto them, from which chord._form builds the
+    class's stored form.  The generator keeps only the set of least words
+    met (chord._canonicalize), and builds no diagram."""
     _require_int("edge_bound", edge_bound)
     g, p, q = top.genus, top.p, top.q
     if p < 1 or q < 1:
         raise UnrepresentableType(f"{top} is not a chord-diagram type")
     const = 2 * g + p + q - 2
-    words: dict = {}
+    seen: set = set()
     for n_circ in range(max(p, const + 1), edge_bound - const + 1):
         for n_int in range(0, edge_bound - const - n_circ + 1):
             n_ghost = n_int + const
@@ -363,11 +363,12 @@ def _classes(top: TopType, edge_bound: int):
                         continue
                     for pairing, nxt, colors, markings in _diagram_candidates(
                             p, q, comp, forest, n_int):
-                        code, columns, label = ch._canonicalize(
-                            pairing, nxt, colors, p, q, words)
-                        if columns is not None:
-                            yield code, columns, [label[m] for m in markings]
-                    if len(words) > EXPLORE_CLASS_BUDGET:
+                        key, _word, label = ch._canonicalize(
+                            pairing, nxt, colors, p, q)
+                        if key not in seen:
+                            seen.add(key)
+                            yield *ch._code(key, p, q), [label[m] for m in markings]
+                    if len(seen) > EXPLORE_CLASS_BUDGET:
                         raise SearchExhausted(
-                            f"{len(words)} classes exceed the class budget "
+                            f"{len(seen)} classes exceed the class budget "
                             f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}")

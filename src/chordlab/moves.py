@@ -1,14 +1,17 @@
 """The collapse/expansion move graph on isomorphism classes of chord diagrams.
 
-A class is its unmarked diagram code.  A search records each class it
-reaches as its code, its parent's code and one move.  While the class is on
-the frontier, the search holds it as the columns of its least word
-(chord._canonicalize): the rotation, pairing and integer colors of its
-canonical form, the same whichever parent reached it.  So every move in a
-recorded path refers to half-edge ids of the canonical representative at
-that step; replaying a path means alternating apply_move and
-canonical_form.  A move names only what is free: a collapse its edge, an
-expansion the two half-edges that end its arcs.  The inverse of a collapse
+A class is its least word (chord._canonicalize): the word of the canonical
+search, the same whichever member of the class is searched.  A search keys
+each class it reaches by its word's bytes, records its parent's key and one
+move under it, and holds a frontier class as that key alone.  The class's
+code text, and the columns of its word (the rotation, pairing and integer
+colors of its canonical form), are written only when the class is
+expanded, when it is a candidate meeting class or when it is reported
+(chord._code).  So every move in a recorded path refers to half-edge ids
+of the canonical representative at that step; replaying a path means
+alternating apply_move and canonical_form.  A move names only what is
+free: a collapse its edge, an expansion the two half-edges that end its
+arcs.  The inverse of a collapse
 is the split at the half-edges before the edge's two ends; the inverse of
 an expansion collapses its new edge.  Markings play no part in an unmarked
 move: which edges collapse, which splits exist and the label and colors of
@@ -47,11 +50,8 @@ collapse joins two rotations and drops its edge's two halves, and a split
 cuts one rotation and appends its two new halves, colored by the cycles
 they join (chord._collapse, chord._split).  The search runs on the child's
 tables, and the least word names the class (chord._canonicalize, the one
-routine from raw tables to code and canonical columns, which the enumerator
-and canonical_form_with_map share).  Each search also keeps a record, freed
-when it ends, that maps each least word it has met to its class's code, so
-each class's code is written, and its columns read off its word, once: the
-first time it is met.  The public neighbors_with_moves runs the same
+routine from raw tables to a class, which the enumerator and
+canonical_form share).  The public neighbors_with_moves runs the same
 routine (_neighbors) and builds a representative from the columns.  The
 search is serial: one process expands each layer class by class, in code
 order.  explore's enumerator is independent of it, so where a second CPU is
@@ -103,17 +103,9 @@ def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
     raise ChordLabError(f"unknown move {move!r}")
 
 
-def _replay(d: ChordDiagram, code: bytes, path: list[Move]) -> bytes:
-    """The class code reached by replaying path from the representative d
-    of the class code."""
-    for move in path:
-        d, _, code = ch.canonical_form_with_map(apply_move(d, move))
-    return code
-
-
 def _held(c: ChordDiagram):
-    """The canonical diagram c as a frontier holds its class: the arguments
-    of chord._tables, its rotation, pairing, chord._int_colors, p and q."""
+    """The canonical diagram c as chord._tables takes it: its rotation,
+    pairing, chord._int_colors, p and q."""
     return (c.graph.next_at_vertex, c.graph.pairing, ch._int_colors(c),
             c.p, c.q)
 
@@ -181,27 +173,24 @@ def _apply(t, move: Move):
     raise ChordLabError(f"unknown move {move!r}")
 
 
-def _neighbors(t, max_edges: int | None, skip, words: dict):
+def _neighbors(t, max_edges: int | None, skip):
     """Every search's one routine per class: all move-graph neighbours of
     the class with tables t (chord._tables), passing over the moves in
-    skip, as a code-sorted, deduplicated list of (code, canonical columns,
-    forward move on t, inverse move on the canonical columns).  Each child
-    costs one canonical search on tables derived from t (_children).  words
-    maps each least word met to its class's code (chord._canonicalize); a
-    class whose word it already held comes back with None for its columns.
-    """
+    skip, as a deduplicated list of (key, least word, forward move on t,
+    inverse move on the canonical tables), each class with its first move
+    in _children's order.  Each child costs one canonical search on tables
+    derived from t (_children)."""
     p, q = t.p, t.q
-    found: dict[bytes, tuple] = {}
+    found: dict = {}
     for move, (u, v), pairing, nxt, colors in _children(t, max_edges, skip):
-        code, columns, label = ch._canonicalize(pairing, nxt, colors, p, q,
-                                                words)
-        if code not in found:
+        key, word, label = ch._canonicalize(pairing, nxt, colors, p, q)
+        if key not in found:
             if move[0] == "collapse":
                 inverse = ("expand", label[u], label[v])
             else:
                 inverse = ("collapse", min(label[u], label[v]))
-            found[code] = (code, columns, move, inverse)
-    return [found[k] for k in sorted(found)]
+            found[key] = (key, word, move, inverse)
+    return list(found.values())
 
 
 def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
@@ -213,22 +202,24 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
     (code, canonical representative, forward move on c, inverse move on the
     representative), from the searches' own routine (_neighbors) on c's
     tables.  A skipped move is neither applied nor canonicalized.  record,
-    a dict a whole search may share across calls, maps per type each least
-    word met to its class's code (see chord._canonicalize); the words of
-    two types may coincide.  The representative is None exactly when the
+    a dict a whole search may share across calls, maps per type to the set
+    of least words met (the keys of chord._canonicalize); the words of two
+    types may coincide.  The representative is None exactly when the
     record already held the class's word before this call: such a class is
     not built again.  Without a record, every representative is built.  A
     representative is its class's canonical form, marked at the least
     circular half-edge of each cycle: an unmarked move carries no marking.
     """
-    if record is None:
-        record = {}
     p, q = c.p, c.q
-    return [(code, None if columns is None else ch._form(
-                columns, p, q, ch._least_markings(columns[2], p, q)), fwd, inv)
-            for code, columns, fwd, inv in _neighbors(
-                ch._tables(*_held(c)), max_edges, skip,
-                record.setdefault((p, q), {}))]
+    seen = set() if record is None else record.setdefault((p, q), set())
+    out = []
+    for key, _word, fwd, inv in _neighbors(ch._tables(*_held(c)), max_edges,
+                                           skip):
+        code, columns = ch._code(key, p, q)
+        out.append((code, None if key in seen else ch._form(
+            columns, p, q, ch._least_markings(columns[2], p, q)), fwd, inv))
+        seen.add(key)
+    return sorted(out, key=lambda entry: entry[0])
 
 
 def neighbors(c: ChordDiagram) -> list[ChordDiagram]:
@@ -261,65 +252,73 @@ class MoveGraphReport:
         }
 
 
-def _grow(info: dict, frontier: dict, max_edges: int, words: dict,
+def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
           forward=False, check=None):
-    """Expand one search layer, class by class in code order: record each
-    unseen neighbour of the frontier in info as (parent code, move), the
-    move being the forward one or, by default, the inverse.
+    """Expand one search layer of type (g;p,q), class by class in code
+    order: record each unseen neighbour of the frontier in info as (parent
+    key, move), the move being the forward one or, by default, the inverse.
 
-    The frontier maps each code to its class as _held gives it and the
-    moves it skips.  A class's tables are derived once, as it is expanded
-    (chord._tables), and dropped after; check, if given, is called as
-    check(info, words, code, tables) first.  Returns the new frontier,
-    sorted by code, each new class held as the columns of its least word;
-    it skips the inverse of every move of this layer that reached it (see
-    the module docstring).  words is the search's own map of least words
-    (see chord._canonicalize), shared by every layer, so only a class
-    already in info comes back without its columns.
-    """
-    new: dict[bytes, tuple] = {}
-    for parent, (held, skip) in frontier.items():
-        t = ch._tables(*held)
+    info and the frontier are keyed by least words (chord._canonicalize);
+    the frontier maps each to the moves its class skips.  Each frontier
+    class's columns and code are written here, once, and the layer is
+    expanded in code order, not key order (code text puts "10" before "8").
+    A class's tables are derived as it is expanded (chord._tables); check,
+    if given, is called as check(info, key, code, tables) first.  Returns
+    the new frontier, each class skipping the inverse of every move of this
+    layer that reached it (see the module docstring)."""
+    layer = sorted((*ch._code(key, p, q), key) for key in frontier)
+    new: dict = {}
+    for code, columns, parent in layer:
+        t = ch._tables(*columns, p, q)
         if check is not None:
-            check(info, words, parent, t)
-        for code, columns, fwd, inv in _neighbors(t, max_edges, skip, words):
-            if code not in info:
-                info[code] = (parent, fwd if forward else inv)
-                new[code] = ((*columns, t.p, t.q), set())
-            if code in new:
-                new[code][1].add(inv)
-    return {code: new[code] for code in sorted(new)}
+            check(info, parent, code, t)
+        for key, _word, fwd, inv in _neighbors(t, max_edges,
+                                               frontier[parent]):
+            if key not in info:
+                info[key] = (parent, fwd if forward else inv)
+                new[key] = set()
+            if key in new:
+                new[key].add(inv)
+    return new
 
 
 def _bfs(start: ChordDiagram, max_edges: int, check=None):
     """Breadth-first search over classes from the canonical diagram start;
     returns info, code -> (parent code, inverse move), with (None, None) for
-    the start.  Only the frontier (_grow) holds a class, as the columns of
-    its least word, and a layer is dropped once it is expanded; no diagram
-    is built past the start.  check, if given, is passed to _grow.  Raises
-    SearchExhausted once a layer leaves more than
-    generate.EXPLORE_CLASS_BUDGET classes."""
-    start_code = ch.diagram_code(start)
-    info: dict[bytes, tuple] = {start_code: (None, None)}
-    frontier = {start_code: (_held(start), set())}
-    words: dict = {}
+    the start.  The search keys classes by least words (_grow); each class
+    reached is expanded, and its code written, once, and info is rekeyed by
+    those codes at the end.  No diagram is built past the start.  check, if
+    given, is called as _grow calls it.  Raises SearchExhausted once a layer
+    leaves more than generate.EXPLORE_CLASS_BUDGET classes."""
+    p, q = start.p, start.q
+    key = ch._least(start)[0]
+    info: dict = {key: (None, None)}
+    frontier: dict = {key: set()}
+    codes: dict = {None: None}   # the start's parent is None
     budget = generate.EXPLORE_CLASS_BUDGET
+
+    def expanded(info, key, code, t):
+        codes[key] = code
+        if check is not None:
+            check(info, key, code, t)
+
     while frontier:
-        frontier = _grow(info, frontier, max_edges, words, check=check)
+        frontier = _grow(info, frontier, max_edges, p, q, check=expanded)
         if len(info) > budget:
             raise SearchExhausted(
                 f"{len(info)} classes exceed the class budget "
                 f"EXPLORE_CLASS_BUDGET = {budget}",
                 frontier_size=len(frontier))
-    return info
+    return {codes[key]: (codes[parent], move)
+            for key, (parent, move) in info.items()}
 
 
-def _check_witness(info: dict, words: dict, code: bytes, t) -> None:
-    """Refuse the class code, with tables t, unless its recorded inverse
-    move reaches its parent's class.
+def _check_witness(info: dict, key, code: bytes, t) -> None:
+    """Refuse the class with this key and code, and tables t, unless its
+    recorded inverse move reaches its parent's class.
 
     A witness path is its class's inverse move followed by its parent's
-    path, so checking every class's one move against its parent's code
+    path, so checking every class's one move against its parent's key
     checks every path, by induction on depth.  t is the class's canonical
     tables, those of canonical_form whatever parent reached it, and _apply
     makes and refuses the move as apply_move does on the canonical
@@ -328,11 +327,11 @@ def _check_witness(info: dict, words: dict, code: bytes, t) -> None:
     replay reaches.  An unmarked move reads no marking, so the parent's
     path replays from that class as it does from the parent's
     representative."""
-    parent, inv = info[code]
+    parent, inv = info[key]
     if parent is None:
         return
     try:
-        if ch._canonicalize(*_apply(t, inv), t.p, t.q, words)[0] != parent:
+        if ch._canonicalize(*_apply(t, inv), t.p, t.q)[0] != parent:
             raise ChordLabError("its move reaches another class")
     except ChordLabError as exc:
         raise ChordLabError(
@@ -530,33 +529,33 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
     """
     top = c.top_type()
-    start, _, start_code = ch.canonical_form_with_map(c)
-    goal, _, goal_code = ch.canonical_form_with_map(
-        ch.canonical_gamma0(top.genus, top.p, top.q))
-    ceiling = max(start.graph.n_edges, goal.graph.n_edges) + _PATH_SLACK
+    p, q = top.p, top.q
+    goal = ch.canonical_gamma0(top.genus, p, q)
+    ceiling = max(c.graph.n_edges, goal.graph.n_edges) + _PATH_SLACK
+    start_key, start, _label = ch._canonical(c)
+    goal_key = ch._least(goal)[0]
 
     # side A grows from c recording forward moves (parent rep -> child);
     # side B grows from the base point recording inverse moves (child rep ->
     # parent), so a meeting class yields a full path without re-searching
-    a_info: dict[bytes, tuple] = {start_code: (None, None)}
-    b_info: dict[bytes, tuple] = {goal_code: (None, None)}
-    a_frontier = {start_code: (_held(start), set())}
-    b_frontier = {goal_code: (_held(goal), set())}
-    a_words: dict = {}
-    b_words: dict = {}
+    a_info: dict = {start_key: (None, None)}
+    b_info: dict = {goal_key: (None, None)}
+    a_frontier: dict = {start_key: set()}
+    b_frontier: dict = {goal_key: set()}
 
-    def meet_code():
+    def meet_key():
+        # the common class of least code; only the common ones are written
         common = a_info.keys() & b_info.keys()
-        return min(common) if common else None
+        return min(common, key=lambda key: ch._code(key, p, q)[0],
+                   default=None)
 
-    meet = meet_code()
+    meet = meet_key()
     while meet is None and (a_frontier or b_frontier):
         if a_frontier and (not b_frontier or len(a_frontier) <= len(b_frontier)):
-            a_frontier = _grow(a_info, a_frontier, ceiling, a_words,
-                               forward=True)
+            a_frontier = _grow(a_info, a_frontier, ceiling, p, q, forward=True)
         else:
-            b_frontier = _grow(b_info, b_frontier, ceiling, b_words)
-        meet = meet_code()
+            b_frontier = _grow(b_info, b_frontier, ceiling, p, q)
+        meet = meet_key()
 
     if meet is None:
         raise SearchExhausted(
@@ -566,17 +565,21 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
 
     # forward moves from the start down to the meeting class
     path = []
-    code = meet
-    while a_info[code][0] is not None:
-        code, move = a_info[code]
+    key = meet
+    while a_info[key][0] is not None:
+        key, move = a_info[key]
         path.append(move)
     path.reverse()
     # inverse moves from the meeting class back to the base point
-    code = meet
-    while b_info[code][0] is not None:
-        code, move = b_info[code]
+    key = meet
+    while b_info[key][0] is not None:
+        key, move = b_info[key]
         path.append(move)
 
-    if _replay(start, start_code, path) != goal_code:
+    # replay: each move is applied to the canonical form of the class before
+    key, d = start_key, start
+    for move in path:
+        key, d, _label = ch._canonical(apply_move(d, move))
+    if key != goal_key:
         raise ChordLabError("path replay does not reach the base point")
     return path

@@ -431,26 +431,6 @@ class OperationMatrix:
         return [list(r) for r in self.matrix]
 
 
-def _m_power(A, p):
-    """Matrix of the iterated product A^{tensor p} -> A (p = 0: the unit)."""
-    F, d = A.field_, A.dim
-    if p == 0:
-        return A.unit_matrix()
-    M = _identity(F, d)
-    for _ in range(p - 1):
-        M = _matmul(F, A.m_matrix(), _kron(F, M, _identity(F, d)))
-    return M
-
-
-def _delta_power(A, q):
-    """Matrix of the iterated coproduct A -> A^{tensor q} (q >= 1)."""
-    F, d = A.field_, A.dim
-    M = _identity(F, d)
-    for _ in range(q - 1):
-        M = _matmul(F, _kron(F, M, _identity(F, d)), A.delta_matrix())
-    return M
-
-
 # the largest (g+1)*d^(p+q) mu accepts: the cells of its d^q x d^p result,
 # once more for each of its g handle products (over Q the entries can still
 # grow with g)
@@ -490,11 +470,18 @@ def mu(A: FrobeniusAlgebra, p: int, q: int, g: int) -> OperationMatrix:
         raise ChordLabError(
             f"mu_{{{p},{q}}}({g}): genus {g} over Q is over the genus budget "
             f"MU_GENUS_BUDGET_Q = {MU_GENUS_BUDGET_Q}")
-    H = _matmul(F, A.m_matrix(), A.delta_matrix())
-    M = _m_power(A, p)
+    # each structure matrix is built once per call
+    m, delta, identity = A.m_matrix(), A.delta_matrix(), _identity(F, A.dim)
+    M = A.unit_matrix() if p == 0 else identity   # m^(p-1): A^(x)p -> A
+    for _ in range(p - 1):
+        M = _matmul(F, m, _kron(F, M, identity))
+    H = _matmul(F, m, delta)
     for _ in range(g):
         M = _matmul(F, H, M)
-    M = _matmul(F, _delta_power(A, q), M)
+    D = identity                                  # Delta^(q-1): A -> A^(x)q
+    for _ in range(q - 1):
+        D = _matmul(F, _kron(F, D, identity), delta)
+    M = _matmul(F, D, M)
     shift = None
     if A.degrees is not None:
         shift = degree_shift(p, q, g, A.ambient_n)

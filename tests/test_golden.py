@@ -93,6 +93,21 @@ def test_paths_of_random_walks(top, digest):
     assert _sha(text) == digest
 
 
+def test_paths_of_longer_walks():
+    # path_to_canonical's answer from the end of 8-move walks, seeds 0-19,
+    # on six types, one line per walk: these meet in wider layers and across
+    # mixed edge counts; recorded before the searches keyed classes by their
+    # least words
+    tops = [(1, 1, 2), (0, 3, 2), (0, 2, 3), (2, 1, 1), (1, 1, 3), (2, 1, 2)]
+    text = "".join(
+        repr(moves.path_to_canonical(
+            generate.random_diagram(random.Random(seed), *top, steps=8))) + "\n"
+        for top in tops for seed in range(20)
+    )
+    assert _sha(text) == (
+        "985e9a8c5fb2056b629e0984579dd0a13bc8e880b235b4d28f1403afc51f0751")
+
+
 @pytest.mark.parametrize("top,bound,digest", [
     ((0, 3, 2), 9,
      "9c966663ca03f70b9e2d6a286e204767849788508af546fd327d851b5716e3ed"),

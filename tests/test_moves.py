@@ -117,8 +117,9 @@ class TestRecord:
         # each other), and every other one is the plain call's
         record = {}
         built = held = 0
-        for c in generate.enumerate_classes(TopType(1, 1, 2), 9).values():
-            seen = set(record.get((1, 2), {}).values())
+        classes = generate.enumerate_classes(TopType(1, 1, 2), 9)
+        for c in classes.values():
+            seen = {ch._code(key, 1, 2)[0] for key in record.get((1, 2), ())}
             shared = moves.neighbors_with_moves(c, 9, (), record)
             plain = moves.neighbors_with_moves(c, 9)
             assert ([e[:1] + e[2:] for e in shared]
@@ -135,23 +136,26 @@ class TestRecord:
                 assert ch.diagram_code(rep) == code
                 assert ch.canonical_form(rep).graph == rep.graph
         assert built and held
-        # one word table per type, one word per class, and only codes in it
+        # one word set per type, holding each class's least word once, as
+        # the bytes of its 2-byte entries
         assert list(record) == [(1, 2)]
-        assert len(record[1, 2]) == 90
-        assert all(type(code) is bytes for code in record[1, 2].values())
+        assert type(record[1, 2]) is set and len(record[1, 2]) == 90
+        assert all(type(key) is bytes for key in record[1, 2])
+        assert {ch._code(key, 1, 2)[0] for key in record[1, 2]} == set(classes)
 
     def test_words_past_256_entries(self):
         # 2g = 66 chords give 266 half-edges, too many for 2-byte entries;
         # 2g = 12 give 56, which fit
         for genus, key_type in ((33, tuple), (6, bytes)):
             d = ch.canonical_gamma0(genus, 1, 1)
-            words = {}
-            code, columns, label = ch._canonicalize(
+            key, word, label = ch._canonicalize(
                 d.graph.pairing, d.graph.next_at_vertex, ch._int_colors(d),
-                d.p, d.q, words)
+                d.p, d.q)
+            code, columns = ch._code(key, d.p, d.q)
+            assert columns == fg._columns(word, d.p + 2 * d.q)
             form = ch._form(columns, d.p, d.q, [label[m] for m in d.markings])
             assert (form, label, code) == ch.canonical_form_with_map(d)
-            assert [type(w) for w in words] == [key_type]
+            assert type(key) is key_type
 
 
 def _diagram(t):
@@ -174,9 +178,9 @@ class TestSkippedMoves:
         original = moves._neighbors
         expanded = []
 
-        def recording(t, max_edges, skip, words):
+        def recording(t, max_edges, skip):
             expanded.append((t, set(skip)))
-            return original(t, max_edges, skip, words)
+            return original(t, max_edges, skip)
 
         monkeypatch.setattr(moves, "_neighbors", recording)
         start = ch.canonical_form(ch.canonical_gamma0(*top))
@@ -215,9 +219,9 @@ class TestSkippedMoves:
             searches.append(None)
             return original(*args)
 
-        def recording(t, max_edges, skip, words):
+        def recording(t, max_edges, skip):
             expanded.append(t)
-            return original_neighbors(t, max_edges, skip, words)
+            return original_neighbors(t, max_edges, skip)
 
         monkeypatch.setattr(fg, "_search", counted)
         monkeypatch.setattr(moves, "_neighbors", recording)
@@ -249,24 +253,30 @@ def _reachable(*roots):
 
 class TestHeldCodes:
     def test_search_record_holds_no_diagram(self, monkeypatch):
-        # a finished search keeps each class as (parent code, move), and its
-        # record maps words to codes: no diagram is reachable from either
-        original = moves._neighbors
+        # a search keeps each class under its least word's bytes as (parent
+        # word, move), and a finished _bfs as (parent code, move): no
+        # diagram is reachable from either
+        original = moves._grow
         records = []
 
-        def recording(t, max_edges, skip, words):
-            records.append(words)
-            return original(t, max_edges, skip, words)
+        def recording(info, *args, **kwargs):
+            records.append(info)
+            return original(info, *args, **kwargs)
 
-        monkeypatch.setattr(moves, "_neighbors", recording)
+        monkeypatch.setattr(moves, "_grow", recording)
         start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
         info = moves._bfs(start, 9)
         assert len(info) == 698
         record = records[0]
         assert all(r is record for r in records)
-        # each class's code once; the start's word may not have been met
-        assert set(info) - {ch.diagram_code(start)} <= set(
-            record.values()) <= set(info)
+        # one key per class: its least word, whose code is in info
+        assert len(record) == 698
+        assert {ch._code(key, 3, 2)[0] for key in record} == set(info)
+        for key, (parent, move) in record.items():
+            assert type(key) is bytes
+            nxt, pairing, colors = ch._code(key, 3, 2)[1]
+            assert ch._canonicalize(pairing, nxt, colors, 3, 2)[0] == key
+            assert parent is None or parent in record
         for code, value in info.items():
             assert type(value) is tuple and len(value) == 2
             parent, move = value
@@ -282,6 +292,74 @@ class TestHeldCodes:
         # the walk does find a diagram where one is held
         assert any(isinstance(obj, ch.ChordDiagram)
                    for obj in _reachable({b"": (None, [start])}))
+
+
+class TestWordKeys:
+    @pytest.mark.parametrize("top,bound", [((1, 1, 2), 9), ((2, 1, 1), 12)])
+    def test_layers_expand_in_code_order(self, monkeypatch, top, bound):
+        # _grow expands each layer of _bfs in the order of its classes' code
+        # text, which a sort by key (the least word's bytes) would not give
+        grow, neighbors = moves._grow, moves._neighbors
+        layers = []
+
+        def growing(*args, **kwargs):
+            layers.append([])
+            return grow(*args, **kwargs)
+
+        def expanding(t, max_edges, skip):
+            key = ch._canonicalize(t.pairing, t.nxt, t.colors, t.p, t.q)[0]
+            layers[-1].append((ch._code(key, t.p, t.q)[0], key))
+            return neighbors(t, max_edges, skip)
+
+        monkeypatch.setattr(moves, "_grow", growing)
+        monkeypatch.setattr(moves, "_neighbors", expanding)
+        info = moves._bfs(ch.canonical_form(ch.canonical_gamma0(*top)), bound)
+        monkeypatch.undo()
+        assert sum(map(len, layers)) == len(info)
+        by_key_differs = False
+        for layer in layers:
+            codes = [code for code, _key in layer]
+            assert codes == sorted(codes)
+            by_key = [code for code, _key in sorted(layer, key=lambda e: e[1])]
+            by_key_differs |= by_key != codes
+        assert by_key_differs
+
+    def test_code_written_only_for_expanded_classes(self, monkeypatch):
+        # a far (2;1,1) query writes code text and derives columns at most
+        # once per class it expands, plus once each for the start, the goal,
+        # the candidate meeting classes and the replay steps; most classes
+        # it meets are never written
+        d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
+        counts = {"_write_code": 0, "_columns": 0, "_tables": 0}
+        infos = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        def growing(info, *args, grow=moves._grow, **kwargs):
+            if all(info is not known for known in infos):
+                infos.append(info)
+            return grow(info, *args, **kwargs)
+
+        counting(fg, "_write_code")
+        counting(fg, "_columns")
+        counting(ch, "_tables")
+        monkeypatch.setattr(moves, "_grow", growing)
+        path = moves.path_to_canonical(d)
+        monkeypatch.undo()
+        a_info, b_info = infos
+        common = len(a_info.keys() & b_info.keys())
+        met = len(a_info.keys() | b_info.keys())
+        assert len(path) == 4 and counts["_tables"] >= 10
+        most = counts["_tables"] + 2 + common + len(path)
+        assert counts["_write_code"] <= most
+        assert counts["_columns"] <= most
+        assert counts["_write_code"] < met / 2
 
 
 def _partition(component):
@@ -333,7 +411,8 @@ class TestHeldTables:
         forms = generate.enumerate_classes(TopType(*top), bound)
         assert len(held) == len(forms) == classes
         for t in held:
-            code = ch._canonicalize(t.pairing, t.nxt, t.colors, p, q, {})[0]
+            key = ch._canonicalize(t.pairing, t.nxt, t.colors, p, q)[0]
+            code = ch._code(key, p, q)[0]
             c = forms.pop(code)
             assert (tuple(t.nxt), tuple(t.pairing)) == (
                 c.graph.next_at_vertex, c.graph.pairing)
@@ -552,17 +631,29 @@ class TestExplore:
             assert ch.diagram_code(d) == g0_code
 
     def test_witness_check_refuses_a_wrong_inverse(self, monkeypatch):
-        # record a sibling's inverse move for one child of the base point;
-        # the child's single move no longer leads to its parent's class
+        # record a sibling's inverse move for the first child of the base
+        # point: the first whose move, applied to that child, does not lead
+        # back to the base point's class (two siblings' inverse moves, each
+        # named on its own class, can both lead back); the child's single
+        # move no longer leads to its parent's class
         original = moves._neighbors
         tampered = []
 
-        def swapped(t, max_edges, skip, words):
-            out = original(t, max_edges, skip, words)
-            if not tampered and len(out) >= 2:
+        def misleads(t, key, move):
+            c = _diagram(ch._tables(*ch._code(key, t.p, t.q)[1], t.p, t.q))
+            try:
+                reached = ch.diagram_code(moves.apply_move(c, move))
+            except ChordLabError:
+                return True
+            return reached != ch.diagram_code(_diagram(t))
+
+        def swapped(t, max_edges, skip):
+            out = original(t, max_edges, skip)
+            if not tampered:
+                key, word, fwd, _inv = out[0]
+                other = next(e[3] for e in out if misleads(t, key, e[3]))
                 tampered.append(t)
-                code, columns, fwd, _inv = out[0]
-                out[0] = (code, columns, fwd, out[1][3])
+                out[0] = (key, word, fwd, other)
             return out
 
         monkeypatch.setattr(moves, "_neighbors", swapped)
@@ -578,21 +669,23 @@ class TestExplore:
         # essential edges (a loop, or not) as its inverse move: the check
         # refuses the move itself and names the class
         original = moves._neighbors
-        tampered = []
+        tampered, met = [], set()
 
-        def invalid(t, max_edges, skip, words):
-            out = original(t, max_edges, skip, words)
-            for i, (code, columns, fwd, _inv) in enumerate(out):
-                if tampered or columns is None:
+        def invalid(t, max_edges, skip):
+            out = original(t, max_edges, skip)
+            for i, (key, word, fwd, _inv) in enumerate(out):
+                if tampered or key in met:
                     continue
+                code, columns = ch._code(key, t.p, t.q)
                 c = _diagram(ch._tables(*columns, t.p, t.q))
                 vertex_of = c.graph.vertex_of()
                 for e in c.graph.edges():
                     if (ch.is_essential(c, e) and loop == (
                             vertex_of[e] == vertex_of[c.graph.pairing[e]])):
-                        out[i] = (code, columns, fwd, ("collapse", e))
+                        out[i] = (key, word, fwd, ("collapse", e))
                         tampered.append(code)
                         break
+            met.update(key for key, *_ in out)
             return out
 
         monkeypatch.setattr(moves, "_neighbors", invalid)
