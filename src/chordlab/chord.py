@@ -16,6 +16,14 @@ base-point diagram of each type, and gluing along matched boundaries.  A
 diagram and a move hold only free data: the boundary order is read off the
 markings, and a vertex split is named by the two half-edges that end its
 arcs, its label being read off the vertex.
+
+There is one checked move, _apply, and it runs on raw tables (_tables):
+the rotation, pairing and integer colors of a diagram, with its vertex,
+ghost-component and circular-vertex tables derived from them in one pass.
+The searches call it on a class's canonical tables; is_essential,
+collapse_edge, apply_expansion and moves.apply_move derive a diagram's
+tables afresh on each call (_diagram_tables), keep none on the diagram,
+and add only the transport of a collapsed edge's markings.
 """
 
 from __future__ import annotations
@@ -112,20 +120,6 @@ class ChordDiagram:
         cycle_of = self.graph.cycle_of()
         return tuple(cycle_of[m][0] for m in self.markings)
 
-    @cached_property
-    def _component_of(self) -> tuple[int, ...]:
-        """The ghost component of every vertex."""
-        return _ghost_components(self.graph, self.labels)
-
-    @cached_property
-    def _circular_vertex(self) -> tuple[bool, ...]:
-        """For each vertex, whether it lies on a circle."""
-        labels = self.labels
-        return tuple(
-            any(labels[h] == CIRCULAR for h in orbit)
-            for orbit in self.graph.vertices()
-        )
-
 
 @dataclass(frozen=True)
 class CollapsedGraph:
@@ -188,17 +182,16 @@ def validate_chord(
 
     # circular edges form p pairwise-disjoint simple cycles: every vertex
     # carries either exactly two circular half-edges or none at all
-    circular_vertex = []
+    n_circ_vertices = 0
     for orbit in graph.vertices():
         k = sum(1 for h in orbit if labels[h] == CIRCULAR)
         if k not in (0, 2):
             raise CircleNotDisjoint(
                 f"vertex {orbit} has {k} circular half-edges (want 0 or 2)"
             )
-        circular_vertex.append(k == 2)
-    n_circ_vertices = sum(circular_vertex)
+        n_circ_vertices += k == 2
 
-    component_of = _ghost_components(graph, labels)  # raises GhostCycle
+    _ghost_components(graph, labels)  # raises GhostCycle
 
     cycles = fg.boundary_cycles(graph)
     cycle_of = graph.cycle_of()
@@ -248,12 +241,8 @@ def validate_chord(
                 raise BadMarking(f"marking {m} is not a circular occurrence on {r}")
 
     g, n_bnd = fg.topological_type(graph)
-    q = n_bnd - p
-    diagram = ChordDiagram(graph=graph, labels=labels, p=p, markings=markings)
-    # hand the tables computed above to the diagram's derived attributes
-    vars(diagram).update(
-        _component_of=component_of, _circular_vertex=tuple(circular_vertex))
-    return diagram, TopType(g, p, q)
+    return (ChordDiagram(graph=graph, labels=labels, p=p, markings=markings),
+            TopType(g, p, n_bnd - p))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +269,7 @@ def collapse_ghosts(c: ChordDiagram) -> CollapsedGraph:
     s_graph = FatGraph(pairing=tuple(pairing), next_at_vertex=tuple(nxt))
 
     # a ghost component becomes the S(c) vertex of its circular half-edges
-    comp, vertex_of = c._component_of, graph.vertex_of()
+    comp, vertex_of = _diagram_tables(c).component, graph.vertex_of()
     s_vertex = {comp[vertex_of[h]]: v for h, v in zip(circ, s_graph.vertex_of())}
     projection = tuple(s_vertex[comp[v]] for v in range(graph.n_vertices))
     return CollapsedGraph(s_graph=s_graph, projection=projection, half_edge_map=half_map)
@@ -291,23 +280,25 @@ def multiplicities(c: ChordDiagram) -> list[int]:
     the number of circular vertices of c collapsing to v."""
     collapsed = collapse_ghosts(c)
     counts = [0] * collapsed.s_graph.n_vertices
-    for v, circular in enumerate(c._circular_vertex):
+    for v, circular in enumerate(_diagram_tables(c).circular):
         counts[collapsed.projection[v]] += circular
     return counts
 
 
 def chi_defect(c: ChordDiagram) -> int:
     """v(c) - sigma(c); always equals -chi of the underlying fat graph."""
-    return sum(c._circular_vertex) - len(set(c._component_of))
+    t = _diagram_tables(c)
+    return sum(t.circular) - len(set(t.component))
 
 
 # ---------------------------------------------------------------------------
 # moves
 # ---------------------------------------------------------------------------
 
-def _check_edge(n: int, e: int) -> None:
-    """Refuse e unless it is one of the n half-edges of a diagram."""
-    if not (isinstance(e, int) and e in range(n)):
+def _check_edge(n: int, e) -> None:
+    """Refuse e unless it is one of the n half-edges of a diagram: an int,
+    not a bool, in range."""
+    if not (type(e) is int and e in range(n)):
         raise ChordLabError(f"edge {e} is not a half-edge of the diagram")
 
 
@@ -320,32 +311,19 @@ def is_essential(c: ChordDiagram, e: int) -> bool:
     (collapsing a chord would merge or pinch the disjoint incoming circles).
     Raises ChordLabError unless e is a half-edge of c.
     """
-    graph = c.graph
-    _check_edge(graph.n_half_edges, e)
-    return _essential(graph.vertex_of(), c._component_of, c._circular_vertex,
-                      c.labels, e, graph.pairing[e])
+    _check_edge(c.graph.n_half_edges, e)
+    return _essential(_diagram_tables(c), e, c.graph.pairing[e])
 
 
-def _essential(vertex_of, component, circular, labels, a: int, b: int) -> bool:
-    """The one rule of is_essential, for the edge a, b = pairing[a] of a
-    diagram with these vertex, ghost-component (per vertex), circular-vertex
-    (per vertex) and C/G label tables; either half gives the same answer.  A
-    loop is circular, the ghost edges being a forest, so it is essential:
-    an edge is collapsible exactly when it is not essential."""
-    va, vb = vertex_of[a], vertex_of[b]
-    if labels[a] == CIRCULAR:
-        return component[va] == component[vb]
-    return circular[va] and circular[vb]
-
-
-def _check_collapse(vertex_of, component, circular, labels, a: int, b: int):
-    """Refuse the collapse of the edge a < b = pairing[a], given the tables
-    of _essential: a loop with LoopEdge, another essential edge with
-    EssentialEdge."""
-    if vertex_of[a] == vertex_of[b]:
-        raise LoopEdge(f"edge {a} is a loop")
-    if _essential(vertex_of, component, circular, labels, a, b):
-        raise EssentialEdge(f"edge {a} is essential")
+def _essential(t: "_Tables", a: int, b: int) -> bool:
+    """The one rule of is_essential, for the edge a, b = pairing[a] of the
+    diagram with tables t; either half gives the same answer.  A loop is
+    circular, the ghost edges being a forest, so it is essential: an edge
+    is collapsible exactly when it is not essential."""
+    va, vb = t.vertex_of[a], t.vertex_of[b]
+    if t.labels[a] == CIRCULAR:
+        return t.component[va] == t.component[vb]
+    return t.circular[va] and t.circular[vb]
 
 
 def is_collapsible(c: ChordDiagram, e: int) -> bool:
@@ -357,52 +335,89 @@ def is_collapsible(c: ChordDiagram, e: int) -> bool:
 
 def _collapsible_edges(t: "_Tables"):
     """Every edge a < b = pairing[a] of the diagram with tables t that
-    collapse_edge accepts, in edge order, by the rule of _essential."""
-    vertex_of, component, circular, labels = (
-        t.vertex_of, t.component, t.circular, t.labels)
+    _apply collapses, in edge order, by the rule of _essential."""
     for a, b in enumerate(t.pairing):
-        if a < b and not _essential(vertex_of, component, circular, labels,
-                                    a, b):
+        if a < b and not _essential(t, a, b):
             yield a, b
 
 
+def _apply(t: "_Tables", move):
+    """The one checked move: the pairing, rotation and _int_colors that
+    move, ("collapse", e) or ("expand", x, y), leaves on the diagram with
+    tables t.  A loop raises LoopEdge, another essential edge
+    EssentialEdge, and an id that is not a half-edge, a pair that does not
+    split a vertex or anything that is not a move a ChordLabError."""
+    if isinstance(move, (tuple, list)):
+        if len(move) == 2 and move[0] == "collapse":
+            _check_edge(len(t.pairing), move[1])
+            a, b = sorted((move[1], t.pairing[move[1]]))
+            if t.vertex_of[a] == t.vertex_of[b]:
+                raise LoopEdge(f"edge {a} is a loop")
+            if _essential(t, a, b):
+                raise EssentialEdge(f"edge {a} is essential")
+            return _collapse_child(t, a, b)
+        if len(move) == 3 and move[0] == "expand":
+            _check_split(t, move[1], move[2])
+            return _split_child(t, move[1], move[2])
+    raise ChordLabError(f"unknown move {move!r}")
+
+
+def _collapse_child(t: "_Tables", a: int, b: int):
+    """The pairing, rotation and _int_colors left by collapsing the
+    collapsible edge a < b = pairing[a] of the diagram with tables t
+    (_collapse): the colors of a and b are dropped."""
+    colors = t.colors
+    return (*_collapse(t.pairing, t.nxt, t.prev, a, b),
+            colors[:a] + colors[a + 1:b] + colors[b + 1:])
+
+
+def _split_child(t: "_Tables", x: int, y: int):
+    """The pairing, rotation and _int_colors after the split (x, y) of the
+    diagram with tables t (_split).  The new edge is circular iff one of
+    its cuts, after x or after y, is the corner (back, fwd) the vertex's
+    circle runs through, the one label that makes the split a diagram.  A
+    split keeps valence >= 3, the ghost forest and every boundary cycle, so
+    it keeps the type: half-edge n lies on the cycle of the old nxt[x], n+1
+    on that of nxt[y], and a color is its cycle's position, plus q on a
+    ghost."""
+    nxt, labels, colors, p, q = t.nxt, t.labels, t.colors, t.p, t.q
+    ghost = 0 if (labels[x] == CIRCULAR == labels[nxt[x]]
+                  or labels[y] == CIRCULAR == labels[nxt[y]]) else q
+    new = [k - q + ghost if k >= p + q else k + ghost
+           for k in (colors[nxt[x]], colors[nxt[y]])]
+    return (*_split(t.pairing, nxt, x, y), [*colors, *new])
+
+
+def _moved(c: ChordDiagram, t: "_Tables", move) -> ChordDiagram:
+    """The diagram that move leaves on c, whose tables are t
+    (_diagram_tables): _apply on t, built directly, since a move keeps the
+    type.  A split keeps every half-edge id and only adds to each boundary
+    cycle, so the markings carry over.  A collapse drops its edge a < b
+    from its cycles, so a marking on a or b moves to the next circular
+    half-edge of its cycle; there is one, since were a its cycle's last
+    circular edge, a ghost path would join its ends (essential) or it would
+    be a loop."""
+    pairing, nxt, colors = _apply(t, move)
+    markings = c.markings
+    if move[0] == "collapse":
+        a, b = sorted((move[1], t.pairing[move[1]]))
+        moved = []
+        for m in markings:
+            while m == a or m == b or t.labels[m] != CIRCULAR:
+                m = t.nxt[t.pairing[m]]
+            moved.append(m - (m > a) - (m > b))
+        markings = tuple(moved)
+    return ChordDiagram(FatGraph(pairing, nxt), _labels(colors, c.p, c.q),
+                        c.p, markings)
+
+
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
-    """Contract a single non-essential, non-loop edge.
-
-    The child is built directly (_collapse): the two rotations are joined at
-    the corners before a and pairing(a), and the half-edges above them are
-    renumbered.  Markings on the collapsed edge are transported to the next
-    surviving circular half-edge in their boundary cycle.  The type is
-    preserved, so the child is not validated again.  Raises ChordLabError
-    unless e is a half-edge of c.
-    """
-    graph, labels = c.graph, c.labels
-    _check_edge(graph.n_half_edges, e)
-    a = graph.edge_of(e)
-    b = graph.pairing[a]
-    _check_collapse(graph.vertex_of(), c._component_of, c._circular_vertex,
-                    labels, a, b)
-    pairing, nxt = graph.pairing, graph.next_at_vertex
-    # Boundary cycles survive the contraction with a and b dropped, so a
-    # marking on a or b moves to the next circular half-edge of its cycle.
-    # There is one: were a its cycle's last circular edge, a ghost path
-    # would join its ends (essential) or it would be a loop.
-    markings = []
-    for m in c.markings:
-        while m == a or m == b or labels[m] != CIRCULAR:
-            m = nxt[pairing[m]]
-        markings.append(m - (m > a) - (m > b))
-    return ChordDiagram(FatGraph(*_collapse(pairing, nxt, _prev(nxt), a, b)),
-                        labels[:a] + labels[a + 1:b] + labels[b + 1:],
-                        c.p, tuple(markings))
-
-
-def _prev(nxt) -> list[int]:
-    """The inverse rotation: prev[nxt[h]] == h."""
-    prev = [0] * len(nxt)
-    for h, k in enumerate(nxt):
-        prev[k] = h
-    return prev
+    """Contract a single non-essential, non-loop edge (_moved): the two
+    rotations are joined at the corners before e and pairing(e), and the
+    half-edges above them are renumbered.  Markings on the collapsed edge
+    are transported to the next surviving circular half-edge in their
+    boundary cycle.  Raises ChordLabError unless e is a half-edge of c."""
+    return _moved(c, _diagram_tables(c), ("collapse", e))
 
 
 def _collapse(pairing, nxt, prev, a, b):
@@ -425,25 +440,14 @@ def _collapse(pairing, nxt, prev, a, b):
     return kept(pairing), kept(merged)
 
 
-def _split_label(labels, nxt, x: int, y: int) -> str:
-    """The one label that makes the split (x, y) a diagram: C iff one of its
-    cuts, after x or after y, is the corner (back, fwd) the vertex's circle
-    runs through, G otherwise.  A split keeps valence >= 3, the ghost forest
-    and every boundary cycle, so it keeps the type."""
-    if (labels[x] == CIRCULAR == labels[nxt[x]]
-            or labels[y] == CIRCULAR == labels[nxt[y]]):
-        return CIRCULAR
-    return GHOST
-
-
-def _check_split(nxt, vertex_of, x, y) -> None:
-    """Refuse (x, y) unless x and y are distinct half-edges of one vertex,
-    neither following the other, so that both arcs of the split hold two or
-    more."""
-    n = len(nxt)
-    if not (isinstance(x, int) and isinstance(y, int) and x in range(n)
+def _check_split(t: "_Tables", x, y) -> None:
+    """Refuse (x, y) unless x and y are distinct half-edges of one vertex of
+    the diagram with tables t (ints, not bools), neither following the
+    other, so that both arcs of the split hold two or more."""
+    nxt, n = t.nxt, len(t.nxt)
+    if not (type(x) is int and type(y) is int and x in range(n)
             and y in range(n) and x != y and nxt[x] != y and nxt[y] != x
-            and vertex_of[x] == vertex_of[y]):
+            and t.vertex_of[x] == t.vertex_of[y]):
         raise ChordLabError(f"({x}, {y}) does not split a vertex")
 
 
@@ -472,21 +476,13 @@ def _splits(vertices):
 
 def apply_expansion(c: ChordDiagram, x: int, y: int) -> ChordDiagram:
     """Split the vertex of x and y by cutting its rotation after x and after
-    y: half-edge n ends the arc that ends at x, n+1 the arc that ends at y,
-    and the new edge takes the split's one label (_split_label).
-
-    The child is built directly (_split): old half-edges keep their ids and
-    each boundary cycle only gains new ones, so the markings carry over.
-    Raises ChordLabError unless x and y are distinct half-edges of one
-    vertex, neither following the other, so that both arcs hold two or
-    more.
+    y (_moved): half-edge n ends the arc that ends at x, n+1 the arc that
+    ends at y, and the new edge takes the split's one label (_split_child).
+    Old half-edges keep their ids, so the markings carry over.  Raises
+    ChordLabError unless x and y are distinct half-edges of one vertex,
+    neither following the other, so that both arcs hold two or more.
     """
-    graph = c.graph
-    nxt = graph.next_at_vertex
-    _check_split(nxt, graph.vertex_of(), x, y)
-    label = _split_label(c.labels, nxt, x, y)
-    return ChordDiagram(FatGraph(*_split(graph.pairing, nxt, x, y)),
-                        c.labels + (label, label), c.p, c.markings)
+    return _moved(c, _diagram_tables(c), ("expand", x, y))
 
 
 def expansions(c: ChordDiagram) -> list[ChordDiagram]:
@@ -495,7 +491,8 @@ def expansions(c: ChordDiagram) -> list[ChordDiagram]:
     The new edge is the last one, half-edges n-2 and n-1; collapsing it
     gives back c's class.
     """
-    return [apply_expansion(c, x, y) for x, y in _splits(c.graph.vertices())]
+    t = _diagram_tables(c)
+    return [_moved(c, t, ("expand", x, y)) for x, y in _splits(t.vertices)]
 
 
 def _cycle_position(c: ChordDiagram) -> list[int]:
@@ -554,6 +551,12 @@ def _int_colors(c: ChordDiagram) -> list[int]:
             for label, i in zip(c.labels, _cycle_position(c))]
 
 
+def _labels(colors, p: int, q: int) -> tuple[str, ...]:
+    """The C/G labels of a diagram of type (g;p,q) with these _int_colors:
+    a ghost half-edge is one whose color is at least p+q."""
+    return tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
+
+
 class _Tables(NamedTuple):
     """A diagram of type (g;p,q) as raw tables, without markings: its
     rotation, pairing and _int_colors, and what _tables derives from them."""
@@ -581,7 +584,7 @@ def _tables(nxt, pairing, colors, p: int, q: int) -> _Tables:
     A ghost component is numbered by its first vertex."""
     n = len(nxt)
     ghost = p + q
-    labels = tuple(GHOST if k >= ghost else CIRCULAR for k in colors)
+    labels = _labels(colors, p, q)
     prev = [0] * n
     vertex_of = [-1] * n
     vertices, circular = [], []
@@ -611,6 +614,14 @@ def _tables(nxt, pairing, colors, p: int, q: int) -> _Tables:
                    component, circular, p, q)
 
 
+def _diagram_tables(c: ChordDiagram) -> _Tables:
+    """The _tables of the diagram c, derived afresh: a diagram keeps none,
+    since they hold lists."""
+    graph = c.graph
+    return _tables(graph.next_at_vertex, graph.pairing, _int_colors(c),
+                   c.p, c.q)
+
+
 def _least_markings(colors, p: int, q: int) -> tuple[int, ...]:
     """The least circular half-edge of each boundary cycle, in boundary
     order, of a diagram of type (g;p,q) with these _int_colors: a circular
@@ -630,9 +641,8 @@ def _form(columns, p: int, q: int, markings) -> ChordDiagram:
     color being at least p+q.  A relabeling keeps every invariant, so the
     form is not validated again."""
     nxt, pairing, colors = columns
-    labels = tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
-    return ChordDiagram(FatGraph(tuple(pairing), tuple(nxt)), labels, p,
-                        tuple(markings))
+    return ChordDiagram(FatGraph(tuple(pairing), tuple(nxt)),
+                        _labels(colors, p, q), p, tuple(markings))
 
 
 def _canonicalize(pairing, nxt, colors, p: int, q: int):
@@ -668,14 +678,6 @@ def _least(c: ChordDiagram):
                          _int_colors(c), c.p, c.q)
 
 
-def _canonical(c: ChordDiagram):
-    """The key of c's class, c's canonical form and the relabeling, from
-    one canonical search (_least); no code is written."""
-    key, word, label = _least(c)
-    return key, _form(fg._columns(word, c.p + 2 * c.q), c.p, c.q,
-                      [label[m] for m in c.markings]), label
-
-
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
     """Canonical code of the decorated graph.
 
@@ -695,9 +697,12 @@ def canonical_form(c: ChordDiagram) -> ChordDiagram:
 
     Every diagram in an (unmarked) isomorphism class maps to the same
     pairing, rotation, label tables and boundary order; markings land
-    wherever the relabeling sends them.
+    wherever the relabeling sends them.  One canonical search (_least); no
+    code is written.
     """
-    return _canonical(c)[1]
+    _key, word, label = _least(c)
+    return _form(fg._columns(word, c.p + 2 * c.q), c.p, c.q,
+                 [label[m] for m in c.markings])
 
 
 def canonical_form_with_map(

@@ -249,7 +249,7 @@ def _cmd_connect(args) -> int:
     if bound is None:
         # trivalent diagrams have the most edges, 3(2g+p+q-2)
         bound = 3 * (2 * top.genus + top.p + top.q - 2)
-    report = moves.explore(top, bound, jobs=args.jobs)
+    report = moves.explore(top, bound)
     payload = report.to_json_dict()
     if args.report:
         # streamed, as --json is below: the indented text is not held whole
@@ -410,9 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, help="g,p,q")
     p.add_argument("--max-edges", type=int,
                    help="edge cap (default: the trivalent maximum 3(2g+p+q-2))")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="at least 1; ignored: the search is serial, and the "
-                        "enumerator runs beside it on a second CPU if one is free")
     p.add_argument("--report", help="write a JSON report to this path")
 
     p = add("tqft", _cmd_tqft, help="Frobenius-algebra operations")

@@ -87,22 +87,23 @@ def random_diagram(
     rng: random.Random, g: int, p: int, q: int, steps: int | None = None
 ) -> ChordDiagram:
     """A random diagram of the given type: a random collapse/expansion walk
-    starting at the base-point diagram.  Each step draws one of the
-    collapsible edges, in edge order, or one of the splits, in the order of
-    chord._splits, and builds only the child it draws."""
+    starting at the base-point diagram.  Each step derives the diagram's
+    tables once, draws one of its collapsible edges, in edge order
+    (chord._collapsible_edges), or one of its splits, in the order of
+    chord._splits, and makes only the move it draws on those tables."""
     c = ch.canonical_gamma0(g, p, q)
     if steps is None:
         steps = rng.randint(0, 4)
     for _ in range(steps):
-        edges = [e for e in c.graph.edges() if ch.is_collapsible(c, e)]
-        splits = list(ch._splits(c.graph.vertices()))
+        t = ch._diagram_tables(c)
+        edges = [a for a, _b in ch._collapsible_edges(t)]
+        splits = list(ch._splits(t.vertices))
         if not edges and not splits:
             break
         i = rng.randrange(len(edges) + len(splits))
-        if i < len(edges):
-            c = ch.collapse_edge(c, edges[i])
-        else:
-            c = ch.apply_expansion(c, *splits[i - len(edges)])
+        move = (("collapse", edges[i]) if i < len(edges)
+                else ("expand", *splits[i - len(edges)]))
+        c = ch._moved(c, t, move)
     return c
 
 

@@ -9,15 +9,16 @@ colors of its canonical form), are written only when the class is
 expanded, when it is a candidate meeting class or when it is reported
 (chord._code).  So every move in a recorded path refers to half-edge ids
 of the canonical representative at that step; replaying a path means
-alternating apply_move and canonical_form.  A move names only what is
-free: a collapse its edge, an expansion the two half-edges that end its
-arcs.  The inverse of a collapse
-is the split at the half-edges before the edge's two ends; the inverse of
-an expansion collapses its new edge.  Markings play no part in an unmarked
-move: which edges collapse, which splits exist and the label and colors of
-a split's new edge are read off the labels, rotations and cycles, and every
-move keeps every cycle.  So a search carries no markings and builds no
-diagram.
+alternating apply_move and canonical_form.  path_to_canonical and
+explore's witness check replay on the canonical tables instead, through
+the one checked move (chord._apply) that apply_move makes on a diagram.
+A move names only what is free: a collapse its edge, an expansion the two
+half-edges that end its arcs.  The inverse of a collapse is the split at
+the half-edges before the edge's two ends; the inverse of an expansion
+collapses its new edge.  Markings play no part in an unmarked move: which
+edges collapse, which splits exist and the label and colors of a split's
+new edge are read off the labels, rotations and cycles, and every move
+keeps every cycle.  So a search carries no markings and builds no diagram.
 
 explore() verifies, at desk scale, that all classes of a type within an edge
 bound form a single move-connected component, cross-checking the breadth-first
@@ -48,16 +49,17 @@ Its collapsible edges are read off them (chord._collapsible_edges), and
 each child's tables and colors are derived from them (_children): a
 collapse joins two rotations and drops its edge's two halves, and a split
 cuts one rotation and appends its two new halves, colored by the cycles
-they join (chord._collapse, chord._split).  The search runs on the child's
-tables, and the least word names the class (chord._canonicalize, the one
-routine from raw tables to a class, which the enumerator and
-canonical_form share).  The public neighbors_with_moves runs the same
-routine (_neighbors) and builds a representative from the columns.  The
-search is serial: one process expands each layer class by class, in code
-order.  explore's enumerator is independent of it, so where a second CPU is
-usable and the process has one thread, explore forks it before the search
-starts and reads its class codes, one a line through a pipe, once the
-search ends (_search_beside_enumerator).
+they join (chord._collapse_child, chord._split_child, which chord._apply
+also calls).  The search runs on the child's tables, and the least word
+names the class (chord._canonicalize, the one routine from raw tables to a
+class, which the enumerator and canonical_form share).  The public
+neighbors_with_moves runs the same routine (_neighbors) and builds a
+representative from the columns.  The search is serial: one process
+expands each layer class by class, in code order.  explore's enumerator
+is independent of it, so where a second CPU is usable and the process has
+one thread, explore forks it before the search starts and reads its class
+codes, one a line through a pipe, once the search ends
+(_search_beside_enumerator).
 """
 
 from __future__ import annotations
@@ -95,40 +97,10 @@ _PATH_SLACK = 4
 
 
 def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
-    if isinstance(move, (tuple, list)):
-        if len(move) == 2 and move[0] == "collapse":
-            return ch.collapse_edge(c, move[1])
-        if len(move) == 3 and move[0] == "expand":
-            return ch.apply_expansion(c, move[1], move[2])
-    raise ChordLabError(f"unknown move {move!r}")
-
-
-def _held(c: ChordDiagram):
-    """The canonical diagram c as chord._tables takes it: its rotation,
-    pairing, chord._int_colors, p and q."""
-    return (c.graph.next_at_vertex, c.graph.pairing, ch._int_colors(c),
-            c.p, c.q)
-
-
-def _collapse_child(t, a: int, b: int):
-    """The pairing, rotation and chord._int_colors left by collapsing the
-    edge a < b = pairing[a] of the class with tables t (chord._collapse):
-    the colors of a and b are dropped."""
-    colors = t.colors
-    return (*ch._collapse(t.pairing, t.nxt, t.prev, a, b),
-            colors[:a] + colors[a + 1:b] + colors[b + 1:])
-
-
-def _split_child(t, x: int, y: int):
-    """The pairing, rotation and chord._int_colors after the split (x, y) of
-    the class with tables t (chord._split).  Half-edge n lies on the cycle
-    of the old nxt[x], n+1 on that of nxt[y], and both take the split's
-    label; a color is its cycle's position, plus q on a ghost."""
-    nxt, colors, p, q = t.nxt, t.colors, t.p, t.q
-    ghost = q if ch._split_label(t.labels, nxt, x, y) == ch.GHOST else 0
-    new = [k - q + ghost if k >= p + q else k + ghost
-           for k in (colors[nxt[x]], colors[nxt[y]])]
-    return (*ch._split(t.pairing, nxt, x, y), [*colors, *new])
+    """The diagram move leaves on c, made by the one checked move
+    (chord._apply) on c's tables, a collapse carrying c's markings across;
+    a move apply_move refuses raises a ChordLabError."""
+    return ch._moved(c, ch._diagram_tables(c), move)
 
 
 def _children(t, max_edges: int | None, skip):
@@ -145,7 +117,7 @@ def _children(t, max_edges: int | None, skip):
         if move in skip:
             continue
         ends = tuple(h - (h > a) - (h > b) for h in (prev[a], prev[b]))
-        yield (move, ends, *_collapse_child(t, a, b))
+        yield (move, ends, *ch._collapse_child(t, a, b))
     n = len(t.pairing)
     if max_edges is not None and n >= 2 * max_edges:
         return
@@ -153,24 +125,7 @@ def _children(t, max_edges: int | None, skip):
         move = ("expand", x, y)
         if move in skip or ("expand", y, x) in skip:
             continue
-        yield (move, (n, n + 1), *_split_child(t, x, y))
-
-
-def _apply(t, move: Move):
-    """The pairing, rotation and chord._int_colors that move leaves on the
-    class with tables t, refused as apply_move refuses it on a diagram: a
-    loop, an essential edge or a bad split raises a ChordLabError."""
-    if isinstance(move, (tuple, list)):
-        if len(move) == 2 and move[0] == "collapse":
-            ch._check_edge(len(t.pairing), move[1])
-            a, b = sorted((move[1], t.pairing[move[1]]))
-            ch._check_collapse(t.vertex_of, t.component, t.circular,
-                               t.labels, a, b)
-            return _collapse_child(t, a, b)
-        if len(move) == 3 and move[0] == "expand":
-            ch._check_split(t.nxt, t.vertex_of, move[1], move[2])
-            return _split_child(t, move[1], move[2])
-    raise ChordLabError(f"unknown move {move!r}")
+        yield (move, (n, n + 1), *ch._split_child(t, x, y))
 
 
 def _neighbors(t, max_edges: int | None, skip):
@@ -193,32 +148,24 @@ def _neighbors(t, max_edges: int | None, skip):
     return list(found.values())
 
 
-def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None,
-                         skip=(), record=None):
-    """All move-graph neighbors of c (itself assumed canonical), passing over
-    the moves in skip; a split in skip matches in either order.
+def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
+    """All move-graph neighbors of c (itself assumed canonical).
 
     Returns a code-sorted, deduplicated list of
     (code, canonical representative, forward move on c, inverse move on the
     representative), from the searches' own routine (_neighbors) on c's
-    tables.  A skipped move is neither applied nor canonicalized.  record,
-    a dict a whole search may share across calls, maps per type to the set
-    of least words met (the keys of chord._canonicalize); the words of two
-    types may coincide.  The representative is None exactly when the
-    record already held the class's word before this call: such a class is
-    not built again.  Without a record, every representative is built.  A
-    representative is its class's canonical form, marked at the least
-    circular half-edge of each cycle: an unmarked move carries no marking.
+    tables.  A representative is its class's canonical form, marked at the
+    least circular half-edge of each cycle: an unmarked move carries no
+    marking.
     """
     p, q = c.p, c.q
-    seen = set() if record is None else record.setdefault((p, q), set())
     out = []
-    for key, _word, fwd, inv in _neighbors(ch._tables(*_held(c)), max_edges,
-                                           skip):
+    for key, _word, fwd, inv in _neighbors(ch._diagram_tables(c), max_edges,
+                                           ()):
         code, columns = ch._code(key, p, q)
-        out.append((code, None if key in seen else ch._form(
-            columns, p, q, ch._least_markings(columns[2], p, q)), fwd, inv))
-        seen.add(key)
+        out.append((code, ch._form(columns, p, q,
+                                   ch._least_markings(columns[2], p, q)),
+                    fwd, inv))
     return sorted(out, key=lambda entry: entry[0])
 
 
@@ -282,16 +229,15 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
     return new
 
 
-def _bfs(start: ChordDiagram, max_edges: int, check=None):
-    """Breadth-first search over classes from the canonical diagram start;
-    returns info, code -> (parent code, inverse move), with (None, None) for
-    the start.  The search keys classes by least words (_grow); each class
-    reached is expanded, and its code written, once, and info is rekeyed by
-    those codes at the end.  No diagram is built past the start.  check, if
-    given, is called as _grow calls it.  Raises SearchExhausted once a layer
-    leaves more than generate.EXPLORE_CLASS_BUDGET classes."""
-    p, q = start.p, start.q
-    key = ch._least(start)[0]
+def _bfs(key, p: int, q: int, max_edges: int, check=None):
+    """Breadth-first search over classes of type (g;p,q) from the class
+    with this key (chord._canonicalize); returns info, code -> (parent code,
+    inverse move), with (None, None) for the start.  The search keys
+    classes by least words (_grow); each class reached is expanded, and its
+    code written, once, and info is rekeyed by those codes at the end.  No
+    diagram is built.  check, if given, is called as _grow calls it.
+    Raises SearchExhausted once a layer leaves more than
+    generate.EXPLORE_CLASS_BUDGET classes."""
     info: dict = {key: (None, None)}
     frontier: dict = {key: set()}
     codes: dict = {None: None}   # the start's parent is None
@@ -320,18 +266,18 @@ def _check_witness(info: dict, key, code: bytes, t) -> None:
     A witness path is its class's inverse move followed by its parent's
     path, so checking every class's one move against its parent's key
     checks every path, by induction on depth.  t is the class's canonical
-    tables, those of canonical_form whatever parent reached it, and _apply
-    makes and refuses the move as apply_move does on the canonical
-    representative.  So the tables it leaves are those of the diagram a full
-    replay reaches after that move, and they canonicalize to the class the
-    replay reaches.  An unmarked move reads no marking, so the parent's
+    tables, those of canonical_form whatever parent reached it, and
+    chord._apply makes and refuses the move, as apply_move does on the
+    canonical representative.  So the tables it leaves are those of the
+    diagram a full replay reaches after that move, and they canonicalize to
+    the class the replay reaches.  An unmarked move reads no marking, so the parent's
     path replays from that class as it does from the parent's
     representative."""
     parent, inv = info[key]
     if parent is None:
         return
     try:
-        if ch._canonicalize(*_apply(t, inv), t.p, t.q)[0] != parent:
+        if ch._canonicalize(*ch._apply(t, inv), t.p, t.q)[0] != parent:
             raise ChordLabError("its move reaches another class")
     except ChordLabError as exc:
         raise ChordLabError(
@@ -448,7 +394,7 @@ def _search_beside_enumerator(top: TopType, edge_bound: int, search):
     return (result, *tally)
 
 
-def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
+def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
     """Search the move graph of one type, bounded by edge count.
 
     Starts at the base-point diagram, discovers classes by breadth-first
@@ -461,25 +407,24 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     child forked before the search, where that is safe and can pay
     (_fork_pays), and in this process after the search otherwise; either
     way explore keeps only the codes of the classes the search did not
-    reach, and rebuilds each such class from its code only to count
-    components.  No process is left behind, on success or failure.
-    ``jobs`` must be an int of at least 1; every value runs the same
-    search.  A search that holds more than generate.EXPLORE_CLASS_BUDGET
-    classes after a layer, or an enumeration that meets more, raises
-    SearchExhausted.
+    reach, and searches from each such class's code only to count
+    components; no diagram is built but the base point.  No process is
+    left behind, on success or failure.  A search that holds more than
+    generate.EXPLORE_CLASS_BUDGET classes after a layer, or an enumeration
+    that meets more, raises SearchExhausted.
     """
-    generate._require_int("jobs", jobs)
-    if jobs < 1:
-        raise ChordLabError(f"jobs must be at least 1, got {jobs}")
     generate._require_int("edge_bound", edge_bound)
-    g0 = ch.canonical_form(ch.canonical_gamma0(top.genus, top.p, top.q))
+    p, q = top.p, top.q
+    g0 = ch.canonical_gamma0(top.genus, p, q)
     if edge_bound < g0.graph.n_edges:
         raise BoundTooSmall(
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
+    start = ch._least(g0)[0]
 
     info, class_count, unreached = _search_beside_enumerator(
-        top, edge_bound, lambda: _bfs(g0, edge_bound, _check_witness))
+        top, edge_bound,
+        lambda: _bfs(start, p, q, edge_bound, _check_witness))
     stray = len(info) - (class_count - len(unreached))
     if stray:
         raise ChordLabError(
@@ -488,16 +433,15 @@ def explore(top: TopType, edge_bound: int, jobs: int = 1) -> MoveGraphReport:
     unreached.sort()
 
     # unreached classes can only border other unreached classes (the move
-    # graph is undirected), so count their components separately; a class
-    # is rebuilt from its code, and an unmarked move reads no marking
+    # graph is undirected), so count their components separately, each
+    # searched from the key of the least code left
     component_count = 1
     pending = set(unreached)
     while pending:
         component_count += 1
-        columns = fg._code_columns(min(pending))
-        start = ch._form(columns, top.p, top.q,
-                         ch._least_markings(columns[2], top.p, top.q))
-        pending -= set(_bfs(start, edge_bound))
+        nxt, pairing, colors = fg._code_columns(min(pending))
+        key = ch._canonicalize(pairing, nxt, colors, p, q)[0]
+        pending -= set(_bfs(key, p, q, edge_bound))
 
     witness: dict[bytes, list[Move]] = {}
 
@@ -527,12 +471,15 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
 
     The returned moves are applied to canonical representatives: replay as
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
+    Before it is returned, the path is replayed that way on canonical
+    tables, through the same checked move as explore's witness check
+    (_check_witness).
     """
     top = c.top_type()
     p, q = top.p, top.q
     goal = ch.canonical_gamma0(top.genus, p, q)
     ceiling = max(c.graph.n_edges, goal.graph.n_edges) + _PATH_SLACK
-    start_key, start, _label = ch._canonical(c)
+    start_key, word, _label = ch._least(c)
     goal_key = ch._least(goal)[0]
 
     # side A grows from c recording forward moves (parent rep -> child);
@@ -576,10 +523,11 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
         key, move = b_info[key]
         path.append(move)
 
-    # replay: each move is applied to the canonical form of the class before
-    key, d = start_key, start
+    # replay: each move is made on the canonical tables of the class before
+    key = start_key
     for move in path:
-        key, d, _label = ch._canonical(apply_move(d, move))
+        t = ch._tables(*fg._columns(word, p + 2 * q), p, q)
+        key, word, _label = ch._canonicalize(*ch._apply(t, move), p, q)
     if key != goal_key:
         raise ChordLabError("path replay does not reach the base point")
     return path

@@ -71,27 +71,23 @@ class TestValidateChord:
             reps = [cyc[0] for cyc in fg.boundary_cycles(graph)]
             ch.validate_chord(graph, [labels[h] for h in range(n)], 3, reps)
 
-    def test_validation_tables_are_handed_to_the_diagram(self, monkeypatch):
+    def test_diagram_keeps_no_tables(self):
+        # the moves and invariants derive a diagram's tables afresh and
+        # keep none on it: after them it holds its fields and, once read,
+        # its boundary order, and nothing else
         base = generate.random_diagram(random.Random(3), 1, 1, 2, steps=3)
-        calls = []
-        original = ch._ghost_components
-
-        def counted(graph, labels):
-            calls.append(graph)
-            return original(graph, labels)
-
-        monkeypatch.setattr(ch, "_ghost_components", counted)
         d, _ = ch.validate_chord(
             base.graph, base.labels, base.p, base.boundary_order, base.markings)
+        fields = {field.name for field in dataclasses.fields(d)}
+        assert set(vars(d)) == fields
         for e in d.graph.edges():
             ch.is_essential(d, e)
-        assert len(calls) == 1
-        # the tables are the ones the diagram would derive, and they stay out
-        # of equality and hashing
-        fresh = dataclasses.replace(d)
-        assert fresh == d and hash(fresh) == hash(d)
-        assert fresh._component_of == d._component_of
-        assert fresh._circular_vertex == d._circular_vertex
+        ch.multiplicities(d)
+        ch.chi_defect(d)
+        edge = next(e for e in d.graph.edges() if ch.is_collapsible(d, e))
+        moves.apply_move(d, ("collapse", edge))
+        moves.apply_move(d, ("expand", *next(ch._splits(d.graph.vertices()))))
+        assert set(vars(d)) <= fields | {"boundary_order"}
 
     def test_incoming_must_be_circular_cycle(self):
         d = single_chord_diagram()
@@ -355,7 +351,7 @@ class TestMoves:
             # and split
             moved = 0
             for move, _ends, pairing, nxt, colors in moves._children(
-                    ch._tables(*moves._held(c)), None, ()):
+                    ch._diagram_tables(c), None, ()):
                 child = moves.apply_move(c, move)
                 labels = tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
                 assert (pairing, nxt, labels) == (
@@ -418,6 +414,69 @@ class TestMoves:
         with pytest.raises(ChordLabError):
             call(ch.canonical_form(ch.canonical_gamma0(1, 1, 2)), *args)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_ids_are_refused(self, flag):
+        # True and False are ints, but no half-edge ids: on a class where
+        # half-edge int(flag) collapses, and on one where it ends a split,
+        # the bool is refused wherever the int is taken
+        h = int(flag)
+        classes = generate.enumerate_classes(TopType(1, 1, 2), 9).values()
+        c = next(c for c in classes if ch.is_collapsible(c, h))
+        ch.collapse_edge(c, h)
+        for call, args in [
+                (ch.collapse_edge, (flag,)), (ch.is_essential, (flag,)),
+                (ch.is_collapsible, (flag,)),
+                (moves.apply_move, (("collapse", flag),))]:
+            with pytest.raises(ChordLabError):
+                call(c, *args)
+        c, split = next((c, split) for c in classes
+                        for split in ch._splits(c.graph.vertices())
+                        if h in split)
+        ch.apply_expansion(c, *split)
+        flagged = tuple(flag if k == h else k for k in split)
+        for call, args in [(ch.apply_expansion, flagged),
+                           (moves.apply_move, (("expand", *flagged),))]:
+            with pytest.raises(ChordLabError):
+                call(c, *args)
+
+    @pytest.mark.parametrize("top,bound", [
+        ((1, 1, 2), 9), ((0, 3, 2), 9), ((2, 1, 1), 12)])
+    def test_collapse_refusals_follow_the_graph(self, top, bound):
+        # every half-edge of every class, with the rule read off the graph
+        # and labels alone: a collapse raises LoopEdge exactly when both
+        # ends lie on one vertex, EssentialEdge exactly when a circular
+        # edge's ends share a ghost component or a ghost edge's ends both
+        # lie on circular vertices, and otherwise gives a valid diagram of
+        # the same type
+        seen = {LoopEdge: 0, EssentialEdge: 0, None: 0}
+        for c in generate.enumerate_classes(TopType(*top), bound).values():
+            graph, labels = c.graph, c.labels
+            vertex_of = graph.vertex_of()
+            component = ch._ghost_components(graph, labels)
+            circular = [any(labels[h] == CIRCULAR for h in orbit)
+                        for orbit in graph.vertices()]
+            for e in range(graph.n_half_edges):
+                u, v = vertex_of[e], vertex_of[graph.pairing[e]]
+                if u == v:
+                    refusal = LoopEdge
+                elif (component[u] == component[v] if labels[e] == CIRCULAR
+                      else circular[u] and circular[v]):
+                    refusal = EssentialEdge
+                else:
+                    refusal = None
+                seen[refusal] += 1
+                if refusal is not None:
+                    with pytest.raises(refusal):
+                        ch.collapse_edge(c, e)
+                    continue
+                child = ch.collapse_edge(c, e)
+                checked, child_top = ch.validate_chord(
+                    child.graph, child.labels, child.p, child.boundary_order,
+                    child.markings)
+                assert checked == child and child_top == TopType(*top)
+        assert seen[EssentialEdge] and seen[None]
+        assert bool(seen[LoopEdge]) == (top[1] > 1)
+
     def test_ghost_forest_after_moves(self):
         rng = random.Random(6)
         for _ in range(20):
@@ -476,8 +535,15 @@ class TestCanonicalForm:
                 form.graph, form.labels, form.p, form.boundary_order,
                 form.markings)
             assert checked == form and top == form.top_type() == TopType(g, p, q)
-            assert form._component_of == checked._component_of
-            assert form._circular_vertex == checked._circular_vertex
+            # the tables the moves derive for the form, against the
+            # union-find of _ghost_components and the per-vertex labels
+            t = ch._diagram_tables(form)
+            component = ch._ghost_components(form.graph, form.labels)
+            blocks = set(zip(t.component, component))
+            assert len(blocks) == len(set(t.component)) == len(set(component))
+            assert t.circular == [
+                any(form.labels[h] == CIRCULAR for h in orbit)
+                for orbit in form.graph.vertices()]
             assert formats.parse(formats.serialize(form)) == form
 
     @pytest.mark.parametrize("g,p,q", CONNECT_TYPES)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,7 @@ class TestBasicCommands:
         path = gamma_file(1, 1, 1)
         code, out, _ = run(capsys, "boundaries", path, "--json")
         cycles = json.loads(out)["cycles"]
-        d = formats.parse(open(path).read())
+        d = formats.parse(Path(path).read_text())
         assert sorted(h for cyc in cycles for h in cyc) == list(
             range(d.graph.n_half_edges))
 
@@ -97,6 +98,12 @@ class TestExitCodes:
             main(["type"])
         assert exc.value.code == 2
 
+    def test_jobs_is_a_usage_error(self, capsys):
+        # the search is serial and takes no worker count
+        with pytest.raises(SystemExit) as exc:
+            main(["connect", "--type", "1,1,1", "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_color_disabled_by_env(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("CHORDLAB_COLOR", "never")
         bad = tmp_path / "bad.fatgraph"
@@ -112,7 +119,7 @@ class TestExitCodes:
     ["tqft", "verify", "--algebra", "pd2", "--range", "2,2"],
     ["connect", "--type", "1,1,x", "--max-edges", "6"],
     ["connect", "--type=-1,1,1", "--max-edges", "6"],
-    ["connect", "--type", "0,1,2", "--max-edges", "3", "--jobs", "0"],
+    ["connect", "--type", "0,1,2", "--max-edges", "2"],
     ["tqft", "verify", "--algebra", "pd2", "--range", "0,0,0,0,0"],
     ["tqft", "verify", "--algebra", "pd2", "--range", "2,2,2,-1,1"],
     ["tqft", "op", "--algebra", "pd2", "--p", "40", "--q", "1"],

@@ -67,7 +67,7 @@ class TestChildColors:
         swaps_caught = 0
         for c in generate.enumerate_classes(TopType(*top), 9).values():
             for move, _ends, _p, _n, derived in moves._children(
-                    ch._tables(*moves._held(c)), None, ()):
+                    ch._diagram_tables(c), None, ()):
                 child = moves.apply_move(c, move)
                 own = ch._int_colors(child)
                 assert derived == own
@@ -87,7 +87,7 @@ class TestChildColors:
         kinds = set()
         for c in generate.enumerate_classes(TopType(*top), bound).values():
             collapsed = [move[1] for move, *_ in moves._children(
-                ch._tables(*moves._held(c)), bound, ()) if move[0] == "collapse"]
+                ch._diagram_tables(c), bound, ()) if move[0] == "collapse"]
             assert collapsed == [e for e in c.graph.edges()
                                  if ch.is_collapsible(c, e)]
             kinds.update(c.labels[e] for e in collapsed)
@@ -110,40 +110,9 @@ class TestChildColors:
 
 
 class TestRecord:
-    def test_shared_record_changes_no_answer(self):
-        # one record across every class's call gives the codes and moves of
-        # plain calls; a representative is None exactly when the record held
-        # its class's word before the call (a word and its code determine
-        # each other), and every other one is the plain call's
-        record = {}
-        built = held = 0
-        classes = generate.enumerate_classes(TopType(1, 1, 2), 9)
-        for c in classes.values():
-            seen = {ch._code(key, 1, 2)[0] for key in record.get((1, 2), ())}
-            shared = moves.neighbors_with_moves(c, 9, (), record)
-            plain = moves.neighbors_with_moves(c, 9)
-            assert ([e[:1] + e[2:] for e in shared]
-                    == [e[:1] + e[2:] for e in plain])
-            for (code, rep, _, _), (_, own, _, _) in zip(shared, plain):
-                assert (rep is None) == (code in seen)
-                if rep is None:
-                    held += 1
-                    continue
-                built += 1
-                assert (rep.graph, rep.labels, rep.p) == (
-                    own.graph, own.labels, own.p)
-                assert rep.boundary_order == own.boundary_order
-                assert ch.diagram_code(rep) == code
-                assert ch.canonical_form(rep).graph == rep.graph
-        assert built and held
-        # one word set per type, holding each class's least word once, as
-        # the bytes of its 2-byte entries
-        assert list(record) == [(1, 2)]
-        assert type(record[1, 2]) is set and len(record[1, 2]) == 90
-        assert all(type(key) is bytes for key in record[1, 2])
-        assert {ch._code(key, 1, 2)[0] for key in record[1, 2]} == set(classes)
-
     def test_words_past_256_entries(self):
+        # a search records each class under its key: the least word's bytes
+        # while its entries fit in 2 bytes, the word itself past that
         # 2g = 66 chords give 266 half-edges, too many for 2-byte entries;
         # 2g = 12 give 56, which fit
         for genus, key_type in ((33, tuple), (6, bytes)):
@@ -156,6 +125,11 @@ class TestRecord:
             form = ch._form(columns, d.p, d.q, [label[m] for m in d.markings])
             assert (form, label, code) == ch.canonical_form_with_map(d)
             assert type(key) is key_type
+
+
+def _bfs(c, bound):
+    """moves._bfs from the class of the diagram c."""
+    return moves._bfs(ch._least(c)[0], c.p, c.q, bound)
 
 
 def _diagram(t):
@@ -184,7 +158,7 @@ class TestSkippedMoves:
 
         monkeypatch.setattr(moves, "_neighbors", recording)
         start = ch.canonical_form(ch.canonical_gamma0(*top))
-        info = moves._bfs(start, bound)
+        info = _bfs(start, bound)
         assert len(expanded) == len(info)
         skipped = 0
         for t, skip in expanded:
@@ -225,7 +199,7 @@ class TestSkippedMoves:
 
         monkeypatch.setattr(fg, "_search", counted)
         monkeypatch.setattr(moves, "_neighbors", recording)
-        info = moves._bfs(start, bound)
+        info = _bfs(start, bound)
         monkeypatch.undo()
         assert len(expanded) == len(info)
         total = 1
@@ -265,7 +239,7 @@ class TestHeldCodes:
 
         monkeypatch.setattr(moves, "_grow", recording)
         start = ch.canonical_form(ch.canonical_gamma0(0, 3, 2))
-        info = moves._bfs(start, 9)
+        info = _bfs(start, 9)
         assert len(info) == 698
         record = records[0]
         assert all(r is record for r in records)
@@ -313,7 +287,7 @@ class TestWordKeys:
 
         monkeypatch.setattr(moves, "_grow", growing)
         monkeypatch.setattr(moves, "_neighbors", expanding)
-        info = moves._bfs(ch.canonical_form(ch.canonical_gamma0(*top)), bound)
+        info = _bfs(ch.canonical_gamma0(*top), bound)
         monkeypatch.undo()
         assert sum(map(len, layers)) == len(info)
         by_key_differs = False
@@ -370,17 +344,26 @@ def _partition(component):
     return sorted(blocks.values())
 
 
+def _circular_vertices(c):
+    """For each vertex of the diagram c, whether it holds a circular
+    half-edge, read off its labels."""
+    return [any(c.labels[h] == ch.CIRCULAR for h in orbit)
+            for orbit in c.graph.vertices()]
+
+
 def _table_mismatches(t, c):
     """The names of the one-pass tables t that disagree with the diagram c's
-    own: its vertices, ghost components (as a partition), circular
-    vertices, labels, integer colors and collapsible edges."""
+    own: its vertices, ghost components (as a partition, against the
+    union-find of _ghost_components), circular vertices, labels, integer
+    colors and collapsible edges."""
     n = len(t.nxt)
     checks = {
         "vertices": (list(t.vertices), list(c.graph.vertices())),
         "vertex_of": (list(t.vertex_of), list(c.graph.vertex_of())),
         "prev": ([t.prev[t.nxt[h]] for h in range(n)], list(range(n))),
-        "components": (_partition(t.component), _partition(c._component_of)),
-        "circular": (list(t.circular), list(c._circular_vertex)),
+        "components": (_partition(t.component),
+                       _partition(ch._ghost_components(c.graph, c.labels))),
+        "circular": (list(t.circular), _circular_vertices(c)),
         "labels": (t.labels, c.labels),
         "colors": (list(t.colors), ch._int_colors(c)),
         "collapsible": ([a for a, _b in ch._collapsible_edges(t)],
@@ -395,9 +378,9 @@ class TestHeldTables:
     def test_one_pass_tables_agree_with_the_diagrams(self, monkeypatch, top,
                                                      bound, classes):
         # every class's tables as the search derives them, against the
-        # enumerator's form of that class, whose tables ChordDiagram derives
-        # itself; and a ghost edge turned circular splits a ghost component
-        # the diagram has
+        # enumerator's form of that class, read off its graph and labels;
+        # and a ghost edge turned circular splits a ghost component the
+        # diagram has
         held, tables = [], ch._tables
 
         def recording(*args):
@@ -405,7 +388,7 @@ class TestHeldTables:
             return held[-1]
 
         monkeypatch.setattr(ch, "_tables", recording)
-        moves._bfs(ch.canonical_form(ch.canonical_gamma0(*top)), bound)
+        _bfs(ch.canonical_gamma0(*top), bound)
         monkeypatch.undo()
         _g, p, q = top
         forms = generate.enumerate_classes(TopType(*top), bound)
@@ -710,16 +693,8 @@ class TestExplore:
                            match="search produced 1 classes outside"):
             moves.explore(TopType(1, 1, 2), 9)
 
-    def test_deterministic_across_workers(self):
-        top = TopType(0, 2, 2)
-        r1 = moves.explore(top, 8, jobs=1)
-        r2 = moves.explore(top, 8, jobs=2)
-        assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
-            r2.to_json_dict(), sort_keys=True)
-
     @pytest.mark.parametrize("call,name,value", [
-        ("explore", "jobs", None), ("explore", "jobs", "2"),
-        ("explore", "jobs", True), ("explore", "edge_bound", "x"),
+        ("explore", "edge_bound", "x"),
         ("enumerate_classes", "edge_bound", "x"),
         ("enumerate_classes", "edge_bound", 2.5),
         ("enumerate_classes", "edge_bound", True)])
@@ -729,11 +704,6 @@ class TestExplore:
         run = moves.explore if call == "explore" else generate.enumerate_classes
         with pytest.raises(ChordLabError, match=f"{name} must be an int"):
             run(TopType(0, 2, 2), **{"edge_bound": 5, name: value})
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_refused(self, jobs):
-        with pytest.raises(ChordLabError, match="jobs must be at least 1"):
-            moves.explore(TopType(0, 2, 2), 8, jobs=jobs)
 
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
