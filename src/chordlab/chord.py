@@ -63,9 +63,7 @@ __all__ = [
     "multiplicities",
     "chi_defect",
     "is_essential",
-    "is_collapsible",
     "collapse_edge",
-    "expansions",
     "canonical_gamma0",
     "glue",
     "diagram_code",
@@ -92,25 +90,6 @@ class ChordDiagram:
     def top_type(self) -> TopType:
         g, n = fg.topological_type(self.graph)
         return TopType(g, self.p, n - self.p)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return fg.boundary_cycles(self.graph)
-
-    def cycle_by_rep(self, rep: int) -> tuple[int, ...]:
-        cycle_of = self.graph.cycle_of()
-        if not (0 <= rep < len(cycle_of) and cycle_of[rep][0] == rep):
-            raise KeyError(rep)
-        return cycle_of[rep]
-
-    def incoming_circles(self) -> list[tuple[int, ...]]:
-        cycle_of = self.graph.cycle_of()
-        return [cycle_of[m] for m in self.markings[: self.p]]
-
-    def circular_edges(self) -> list[int]:
-        return [e for e in self.graph.edges() if self.labels[e] == CIRCULAR]
-
-    def ghost_edges(self) -> list[int]:
-        return [e for e in self.graph.edges() if self.labels[e] == GHOST]
 
     # Derived once per diagram, outside the dataclass fields.
 
@@ -326,13 +305,6 @@ def _essential(t: "_Tables", a: int, b: int) -> bool:
     return t.circular[va] and t.circular[vb]
 
 
-def is_collapsible(c: ChordDiagram, e: int) -> bool:
-    """True iff collapse_edge accepts e: neither a loop nor essential.  A
-    loop is essential (_essential), so this is not is_essential(c, e).
-    Raises ChordLabError unless e is a half-edge of c."""
-    return not is_essential(c, e)
-
-
 def _collapsible_edges(t: "_Tables"):
     """Every edge a < b = pairing[a] of the diagram with tables t that
     _apply collapses, in edge order, by the rule of _essential."""
@@ -483,16 +455,6 @@ def apply_expansion(c: ChordDiagram, x: int, y: int) -> ChordDiagram:
     neither following the other, so that both arcs hold two or more.
     """
     return _moved(c, _diagram_tables(c), ("expand", x, y))
-
-
-def expansions(c: ChordDiagram) -> list[ChordDiagram]:
-    """Every diagram obtained by one vertex split, one per split.
-
-    The new edge is the last one, half-edges n-2 and n-1; collapsing it
-    gives back c's class.
-    """
-    t = _diagram_tables(c)
-    return [_moved(c, t, ("expand", x, y)) for x, y in _splits(t.vertices)]
 
 
 def _cycle_position(c: ChordDiagram) -> list[int]:

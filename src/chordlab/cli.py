@@ -441,6 +441,11 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except FileNotFoundError as exc:
         return _fail(f"{exc.filename}: no such file")
+    except OSError as exc:
+        return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename
+                     else str(exc))
+    except UnicodeDecodeError as exc:
+        return _fail(f"input is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         return _fail(f"bad JSON input: {exc}")
 

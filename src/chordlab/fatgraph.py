@@ -47,7 +47,8 @@ class TopType:
     """Topological type (g; p, q) of a chord diagram.
 
     For a plain fat graph only ``g`` and the total boundary count
-    ``p + q`` are meaningful.
+    ``p + q`` are meaningful.  Each field is a non-negative int, not a
+    bool.
     """
 
     genus: int
@@ -55,12 +56,10 @@ class TopType:
     q: int
 
     def __post_init__(self):
-        if self.genus < 0 or self.p < 0 or self.q < 0:
-            raise ValueError("genus, p and q must be non-negative")
-
-    @property
-    def n_boundary(self) -> int:
-        return self.p + self.q
+        if not all(type(x) is int and x >= 0
+                   for x in (self.genus, self.p, self.q)):
+            raise ValueError("genus, p and q must be non-negative ints, "
+                             f"got {self.genus!r}, {self.p!r}, {self.q!r}")
 
     def __str__(self) -> str:
         return f"({self.genus};{self.p},{self.q})"
@@ -103,10 +102,6 @@ class FatGraph:
     @property
     def n_vertices(self) -> int:
         return len(self._vertex_table[0])
-
-    def trace(self, h: int) -> int:
-        """One step of the boundary tracing permutation."""
-        return self.next_at_vertex[self.pairing[h]]
 
     def vertex_of(self) -> tuple[int, ...]:
         """Map from half-edge to the index of its vertex in vertices()."""

@@ -1,5 +1,5 @@
-"""Generators: random fat graphs, random chord diagrams, gluable pairs,
-and exhaustive enumeration of all chord-diagram classes of a type.
+"""Generators: random chord diagrams, gluable pairs, and exhaustive
+enumeration of all chord-diagram classes of a type.
 
 The exhaustive enumerator derives each candidate's tables directly,
 unvalidated, from a circle composition, a labeled ghost forest and a
@@ -25,7 +25,6 @@ from .errors import ChordLabError, SearchExhausted, UnrepresentableType
 from .fatgraph import TopType
 
 __all__ = [
-    "random_fatgraph",
     "random_diagram",
     "random_gluable_pair",
     "enumerate_classes",
@@ -33,50 +32,6 @@ __all__ = [
 
 # classes a search or an enumeration of one type may hold before it gives up
 EXPLORE_CLASS_BUDGET = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# random fat graphs
-# ---------------------------------------------------------------------------
-
-def _random_composition(rng: random.Random, total: int, min_part: int) -> list[int]:
-    """Random composition of total into parts >= min_part (greedy)."""
-    parts = []
-    left = total
-    while left >= 2 * min_part:
-        hi = left - min_part
-        parts.append(rng.randint(min_part, hi))
-        left -= parts[-1]
-    if left:
-        if left >= min_part:
-            parts.append(left)
-        elif parts:
-            parts[-1] += left
-    return parts
-
-
-def random_fatgraph(rng: random.Random, max_edges: int = 12) -> fg.FatGraph:
-    """A uniform-ish random connected fat graph with valence >= 3."""
-    while True:
-        n_edges = rng.randint(2, max_edges)
-        n = 2 * n_edges
-        halves = list(range(n))
-        rng.shuffle(halves)
-        sizes = _random_composition(rng, n, 3)
-        vertex_lists, at = [], 0
-        for s in sizes:
-            vertex_lists.append(halves[at: at + s])
-            at += s
-        matching = list(range(n))
-        rng.shuffle(matching)
-        pairing = [0] * n
-        for i in range(0, n, 2):
-            a, b = matching[i], matching[i + 1]
-            pairing[a], pairing[b] = b, a
-        try:
-            return fg.validate(pairing, vertex_lists)
-        except ChordLabError:
-            continue
 
 
 # ---------------------------------------------------------------------------

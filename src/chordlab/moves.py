@@ -82,7 +82,6 @@ __all__ = [
     "MoveGraphReport",
     "Move",
     "apply_move",
-    "neighbors",
     "explore",
     "path_to_canonical",
 ]
@@ -167,13 +166,6 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
                                    ch._least_markings(columns[2], p, q)),
                     fwd, inv))
     return sorted(out, key=lambda entry: entry[0])
-
-
-def neighbors(c: ChordDiagram) -> list[ChordDiagram]:
-    """Deduplicated move-graph neighbors: single-edge collapses plus
-    single-vertex expansions."""
-    canon = ch.canonical_form(c)
-    return [rep for _code, rep, _fwd, _inv in neighbors_with_moves(canon)]
 
 
 @dataclass

@@ -17,6 +17,8 @@ from chordlab import fatgraph as fg
 from chordlab import formats, generate, moves, tqft
 from chordlab.fatgraph import TopType
 
+from helpers import random_fatgraph
+
 
 @pytest.fixture
 def announce(capsys):
@@ -42,7 +44,7 @@ def test_criterion_01_boundary_tracing_partition(announce):
     start = time.monotonic()
     rng = random.Random(2026)
     for _ in range(1000):
-        G = generate.random_fatgraph(rng, max_edges=12)
+        G = random_fatgraph(rng, max_edges=12)
         cycles = fg.boundary_cycles(G)
         seen = sorted(h for cyc in cycles for h in cyc)
         assert seen == list(range(G.n_half_edges))
@@ -213,7 +215,7 @@ def test_criterion_11_format_round_trip_and_fuzz(announce):
 
     rng = random.Random(2030)
     for _ in range(300):
-        G = generate.random_fatgraph(rng, max_edges=8)
+        G = random_fatgraph(rng, max_edges=8)
         assert formats.parse(formats.serialize(G)) == G
     for _ in range(200):
         g, p, q = ALL_SMALL_TYPES[rng.randrange(len(ALL_SMALL_TYPES))]

@@ -24,10 +24,17 @@ from chordlab.errors import (
 )
 from chordlab.fatgraph import FatGraph, TopType
 
+from helpers import expansions
+
 
 def single_chord_diagram():
     """One circle with two vertices joined by one chord: type (0;1,2)."""
     return ch.canonical_gamma0(0, 1, 2)
+
+
+def labelled_edges(d, label):
+    """The edges of d with this C/G label, each as its smaller half-edge."""
+    return [e for e in d.graph.edges() if d.labels[e] == label]
 
 
 CONNECT_TYPES = [(0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 1, 1), (1, 1, 2)]
@@ -84,7 +91,7 @@ class TestValidateChord:
             ch.is_essential(d, e)
         ch.multiplicities(d)
         ch.chi_defect(d)
-        edge = next(e for e in d.graph.edges() if ch.is_collapsible(d, e))
+        edge = next(e for e in d.graph.edges() if not ch.is_essential(d, e))
         moves.apply_move(d, ("collapse", edge))
         moves.apply_move(d, ("expand", *next(ch._splits(d.graph.vertices()))))
         assert set(vars(d)) <= fields | {"boundary_order"}
@@ -103,7 +110,7 @@ class TestCollapseGhosts:
         # bijection on gamma0 instead: circular edges <-> edges of S(c)
         d = ch.canonical_gamma0(0, 2, 2)
         collapsed = ch.collapse_ghosts(d)
-        assert collapsed.s_graph.n_edges == len(d.circular_edges())
+        assert collapsed.s_graph.n_edges == len(labelled_edges(d, CIRCULAR))
 
     def test_single_chord_collapses_to_two_loop_rose(self):
         d = single_chord_diagram()
@@ -128,7 +135,7 @@ class TestCollapseGhosts:
             erased = sorted(
                 tuple(_rotate_min([collapsed.half_edge_map[h] for h in cyc
                                    if d.labels[h] == CIRCULAR]))
-                for cyc in d.cycles()
+                for cyc in fg.boundary_cycles(d.graph)
             )
             assert erased == sorted(tuple(cyc) for cyc in s_cycles)
 
@@ -242,7 +249,7 @@ def test_chi_identity(seed):
 class TestEssentialEdges:
     def test_chord_between_circular_vertices_is_essential(self):
         d = single_chord_diagram()
-        (chord,) = d.ghost_edges()
+        (chord,) = labelled_edges(d, GHOST)
         assert ch.is_essential(d, chord)
 
     def test_circular_edge_between_ghost_trees(self):
@@ -252,7 +259,7 @@ class TestEssentialEdges:
         d = ch.canonical_gamma0(0, 2, 2)
         comp = ch._ghost_components(d.graph, d.labels)
         vertex_of = d.graph.vertex_of()
-        for e in d.circular_edges():
+        for e in labelled_edges(d, CIRCULAR):
             va, vb = vertex_of[e], vertex_of[d.graph.pairing[e]]
             if va == vb:
                 assert ch.is_essential(d, e)
@@ -261,12 +268,12 @@ class TestEssentialEdges:
 
     def test_collapse_refuses_essential_and_loops(self):
         d = single_chord_diagram()
-        (chord,) = d.ghost_edges()
+        (chord,) = labelled_edges(d, GHOST)
         with pytest.raises(EssentialEdge):
             ch.collapse_edge(d, chord)
         loop_diagram = ch.canonical_gamma0(0, 2, 1)
         loop_edge = next(
-            e for e in loop_diagram.circular_edges()
+            e for e in labelled_edges(loop_diagram, CIRCULAR)
             if loop_diagram.graph.vertex_of()[e]
             == loop_diagram.graph.vertex_of()[loop_diagram.graph.pairing[e]]
         )
@@ -297,7 +304,7 @@ class TestMoves:
             g, p, q = SMALL_TYPES[rng.randrange(len(SMALL_TYPES))]
             d = generate.random_diagram(rng, g, p, q, steps=1)
             code = ch.diagram_code(d)
-            for x in ch.expansions(d):
+            for x in expansions(d):
                 assert x.top_type() == d.top_type()
                 new_edge = x.graph.n_half_edges - 2
                 back = ch.collapse_edge(x, new_edge)
@@ -305,15 +312,15 @@ class TestMoves:
 
     def test_collapse_then_expansion_recovers(self):
         d = ch.canonical_gamma0(1, 2, 2)
-        for x in ch.expansions(d):
+        for x in expansions(d):
             new_edge = x.graph.n_half_edges - 2
             assert not ch.is_essential(x, new_edge)
-            recovered = ch.expansions(ch.collapse_edge(x, new_edge))
+            recovered = expansions(ch.collapse_edge(x, new_edge))
             assert ch.diagram_code(x) in {ch.diagram_code(y) for y in recovered}
 
     def test_trivalent_vertices_admit_no_expansion(self):
         # every vertex of the single-chord diagram is trivalent
-        assert ch.expansions(single_chord_diagram()) == []
+        assert expansions(single_chord_diagram()) == []
 
     @pytest.mark.parametrize("g,p,q", CONNECT_TYPES + [(0, 3, 2)])
     def test_direct_children_match_validated_build(self, g, p, q):
@@ -340,7 +347,7 @@ class TestMoves:
             assert len(set(generated)) == len(generated)
             assert set(generated) == splits
             for e in c.graph.edges():
-                if ch.is_collapsible(c, e):
+                if not ch.is_essential(c, e):
                     child = ch.collapse_edge(c, e)
                     checked, child_top = ch.validate_chord(
                         child.graph, child.labels, child.p,
@@ -359,7 +366,7 @@ class TestMoves:
                     child.labels)
                 moved += 1
             assert moved == len(splits) + sum(
-                ch.is_collapsible(c, e) for e in c.graph.edges())
+                not ch.is_essential(c, e) for e in c.graph.edges())
 
     def test_stale_expansions_are_refused(self):
         c = next(c for c in generate.enumerate_classes(TopType(0, 2, 2), 5).values()
@@ -383,7 +390,7 @@ class TestMoves:
         n = c.graph.n_half_edges
         assert n == 14
         for e in (n, -1, -n - 1):
-            for refuse in (ch.collapse_edge, ch.is_collapsible, ch.is_essential,
+            for refuse in (ch.collapse_edge, ch.is_essential,
                            lambda c, e: moves.apply_move(c, ("collapse", e))):
                 with pytest.raises(ChordLabError,
                                    match=f"edge {e} is not a half-edge"):
@@ -398,14 +405,14 @@ class TestMoves:
 
     @pytest.mark.parametrize("call,args", [
         (ch.collapse_edge, (1.0,)),
-        (ch.is_collapsible, (2.0,)),
+        (ch.is_essential, (2.0,)),
         (ch.is_essential, ("0",)),
         (ch.apply_expansion, (0.0, 3)),
         (moves.apply_move, (("collapse", 1.0),)),
         (moves.apply_move, (5,)),
         (moves.apply_move, (None,)),
         (moves.apply_move, ("collapse",)),
-    ], ids=["collapse_edge-float", "is_collapsible-float", "is_essential-str",
+    ], ids=["collapse_edge-float", "is_essential-float", "is_essential-str",
             "apply_expansion-float", "apply_move-float", "apply_move-int",
             "apply_move-None", "apply_move-str"])
     def test_ids_and_moves_of_other_types_are_refused(self, call, args):
@@ -421,11 +428,10 @@ class TestMoves:
         # the bool is refused wherever the int is taken
         h = int(flag)
         classes = generate.enumerate_classes(TopType(1, 1, 2), 9).values()
-        c = next(c for c in classes if ch.is_collapsible(c, h))
+        c = next(c for c in classes if not ch.is_essential(c, h))
         ch.collapse_edge(c, h)
         for call, args in [
                 (ch.collapse_edge, (flag,)), (ch.is_essential, (flag,)),
-                (ch.is_collapsible, (flag,)),
                 (moves.apply_move, (("collapse", flag),))]:
             with pytest.raises(ChordLabError):
                 call(c, *args)
@@ -501,8 +507,9 @@ class TestGamma0:
 
     def test_one_vertex_incoming_circles(self):
         d = ch.canonical_gamma0(0, 3, 2)
-        sizes = sorted(len({d.graph.vertex_of()[h] for h in cyc})
-                       for cyc in d.incoming_circles())
+        cycle_of = d.graph.cycle_of()
+        sizes = sorted(len({d.graph.vertex_of()[h] for h in cycle_of[m]})
+                       for m in d.markings[:d.p])
         assert sizes[:2] == [1, 1]   # p-1 = 2 one-vertex circles
 
 
@@ -518,7 +525,7 @@ class TestCanonicalForm:
 
     def test_isomorphic_diagrams_map_to_equal_tables(self):
         d = ch.canonical_gamma0(1, 1, 2)
-        for x in ch.expansions(d):
+        for x in expansions(d):
             back = ch.collapse_edge(x, x.graph.n_half_edges - 2)
             a, b = ch.canonical_form(back), ch.canonical_form(d)
             assert (a.graph, a.labels, a.p, a.boundary_order) == (
@@ -860,7 +867,8 @@ def _relabel_diagram(d, perm):
         pairing=tuple(perm[d.graph.pairing[h]] for h in inv),
         next_at_vertex=tuple(perm[d.graph.next_at_vertex[h]] for h in inv),
     )
-    order = [min(perm[h] for h in d.cycle_by_rep(r)) for r in d.boundary_order]
+    cycle_of = d.graph.cycle_of()
+    order = [min(perm[h] for h in cycle_of[r]) for r in d.boundary_order]
     marks = [perm[m] for m in d.markings]
     labels = [d.labels[h] for h in inv]
     return ch.validate_chord(graph, labels, d.p, order, marks)[0]
@@ -917,13 +925,13 @@ def test_code_colors_agree_with_the_cycle_tables(g, p, q):
 def test_expansion_then_collapse_returns_class(top, seed):
     c = generate.random_diagram(random.Random(seed), *top, steps=2)
     code = ch.diagram_code(c)
-    for d in ch.expansions(c):
+    for d in expansions(c):
         assert ch.diagram_code(ch.collapse_edge(d, d.graph.n_half_edges - 2)) == code
 
 
 def test_cycles_cannot_corrupt_the_shared_cache():
     with pytest.raises(AttributeError):
-        ch.canonical_gamma0(1, 1, 2).cycles().append((999,))
+        fg.boundary_cycles(ch.canonical_gamma0(1, 1, 2).graph).append((999,))
     assert ch.canonical_gamma0(1, 1, 2).top_type() == TopType(1, 1, 2)
 
 
@@ -953,8 +961,8 @@ class TestGlue:
         c1 = ch.canonical_gamma0(0, 1, 2)
         c2 = ch.canonical_gamma0(0, 2, 2)
         r = ch.glue(c1, c2)
-        assert len(r.ghost_edges()) == len(c1.ghost_edges()) + len(
-            c2.ghost_edges())
+        assert len(labelled_edges(r, GHOST)) == len(
+            labelled_edges(c1, GHOST)) + len(labelled_edges(c2, GHOST))
 
     def test_schedule_places_circle_vertices(self):
         c1, c2 = ch.canonical_gamma0(0, 1, 2), ch.canonical_gamma0(0, 2, 2)

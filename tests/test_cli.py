@@ -10,6 +10,8 @@ from chordlab import chord as ch
 from chordlab import cli, formats, generate
 from chordlab.cli import emit_dot, main
 
+from helpers import expansions
+
 
 @pytest.fixture
 def gamma_file(tmp_path):
@@ -54,7 +56,7 @@ class TestBasicCommands:
         a = gamma_file(0, 2, 2, "a.chord")
         # a relabeled copy: canonical form of an expansion collapsed back
         d = ch.canonical_gamma0(0, 2, 2)
-        x = ch.expansions(d)[0]
+        x = expansions(d)[0]
         back = ch.collapse_edge(x, x.graph.n_half_edges - 2)
         b = tmp_path / "b.chord"
         b.write_text(formats.serialize(back))
@@ -92,6 +94,21 @@ class TestExitCodes:
     def test_missing_file_is_one(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x")
         assert code == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "report-directory",
+                                      "binary"])
+    def test_unreadable_paths_are_one_line(self, capsys, tmp_path, kind):
+        # a directory given as a file, a --report path that is a directory
+        # and a file that is not UTF-8 each exit 1 with one diagnostic line
+        binary = tmp_path / "binary.chord"
+        binary.write_bytes(b"chord v1\n\xff\xfe\n")
+        argv = {"directory": ["validate", str(tmp_path)],
+                "report-directory": ["connect", "--type", "1,1,2",
+                                     "--report", str(tmp_path)],
+                "binary": ["validate", str(binary)]}[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("chordlab: ") and err.count("\n") == 1
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -228,7 +245,7 @@ class TestDot:
 
     def test_canon_flag_normalizes(self):
         d = ch.canonical_gamma0(0, 2, 2)
-        x = ch.expansions(d)[0]
+        x = expansions(d)[0]
         relabeled = ch.collapse_edge(x, x.graph.n_half_edges - 2)
         assert emit_dot(d) != emit_dot(relabeled) or d == relabeled
         assert emit_dot(d, canon=True) == emit_dot(relabeled, canon=True)

@@ -16,6 +16,8 @@ from chordlab.errors import (
     ValenceTooLow,
 )
 
+from helpers import random_fatgraph
+
 
 def theta_graph():
     # 2 vertices, 3 parallel edges; rotations reversed at the second vertex,
@@ -94,12 +96,12 @@ class TestTables:
     def test_cycle_of_maps_each_half_edge_to_its_cycle(self):
         rng = random.Random(5)
         for _ in range(20):
-            G = generate.random_fatgraph(rng)
+            G = random_fatgraph(rng)
             cycles = fg.boundary_cycles(G)
             for cyc in cycles:
                 for h in cyc:
                     assert G.cycle_of()[h] is cyc
-                    assert G.cycle_of()[G.trace(h)] is cyc
+                    assert G.cycle_of()[G.next_at_vertex[G.pairing[h]]] is cyc
             for i, orbit in enumerate(G.vertices()):
                 assert all(G.vertex_of()[h] == i for h in orbit)
 
@@ -124,11 +126,21 @@ class TestClassification:
         assert fg.topological_type(rose(TORUS_ROSE)) == (1, 1)
         assert fg.topological_type(theta_graph()) == (0, 3)
 
+    @pytest.mark.parametrize("fields", [
+        (-1, 1, 2), (0, -1, 2), (0, 1, -2), (1.5, 1, 2), (1, 1.0, 2),
+        (1, 1, "2"), (True, 1, 2), (1, False, 2), (1, 1, None)])
+    def test_type_fields_are_non_negative_ints(self, fields):
+        # a float, a str, None or a bool (an int subclass) is refused as a
+        # negative field is, before explore can take it
+        with pytest.raises(ValueError, match="non-negative ints"):
+            fg.TopType(*fields)
+        assert str(fg.TopType(1, 1, 2)) == "(1;1,2)"
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_orbit_partition_and_euler_consistency(seed):
-    G = generate.random_fatgraph(random.Random(seed))
+    G = random_fatgraph(random.Random(seed))
     cycles = fg.boundary_cycles(G)
     seen = sorted(h for cyc in cycles for h in cyc)
     assert seen == list(range(G.n_half_edges))
@@ -149,7 +161,7 @@ class TestCanonicalCode:
     def test_invariant_under_relabeling(self):
         rng = random.Random(5)
         for _ in range(20):
-            G = generate.random_fatgraph(rng, max_edges=6)
+            G = random_fatgraph(rng, max_edges=6)
             perm = list(range(G.n_half_edges))
             rng.shuffle(perm)
             assert fg.canonical_code(self._relabel(G, perm)) == fg.canonical_code(G)
@@ -182,7 +194,7 @@ class TestCanonicalCode:
     def test_canonical_labeling_normalizes(self):
         rng = random.Random(17)
         for _ in range(10):
-            G = generate.random_fatgraph(rng, max_edges=6)
+            G = random_fatgraph(rng, max_edges=6)
             perm = list(range(G.n_half_edges))
             rng.shuffle(perm)
             H = self._relabel(G, perm)
@@ -247,7 +259,8 @@ def _relabeled_diagram(d, rng):
         pairing=tuple(perm[d.graph.pairing[h]] for h in inv),
         next_at_vertex=tuple(perm[d.graph.next_at_vertex[h]] for h in inv),
     )
-    order = [min(perm[h] for h in d.cycle_by_rep(r)) for r in d.boundary_order]
+    cycle_of = d.graph.cycle_of()
+    order = [min(perm[h] for h in cycle_of[r]) for r in d.boundary_order]
     marks = [perm[m] for m in d.markings]
     return ch.validate_chord(graph, [d.labels[h] for h in inv], d.p, order, marks)[0]
 
@@ -281,7 +294,7 @@ def test_pruned_search_matches_reference_when_starts_tie(k):
 def test_pruned_search_matches_reference_on_random_fatgraphs():
     rng = random.Random(23)
     for _ in range(40):
-        G = generate.random_fatgraph(rng, max_edges=7)
+        G = random_fatgraph(rng, max_edges=7)
         _check_against_reference(G)
         _check_against_reference(G, [rng.randrange(2) for _ in range(G.n_half_edges)])
 
@@ -318,7 +331,7 @@ def test_search_matches_the_plain_search_on_small_graphs(pairing, nxt):
 def test_search_matches_the_plain_search_on_random_relabelings():
     rng = random.Random(31)
     for _ in range(60):
-        G = generate.random_fatgraph(rng, max_edges=8)
+        G = random_fatgraph(rng, max_edges=8)
         colors = [rng.randrange(3) for _ in range(G.n_half_edges)]
         for H, C in ((G, None), (G, colors), _relabeled(G, colors, rng)):
             assert fg._canonical_search(H, C) == _reference_search(H, C)

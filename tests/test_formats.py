@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from chordlab import chord as ch
 from chordlab import formats, generate, tqft
 
+from helpers import random_fatgraph
+
 
 FIXTURES = [
     "glue_left_0_1_2.chord",
@@ -54,7 +56,7 @@ class TestRoundTrip:
     def test_random_fatgraphs(self):
         rng = random.Random(1)
         for _ in range(60):
-            G = generate.random_fatgraph(rng, max_edges=8)
+            G = random_fatgraph(rng, max_edges=8)
             assert formats.parse(formats.serialize(G)) == G
 
     def test_random_diagrams(self):

@@ -22,24 +22,34 @@ from chordlab.errors import (
 )
 from chordlab.fatgraph import TopType
 
+from helpers import expansions
+
+
+def neighbor_reps(c):
+    """The canonical representative of each move-graph neighbour of the
+    class of c, deduplicated: single-edge collapses and single-vertex
+    expansions."""
+    return [rep for _code, rep, _fwd, _inv
+            in moves.neighbors_with_moves(ch.canonical_form(c))]
+
 
 class TestNeighbors:
     def test_rigid_diagram_has_no_neighbors(self):
         # the one class of type (0;1,2): every edge essential, all vertices
         # trivalent
         d = ch.canonical_gamma0(0, 1, 2)
-        assert moves.neighbors(d) == []
+        assert neighbor_reps(d) == []
 
     def test_symmetry(self):
         d = ch.canonical_form(ch.canonical_gamma0(1, 1, 2))
         code = ch.diagram_code(d)
-        for n in moves.neighbors(d):
-            back_codes = {ch.diagram_code(x) for x in moves.neighbors(n)}
+        for n in neighbor_reps(d):
+            back_codes = {ch.diagram_code(x) for x in neighbor_reps(n)}
             assert code in back_codes
 
     def test_deduplicated(self):
         d = ch.canonical_gamma0(1, 1, 1)
-        out = moves.neighbors(d)
+        out = neighbor_reps(d)
         codes = [ch.diagram_code(x) for x in out]
         assert len(codes) == len(set(codes))
 
@@ -89,7 +99,7 @@ class TestChildColors:
             collapsed = [move[1] for move, *_ in moves._children(
                 ch._diagram_tables(c), bound, ()) if move[0] == "collapse"]
             assert collapsed == [e for e in c.graph.edges()
-                                 if ch.is_collapsible(c, e)]
+                                 if not ch.is_essential(c, e)]
             kinds.update(c.labels[e] for e in collapsed)
         assert kinds == {ch.CIRCULAR, ch.GHOST}
 
@@ -165,7 +175,7 @@ class TestSkippedMoves:
             c = _diagram(t)
             parent, inv = info[ch.diagram_code(c)]
             own = [("collapse", e) for e in c.graph.edges()
-                   if ch.is_collapsible(c, e)]
+                   if not ch.is_essential(c, e)]
             if c.graph.n_edges < bound:
                 own += [("expand", x, y)
                         for x, y in ch._splits(c.graph.vertices())]
@@ -204,7 +214,7 @@ class TestSkippedMoves:
         assert len(expanded) == len(info)
         total = 1
         for rep in map(_diagram, expanded):
-            total += sum(ch.is_collapsible(rep, e) for e in rep.graph.edges())
+            total += sum(not ch.is_essential(rep, e) for e in rep.graph.edges())
             if rep.graph.n_edges < bound:
                 total += len(list(ch._splits(rep.graph.vertices())))
         assert len(info) == 698
@@ -367,7 +377,8 @@ def _table_mismatches(t, c):
         "labels": (t.labels, c.labels),
         "colors": (list(t.colors), ch._int_colors(c)),
         "collapsible": ([a for a, _b in ch._collapsible_edges(t)],
-                        [e for e in c.graph.edges() if ch.is_collapsible(c, e)]),
+                        [e for e in c.graph.edges()
+                         if not ch.is_essential(c, e)]),
     }
     return [name for name, (ours, theirs) in checks.items() if ours != theirs]
 
@@ -757,7 +768,7 @@ class TestPathToCanonical:
 
     def test_round_trip_from_expansion(self):
         d = ch.canonical_gamma0(1, 1, 2)
-        for x in ch.expansions(d)[:4]:
+        for x in expansions(d)[:4]:
             path = moves.path_to_canonical(x)
             assert len(path) >= 1
 
