@@ -700,77 +700,38 @@ def canonical_gamma0(g: int, p: int, q: int) -> ChordDiagram:
             "as the identity operation"
         )
 
-    n_chords = (q - 1) + 2 * g          # chords from v0 to the big circle
-    counter = itertools.count()
+    # Every edge is the pair (2k, 2k+1), so the pairing is h ^ 1.  The edges:
+    # the big circle's, edge i from circle vertex i (half 2i) to vertex i+1
+    # (half 2i+1), v0 being vertex 0; then chord i, from v0 (half c0+2i) to
+    # circle vertex i+1; then per extra incoming circle a circular loop (l,
+    # l+1) and its ghost edge from the loop's vertex (l+2) to v0 (l+3).
+    n_big = q + 2 * g                   # v0 and one vertex per chord
+    c0 = 2 * n_big
+    l0 = c0 + 2 * (n_big - 1)
+    n = l0 + 4 * (p - 1)
+    labels = ([CIRCULAR] * c0 + [GHOST] * (l0 - c0)
+              + [CIRCULAR, CIRCULAR, GHOST, GHOST] * (p - 1))
+    loops = range(l0, n, 4)
 
-    def half():
-        return next(counter)
-
-    pairing: dict[int, int] = {}
-    labels: dict[int, str] = {}
-
-    def edge(lbl):
-        x, y = half(), half()
-        pairing[x], pairing[y] = y, x
-        labels[x] = labels[y] = lbl
-        return x, y
-
-    # big circle through v0 and one attachment vertex per chord; edge i joins
-    # vertex i to vertex i+1, its forward half at i and back half at i+1
-    n_big = 1 + n_chords
-    fwd, bwd = [], []
-    for _ in range(n_big):
-        f, b = edge(CIRCULAR)
-        fwd.append(f)
-        bwd.append(b)
-
-    chord_v0, chord_far = [], []
-    for _ in range(n_chords):
-        x, y = edge(GHOST)
-        chord_v0.append(x)
-        chord_far.append(y)
-
-    loops, loop_chord_v0 = [], []
-    for _ in range(p - 1):
-        lf, lb = edge(CIRCULAR)          # one-vertex circle: a circular loop
-        s_w, s_v0 = edge(GHOST)
-        loops.append((lf, lb, s_w))
-        loop_chord_v0.append(s_v0)
-
-    # circle attachment slots, in circle order after v0:
-    #   clean-outgoing chords 1..q-1, then per genus pair the crossed (M, P)
-    circle_slots = list(range(q - 1))
-    v0_ghosts = chord_v0[: q - 1]
-    for j in range(g):
-        m_ix = (q - 1) + 2 * j
-        p_ix = m_ix + 1
-        circle_slots += [m_ix, p_ix]
-        v0_ghosts += [chord_v0[p_ix], chord_v0[m_ix]]   # crossed at v0
-    v0_ghosts += loop_chord_v0
-
-    vertex_lists = []
-    # v0 = circle vertex 0: (back, fwd, ghosts...); edge i-1 arrives at vertex i
-    vertex_lists.append([bwd[n_big - 1], fwd[0], *v0_ghosts])
-    for i, slot in enumerate(circle_slots, start=1):
-        vertex_lists.append([bwd[i - 1], fwd[i], chord_far[slot]])
-    for lf, lb, s_w in loops:
-        vertex_lists.append([lb, lf, s_w])
-
-    n_half = next(counter)
-    pairing_list = [pairing[h] for h in range(n_half)]
-    label_list = [labels[h] for h in range(n_half)]
-    graph = fg.validate(pairing_list, vertex_lists)
+    # the chords meet the circle in order: q-1 clean-outgoing ones, then g
+    # pairs (i, i+1), each swapped at v0 so that the pair crosses
+    v0_ghosts = [c0 + 2 * i for i in range(q - 1)]
+    for i in range(q - 1, n_big - 1, 2):
+        v0_ghosts += [c0 + 2 * i + 2, c0 + 2 * i]
+    vertex_lists = [[c0 - 1, 0, *v0_ghosts, *(l + 3 for l in loops)]]
+    vertex_lists += [[2 * i - 1, 2 * i, c0 + 2 * i - 1] for i in range(1, n_big)]
+    vertex_lists += [[l + 1, l, l + 2] for l in loops]
+    graph = fg.validate([h ^ 1 for h in range(n)], vertex_lists)
 
     cycles, cycle_of = fg.boundary_cycles(graph), graph.cycle_of()
-    order = [cycle_of[fwd[0]][0]]
-    order += [cycle_of[lf][0] for lf, _, _ in loops]
-    order += [cycle_of[chord_v0[k]][0] for k in range(q - 1)]
+    order = [cycle_of[h][0]
+             for h in (0, *loops, *(c0 + 2 * i for i in range(q - 1)))]
     rest = [cyc[0] for cyc in cycles if cyc[0] not in set(order)]
     if len(rest) != 1 or len(order) + 1 != len(cycles):
         raise ChordLabError(f"base-point construction broke for ({g};{p},{q})")
     order.append(rest[0])
 
-    diagram, top = validate_chord(graph, label_list, p, order)
+    diagram, top = validate_chord(graph, labels, p, order)
     if top != TopType(g, p, q):
         raise ChordLabError(
             f"base-point construction produced {top}, wanted ({g};{p},{q})"
@@ -818,31 +779,25 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
         ):
             raise InvalidSchedule("schedule positions must be lists of integers")
 
-    g1 = c1.graph
-    g2 = c2.graph
-    n1 = g1.n_half_edges
+    g1, g2 = c1.graph, c2.graph
+    nxt2 = g2.next_at_vertex
 
-    counter = itertools.count(n1)
-    pairing = {h: g1.pairing[h] for h in range(n1)}
-    labels = {h: c1.labels[h] for h in range(n1)}
+    # flat tables: c1's half-edges, then c2's ghost half-edges in id order,
+    # then two circular halves per new circle vertex.  A ghost of c2 whose
+    # successor is circular ends its circle vertex's bundle; its entry stays
+    # None until the bundle is spliced in.
+    ghosts = [h for h in range(g2.n_half_edges) if c2.labels[h] == GHOST]
+    ghost_map = {h: g1.n_half_edges + i for i, h in enumerate(ghosts)}
+    pairing = [*g1.pairing, *(ghost_map[g2.pairing[h]] for h in ghosts)]
+    nxt = [*g1.next_at_vertex, *(ghost_map.get(nxt2[h]) for h in ghosts)]
+    labels = [*c1.labels, *(GHOST for _ in ghosts)]
 
-    # mutable rotations, keyed by arbitrary vertex tokens
-    rotations: dict[object, list[int]] = {
-        ("c1", i): list(orbit) for i, orbit in enumerate(g1.vertices())
-    }
-
-    # import c2's ghost half-edges and all-ghost vertices
-    ghost_map = {}
-    for h in range(g2.n_half_edges):
-        if c2.labels[h] == GHOST:
-            ghost_map[h] = next(counter)
-            labels[ghost_map[h]] = GHOST
-    for h, new in ghost_map.items():
-        pairing[new] = ghost_map[g2.pairing[h]]
-    vertex_of2 = g2.vertex_of()
-    for i, orbit in enumerate(g2.vertices()):
-        if all(c2.labels[h] == GHOST for h in orbit):
-            rotations[("c2", i)] = [ghost_map[h] for h in orbit]
+    def splice(a, js):
+        # the bundles of circle vertices js, in order, right after a
+        for j in js:
+            first, last = bundles[j]
+            nxt[last], nxt[a] = nxt[a], first
+            a = last
 
     for k in range(q):
         out_mark = c1.markings[c1.p + k]
@@ -852,12 +807,14 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
         m = len(circle)
 
         # ghost bundles: rotation at a circle vertex reads (back, fwd,
-        # ghosts...), so rotating to start at the forward half exposes the
-        # ghosts between it and the closing back half
+        # ghosts...), so the ghosts after the forward half, up to the back
+        # half, form the bundle; kept as its first and last half-edge
         bundles = []
         for f_half in circle:
-            rot = _rotate_to(g2.vertices()[vertex_of2[f_half]], f_half)
-            bundles.append([ghost_map[h] for h in rot[1:-1]])
+            last = nxt2[f_half]
+            while nxt2[nxt2[last]] != f_half:
+                last = nxt2[last]
+            bundles.append((ghost_map[nxt2[f_half]], ghost_map[last]))
 
         # occurrence sequence of the outgoing cycle from its marking,
         # traversed against the boundary orientation (= along the incoming
@@ -881,65 +838,44 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
                     f"indices below {len(occurrences)}"
                 )
 
-        groups: dict[int, list[int]] = {}
-        for j, pos in enumerate(positions):
-            groups.setdefault(pos, []).append(j)
-
-        for pos in sorted(groups):
-            js = groups[pos]
+        for pos, js in itertools.groupby(range(m), positions.__getitem__):
             occ = occurrences[pos]
             if labels[occ] == GHOST:
                 # snap onto the source vertex of the oriented ghost edge
-                target = next(
-                    tok for tok, rot in rotations.items() if occ in rot
-                )
-                rot = rotations[target]
-                at = rot.index(occ)
-                insert = []
-                for j in js:
-                    insert.extend(bundles[j])
-                rotations[target] = rot[: at + 1] + insert + rot[at + 1:]
+                splice(occ, js)
                 continue
 
             # subdivide the circular edge of occ: occ points against the
-            # incoming direction, pairing(occ) along it
-            r = occ
-            y = pairing[r]
-            chain = []
+            # incoming direction, pairing(occ) along it; each new vertex
+            # (d, e, bundle...) joins the chain from pairing(occ) to occ
+            y = pairing[occ]
             for j in js:
-                d_half, e_half = next(counter), next(counter)
-                labels[d_half] = labels[e_half] = CIRCULAR
-                rotations[("new", k, j)] = [d_half, e_half] + bundles[j]
-                chain.append((d_half, e_half))
-            prev = y
-            for d_half, e_half in chain:
-                pairing[prev] = d_half
-                pairing[d_half] = prev
-                prev = e_half
-            pairing[prev] = r
-            pairing[r] = prev
-
-    # compact to dense arrays
-    all_halves = sorted(pairing)
-    new_id = {h: i for i, h in enumerate(all_halves)}
-    pairing_list = [0] * len(all_halves)
-    for h in all_halves:
-        pairing_list[new_id[h]] = new_id[pairing[h]]
-    label_list = [labels[h] for h in all_halves]
-    vertex_lists = [[new_id[h] for h in rot] for rot in rotations.values()]
+                d = len(pairing)
+                pairing[y] = d
+                pairing += [y, occ]
+                nxt += [d + 1, d]
+                labels += [CIRCULAR, CIRCULAR]
+                splice(d + 1, [j])
+                y = d + 1
+            pairing[occ] = y
 
     try:
-        graph = fg.validate(pairing_list, vertex_lists)
+        graph = fg.validate(pairing, fg._orbits(nxt)[0])
     except ChordLabError as exc:
         raise GlueValidationFailed(f"glued graph invalid: {exc}") from exc
 
     cycle_of = graph.cycle_of()
-    marks = [new_id[m] for m in c1.markings[: c1.p]]
-    for mark in c2.markings[c2.p:]:
+    marks = list(c1.markings[: c1.p])
+    for i, mark in enumerate(c2.markings[c2.p:]):
         cyc2 = _rotate_to(g2.cycle_of()[mark], mark)
-        anchor = next(ghost_map[h] for h in cyc2 if c2.labels[h] == GHOST)
-        cyc = _rotate_to(cycle_of[new_id[anchor]], new_id[anchor])
-        marks.append(next(x for x in cyc if label_list[x] == CIRCULAR))
+        anchor = ghost_map[next(h for h in cyc2 if c2.labels[h] == GHOST)]
+        cyc = _rotate_to(cycle_of[anchor], anchor)
+        circular = [x for x in cyc if labels[x] == CIRCULAR]
+        if not circular:
+            raise GlueValidationFailed(
+                f"outgoing cycle {i} of c2 glues into the cycle at half-edge "
+                f"{cycle_of[anchor][0]}, which has no circular half-edge")
+        marks.append(circular[0])
     order = [cycle_of[m][0] for m in marks]
 
     if len(set(order)) != len(order) or len(order) != len(
@@ -949,7 +885,7 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
                                    "match the expected incoming/outgoing split")
 
     try:
-        result, top = validate_chord(graph, label_list, c1.p, order, marks)
+        result, top = validate_chord(graph, labels, c1.p, order, marks)
     except ChordLabError as exc:
         raise GlueValidationFailed(str(exc)) from exc
 

@@ -249,6 +249,10 @@ def _cmd_connect(args) -> int:
     if bound is None:
         # trivalent diagrams have the most edges, 3(2g+p+q-2)
         bound = 3 * (2 * top.genus + top.p + top.q - 2)
+    if args.report and args.report != "-":
+        # an unwritable path fails before the search; appending truncates
+        # nothing, so a failed search leaves an existing report as it was
+        open(args.report, "a", encoding="utf-8").close()
     report = moves.explore(top, bound)
     payload = report.to_json_dict()
     if args.report:

@@ -979,6 +979,40 @@ class TestGlue:
         with pytest.raises(InvalidSchedule):
             ch.glue(c1, c2, schedule)
 
+    def test_snap_leaving_an_outgoing_cycle_without_circle_is_refused(self):
+        # snapping both circle vertices of (0;1,2)'s circle onto one ghost
+        # occurrence leaves a glued outgoing cycle with no circular half-edge
+        # to mark; it once escaped as a bare StopIteration
+        c1, c2 = ch.canonical_gamma0(0, 2, 1), ch.canonical_gamma0(0, 1, 2)
+        with pytest.raises(GlueValidationFailed, match="no circular half-edge"):
+            ch.glue(c1, c2, [[1, 1]])
+
+    def test_every_schedule_on_small_base_points(self):
+        # all 1,741 schedules of the right shape on the 25 gluable pairs of
+        # base-point diagrams with g <= 1 and p, q <= 2: each gives the glued
+        # type or a ChordLabError
+        types = [(g, p, q) for g in range(2) for p in (1, 2) for q in (1, 2)
+                 if (g, p, q) != (0, 1, 1)]
+        pairs = calls = 0
+        for t1, t2 in itertools.product(types, types):
+            if t1[2] != t2[1]:
+                continue
+            pairs += 1
+            c1, c2 = ch.canonical_gamma0(*t1), ch.canonical_gamma0(*t2)
+            expected = TopType(t1[0] + t2[0] + t1[2] - 1, t1[1], t2[2])
+            rows = [itertools.combinations_with_replacement(
+                        range(len(c1.graph.cycle_of()[c1.markings[c1.p + k]])),
+                        len(c2.graph.cycle_of()[c2.markings[k]]))
+                    for k in range(c1.q)]
+            for schedule in itertools.product(*rows):
+                calls += 1
+                try:
+                    r = ch.glue(c1, c2, [list(row) for row in schedule])
+                except ChordLabError:
+                    continue
+                assert r.top_type() == expected
+        assert (pairs, calls) == (25, 1741)
+
     def test_arity_mismatch(self):
         from chordlab.errors import ArityMismatch
         with pytest.raises(ArityMismatch):

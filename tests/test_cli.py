@@ -9,6 +9,7 @@ import pytest
 from chordlab import chord as ch
 from chordlab import cli, formats, generate
 from chordlab.cli import emit_dot, main
+from chordlab.errors import ChordLabError
 
 from helpers import expansions
 
@@ -110,6 +111,31 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("chordlab: ") and err.count("\n") == 1
 
+    def test_unwritable_report_fails_before_the_search(self, capsys,
+                                                       monkeypatch, tmp_path):
+        def explore(*args):
+            pytest.fail("connect searched before checking its --report path")
+
+        monkeypatch.setattr(cli.moves, "explore", explore)
+        code, _, err = run(capsys, "connect", "--type", "1,1,2",
+                           "--report", str(tmp_path))
+        assert code == 1
+        assert err.startswith("chordlab: ") and err.count("\n") == 1
+
+    def test_failed_search_keeps_an_existing_report(self, capsys, monkeypatch,
+                                                    tmp_path):
+        def explore(*args):
+            raise ChordLabError("search refused")
+
+        monkeypatch.setattr(cli.moves, "explore", explore)
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"classes": 90}\n')
+        code, _, err = run(capsys, "connect", "--type", "1,1,2",
+                           "--report", str(path))
+        assert code == 1
+        assert err == "chordlab: search refused\n"
+        assert path.read_bytes() == b'{"classes": 90}\n'
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["type"])
@@ -179,6 +205,17 @@ def test_malformed_schedule_exits_one(capsys, gamma_file, tmp_path, schedule):
                        "--schedule", str(path))
     assert code == 1
     assert err.startswith("chordlab: ")
+
+
+def test_glue_snap_failure_exits_one(capsys, gamma_file, tmp_path):
+    # the snap of test_chord.py's reproducer, through the CLI: one
+    # diagnostic line, no traceback
+    path = tmp_path / "schedule.json"
+    path.write_text("[[1, 1]]")
+    code, out, err = run(capsys, "glue", gamma_file(0, 2, 1),
+                         gamma_file(0, 1, 2), "--schedule", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("chordlab: ") and err.count("\n") == 1
 
 
 class TestTqftCommands:

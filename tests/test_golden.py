@@ -18,6 +18,7 @@ import pytest
 from chordlab import chord as ch
 from chordlab import formats, generate, moves
 from chordlab.cli import main
+from chordlab.errors import ChordLabError
 from chordlab.fatgraph import TopType
 
 
@@ -185,3 +186,53 @@ def test_tqft_verify_scaled_delta(capsys, tmp_path, algebra):
     assert main(["tqft", "verify", "--json", "--range", "3,3,3,2,2"] + args) == 0
     assert json.loads(capsys.readouterr().out) == {"failures": [],
                                                    "all_pass": True}
+
+
+def _random_schedule(rng: random.Random, c1, c2) -> list[list[int]]:
+    """A schedule of the right shape for glue(c1, c2): per outgoing cycle of
+    c1, one sorted occurrence index per circle vertex of c2's matching
+    incoming circle."""
+    return [sorted(rng.randrange(len(c1.graph.cycle_of()[c1.markings[c1.p + k]]))
+                   for _ in c2.graph.cycle_of()[c2.markings[k]])
+            for k in range(c1.q)]
+
+
+# draws whose scheduled snaps once escaped glue as a bare StopIteration; the
+# snap tests in tests/test_chord.py cover them, so they are left out here
+_SNAP_CRASH_DRAWS = {3, 12, 36, 58, 93}
+
+
+def test_glue_of_random_pairs():
+    # 200 random_gluable_pair draws (seed 11), each glued with no schedule and
+    # with two random schedules (seed 12): the serialized result or the
+    # error, one entry per call; recorded before glue wrote flat tables
+    rng, schedules = random.Random(11), random.Random(12)
+    parts = []
+    for draw in range(200):
+        c1, c2 = generate.random_gluable_pair(rng)
+        calls = [None, _random_schedule(schedules, c1, c2),
+                 _random_schedule(schedules, c1, c2)]
+        if draw in _SNAP_CRASH_DRAWS:
+            continue
+        for schedule in calls:
+            try:
+                parts.append(formats.serialize(ch.glue(c1, c2, schedule)))
+            except ChordLabError as exc:
+                parts.append(f"{type(exc).__name__}: {exc}\n")
+    assert _sha("".join(parts)) == (
+        "5ccaeb25efc35f2e1a1c688f4addc8f0a91354d9b766ebcb26e14a711e24bec1")
+
+
+def test_base_point_diagrams():
+    # canonical_gamma0(g, p, q) for g <= 4 and 0 <= p, q <= 4, serialized or
+    # the error; recorded before canonical_gamma0 wrote flat tables
+    parts = []
+    for g in range(5):
+        for p in range(5):
+            for q in range(5):
+                try:
+                    parts.append(formats.serialize(ch.canonical_gamma0(g, p, q)))
+                except ChordLabError as exc:
+                    parts.append(f"{type(exc).__name__}: {exc}\n")
+    assert _sha("".join(parts)) == (
+        "6588e27f42dcb4ec07e24dbf0937bf59678bedbfcb749737063c7cfb1444f413")
