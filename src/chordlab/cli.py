@@ -58,7 +58,7 @@ def _write(path: str | None, text: str) -> None:
 
 def _algebra(spec: str, field_name: str) -> tqft.FrobeniusAlgebra:
     field_ = _field(field_name)
-    if spec in ("pd2", "st2", "zero"):
+    if spec in tqft.BUILTINS:
         return tqft.builtin_algebra(spec, field_)
     A = formats.parse(_read(spec))
     if not isinstance(A, tqft.FrobeniusAlgebra):
@@ -419,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("tqft", _cmd_tqft, help="Frobenius-algebra operations")
     p.add_argument("action", choices=["op", "verify", "counit", "axioms"])
     p.add_argument("--algebra", required=True,
-                   help="pd2 | st2 | zero | a frob v1 file")
+                   help=" | ".join([*tqft.BUILTINS, "a frob v1 file"]))
     p.add_argument("--field", default="Q", help="Q or F<prime> (builtins only)")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--q", type=int, default=1)

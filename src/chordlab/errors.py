@@ -90,9 +90,9 @@ class BoundTooSmall(ChordLabError):
 
 class SearchExhausted(ChordLabError):
     """A move-graph search hit its limit: bidirectional path search reached
-    its edge ceiling without connecting the endpoints, or explore's
-    breadth-first search outgrew its class budget.  frontier_size is the
-    size of the last frontier."""
+    its edge ceiling without connecting the endpoints, or a search or the
+    enumerator outgrew its class budget.  frontier_size is the number of
+    classes the search had reached but not expanded."""
 
     def __init__(self, message, frontier_size=0):
         super().__init__(message)

@@ -37,6 +37,8 @@ refused.
 
 from __future__ import annotations
 
+import itertools
+
 from . import chord as ch
 from . import fatgraph as fg
 from . import tqft
@@ -336,20 +338,16 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
             unit[0] if unit else 1,
             ChordLabError("unit vector must list one coefficient per basis element"))
 
-    d = len(basis)
-    dense = lambda entries: tuple(
-        tuple(
-            tuple(entries.get((i, j, k), (None, field_.zero))[1] for k in range(d))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+    product, coproduct = (
+        tqft._constants(field_, len(basis),
+                        {key: c for key, (_ln, c) in entries.items()})
+        for entries in (m_entries, d_entries))
     graded = all(x is not None for x in degrees) and ambient is not None
     return tqft.FrobeniusAlgebra(
         field_=field_,
         basis=tuple(basis),
-        product=dense(m_entries),
-        coproduct=dense(d_entries),
+        product=product,
+        coproduct=coproduct,
         unit=tuple(unit[1]),
         degrees=tuple(degrees) if graded else None,
         ambient_n=ambient if graded else None,
@@ -369,19 +367,12 @@ def serialize_frob(A: tqft.FrobeniusAlgebra) -> str:
         lines.append(f"ambient {A.ambient_n}")
     lines.append("unit " + " ".join(F.serialize(u) for u in A.unit))
     d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if A.product[i][j][k] != F.zero:
-                    lines.append(
-                        f"m {i} {j} -> {k} {F.serialize(A.product[i][j][k])}")
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if A.coproduct[i][j][k] != F.zero:
-                    lines.append(
-                        f"Delta {i} -> {j} {k} "
-                        f"{F.serialize(A.coproduct[i][j][k])}")
+    for kind, key, constants in (("m", "{} {} -> {}", A.product),
+                                 ("Delta", "{} -> {} {}", A.coproduct)):
+        for i, j, k in itertools.product(range(d), repeat=3):
+            if constants[i][j][k] != F.zero:
+                lines.append(f"{kind} {key.format(i, j, k)} "
+                             f"{F.serialize(constants[i][j][k])}")
     return "\n".join(lines) + "\n"
 
 

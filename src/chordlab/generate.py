@@ -97,55 +97,55 @@ def _compositions(total: int, parts: int):
 
 
 def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
-    """All simple forests with n_edges edges on vertices 0..n_circ+n_int-1
-    (the last n_int internal) such that every circular vertex has degree >= 1,
-    every internal vertex degree >= 3, and no component is all-internal."""
+    """Yield each simple forest with n_edges edges on vertices
+    0..n_circ+n_int-1 (the last n_int internal) such that every circular
+    vertex has degree >= 1, every internal vertex degree >= 3, and no
+    component is all-internal, as a tuple of vertex pairs in pair order."""
     nv = n_circ + n_int
     pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
     floor = [1] * n_circ + [3] * n_int
     deg = [0] * nv
     parent = list(range(nv))
     has_circ = [v < n_circ for v in range(nv)]
+    chosen = []
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    out = []
-
-    def rec(i, chosen, lack):
-        # lack: unmet degree lower bounds; each edge meets at most two
+    def rec(start, lack):
+        # lack: unmet degree lower bounds; each edge meets at most two.
+        # The loop leaves out each pair it passes and the recursion takes
+        # pairs[i] in, so it is only as deep as the forest has edges
         left = n_edges - len(chosen)
         if left == 0:
             if lack == 0 and all(has_circ[find(v)] for v in range(nv)):
-                out.append(tuple(chosen))
+                yield tuple(chosen)
             return
-        if i >= len(pairs) or len(pairs) - i < left or (lack + 1) // 2 > left:
-            return
-        a, b = pairs[i]
-        if b == a + 1 and a and deg[a - 1] < floor[a - 1]:
-            return  # every pair at vertex a-1 is behind: its degree is final
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # include pairs[i]
-            old_parent, old_flag = parent[ra], has_circ[rb]
-            parent[ra] = rb
-            has_circ[rb] = has_circ[rb] or has_circ[ra]
-            met = (deg[a] < floor[a]) + (deg[b] < floor[b])
-            deg[a] += 1
-            deg[b] += 1
-            chosen.append((a, b))
-            rec(i + 1, chosen, lack - met)
-            chosen.pop()
-            deg[a] -= 1
-            deg[b] -= 1
-            parent[ra] = old_parent
-            has_circ[rb] = old_flag
-        rec(i + 1, chosen, lack)
+        for i in range(start, len(pairs)):
+            if len(pairs) - i < left or (lack + 1) // 2 > left:
+                return
+            a, b = pairs[i]
+            if b == a + 1 and a and deg[a - 1] < floor[a - 1]:
+                return  # every pair at vertex a-1 is behind: its degree is final
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                old_parent, old_flag = parent[ra], has_circ[rb]
+                parent[ra] = rb
+                has_circ[rb] = has_circ[rb] or has_circ[ra]
+                met = (deg[a] < floor[a]) + (deg[b] < floor[b])
+                deg[a] += 1
+                deg[b] += 1
+                chosen.append((a, b))
+                yield from rec(i + 1, lack - met)
+                chosen.pop()
+                deg[a] -= 1
+                deg[b] -= 1
+                parent[ra] = old_parent
+                has_circ[rb] = old_flag
 
-    rec(0, [], sum(floor))
-    return out
+    return rec(0, sum(floor))
 
 
 def _block_symmetries(comp, n_int):
@@ -299,7 +299,9 @@ def _classes(top: TopType, edge_bound: int):
     the columns of its least word (chord._code) and the candidate's own
     markings, relabelled onto them, from which chord._form builds the
     class's stored form.  The generator keeps only the set of least words
-    met (chord._canonicalize), and builds no diagram."""
+    met (chord._canonicalize) and the ghost forests of the block it is in,
+    and builds no diagram.  It raises SearchExhausted as a class is met
+    past EXPLORE_CLASS_BUDGET."""
     _require_int("edge_bound", edge_bound)
     g, p, q = top.genus, top.p, top.q
     if p < 1 or q < 1:
@@ -311,8 +313,11 @@ def _classes(top: TopType, edge_bound: int):
             n_ghost = n_int + const
             if 2 * n_ghost < n_circ + 3 * n_int:
                 continue
-            forests = _ghost_forests(n_circ, n_int, n_ghost)
-            for comp in _compositions(n_circ, p):
+            # the first composition reads the forests as they are made, and
+            # tee keeps them for the later ones
+            comps = list(_compositions(n_circ, p))
+            for comp, forests in zip(comps, itertools.tee(
+                    _ghost_forests(n_circ, n_int, n_ghost), len(comps))):
                 symmetries = _block_symmetries(comp, n_int)
                 for forest in forests:
                     if not _least_in_orbit(forest, symmetries):
@@ -321,10 +326,11 @@ def _classes(top: TopType, edge_bound: int):
                             p, q, comp, forest, n_int):
                         key, _word, label = ch._canonicalize(
                             pairing, nxt, colors, p, q)
-                        if key not in seen:
-                            seen.add(key)
-                            yield *ch._code(key, p, q), [label[m] for m in markings]
-                    if len(seen) > EXPLORE_CLASS_BUDGET:
-                        raise SearchExhausted(
-                            f"{len(seen)} classes exceed the class budget "
-                            f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}")
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        if len(seen) > EXPLORE_CLASS_BUDGET:
+                            raise SearchExhausted(
+                                f"{len(seen)} classes exceed the class budget "
+                                f"EXPLORE_CLASS_BUDGET = {EXPLORE_CLASS_BUDGET}")
+                        yield *ch._code(key, p, q), [label[m] for m in markings]

@@ -26,8 +26,8 @@ search against an independent exhaustive enumeration of the classes.  Its
 witness paths are checked by induction on depth: each class's recorded
 inverse move, applied to the class's canonical tables, must reach its
 parent's class, which is as strong as replaying every path in full (see
-_check_witness).  Its breadth-first search gives up with SearchExhausted
-past generate.EXPLORE_CLASS_BUDGET classes.
+_check_witness).  Every search gives up with SearchExhausted past
+generate.EXPLORE_CLASS_BUDGET classes, checked as each class is expanded.
 
 The searches canonicalize each move once, bar a second move between the
 same two classes.  A move changes the edge count by one, so it joins two
@@ -202,12 +202,21 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
     class's columns and code are written here, once, and the layer is
     expanded in code order, not key order (code text puts "10" before "8").
     A class's tables are derived as it is expanded (chord._tables); check,
-    if given, is called as check(info, key, code, tables) first.  Returns
-    the new frontier, each class skipping the inverse of every move of this
-    layer that reached it (see the module docstring)."""
+    if given, is called as check(info, key, code, tables) first.  Before
+    each class is expanded, raises SearchExhausted if info holds more than
+    generate.EXPLORE_CLASS_BUDGET classes, so a search holds at most that
+    many plus one class's neighbours.  Returns the new frontier, each class
+    skipping the inverse of every move of this layer that reached it (see
+    the module docstring)."""
     layer = sorted((*ch._code(key, p, q), key) for key in frontier)
     new: dict = {}
-    for code, columns, parent in layer:
+    budget = generate.EXPLORE_CLASS_BUDGET
+    for i, (code, columns, parent) in enumerate(layer):
+        if len(info) > budget:
+            raise SearchExhausted(
+                f"{len(info)} classes exceed the class budget "
+                f"EXPLORE_CLASS_BUDGET = {budget}",
+                frontier_size=len(layer) - i + len(new))
         t = ch._tables(*columns, p, q)
         if check is not None:
             check(info, parent, code, t)
@@ -228,12 +237,11 @@ def _bfs(key, p: int, q: int, max_edges: int, check=None):
     classes by least words (_grow); each class reached is expanded, and its
     code written, once, and info is rekeyed by those codes at the end.  No
     diagram is built.  check, if given, is called as _grow calls it.
-    Raises SearchExhausted once a layer leaves more than
-    generate.EXPLORE_CLASS_BUDGET classes."""
+    Raises SearchExhausted, as each class is expanded, once more than
+    generate.EXPLORE_CLASS_BUDGET classes are held (_grow)."""
     info: dict = {key: (None, None)}
     frontier: dict = {key: set()}
     codes: dict = {None: None}   # the start's parent is None
-    budget = generate.EXPLORE_CLASS_BUDGET
 
     def expanded(info, key, code, t):
         codes[key] = code
@@ -242,11 +250,6 @@ def _bfs(key, p: int, q: int, max_edges: int, check=None):
 
     while frontier:
         frontier = _grow(info, frontier, max_edges, p, q, check=expanded)
-        if len(info) > budget:
-            raise SearchExhausted(
-                f"{len(info)} classes exceed the class budget "
-                f"EXPLORE_CLASS_BUDGET = {budget}",
-                frontier_size=len(frontier))
     return {codes[key]: (codes[parent], move)
             for key, (parent, move) in info.items()}
 
@@ -402,8 +405,8 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
     reach, and searches from each such class's code only to count
     components; no diagram is built but the base point.  No process is
     left behind, on success or failure.  A search that holds more than
-    generate.EXPLORE_CLASS_BUDGET classes after a layer, or an enumeration
-    that meets more, raises SearchExhausted.
+    generate.EXPLORE_CLASS_BUDGET classes as each class is expanded, or an
+    enumeration that meets more, raises SearchExhausted.
     """
     generate._require_int("edge_bound", edge_bound)
     p, q = top.p, top.q
@@ -465,7 +468,9 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
     Before it is returned, the path is replayed that way on canonical
     tables, through the same checked move as explore's witness check
-    (_check_witness).
+    (_check_witness).  Either side of the search raises SearchExhausted
+    once it holds more than generate.EXPLORE_CLASS_BUDGET classes as a
+    class is expanded (_grow).
     """
     top = c.top_type()
     p, q = top.p, top.q

@@ -55,16 +55,16 @@ __all__ = [
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
+@dataclass(frozen=True)
 class Rationals:
     """Arbitrary-precision rational field; elements are Fraction."""
 
     name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, x) -> Fraction:
         return Fraction(x)
-
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -88,19 +88,7 @@ class Rationals:
         return Fraction(text)
 
     def serialize(self, a) -> str:
-        f = Fraction(a)
-        return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(
-            f.numerator
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Rationals()"
+        return str(Fraction(a))
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
@@ -122,18 +110,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class PrimeField:
     """The field of integers modulo a prime; elements are ints in [0, p)."""
 
-    def __init__(self, p: int):
+    p: int
+    zero = 0
+    one = 1
+
+    def __post_init__(self):
+        p = self.p
         if p >= _MR_LIMIT:
             raise ValueError(f"{p} is too large: primes below {_MR_LIMIT} only")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
+
+    def __repr__(self):     # the dataclass's own would read PrimeField(p=5)
+        return f"PrimeField({self.p})"
+
+    @property
+    def name(self) -> str:
+        return f"F{self.p}"
 
     def of(self, x) -> int:
         if isinstance(x, Fraction):
@@ -160,15 +157,6 @@ class PrimeField:
 
     def serialize(self, a) -> str:
         return str(a % self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +224,6 @@ def _kron(F, A, B):
                     row[base + l] = a * b if p is None else a * b % p
             C.append(row)
     return C
-
-def _mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 def _mat_sub(F, A, B):
     return [
@@ -373,7 +358,7 @@ def check_axioms(A: FrobeniusAlgebra) -> AxiomReport:
     report = AxiomReport()
 
     def check(name, L, R):
-        ok = _mat_eq(L, R)
+        ok = L == R
         report.passed[name] = ok
         if not ok:
             report.witnesses[name] = _first_mismatch(L, R)
@@ -500,7 +485,7 @@ def verify_gluing(A, p, q, r, g1, g2):
     F = A.field_
     lhs = _matmul(F, mu(A, q, r, g2).rows(), mu(A, p, q, g1).rows())
     rhs = mu(A, p, r, g1 + g2 + q - 1).rows()
-    if _mat_eq(lhs, rhs):
+    if lhs == rhs:
         return True, None
     return False, _mat_sub(F, lhs, rhs)
 
@@ -548,43 +533,40 @@ def _constants(F, d, entries):
     )
 
 
+def _dual_numbers(field_, coproduct, **grading) -> FrobeniusAlgebra:
+    """k[x]/(x^2) on the basis {1, x}, over field_ (default Q), with the
+    coproduct of these {(i,j,k): value} constants and the given grading."""
+    F = field_ or Rationals()
+    return FrobeniusAlgebra(
+        field_=F, basis=("1", "x"),
+        product=_constants(F, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
+        coproduct=_constants(F, 2, coproduct), unit=(F.one, F.zero),
+        **grading,
+    )
+
+
 def pd2(field_=None) -> FrobeniusAlgebra:
     """Rank-2 algebra {1, x}, x^2 = 0, Delta(1) = 1(x)x + x(x)1,
     Delta(x) = x(x)x.  Has a counit with nondegenerate pairing."""
-    F = field_ or Rationals()
-    product = _constants(F, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
-    coprod = _constants(F, 2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 1, 1): 1})
-    return FrobeniusAlgebra(
-        field_=F, basis=("1", "x"), product=product, coproduct=coprod,
-        unit=(F.one, F.zero),
-    )
+    return _dual_numbers(field_, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 1, 1): 1})
 
 
 def st2(field_=None) -> FrobeniusAlgebra:
     """Graded rank-2 algebra {1 (deg 2), x (deg 0)}, x^2 = 0,
     Delta(1) = x(x)x, Delta(x) = 0, ambient dimension 2.  No counit."""
-    F = field_ or Rationals()
-    product = _constants(F, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
-    coprod = _constants(F, 2, {(0, 1, 1): 1})
-    return FrobeniusAlgebra(
-        field_=F, basis=("1", "x"), product=product, coproduct=coprod,
-        unit=(F.one, F.zero), degrees=(2, 0), ambient_n=2,
-    )
+    return _dual_numbers(field_, {(0, 1, 1): 1}, degrees=(2, 0), ambient_n=2)
 
 
 def zero_coproduct_algebra(field_=None) -> FrobeniusAlgebra:
     """pd2's algebra with Delta = 0; no counit can exist."""
-    F = field_ or Rationals()
-    product = _constants(F, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
-    coprod = _constants(F, 2, {})
-    return FrobeniusAlgebra(
-        field_=F, basis=("1", "x"), product=product, coproduct=coprod,
-        unit=(F.one, F.zero),
-    )
+    return _dual_numbers(field_, {})
+
+
+# the builtin algebras by name, for builtin_algebra and the CLI
+BUILTINS = {"pd2": pd2, "st2": st2, "zero": zero_coproduct_algebra}
 
 
 def builtin_algebra(name: str, field_=None) -> FrobeniusAlgebra:
-    table = {"pd2": pd2, "st2": st2, "zero": zero_coproduct_algebra}
-    if name not in table:
+    if name not in BUILTINS:
         raise ChordLabError(f"unknown builtin algebra {name!r}")
-    return table[name](field_)
+    return BUILTINS[name](field_)

@@ -761,7 +761,8 @@ def _every_block(g, p, q, bound):
         for n_int in range(bound - const - n_circ + 1):
             if 2 * (n_int + const) < n_circ + 3 * n_int:
                 continue
-            forests = generate._ghost_forests(n_circ, n_int, n_int + const)
+            forests = list(generate._ghost_forests(n_circ, n_int,
+                                                   n_int + const))
             for comp in generate._compositions(n_circ, p):
                 for forest in forests:
                     yield comp, forest, n_int
@@ -847,7 +848,7 @@ def test_forest_search_matches_brute_force(monkeypatch):
     assert {(c, i) for c, i, _ in used} == {
         (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0)}
     for args in sorted(used):
-        assert search(*args) == _brute_forests(*args)
+        assert list(search(*args)) == _brute_forests(*args)
 
 
 @pytest.mark.parametrize("n_circ,n_int", [
@@ -856,7 +857,7 @@ def test_forest_search_matches_brute_force(monkeypatch):
 def test_forest_search_matches_brute_force_on_small_sizes(n_circ, n_int):
     # every edge count, so the search also meets sizes it must refuse
     for n_edges in range(n_circ + n_int + 1):
-        assert (generate._ghost_forests(n_circ, n_int, n_edges)
+        assert (list(generate._ghost_forests(n_circ, n_int, n_edges))
                 == _brute_forests(n_circ, n_int, n_edges))
 
 

@@ -8,6 +8,7 @@ import random
 import signal
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -752,6 +753,31 @@ class TestExplore:
         monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 90)
         assert moves.explore(top, 9).class_count == 90
 
+    def test_search_budget_checked_as_each_class_is_expanded(self,
+                                                            monkeypatch):
+        # checked before each class is expanded, the search holds at most
+        # one class's neighbours over the budget, not a layer's
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 1000)
+        with pytest.raises(SearchExhausted,
+                           match="EXPLORE_CLASS_BUDGET = 1000") as refused:
+            moves.explore(TopType(1, 1, 3), 12)
+        assert 1000 < int(str(refused.value).split()[0]) <= 1100
+        assert refused.value.frontier_size >= 1
+
+    def test_enumeration_budget_checked_as_each_class_is_met(self,
+                                                            monkeypatch):
+        # the ghost forests are streamed, so the enumerator refuses at the
+        # first class over the budget, having built little
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchExhausted, match="^11 classes exceed"):
+                generate.enumerate_classes(TopType(3, 1, 1), 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_enumeration_class_budget(self, monkeypatch):
         # the enumerator gives up on its own: (0;3,2)@9 has 698 classes
         top = TopType(0, 3, 2)
@@ -781,6 +807,16 @@ class TestPathToCanonical:
                 replay = ch.canonical_form(moves.apply_move(replay, move))
             goal = ch.canonical_form(ch.canonical_gamma0(1, 1, 2))
             assert ch.diagram_code(replay) == ch.diagram_code(goal)
+
+    def test_class_budget(self, monkeypatch):
+        # each side of the search refuses past the budget, as explore's does
+        d = generate.random_diagram(random.Random(9), 1, 1, 2, steps=3)
+        path = moves.path_to_canonical(d)
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 5)
+        with pytest.raises(SearchExhausted, match="EXPLORE_CLASS_BUDGET = 5"):
+            moves.path_to_canonical(d)
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 20)
+        assert moves.path_to_canonical(d) == path
 
     def test_search_exhausted_reports_frontier(self):
         exc = SearchExhausted("no path", frontier_size=7)

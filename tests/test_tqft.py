@@ -1,16 +1,18 @@
 """Frobenius algebras and the operations mu_{p,q}(g): exact arithmetic only."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordlab import chord as ch
-from chordlab import formats, tqft
+from chordlab import formats, generate, tqft
 from chordlab.errors import ChordLabError, NoOutgoing
+from chordlab.fatgraph import TopType
 
-from helpers import expansions
+from helpers import evaluated_rows, expansions
 
 FIELDS = [tqft.Rationals(), tqft.PrimeField(2), tqft.PrimeField(3),
           tqft.PrimeField(5)]
@@ -293,6 +295,42 @@ class TestDiagramCoherence:
             tqft.operation_from_diagram(c1, A).rows(),
         )
         assert lhs == rhs
+
+
+class TestDiagramEvaluator:
+    """The operation read off a diagram's ghost edges (helpers.evaluate), a
+    computation independent of the type-level mu."""
+
+    @pytest.mark.parametrize("top,bound", [((1, 1, 2), 9), ((0, 3, 2), 9),
+                                           ((2, 1, 1), 12)])
+    def test_equals_mu_on_every_class(self, top, bound):
+        g, p, q = top
+        classes = generate.enumerate_classes(TopType(g, p, q), bound)
+        for A in (tqft.pd2(), tqft.st2()):
+            expected = tqft.mu(A, p, q, g).rows()
+            assert all(evaluated_rows(c, A) == expected
+                       for c in classes.values())
+
+    @pytest.mark.parametrize("maker", [tqft.pd2, tqft.st2])
+    def test_respects_gluing(self, maker):
+        A, rng = maker(), random.Random(2029)
+        for _ in range(50):
+            c1, c2 = generate.random_gluable_pair(rng)
+            assert evaluated_rows(ch.glue(c1, c2), A) == tqft._matmul(
+                A.field_, evaluated_rows(c2, A), evaluated_rows(c1, A))
+
+    @pytest.mark.parametrize("top,bound,operations", [((0, 3, 2), 9, 4),
+                                                      ((1, 1, 2), 9, 3)])
+    def test_an_algebra_failing_the_axioms_tells_diagrams_apart(
+            self, top, bound, operations):
+        # pd2 with Delta(x) = 2 x(x)x; on (2;1,1)@12, where q = 1, all its
+        # operations still agree, so the control needs q >= 2
+        bad = tqft._dual_numbers(tqft.Rationals(), {(0, 0, 1): 1, (0, 1, 0): 1,
+                                                     (1, 1, 1): 2})
+        assert not tqft.check_axioms(bad).all_pass
+        classes = generate.enumerate_classes(TopType(*top), bound)
+        assert len({tuple(map(tuple, evaluated_rows(c, bad)))
+                    for c in classes.values()}) == operations
 
 
 class TestCounit:
