@@ -298,9 +298,10 @@ def _essential(t: "_Tables", a: int, b: int) -> bool:
     """The one rule of is_essential, for the edge a, b = pairing[a] of the
     diagram with tables t; either half gives the same answer.  A loop is
     circular, the ghost edges being a forest, so it is essential: an edge
-    is collapsible exactly when it is not essential."""
+    is collapsible exactly when it is not essential.  A color below p+q is
+    circular (_labels)."""
     va, vb = t.vertex_of[a], t.vertex_of[b]
-    if t.labels[a] == CIRCULAR:
+    if t.colors[a] < t.p + t.q:
         return t.component[va] == t.component[vb]
     return t.circular[va] and t.circular[vb]
 
@@ -351,11 +352,12 @@ def _split_child(t: "_Tables", x: int, y: int):
     split keeps valence >= 3, the ghost forest and every boundary cycle, so
     it keeps the type: half-edge n lies on the cycle of the old nxt[x], n+1
     on that of nxt[y], and a color is its cycle's position, plus q on a
-    ghost."""
-    nxt, labels, colors, p, q = t.nxt, t.labels, t.colors, t.p, t.q
-    ghost = 0 if (labels[x] == CIRCULAR == labels[nxt[x]]
-                  or labels[y] == CIRCULAR == labels[nxt[y]]) else q
-    new = [k - q + ghost if k >= p + q else k + ghost
+    ghost, so a color below p+q is circular."""
+    nxt, colors, q = t.nxt, t.colors, t.q
+    circular = t.p + q
+    ghost = 0 if (max(colors[x], colors[nxt[x]]) < circular
+                  or max(colors[y], colors[nxt[y]]) < circular) else q
+    new = [k - q + ghost if k >= circular else k + ghost
            for k in (colors[nxt[x]], colors[nxt[y]])]
     return (*_split(t.pairing, nxt, x, y), [*colors, *new])
 
@@ -368,14 +370,14 @@ def _moved(c: ChordDiagram, t: "_Tables", move) -> ChordDiagram:
     from its cycles, so a marking on a or b moves to the next circular
     half-edge of its cycle; there is one, since were a its cycle's last
     circular edge, a ghost path would join its ends (essential) or it would
-    be a loop."""
+    be a loop.  A color of p+q or more is a ghost's (_labels)."""
     pairing, nxt, colors = _apply(t, move)
     markings = c.markings
     if move[0] == "collapse":
         a, b = sorted((move[1], t.pairing[move[1]]))
-        moved = []
+        moved, ghost = [], c.p + c.q
         for m in markings:
-            while m == a or m == b or t.labels[m] != CIRCULAR:
+            while m == a or m == b or t.colors[m] >= ghost:
                 m = t.nxt[t.pairing[m]]
             moved.append(m - (m > a) - (m > b))
         markings = tuple(moved)
@@ -521,12 +523,12 @@ def _labels(colors, p: int, q: int) -> tuple[str, ...]:
 
 class _Tables(NamedTuple):
     """A diagram of type (g;p,q) as raw tables, without markings: its
-    rotation, pairing and _int_colors, and what _tables derives from them."""
+    rotation, pairing and _int_colors, and what _tables derives from them.
+    A half-edge is a ghost iff its color is at least p+q (_labels)."""
 
     nxt: Sequence[int]
     pairing: Sequence[int]
     colors: Sequence[int]
-    labels: tuple[str, ...]           # G iff the color is at least p+q
     prev: list[int]                   # the inverse rotation
     vertices: list[tuple[int, ...]]   # as FatGraph.vertices()
     vertex_of: list[int]              # as FatGraph.vertex_of()
@@ -537,29 +539,31 @@ class _Tables(NamedTuple):
 
 
 def _tables(nxt, pairing, colors, p: int, q: int) -> _Tables:
-    """The labels, inverse rotation, vertex, ghost-component and
-    circular-vertex tables of the diagram of type (g;p,q) with these
-    rotation, pairing and _int_colors, derived together: one walk of the
-    rotation's orbits, then one flood along the ghost edges.  A ghost
-    half-edge is one whose color is at least p+q.  The diagram is taken to
-    be valid, as every search's and enumerator's is, so it is not checked.
-    A ghost component is numbered by its first vertex."""
+    """The inverse rotation, vertex, ghost-component and circular-vertex
+    tables of the diagram of type (g;p,q) with these rotation, pairing and
+    _int_colors, derived together: one walk of the rotation's orbits, which
+    also finds each vertex's circular half-edge, then one flood along the
+    ghost edges.  A ghost half-edge is one whose color is at least p+q.
+    The diagram is taken to be valid, as every search's and enumerator's
+    is, so it is not checked.  A ghost component is numbered by its first
+    vertex."""
     n = len(nxt)
     ghost = p + q
-    labels = _labels(colors, p, q)
     prev = [0] * n
     vertex_of = [-1] * n
     vertices, circular = [], []
     for s in range(n):
         if vertex_of[s] < 0:
-            v, orbit, h = len(vertices), [], s
+            v, orbit, h, on_circle = len(vertices), [], s, False
             while vertex_of[h] < 0:
                 vertex_of[h] = v
                 orbit.append(h)
+                if colors[h] < ghost:
+                    on_circle = True
                 prev[nxt[h]] = h
                 h = nxt[h]
             vertices.append(tuple(orbit))
-            circular.append(any(colors[h] < ghost for h in orbit))
+            circular.append(on_circle)
     component = [-1] * len(vertices)
     for root in range(len(vertices)):
         if component[root] < 0:
@@ -572,7 +576,7 @@ def _tables(nxt, pairing, colors, p: int, q: int) -> _Tables:
                         if component[w] < 0:
                             component[w] = root
                             stack.append(w)
-    return _Tables(nxt, pairing, colors, labels, prev, vertices, vertex_of,
+    return _Tables(nxt, pairing, colors, prev, vertices, vertex_of,
                    component, circular, p, q)
 
 
@@ -625,12 +629,26 @@ def _canonicalize(pairing, nxt, colors, p: int, q: int):
     return key, word, label
 
 
+def _word(key):
+    """The least word a key of _canonicalize was made from."""
+    return key if type(key) is tuple else array("H", key)
+
+
 def _code(key, p: int, q: int):
     """The code of the class of type (g;p,q) with this key (_canonicalize),
-    and its canonical tables: the fatgraph._columns of its least word."""
-    columns = fg._columns(key if type(key) is tuple else array("H", key),
-                          p + 2 * q)
-    return fg._write_code(columns, _palette_text(p, q)), columns
+    and its canonical tables: the fatgraph._columns of its least word.  One
+    pass writes both: each column goes into the code's flat entries as it
+    is read off the word, and the bytes are those fatgraph._write_code
+    writes of the columns."""
+    word = _word(key)
+    n, n_colors = len(word), p + 2 * q
+    step = n * n_colors
+    flat = [0] * (3 * n)
+    flat[0::3] = nxt = [e // step for e in word]
+    flat[1::3] = pairing = [e // n_colors % n for e in word]
+    flat[2::3] = colors = [e % n_colors for e in word]
+    code = f"({n}, {_palette_text(p, q)}, {tuple(flat)!r})".encode("ascii")
+    return code, (nxt, pairing, colors)
 
 
 def _least(c: ChordDiagram):

@@ -291,6 +291,36 @@ def _search(pairing, nxt, color, n_colors, step_counter=None):
     return best_label, best
 
 
+def _spells(pairing, nxt, color, n_colors, start, word) -> bool:
+    """Whether the traversal _search runs from start, on the graph with
+    these tables and colors in range(n_colors), spells word entry by entry:
+    one traversal, no search.  A graph that spells a word is relabelled by
+    that traversal onto the word's _columns; so if word is a least word of
+    _search, the graph lies in that word's class, whatever the start, and a
+    wrong start can only fail.  A start that is not a half-edge, a word of
+    another length, or a traversal that leaves the word or does not reach
+    every half-edge, fails."""
+    n = len(pairing)
+    if len(word) != n or start not in range(n):
+        return False
+    step = n * n_colors
+    label = [-1] * n
+    label[start] = 0
+    order = [start]
+    for h, entry in zip(order, word):
+        k = nxt[h]
+        if label[k] < 0:
+            label[k] = len(order)
+            order.append(k)
+        j = pairing[h]
+        if label[j] < 0:
+            label[j] = len(order)
+            order.append(j)
+        if label[k] * step + label[j] * n_colors + color[h] != entry:
+            return False
+    return len(order) == n
+
+
 def _columns(word, n_colors):
     """The three parts of every entry of a nonempty word of _search, as
     three lists indexed by label: the label of nxt, the label of pairing

@@ -16,6 +16,7 @@ to isomorphism.  It uses no moves: an independent check on the searches.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from . import chord as ch
@@ -32,6 +33,16 @@ __all__ = [
 
 # classes a search or an enumeration of one type may hold before it gives up
 EXPLORE_CLASS_BUDGET = 1 << 16
+
+# rotation choices the enumerator may list for one (composition, forest)
+# block.  A circle vertex with k stubs alone gives k! choices: without a
+# bound, (6;1,1)@36 lists 12! rotations at one vertex and runs out of
+# memory before it meets a class.  The largest block of any type CI pins
+# has 120 choices, on (2;1,2)@15 and (2;2,1)@15; the budget sits far above
+# that, and above the 8! = 40,320 of a base point whose big vertex has
+# eight chords, such as (2;1,5)'s, so that only a block costing minutes
+# (10! on (5;1,1)) is refused.
+ROTATION_BUDGET = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +205,10 @@ def _diagram_candidates(p, q, comp, forest, n_int):
     the ghost edges form a forest.  E - V = 2g+p+q-2, so p + q cycles fix
     the genus.  Connectivity does not depend on the rotations: it is checked
     at the first choice.
+
+    The choices number the product of each vertex's count, k! at a circle
+    vertex with k stubs and (k-1)! at an internal one; a block with more
+    than ROTATION_BUDGET raises SearchExhausted before any is listed.
     """
     # circle vertex v holds forward half 2v and backward half 2v+1, and edge
     # j of a circle runs from its vertex j to j+1 (mod k); ghost halves follow
@@ -218,6 +233,14 @@ def _diagram_candidates(p, q, comp, forest, n_int):
     pairing = tuple(pairing)
     ghost = [0] * base + [q] * (n - base)  # the color a ghost half adds
 
+    # k! orders of a vertex's k stubs, over k where the first is fixed
+    choices = (math.prod(map(math.factorial, map(len, stubs)))
+               // math.prod(map(len, stubs[n_circ:])))
+    if choices > ROTATION_BUDGET:
+        raise SearchExhausted(
+            f"a block of {choices} rotation choices (circles {comp}, "
+            f"{len(forest)} ghost edges) exceeds the rotation budget "
+            f"ROTATION_BUDGET = {ROTATION_BUDGET}")
     rotations = [
         [(2 * v + 1, 2 * v) + s for s in itertools.permutations(stubs[v])]
         if v < n_circ else
@@ -287,7 +310,8 @@ def enumerate_classes(
 
     Raises ChordLabError unless edge_bound is an int, UnrepresentableType
     unless p and q are at least 1, and SearchExhausted once it has met more
-    than EXPLORE_CLASS_BUDGET classes.
+    than EXPLORE_CLASS_BUDGET classes, or at a block with more than
+    ROTATION_BUDGET rotation choices (_diagram_candidates).
     """
     return {code: ch._form(columns, top.p, top.q, markings)
             for code, columns, markings in _classes(top, edge_bound)}
@@ -301,7 +325,7 @@ def _classes(top: TopType, edge_bound: int):
     class's stored form.  The generator keeps only the set of least words
     met (chord._canonicalize) and the ghost forests of the block it is in,
     and builds no diagram.  It raises SearchExhausted as a class is met
-    past EXPLORE_CLASS_BUDGET."""
+    past EXPLORE_CLASS_BUDGET, and at a block past ROTATION_BUDGET."""
     _require_int("edge_bound", edge_bound)
     g, p, q = top.genus, top.p, top.q
     if p < 1 or q < 1:

@@ -29,6 +29,15 @@ parent's class, which is as strong as replaying every path in full (see
 _check_witness).  Every search gives up with SearchExhausted past
 generate.EXPLORE_CLASS_BUDGET classes, checked as each class is expanded.
 
+A recorded move carries a certificate: the start, the half-edge of the
+tables the move leaves that is the canonical half-edge 0 of the class it
+leads to (_neighbors, _grow).  The witness check and path_to_canonical's
+replay make each move through chord._apply and then run one traversal from
+that start (fatgraph._spells), which must spell the class's least word
+entry by entry (_certify).  Spelling the word proves the class whatever the
+start, so neither makes a canonical search, and a wrong start can only
+refuse a move.
+
 The searches canonicalize each move once, bar a second move between the
 same two classes.  A move changes the edge count by one, so it joins two
 consecutive layers of a breadth-first search.  It is canonicalized when the
@@ -42,9 +51,10 @@ against the enumerator as unreached.
 
 Each canonicalization costs one canonical search.  Every diagram of type
 (g;p,q) takes the same colors, so a half-edge's color is an int: its cycle's
-position, plus q on a ghost (chord._int_colors).  When a class is expanded,
-its labels, inverse rotation and vertex, ghost-component and
-circular-vertex tables are derived from its columns once (chord._tables).
+position, plus q on a ghost (chord._int_colors), so a color of p+q or more
+is a ghost's.  When a class is expanded, its inverse rotation and vertex,
+ghost-component and circular-vertex tables are derived from its columns
+once (chord._tables).
 Its collapsible edges are read off them (chord._collapsible_edges), and
 each child's tables and colors are derived from them (_children): a
 collapse joins two rotations and drops its edge's two halves, and a split
@@ -130,20 +140,32 @@ def _children(t, max_edges: int | None, skip):
 def _neighbors(t, max_edges: int | None, skip):
     """Every search's one routine per class: all move-graph neighbours of
     the class with tables t (chord._tables), passing over the moves in
-    skip, as a deduplicated list of (key, least word, forward move on t,
-    inverse move on the canonical tables), each class with its first move
-    in _children's order.  Each child costs one canonical search on tables
-    derived from t (_children)."""
+    skip, as a deduplicated list of (key, canonical labeling, forward move
+    on t, inverse move on the canonical tables, start), each class with its
+    first move in _children's order.  Each child costs one canonical search
+    on tables derived from t (_children); the labeling sends each of the
+    child's half-edges to its label in the canonical tables.
+
+    start certifies the inverse move (_certify): it is the half-edge of the
+    tables the inverse leaves on the child's canonical tables that is t's
+    half-edge 0.  A collapse keeps t's half-edge 0 as the child's 0, unless
+    edge 0 is the one collapsed; the split that undoes it keeps every id
+    and ends the arc before edge 0's half 0 with its first new half-edge.
+    A split keeps t's ids, and the collapse that undoes it renumbers them
+    past the new edge."""
     p, q = t.p, t.q
     found: dict = {}
     for move, (u, v), pairing, nxt, colors in _children(t, max_edges, skip):
-        key, word, label = ch._canonicalize(pairing, nxt, colors, p, q)
+        key, _word, label = ch._canonicalize(pairing, nxt, colors, p, q)
         if key not in found:
             if move[0] == "collapse":
                 inverse = ("expand", label[u], label[v])
+                start = len(label) if move[1] == 0 else label[0]
             else:
-                inverse = ("collapse", min(label[u], label[v]))
-            found[key] = (key, word, move, inverse)
+                a, b = sorted((label[u], label[v]))
+                inverse = ("collapse", a)
+                start = label[0] - (label[0] > a) - (label[0] > b)
+            found[key] = (key, label, move, inverse, start)
     return list(found.values())
 
 
@@ -159,8 +181,8 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
     """
     p, q = c.p, c.q
     out = []
-    for key, _word, fwd, inv in _neighbors(ch._diagram_tables(c), max_edges,
-                                           ()):
+    for key, _label, fwd, inv, _start in _neighbors(ch._diagram_tables(c),
+                                                    max_edges, ()):
         code, columns = ch._code(key, p, q)
         out.append((code, ch._form(columns, p, q,
                                    ch._least_markings(columns[2], p, q)),
@@ -195,7 +217,12 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
           forward=False, check=None):
     """Expand one search layer of type (g;p,q), class by class in code
     order: record each unseen neighbour of the frontier in info as (parent
-    key, move), the move being the forward one or, by default, the inverse.
+    key, move, start), the move being the forward one or, by default, the
+    inverse, and start its certificate (_certify): the half-edge of the
+    tables the move leaves that is the canonical half-edge 0 of the class it
+    leads to.  A forward move leaves the child's tables as _children
+    derives them, whose half-edge with label 0 is that start; an inverse
+    move's start is _neighbors'.
 
     info and the frontier are keyed by least words (chord._canonicalize);
     the frontier maps each to the moves its class skips.  Each frontier
@@ -220,10 +247,11 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
         t = ch._tables(*columns, p, q)
         if check is not None:
             check(info, parent, code, t)
-        for key, _word, fwd, inv in _neighbors(t, max_edges,
-                                               frontier[parent]):
+        for key, label, fwd, inv, start in _neighbors(t, max_edges,
+                                                      frontier[parent]):
             if key not in info:
-                info[key] = (parent, fwd if forward else inv)
+                info[key] = ((parent, fwd, label.index(0)) if forward
+                             else (parent, inv, start))
                 new[key] = set()
             if key in new:
                 new[key].add(inv)
@@ -235,11 +263,12 @@ def _bfs(key, p: int, q: int, max_edges: int, check=None):
     with this key (chord._canonicalize); returns info, code -> (parent code,
     inverse move), with (None, None) for the start.  The search keys
     classes by least words (_grow); each class reached is expanded, and its
-    code written, once, and info is rekeyed by those codes at the end.  No
-    diagram is built.  check, if given, is called as _grow calls it.
-    Raises SearchExhausted, as each class is expanded, once more than
-    generate.EXPLORE_CLASS_BUDGET classes are held (_grow)."""
-    info: dict = {key: (None, None)}
+    code written, once, and info is rekeyed by those codes at the end,
+    without the certificate starts.  No diagram is built.  check, if given,
+    is called as _grow calls it.  Raises SearchExhausted, as each class is
+    expanded, once more than generate.EXPLORE_CLASS_BUDGET classes are held
+    (_grow)."""
+    info: dict = {key: (None, None, None)}
     frontier: dict = {key: set()}
     codes: dict = {None: None}   # the start's parent is None
 
@@ -251,12 +280,27 @@ def _bfs(key, p: int, q: int, max_edges: int, check=None):
     while frontier:
         frontier = _grow(info, frontier, max_edges, p, q, check=expanded)
     return {codes[key]: (codes[parent], move)
-            for key, (parent, move) in info.items()}
+            for key, (parent, move, _start) in info.items()}
+
+
+def _certify(t, move, key, start) -> None:
+    """Refuse move unless, made on the tables t by chord._apply, it reaches
+    the class with this key: the tables it leaves, traversed once from the
+    half-edge start, must spell that class's least word entry by entry
+    (fatgraph._spells).  No canonical search is made.  Spelling the word
+    proves the class, whatever start is, so a wrong start can only refuse
+    a move.  A move _apply refuses raises its own ChordLabError, and one
+    that does not spell the word raises one naming start."""
+    if not fg._spells(*ch._apply(t, move), t.p + 2 * t.q, start,
+                      ch._word(key)):
+        raise ChordLabError(f"its move, traversed from half-edge {start}, "
+                            "does not spell the class it leads to")
 
 
 def _check_witness(info: dict, key, code: bytes, t) -> None:
     """Refuse the class with this key and code, and tables t, unless its
-    recorded inverse move reaches its parent's class.
+    recorded inverse move reaches its parent's class, certified by its
+    recorded start (_certify): one traversal, no canonical search.
 
     A witness path is its class's inverse move followed by its parent's
     path, so checking every class's one move against its parent's key
@@ -264,16 +308,15 @@ def _check_witness(info: dict, key, code: bytes, t) -> None:
     tables, those of canonical_form whatever parent reached it, and
     chord._apply makes and refuses the move, as apply_move does on the
     canonical representative.  So the tables it leaves are those of the
-    diagram a full replay reaches after that move, and they canonicalize to
-    the class the replay reaches.  An unmarked move reads no marking, so the parent's
-    path replays from that class as it does from the parent's
-    representative."""
-    parent, inv = info[key]
+    diagram a full replay reaches after that move, and spelling the
+    parent's least word puts them in the parent's class.  An unmarked move
+    reads no marking, so the parent's path replays from that class as it
+    does from the parent's representative."""
+    parent, inv, start = info[key]
     if parent is None:
         return
     try:
-        if ch._canonicalize(*ch._apply(t, inv), t.p, t.q)[0] != parent:
-            raise ChordLabError("its move reaches another class")
+        _certify(t, inv, parent, start)
     except ChordLabError as exc:
         raise ChordLabError(
             f"witness path for {code!r} does not replay: {exc}") from exc
@@ -467,8 +510,11 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     The returned moves are applied to canonical representatives: replay as
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
     Before it is returned, the path is replayed that way on canonical
-    tables, through the same checked move as explore's witness check
-    (_check_witness).  Either side of the search raises SearchExhausted
+    tables, through the same checked move as explore's witness check, and
+    each step is certified as that check is (_replay, _certify): one
+    traversal from the start the search recorded must spell the least word
+    of the class the step leads to, so the replay makes no canonical
+    search.  Either side of the search raises SearchExhausted
     once it holds more than generate.EXPLORE_CLASS_BUDGET classes as a
     class is expanded (_grow).
     """
@@ -476,14 +522,14 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     p, q = top.p, top.q
     goal = ch.canonical_gamma0(top.genus, p, q)
     ceiling = max(c.graph.n_edges, goal.graph.n_edges) + _PATH_SLACK
-    start_key, word, _label = ch._least(c)
+    start_key = ch._least(c)[0]
     goal_key = ch._least(goal)[0]
 
     # side A grows from c recording forward moves (parent rep -> child);
     # side B grows from the base point recording inverse moves (child rep ->
     # parent), so a meeting class yields a full path without re-searching
-    a_info: dict = {start_key: (None, None)}
-    b_info: dict = {goal_key: (None, None)}
+    a_info: dict = {start_key: (None, None, None)}
+    b_info: dict = {goal_key: (None, None, None)}
     a_frontier: dict = {start_key: set()}
     b_frontier: dict = {goal_key: set()}
 
@@ -507,24 +553,40 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
             frontier_size=len(a_frontier) + len(b_frontier),
         )
 
-    # forward moves from the start down to the meeting class
-    path = []
+    # forward moves from the start down to the meeting class, then inverse
+    # moves from the meeting class back to the base point: each with its
+    # certificate start and the key of the class it leads to
+    steps = []
     key = meet
     while a_info[key][0] is not None:
-        key, move = a_info[key]
-        path.append(move)
-    path.reverse()
-    # inverse moves from the meeting class back to the base point
+        parent, move, start = a_info[key]
+        steps.append((move, start, key))
+        key = parent
+    steps.reverse()
     key = meet
     while b_info[key][0] is not None:
-        key, move = b_info[key]
-        path.append(move)
+        key, move, start = b_info[key]
+        steps.append((move, start, key))
 
-    # replay: each move is made on the canonical tables of the class before
-    key = start_key
-    for move in path:
-        t = ch._tables(*fg._columns(word, p + 2 * q), p, q)
-        key, word, _label = ch._canonicalize(*ch._apply(t, move), p, q)
-    if key != goal_key:
+    if _replay(start_key, steps, p, q) != goal_key:
         raise ChordLabError("path replay does not reach the base point")
-    return path
+    return [move for move, _start, _key in steps]
+
+
+def _replay(key, steps, p: int, q: int):
+    """The key of the class that steps, each (move, start, key of the class
+    it leads to), reach from the class of type (g;p,q) with this key.  Each
+    move is made on the canonical tables of the class before it and
+    certified against the class it leads to (_certify): one traversal per
+    step, no canonical search.  A step that is refused raises a
+    ChordLabError naming the code of the class it is made on."""
+    for move, start, target in steps:
+        t = ch._tables(*fg._columns(ch._word(key), p + 2 * q), p, q)
+        try:
+            _certify(t, move, target, start)
+        except ChordLabError as exc:
+            raise ChordLabError(
+                "path replay does not reach the base point: the step from "
+                f"{ch._code(key, p, q)[0]!r} is refused: {exc}") from exc
+        key = target
+    return key

@@ -239,8 +239,8 @@ def _reachable(*roots):
 class TestHeldCodes:
     def test_search_record_holds_no_diagram(self, monkeypatch):
         # a search keeps each class under its least word's bytes as (parent
-        # word, move), and a finished _bfs as (parent code, move): no
-        # diagram is reachable from either
+        # word, move, certificate start), and a finished _bfs as (parent
+        # code, move): no diagram is reachable from either
         original = moves._grow
         records = []
 
@@ -257,11 +257,12 @@ class TestHeldCodes:
         # one key per class: its least word, whose code is in info
         assert len(record) == 698
         assert {ch._code(key, 3, 2)[0] for key in record} == set(info)
-        for key, (parent, move) in record.items():
+        for key, (parent, move, certificate) in record.items():
             assert type(key) is bytes
             nxt, pairing, colors = ch._code(key, 3, 2)[1]
             assert ch._canonicalize(pairing, nxt, colors, 3, 2)[0] == key
             assert parent is None or parent in record
+            assert (certificate is None) == (parent is None)
         for code, value in info.items():
             assert type(value) is tuple and len(value) == 2
             parent, move = value
@@ -315,7 +316,7 @@ class TestWordKeys:
         # the candidate meeting classes and the replay steps; most classes
         # it meets are never written
         d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
-        counts = {"_write_code": 0, "_columns": 0, "_tables": 0}
+        counts = {"_code": 0, "_columns": 0, "_tables": 0}
         infos = []
 
         def counting(module, name):
@@ -331,7 +332,7 @@ class TestWordKeys:
                 infos.append(info)
             return grow(info, *args, **kwargs)
 
-        counting(fg, "_write_code")
+        counting(ch, "_code")
         counting(fg, "_columns")
         counting(ch, "_tables")
         monkeypatch.setattr(moves, "_grow", growing)
@@ -342,9 +343,9 @@ class TestWordKeys:
         met = len(a_info.keys() | b_info.keys())
         assert len(path) == 4 and counts["_tables"] >= 10
         most = counts["_tables"] + 2 + common + len(path)
-        assert counts["_write_code"] <= most
+        assert counts["_code"] <= most
         assert counts["_columns"] <= most
-        assert counts["_write_code"] < met / 2
+        assert counts["_code"] < met / 2
 
 
 def _partition(component):
@@ -375,7 +376,7 @@ def _table_mismatches(t, c):
         "components": (_partition(t.component),
                        _partition(ch._ghost_components(c.graph, c.labels))),
         "circular": (list(t.circular), _circular_vertices(c)),
-        "labels": (t.labels, c.labels),
+        "labels": (ch._labels(t.colors, t.p, t.q), c.labels),
         "colors": (list(t.colors), ch._int_colors(c)),
         "collapsible": ([a for a, _b in ch._collapsible_edges(t)],
                         [e for e in c.graph.edges()
@@ -412,8 +413,7 @@ class TestHeldTables:
             assert (tuple(t.nxt), tuple(t.pairing)) == (
                 c.graph.next_at_vertex, c.graph.pairing)
             assert _table_mismatches(t, c) == []
-            a = next(h for h in range(len(t.nxt))
-                     if t.labels[h] == ch.GHOST)
+            a = ch._labels(t.colors, p, q).index(ch.GHOST)
             colors = list(t.colors)
             for h in (a, t.pairing[a]):
                 colors[h] -= q
@@ -645,10 +645,10 @@ class TestExplore:
         def swapped(t, max_edges, skip):
             out = original(t, max_edges, skip)
             if not tampered:
-                key, word, fwd, _inv = out[0]
+                key, label, fwd, _inv, start = out[0]
                 other = next(e[3] for e in out if misleads(t, key, e[3]))
                 tampered.append(t)
-                out[0] = (key, word, fwd, other)
+                out[0] = (key, label, fwd, other, start)
             return out
 
         monkeypatch.setattr(moves, "_neighbors", swapped)
@@ -668,7 +668,7 @@ class TestExplore:
 
         def invalid(t, max_edges, skip):
             out = original(t, max_edges, skip)
-            for i, (key, word, fwd, _inv) in enumerate(out):
+            for i, (key, label, fwd, _inv, start) in enumerate(out):
                 if tampered or key in met:
                     continue
                 code, columns = ch._code(key, t.p, t.q)
@@ -677,7 +677,7 @@ class TestExplore:
                 for e in c.graph.edges():
                     if (ch.is_essential(c, e) and loop == (
                             vertex_of[e] == vertex_of[c.graph.pairing[e]])):
-                        out[i] = (key, word, fwd, ("collapse", e))
+                        out[i] = (key, label, fwd, ("collapse", e), start)
                         tampered.append(code)
                         break
             met.update(key for key, *_ in out)
@@ -689,6 +689,29 @@ class TestExplore:
         assert tampered
         assert repr(tampered[0]) in str(refused.value)
         assert reason in str(refused.value)
+
+    def test_witness_check_refuses_a_shifted_start(self, monkeypatch):
+        # the first child of the base point keeps its own inverse move, which
+        # still reaches the base point's class, but its certificate start is
+        # moved to the next half-edge: the traversal from there does not
+        # spell the base point's least word, so the check refuses the move
+        # and names the child
+        original = moves._neighbors
+        tampered = []
+
+        def shifted(t, max_edges, skip):
+            out = original(t, max_edges, skip)
+            if not tampered:
+                key, label, fwd, inv, start = out[0]
+                out[0] = (key, label, fwd, inv, (start + 1) % len(t.pairing))
+                tampered.append(ch._code(key, t.p, t.q)[0])
+            return out
+
+        monkeypatch.setattr(moves, "_neighbors", shifted)
+        with pytest.raises(ChordLabError, match="witness path for") as refused:
+            moves.explore(TopType(1, 1, 2), 9)
+        assert repr(tampered[0]) in str(refused.value)
+        assert "does not spell" in str(refused.value)
 
     def test_search_checked_against_the_enumeration(self, monkeypatch):
         # a class the search reaches but the enumerator does not yield is
@@ -778,6 +801,30 @@ class TestExplore:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_enumeration_rotation_budget(self, monkeypatch):
+        # each block's rotation choices are counted before any is listed:
+        # the largest block of (2;1,1)@12 has 24
+        top = TopType(2, 1, 1)
+        monkeypatch.setattr(generate, "ROTATION_BUDGET", 23)
+        with pytest.raises(SearchExhausted, match="a block of 24 rotation "
+                           "choices .* ROTATION_BUDGET = 23"):
+            generate.enumerate_classes(top, 12)
+        monkeypatch.setattr(generate, "ROTATION_BUDGET", 24)
+        assert len(generate.enumerate_classes(top, 12)) == 412
+
+    def test_rotation_budget_refuses_before_listing(self):
+        # the first block of (6;1,1)@36 puts 12 chords on one circle
+        # vertex: 12! choices, refused with next to nothing allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchExhausted,
+                               match="a block of 479001600 rotation choices"):
+                generate.enumerate_classes(TopType(6, 1, 1), 36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_enumeration_class_budget(self, monkeypatch):
         # the enumerator gives up on its own: (0;3,2)@9 has 698 classes
         top = TopType(0, 3, 2)
@@ -786,6 +833,114 @@ class TestExplore:
             generate.enumerate_classes(top, 9)
         monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 698)
         assert len(generate.enumerate_classes(top, 9)) == 698
+
+
+def _counting_searches(monkeypatch):
+    """A list that grows by one at each fatgraph._search call from now."""
+    searches, search = [], fg._search
+
+    def counted(*args):
+        searches.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(fg, "_search", counted)
+    return searches
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("top,bound", [
+        ((1, 1, 2), 9), ((0, 3, 2), 9), ((2, 1, 1), 12)])
+    def test_starts_spell_the_least_words(self, top, bound):
+        # every move of every class: the inverse move, made on the
+        # neighbour's canonical tables, leaves tables whose traversal from
+        # the recorded start spells the class's least word, and a canonical
+        # search of them agrees; so do the forward move's tables from the
+        # half-edge the neighbour's labeling sends to 0.  A start moved to
+        # the next half-edge spells the word only on a class with more than
+        # one automorphism, which is rare
+        _g, p, q = top
+        n_colors = p + 2 * q
+        classes = moves_checked = shifted_spelled = 0
+        for _code, columns, _markings in generate._classes(TopType(*top),
+                                                           bound):
+            classes += 1
+            t = ch._tables(*columns, p, q)
+            key = ch._canonicalize(t.pairing, t.nxt, t.colors, p, q)[0]
+            for child, label, fwd, inv, start in moves._neighbors(t, bound,
+                                                                  ()):
+                moved = ch._apply(
+                    ch._tables(*ch._code(child, p, q)[1], p, q), inv)
+                assert fg._spells(*moved, n_colors, start, ch._word(key))
+                assert ch._canonicalize(*moved, p, q)[0] == key
+                shifted = (start + 1) % len(t.pairing)
+                shifted_spelled += fg._spells(*moved, n_colors, shifted,
+                                              ch._word(key))
+                made = ch._apply(t, fwd)
+                assert fg._spells(*made, n_colors, label.index(0),
+                                  ch._word(child))
+                assert ch._canonicalize(*made, p, q)[0] == child
+                moves_checked += 1
+        assert moves_checked > classes
+        assert shifted_spelled < moves_checked / 100
+
+    def test_a_spelled_word_is_the_class_whatever_the_start(self):
+        # a start of no half-edge, a word of another length and another
+        # class's word all fail; every start spells some word, and the
+        # word it spells is the least one exactly when a canonical search
+        # says the tables are in that class
+        c = ch.canonical_form(ch.canonical_gamma0(1, 1, 2))
+        t = ch._diagram_tables(c)
+        key, word, _label = ch._least(c)
+        n, n_colors = len(t.pairing), 5
+        tables = (t.pairing, t.nxt, t.colors)
+        assert fg._spells(*tables, n_colors, 0, word)
+        assert not fg._spells(*tables, n_colors, n, word)
+        assert not fg._spells(*tables, n_colors, -1, word)
+        assert not fg._spells(*tables, n_colors, 0, word[:-1])
+        other = ch._least(generate.random_diagram(random.Random(3), 1, 1, 2,
+                                                  steps=3))[1]
+        assert other != word
+        assert not fg._spells(*tables, n_colors, 0, other)
+        assert sum(fg._spells(*tables, n_colors, s, word)
+                   for s in range(n)) >= 1
+        # two disjoint copies and the word of both, one after the other:
+        # the traversal from 0 spells the first copy's half and stops there
+        union = [[*table, *(h + n for h in table)]
+                 for table in (t.pairing, t.nxt)]
+        nxt, pairing, colors = fg._columns(word, n_colors)
+        both = [(a * 2 * n + b) * n_colors + k for a, b, k in zip(
+            [*nxt, *(h + n for h in nxt)], [*pairing, *(h + n for h in pairing)],
+            colors * 2)]
+        assert not fg._spells(*union, colors * 2, n_colors, 0, both)
+
+    def test_no_canonical_search_in_witness_check_or_replay(self,
+                                                            monkeypatch):
+        # the witness check adds no canonical search to the BFS, and
+        # path_to_canonical's replay makes none
+        searches = _counting_searches(monkeypatch)
+        key = ch._least(ch.canonical_gamma0(0, 3, 2))[0]
+        counts = []
+        for check in (None, moves._check_witness):
+            searches.clear()
+            assert len(moves._bfs(key, 3, 2, 9, check)) == 698
+            counts.append(len(searches))
+        assert counts[0] == counts[1] > 0
+        replay, during = moves._replay, []
+
+        def watched(*args):
+            before = len(searches)
+            reached = replay(*args)
+            during.append((len(args[1]), len(searches) - before))
+            return reached
+
+        monkeypatch.setattr(moves, "_replay", watched)
+        rng = random.Random(5)
+        for top in ((1, 1, 2), (0, 3, 2), (2, 1, 1)):
+            for _ in range(3):
+                moves.path_to_canonical(
+                    generate.random_diagram(rng, *top, steps=6))
+        assert sum(steps for steps, _searches in during) >= 9
+        assert [searches for _steps, searches in during] == [0] * 9
 
 
 class TestPathToCanonical:
@@ -817,6 +972,32 @@ class TestPathToCanonical:
             moves.path_to_canonical(d)
         monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 20)
         assert moves.path_to_canonical(d) == path
+
+    @pytest.mark.parametrize("tamper", ["start", "move"])
+    def test_tampered_replay_step_is_refused(self, monkeypatch, tamper):
+        # the second replay step gets its start moved to the next half-edge,
+        # or the first step's move: either is refused, naming the class the
+        # step is made on
+        d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
+        assert len(moves.path_to_canonical(d)) == 4
+        replay, tampered = moves._replay, []
+
+        def tampering(key, steps, p, q):
+            move, start, target = steps[1]
+            if tamper == "start":
+                start = (start + 1) % len(ch._word(target))
+            else:
+                move = steps[0][0]
+            steps[1] = (move, start, target)
+            tampered.append(ch._code(steps[0][2], p, q)[0])
+            return replay(key, steps, p, q)
+
+        monkeypatch.setattr(moves, "_replay", tampering)
+        with pytest.raises(ChordLabError,
+                           match="path replay does not reach the base point"
+                           ) as refused:
+            moves.path_to_canonical(d)
+        assert repr(tampered[0]) in str(refused.value)
 
     def test_search_exhausted_reports_frontier(self):
         exc = SearchExhausted("no path", frontier_size=7)
