@@ -146,13 +146,12 @@ def _neighbors(t, max_edges: int | None, skip):
     on tables derived from t (_children); the labeling sends each of the
     child's half-edges to its label in the canonical tables.
 
-    start certifies the inverse move (_certify): it is the half-edge of the
-    tables the inverse leaves on the child's canonical tables that is t's
-    half-edge 0.  A collapse keeps t's half-edge 0 as the child's 0, unless
-    edge 0 is the one collapsed; the split that undoes it keeps every id
-    and ends the arc before edge 0's half 0 with its first new half-edge.
-    A split keeps t's ids, and the collapse that undoes it renumbers them
-    past the new edge."""
+    start certifies the inverse move (_certify): the half-edge of the
+    tables it leaves on the child's canonical tables that is t's half-edge
+    0.  A collapse keeps t's 0 as the child's 0, unless edge 0 collapsed;
+    the split undoing it keeps every id, and its first new half-edge is the
+    collapsed half 0.  A split keeps t's ids, and the collapse undoing it
+    renumbers them past the new edge."""
     p, q = t.p, t.q
     found: dict = {}
     for move, (u, v), pairing, nxt, colors in _children(t, max_edges, skip):
@@ -218,11 +217,10 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
     """Expand one search layer of type (g;p,q), class by class in code
     order: record each unseen neighbour of the frontier in info as (parent
     key, move, start), the move being the forward one or, by default, the
-    inverse, and start its certificate (_certify): the half-edge of the
-    tables the move leaves that is the canonical half-edge 0 of the class it
-    leads to.  A forward move leaves the child's tables as _children
-    derives them, whose half-edge with label 0 is that start; an inverse
-    move's start is _neighbors'.
+    inverse, and start its certificate (_certify): for an inverse move
+    _neighbors' start, for a forward move the child half-edge its canonical
+    labeling sends to 0, since the move leaves the child's tables as
+    _children derives them.
 
     info and the frontier are keyed by least words (chord._canonicalize);
     the frontier maps each to the moves its class skips.  Each frontier
@@ -510,11 +508,9 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     The returned moves are applied to canonical representatives: replay as
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
     Before it is returned, the path is replayed that way on canonical
-    tables, through the same checked move as explore's witness check, and
-    each step is certified as that check is (_replay, _certify): one
-    traversal from the start the search recorded must spell the least word
-    of the class the step leads to, so the replay makes no canonical
-    search.  Either side of the search raises SearchExhausted
+    tables, each step made and certified as explore's witness check does
+    (_replay, _certify), with no canonical search.  Either side of the
+    search raises SearchExhausted
     once it holds more than generate.EXPLORE_CLASS_BUDGET classes as a
     class is expanded (_grow).
     """
