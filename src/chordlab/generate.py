@@ -40,8 +40,8 @@ EXPLORE_CLASS_BUDGET = 1 << 16
 # memory before it meets a class.  The largest block of any type CI pins
 # has 120 choices, on (2;1,2)@15 and (2;2,1)@15; the budget sits far above
 # that, and above the 8! = 40,320 of a base point whose big vertex has
-# eight chords, such as (2;1,5)'s, so that only a block costing minutes
-# (10! on (5;1,1)) is refused.
+# eight chords, such as (2;1,5)'s, so that only a block costing minutes and
+# hundreds of MB, such as the 10! of (5;1,1)'s base point, is refused.
 ROTATION_BUDGET = 1 << 16
 
 
