@@ -636,19 +636,9 @@ def _word(key):
 
 def _code(key, p: int, q: int):
     """The code of the class of type (g;p,q) with this key (_canonicalize),
-    and its canonical tables: the fatgraph._columns of its least word.  One
-    pass writes both: each column goes into the code's flat entries as it
-    is read off the word, and the bytes are those fatgraph._write_code
-    writes of the columns."""
-    word = _word(key)
-    n, n_colors = len(word), p + 2 * q
-    step = n * n_colors
-    flat = [0] * (3 * n)
-    flat[0::3] = nxt = [e // step for e in word]
-    flat[1::3] = pairing = [e // n_colors % n for e in word]
-    flat[2::3] = colors = [e % n_colors for e in word]
-    code = f"({n}, {_palette_text(p, q)}, {tuple(flat)!r})".encode("ascii")
-    return code, (nxt, pairing, colors)
+    and its canonical tables: the fatgraph._columns of its least word."""
+    columns = fg._columns(_word(key), p + 2 * q)
+    return fg._write_code(columns, _palette_text(p, q)), columns
 
 
 def _least(c: ChordDiagram):

@@ -40,8 +40,11 @@ EXPLORE_CLASS_BUDGET = 1 << 16
 # memory before it meets a class.  The largest block of any type CI pins
 # has 120 choices, on (2;1,2)@15 and (2;2,1)@15; the budget sits far above
 # that, and above the 8! = 40,320 of a base point whose big vertex has
-# eight chords, such as (2;1,5)'s, so that only a block costing minutes and
-# hundreds of MB, such as the 10! of (5;1,1)'s base point, is refused.
+# eight chords, such as (2;1,5)'s.  It refuses every 9! block too, the
+# first block of any type with 2g+p+q-2 >= 9.  Measured on (4;1,2)@19,
+# whose first block is 9!: that block holds 386,496 classes, so with no
+# rotation budget the class budget refuses it after 65,536 of them (7 s,
+# 77 MB peak RSS); the rotation budget refuses it at once.
 ROTATION_BUDGET = 1 << 16
 
 

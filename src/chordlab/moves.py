@@ -564,17 +564,17 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
         key, move, start = b_info[key]
         steps.append((move, start, key))
 
-    if _replay(start_key, steps, p, q) != goal_key:
-        raise ChordLabError("path replay does not reach the base point")
+    _replay(start_key, steps, p, q)
     return [move for move, _start, _key in steps]
 
 
-def _replay(key, steps, p: int, q: int):
-    """The key of the class that steps, each (move, start, key of the class
-    it leads to), reach from the class of type (g;p,q) with this key.  Each
-    move is made on the canonical tables of the class before it and
-    certified against the class it leads to (_certify): one traversal per
-    step, no canonical search.  A step that is refused raises a
+def _replay(key, steps, p: int, q: int) -> None:
+    """Replay steps, each (move, start, key of the class it leads to), from
+    the class of type (g;p,q) with this key.  Each move is made on the
+    canonical tables of the class before it and certified against the class
+    it leads to (_certify): one traversal per step, no canonical search.
+    The last step leads to the base point, as the search recorded it, so
+    the certificates are the whole check: a step that is refused raises a
     ChordLabError naming the code of the class it is made on."""
     for move, start, target in steps:
         t = ch._tables(*fg._columns(ch._word(key), p + 2 * q), p, q)
@@ -585,4 +585,3 @@ def _replay(key, steps, p: int, q: int):
                 "path replay does not reach the base point: the step from "
                 f"{ch._code(key, p, q)[0]!r} is refused: {exc}") from exc
         key = target
-    return key
