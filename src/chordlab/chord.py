@@ -23,7 +23,10 @@ ghost-component and circular-vertex tables derived from them in one pass.
 The searches call it on a class's canonical tables; is_essential,
 collapse_edge, apply_expansion and moves.apply_move derive a diagram's
 tables afresh on each call (_diagram_tables), keep none on the diagram,
-and add only the transport of a collapsed edge's markings.
+and add only the transport of a collapsed edge's markings.  Each move is
+defined once, as an edit of at most two rotation entries (_collapse_edit,
+_split_edit); _apply compacts it into tables of their own (_compact), and
+the searches make it in place (moves._neighbors).
 """
 
 from __future__ import annotations
@@ -328,38 +331,70 @@ def _apply(t: "_Tables", move):
                 raise LoopEdge(f"edge {a} is a loop")
             if _essential(t, a, b):
                 raise EssentialEdge(f"edge {a} is essential")
-            return _collapse_child(t, a, b)
+            return _compact(t, *_collapse_edit(t, a, b), (), (a, b))
         if len(move) == 3 and move[0] == "expand":
             _check_split(t, move[1], move[2])
-            return _split_child(t, move[1], move[2])
+            return _compact(t, *_split_edit(t, move[1], move[2]))
     raise ChordLabError(f"unknown move {move!r}")
 
 
-def _collapse_child(t: "_Tables", a: int, b: int):
-    """The pairing, rotation and _int_colors left by collapsing the
-    collapsible edge a < b = pairing[a] of the diagram with tables t
-    (_collapse): the colors of a and b are dropped."""
-    colors = t.colors
-    return (*_collapse(t.pairing, t.nxt, t.prev, a, b),
-            colors[:a] + colors[a + 1:b] + colors[b + 1:])
+def _collapse_edit(t: "_Tables", a: int, b: int):
+    """Collapsing the collapsible edge a < b = pairing[a] of the diagram
+    with tables t, as an edit of its rotation: the half-edges whose nxt it
+    sets, prev[a] and prev[b], and their new nxt, nxt[b] and nxt[a].  That
+    joins the two rotations at the corners before a and b, the rotation
+    after a running on into the one after b.  a and b are then in no
+    rotation and no cycle: dead ids, their colors dropped."""
+    nxt, prev = t.nxt, t.prev
+    return (prev[a], prev[b]), (nxt[b], nxt[a])
 
 
-def _split_child(t: "_Tables", x: int, y: int):
-    """The pairing, rotation and _int_colors after the split (x, y) of the
-    diagram with tables t (_split).  The new edge is circular iff one of
-    its cuts, after x or after y, is the corner (back, fwd) the vertex's
-    circle runs through, the one label that makes the split a diagram.  A
-    split keeps valence >= 3, the ghost forest and every boundary cycle, so
-    it keeps the type: half-edge n lies on the cycle of the old nxt[x], n+1
-    on that of nxt[y], and a color is its cycle's position, plus q on a
-    ghost, so a color below p+q is circular."""
+def _split_edit(t: "_Tables", x: int, y: int):
+    """The split (x, y) of the diagram with tables t, as an edit of its
+    rotation extended by two slots, n = len(t.nxt) and n+1, which form the
+    new edge: the half-edges whose nxt it sets, x, y, n and n+1, their new
+    nxt, and the _int_colors of n and n+1.  The rotation is cut after x and
+    after y: x is followed by n and n by the old nxt[y], so n ends the arc
+    that ends at x; y is followed by n+1 and n+1 by the old nxt[x].
+
+    The new edge is circular iff one of its cuts, after x or after y, is
+    the corner (back, fwd) the vertex's circle runs through, the one label
+    that makes the split a diagram.  A split keeps valence >= 3, the ghost
+    forest and every boundary cycle, so it keeps the type: n lies on the
+    cycle of the old nxt[x], n+1 on that of nxt[y], and a color is its
+    cycle's position, plus q on a ghost, so a color below p+q is
+    circular."""
     nxt, colors, q = t.nxt, t.colors, t.q
+    n = len(nxt)
     circular = t.p + q
     ghost = 0 if (max(colors[x], colors[nxt[x]]) < circular
                   or max(colors[y], colors[nxt[y]]) < circular) else q
     new = [k - q + ghost if k >= circular else k + ghost
            for k in (colors[nxt[x]], colors[nxt[y]])]
-    return (*_split(t.pairing, nxt, x, y), [*colors, *new])
+    return (x, y, n, n + 1), (n, n + 1, nxt[y], nxt[x]), new
+
+
+def _compact(t: "_Tables", touched, values, new=(), dead=()):
+    """The pairing, rotation and _int_colors an edit of the diagram with
+    tables t leaves (_collapse_edit, _split_edit), as tables of their own:
+    the rotation with nxt[h] set to each value at each touched h, a
+    split's new edge n, n+1 appended with its colors new, and a collapse's
+    dead ids a < b dropped, every id above them renumbered down by one for
+    each.  Markings and labels play no part."""
+    nxt = [*t.nxt, *new]  # a split's two slots, each set by the edit
+    for h, k in zip(touched, values):
+        nxt[h] = k
+    n = len(t.nxt)
+    if not dead:
+        return (*t.pairing, n + 1, n), tuple(nxt), [*t.colors, *new]
+    a, b = dead
+    new_id = [*range(a), -1, *range(a, b - 1), -1, *range(b - 1, n - 2)]
+
+    def kept(table):
+        return table[:a] + table[a + 1:b] + table[b + 1:]
+
+    return (tuple(map(new_id.__getitem__, kept(t.pairing))),
+            tuple(map(new_id.__getitem__, kept(nxt))), kept(t.colors))
 
 
 def _moved(c: ChordDiagram, t: "_Tables", move) -> ChordDiagram:
@@ -387,31 +422,12 @@ def _moved(c: ChordDiagram, t: "_Tables", move) -> ChordDiagram:
 
 def collapse_edge(c: ChordDiagram, e: int) -> ChordDiagram:
     """Contract a single non-essential, non-loop edge (_moved): the two
-    rotations are joined at the corners before e and pairing(e), and the
-    half-edges above them are renumbered.  Markings on the collapsed edge
+    rotations are joined at the corners before e and pairing(e) (the edit
+    _collapse_edit), and the half-edges above the edge are renumbered
+    (_compact).  Markings on the collapsed edge
     are transported to the next surviving circular half-edge in their
     boundary cycle.  Raises ChordLabError unless e is a half-edge of c."""
     return _moved(c, _diagram_tables(c), ("collapse", e))
-
-
-def _collapse(pairing, nxt, prev, a, b):
-    """The pairing and rotation left by contracting the edge a < b =
-    pairing[a] of a diagram, its ends on two vertices; prev is the inverse
-    of nxt.
-
-    The merged rotation is the rotation after a, then the one after b; every
-    half-edge above a or b moves down by one for each.  Markings and labels
-    play no part."""
-    n = len(nxt)
-    new_id = [*range(a), -1, *range(a, b - 1), -1, *range(b - 1, n - 2)]
-    merged = list(nxt)
-    merged[prev[a]], merged[prev[b]] = nxt[b], nxt[a]
-
-    def kept(table):
-        return tuple(map(new_id.__getitem__,
-                         table[:a] + table[a + 1:b] + table[b + 1:]))
-
-    return kept(pairing), kept(merged)
 
 
 def _check_split(t: "_Tables", x, y) -> None:
@@ -423,17 +439,6 @@ def _check_split(t: "_Tables", x, y) -> None:
             and y in range(n) and x != y and nxt[x] != y and nxt[y] != x
             and t.vertex_of[x] == t.vertex_of[y]):
         raise ChordLabError(f"({x}, {y}) does not split a vertex")
-
-
-def _split(pairing, nxt, x: int, y: int):
-    """The pairing and rotation after the split (x, y): the rotation is cut
-    after x and after y, half-edge n = len(nxt) ends the arc that ends at x
-    and n+1 the arc that ends at y, and n and n+1 form the new edge."""
-    n = len(nxt)
-    split = list(nxt)
-    split += (nxt[y], nxt[x])
-    split[x], split[y] = n, n + 1
-    return (*pairing, n + 1, n), tuple(split)
 
 
 def _splits(vertices):
@@ -451,7 +456,7 @@ def _splits(vertices):
 def apply_expansion(c: ChordDiagram, x: int, y: int) -> ChordDiagram:
     """Split the vertex of x and y by cutting its rotation after x and after
     y (_moved): half-edge n ends the arc that ends at x, n+1 the arc that
-    ends at y, and the new edge takes the split's one label (_split_child).
+    ends at y, and the new edge takes the split's one label (_split_edit).
     Old half-edges keep their ids, so the markings carry over.  Raises
     ChordLabError unless x and y are distinct half-edges of one vertex,
     neither following the other, so that both arcs hold two or more.
@@ -611,10 +616,13 @@ def _form(columns, p: int, q: int, markings) -> ChordDiagram:
                         _labels(colors, p, q), p, tuple(markings))
 
 
-def _canonicalize(pairing, nxt, colors, p: int, q: int):
+def _canonicalize(pairing, nxt, colors, p: int, q: int, live=None,
+                  starts=None):
     """The key and least word of the class of the diagram of type (g;p,q)
     with these tables and _int_colors, and its relabeling, from one
     canonical search; markings play no part, and no code is written (_code).
+    live and starts, if given, are fatgraph._search's: the number of
+    half-edges of tables edited in place, and their starts of least entry 0.
 
     The least word is the same whichever member of the class is searched,
     so a class is its least word.  The key is the word's bytes: an entry of
@@ -622,8 +630,9 @@ def _canonicalize(pairing, nxt, colors, p: int, q: int):
     2n bytes of 2-byte entries, past that a tuple; so keys of different edge
     counts never coincide."""
     n_colors = p + 2 * q
-    label, word = fg._search(pairing, nxt, colors, n_colors)
-    n = len(pairing)
+    label, word = fg._search(pairing, nxt, colors, n_colors, None, live,
+                             starts)
+    n = len(pairing) if live is None else live
     key = (array("H", word).tobytes() if n * n * n_colors <= 1 << 16
            else tuple(word))
     return key, word, label

@@ -226,7 +226,19 @@ def topological_type(graph: FatGraph) -> tuple[int, int]:
     return g, n
 
 
-def _search(pairing, nxt, color, n_colors, step_counter=None):
+def _first_entries(pairing, nxt, color, n_colors, half_edges):
+    """The rank of word entry 0 of _search for each start in half_edges:
+    entry 0 depends on the start s alone (the pairing has no fixed point),
+    and is (0, 1, c) if nxt[s] == s, (1, 1, c) if pairing[s] == nxt[s] and
+    (1, 2, c) otherwise, c being s's color.  Ranks are ordered as those
+    triples, whatever the number of half-edges."""
+    return [n_colors + color[s] if nxt[s] == s else
+            (4 if pairing[s] == nxt[s] else 5) * n_colors + color[s]
+            for s in half_edges]
+
+
+def _search(pairing, nxt, color, n_colors, step_counter=None, live=None,
+            starts=None):
     """The canonical search, Weinberg's per-dart search over integer colors:
     for every starting half-edge, relabel by breadth-first traversal along
     nxt and pairing.  Returns the first labeling (old half-edge -> new
@@ -236,26 +248,30 @@ def _search(pairing, nxt, color, n_colors, step_counter=None):
     Word entry i, for the half-edge h labelled i, is the int
     (label[nxt[h]] * n + label[pairing[h]]) * n_colors + color[h]; its three
     parts are below n, n and n_colors, so ints order words as the triples
-    would.  Entry 0 of a start s depends on s alone (the pairing has no
-    fixed point): (0, 1, c) if nxt[s] == s, (1, 1, c) if pairing[s] ==
-    nxt[s] and (1, 2, c) otherwise, c being s's color.  So a start whose
-    entry 0 is above the least one is never run.  Every other start is
-    compared with the best word entry by entry: it is dropped at its first
-    larger entry, and after its first smaller one it is the new best.  The
-    first start that is run always runs to the end, which checks
-    connectivity."""
-    n = len(pairing)
+    would.  A start whose entry 0 (_first_entries) is above the least one
+    is never run.  Every other start is compared with the best word entry
+    by entry: it is dropped at its first larger entry, and after its first
+    smaller one it is the new best.  The first start that is run always
+    runs to the end, which checks connectivity.
+
+    By default the graph is every half-edge of the tables.  A caller that
+    edits tables in place (moves._neighbors) passes live, the number of
+    half-edges the traversal reaches, n above, and starts, the half-edges
+    of least entry 0 among them, in increasing order; ids outside the
+    graph are left unlabelled (-1), so the labeling is indexed by the
+    tables' ids, and no half-edge outside starts is scanned."""
+    n = len(pairing) if live is None else live
     if n == 0:
         return None, None
     step = n * n_colors  # the weight of label[nxt[h]]
-    first = [n_colors + c if x == s else
-             step + (n_colors if y == x else 2 * n_colors) + c
-             for s, x, y, c in zip(range(n), nxt, pairing, color)]
-    least = min(first)
+    if starts is None:
+        first = _first_entries(pairing, nxt, color, n_colors, range(n))
+        least = min(first)
+        starts = [s for s in range(n) if first[s] == least]
 
     best = best_label = None  # best: the least word, one entry per label
-    for start in [s for s in range(n) if first[s] == least]:
-        label = [-1] * n
+    for start in starts:
+        label = [-1] * len(pairing)
         order = [start]
         label[start] = 0
         word = []

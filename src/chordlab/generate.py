@@ -110,32 +110,76 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
+def _ghost_forests(n_circ: int, n_int: int, n_edges: int, symmetries=()):
     """Yield each simple forest with n_edges edges on vertices
     0..n_circ+n_int-1 (the last n_int internal) such that every circular
     vertex has degree >= 1, every internal vertex degree >= 3, and no
-    component is all-internal, as a tuple of vertex pairs in pair order."""
+    component is all-internal, as a tuple of vertex pairs in pair order,
+    and least in its orbit under the vertex relabelings in symmetries
+    (_least_in_orbit).
+
+    The search takes pairs in pair order, so a forest F it builds from a
+    partial forest P adds only pairs above all of P's.  Say a relabeling s
+    maps P to a smaller sorted list: the least pair v on which P and s(P)
+    differ is s(P)'s.  Every pair of F below v is P's, so s(P)'s, so
+    s(F)'s, while v is s(F)'s and not F's; so s(F) is smaller than F too,
+    and P is pruned.  For each relabeling the search keeps that least pair
+    v, which is P's while P survives, or `equal` while s(P) = P, and
+    updates it as each pair is taken, comparing the two lists again only
+    when the new pair's image is v."""
     nv = n_circ + n_int
     pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    maps = [[index[(s[a], s[b]) if s[a] < s[b] else (s[b], s[a])]
+             for a, b in pairs] for s in symmetries]
+    equal = len(pairs)  # a relabeling under which P is its own image
     floor = [1] * n_circ + [3] * n_int
     deg = [0] * nv
     parent = list(range(nv))
     has_circ = [v < n_circ for v in range(nv)]
-    chosen = []
+    chosen = []  # indices into pairs, increasing
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    def rec(start, lack):
+    def differ(m):
+        # the least pair on which chosen and its image under m differ, if
+        # it is chosen's; None if it is the image's; equal if none
+        for x, y in zip(chosen, sorted(map(m.__getitem__, chosen))):
+            if x != y:
+                return x if x < y else None
+        return equal
+
+    def taken(diffs, i):
+        # diffs, one least differing pair per map, once pair i has joined
+        # chosen; None if a relabeling maps chosen to a smaller forest
+        out = []
+        for m, d in zip(maps, diffs):
+            j = m[i]
+            if d < i:
+                if j == d:
+                    d = differ(m)
+                    if d is None:
+                        return None
+                elif j < d:
+                    return None
+            elif j < i:
+                return None
+            elif j > i:
+                d = i
+            out.append(d)
+        return out
+
+    def rec(start, lack, diffs):
         # lack: unmet degree lower bounds; each edge meets at most two.
         # The loop leaves out each pair it passes and the recursion takes
         # pairs[i] in, so it is only as deep as the forest has edges
         left = n_edges - len(chosen)
         if left == 0:
             if lack == 0 and all(has_circ[find(v)] for v in range(nv)):
-                yield tuple(chosen)
+                yield tuple(map(pairs.__getitem__, chosen))
             return
         for i in range(start, len(pairs)):
             if len(pairs) - i < left or (lack + 1) // 2 > left:
@@ -145,21 +189,23 @@ def _ghost_forests(n_circ: int, n_int: int, n_edges: int):
                 return  # every pair at vertex a-1 is behind: its degree is final
             ra, rb = find(a), find(b)
             if ra != rb:
-                old_parent, old_flag = parent[ra], has_circ[rb]
-                parent[ra] = rb
-                has_circ[rb] = has_circ[rb] or has_circ[ra]
-                met = (deg[a] < floor[a]) + (deg[b] < floor[b])
-                deg[a] += 1
-                deg[b] += 1
-                chosen.append((a, b))
-                yield from rec(i + 1, lack - met)
+                chosen.append(i)
+                after = taken(diffs, i)
+                if after is not None:
+                    old_parent, old_flag = parent[ra], has_circ[rb]
+                    parent[ra] = rb
+                    has_circ[rb] = has_circ[rb] or has_circ[ra]
+                    met = (deg[a] < floor[a]) + (deg[b] < floor[b])
+                    deg[a] += 1
+                    deg[b] += 1
+                    yield from rec(i + 1, lack - met, after)
+                    deg[a] -= 1
+                    deg[b] -= 1
+                    parent[ra] = old_parent
+                    has_circ[rb] = old_flag
                 chosen.pop()
-                deg[a] -= 1
-                deg[b] -= 1
-                parent[ra] = old_parent
-                has_circ[rb] = old_flag
 
-    return rec(0, sum(floor))
+    return rec(0, sum(floor), [equal] * len(maps))
 
 
 def _block_symmetries(comp, n_int):
@@ -306,10 +352,16 @@ def enumerate_classes(
     are circular and the circles' order and orientation, so every candidate
     of sigma(F) is a relabeling of a candidate of F and the set of class
     codes is unchanged; only which candidate reaches a class first, and so
-    the markings of the stored form, can change.  The test stops at the
-    first smaller image and costs at most prod(comp) * n_int! images per
-    block: at most 8 * 3! = 48 on (0;3,2)@9 and (2;1,1)@12, where
-    prod(comp) <= 8 and n_int <= 3.
+    the markings of the stored form, can change.  The forest search prunes
+    each partial forest some relabeling maps to a smaller one, since no
+    forest completing it is then least (_ghost_forests), so the blocks
+    visited, and their order, are those a test of every forest would
+    keep.  With one circle the search is pruned by the block's whole
+    group.  With several, the circle compositions share one search,
+    pruned by the internal permutations every group holds, and each
+    composition tests the forests it reads against its own group
+    (_least_in_orbit), which stops at the first smaller image: at most
+    prod(comp) * n_int! images per forest, 8 * 3! = 48 on (0;3,2)@9.
 
     Raises ChordLabError unless edge_bound is an int, UnrepresentableType
     unless p and q are at least 1, and SearchExhausted once it has met more
@@ -340,14 +392,21 @@ def _classes(top: TopType, edge_bound: int):
             n_ghost = n_int + const
             if 2 * n_ghost < n_circ + 3 * n_int:
                 continue
-            # the first composition reads the forests as they are made, and
-            # tee keeps them for the later ones
+            # one composition's forest search is pruned by its block's whole
+            # group.  Several share one search, which the first reads as it
+            # runs and tee keeps for the later ones; it is pruned by the
+            # internal permutations every group holds, and each composition
+            # tests the forests it reads against its own group
             comps = list(_compositions(n_circ, p))
-            for comp, forests in zip(comps, itertools.tee(
-                    _ghost_forests(n_circ, n_int, n_ghost), len(comps))):
-                symmetries = _block_symmetries(comp, n_int)
+            groups = [_block_symmetries(comp, n_int) for comp in comps]
+            shared = (groups[0] if len(comps) == 1
+                      else _block_symmetries((1,) * n_circ, n_int))
+            for comp, group, forests in zip(comps, groups, itertools.tee(
+                    _ghost_forests(n_circ, n_int, n_ghost, shared),
+                    len(comps))):
                 for forest in forests:
-                    if not _least_in_orbit(forest, symmetries):
+                    if group is not shared and not _least_in_orbit(forest,
+                                                                   group):
                         continue
                     for pairing, nxt, colors, markings in _diagram_candidates(
                             p, q, comp, forest, n_int):

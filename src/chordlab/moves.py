@@ -56,13 +56,19 @@ is a ghost's.  When a class is expanded, its inverse rotation and vertex,
 ghost-component and circular-vertex tables are derived from its columns
 once (chord._tables).
 Its collapsible edges are read off them (chord._collapsible_edges), and
-each child's tables and colors are derived from them (_children): a
-collapse joins two rotations and drops its edge's two halves, and a split
-cuts one rotation and appends its two new halves, colored by the cycles
-they join (chord._collapse_child, chord._split_child, which chord._apply
-also calls).  The search runs on the child's tables, and the least word
-names the class (chord._canonicalize, the one routine from raw tables to a
-class, which the enumerator and canonical_form share).  The public
+each move is an edit of the class's rotation (_edits): a collapse points
+the half-edges before its edge's two ends past the edge, and leaves the
+edge's two halves as dead ids; a split cuts the rotation after x and y
+and fills two spare slots, n and n+1, with its new edge, colored by the
+cycles it joins (chord._collapse_edit, chord._split_edit).  The edit is
+the one definition of each move: chord._apply, the checked move, compacts
+the same edit into renumbered tables (chord._compact).  _neighbors makes
+each edit on one copy of the class's rotation, searches the live
+half-edges there and undoes the edit; the rank of word entry 0 is derived
+once per class and ranked again only where an edit touches it.  The least
+word names the class (chord._canonicalize, the one routine from raw
+tables to a class, which the enumerator and canonical_form share, and
+fatgraph._search, the one search).  The public
 neighbors_with_moves runs the same routine (_neighbors) and builds a
 representative from the columns.  The search is serial: one process
 expands each layer class by class, in code order.  explore's enumerator
@@ -112,29 +118,31 @@ def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
     return ch._moved(c, ch._diagram_tables(c), move)
 
 
-def _children(t, max_edges: int | None, skip):
-    """Each move of the class with tables t not in skip, with its child's
-    pairing, rotation and chord._int_colors, derived from t without
-    building the child; and the two child half-edges its inverse names:
-    the half-edges before the collapsed edge's two ends, where the collapse
-    joined the two rotations, or a split's new edge, n and n+1.  A split in
-    skip matches in either order; splits are left out at max_edges edges.
-    The collapsible edges are read off t by chord._collapsible_edges."""
-    prev = t.prev
+def _edits(t, max_edges: int | None, skip):
+    """Each move of the class with tables t not in skip, as the edit of
+    t's rotation that makes it (chord._collapse_edit, chord._split_edit):
+    (move, the half-edges whose nxt it sets, their new nxt, the colors of
+    a split's new edge n, n+1, a collapse's dead ids a < b).  The
+    collapses come first, in edge order (chord._collapsible_edges), then
+    the splits (chord._splits), which are left out at max_edges edges.  A
+    split in skip matches in either order."""
     for a, b in ch._collapsible_edges(t):
         move = ("collapse", a)
-        if move in skip:
-            continue
-        ends = tuple(h - (h > a) - (h > b) for h in (prev[a], prev[b]))
-        yield (move, ends, *ch._collapse_child(t, a, b))
-    n = len(t.pairing)
-    if max_edges is not None and n >= 2 * max_edges:
+        if move not in skip:
+            yield (move, *ch._collapse_edit(t, a, b), (), (a, b))
+    if max_edges is not None and len(t.pairing) >= 2 * max_edges:
         return
     for x, y in ch._splits(t.vertices):
         move = ("expand", x, y)
-        if move in skip or ("expand", y, x) in skip:
-            continue
-        yield (move, (n, n + 1), *ch._split_child(t, x, y))
+        if move not in skip and ("expand", y, x) not in skip:
+            yield (move, *ch._split_edit(t, x, y), ())
+
+
+def _undo(nxt, base, touched) -> None:
+    """Undo an edit (_edits) of the rotation nxt, a copy of base: set nxt
+    back to base at each half-edge the edit touched."""
+    for h in touched:
+        nxt[h] = base[h]
 
 
 def _neighbors(t, max_edges: int | None, skip):
@@ -142,9 +150,21 @@ def _neighbors(t, max_edges: int | None, skip):
     the class with tables t (chord._tables), passing over the moves in
     skip, as a deduplicated list of (key, canonical labeling, forward move
     on t, inverse move on the canonical tables, start), each class with its
-    first move in _children's order.  Each child costs one canonical search
-    on tables derived from t (_children); the labeling sends each of the
-    child's half-edges to its label in the canonical tables.
+    first move in _edits' order.  The labeling sends each of the child's
+    half-edges, numbered as chord._apply leaves them, to its label in the
+    canonical tables.
+
+    Each child costs one canonical search, on t's own tables, edited in
+    place: one copy of t's rotation, with two spare slots for a split's
+    new edge, takes each move's edit (_edits), is searched over its live
+    half-edges and is restored (_undo).  The rank of word entry 0 of each
+    half-edge (fatgraph._first_entries) is derived once per class.  An
+    edit changes it only at the half-edges it touches, two for a collapse
+    and x, y, n and n+1 for a split, so only those are ranked again, and a
+    collapse's two dead ids start nothing.  The search
+    (chord._canonicalize) runs from the starts of least entry 0, in id
+    order, so the key, and the labeling renumbered past the dead ids, are
+    those a search of the child's compacted tables (chord._apply) finds.
 
     start certifies the inverse move (_certify): the half-edge of the
     tables it leaves on the child's canonical tables that is t's half-edge
@@ -153,18 +173,51 @@ def _neighbors(t, max_edges: int | None, skip):
     collapsed half 0.  A split keeps t's ids, and the collapse undoing it
     renumbers them past the new edge."""
     p, q = t.p, t.q
+    n_colors = p + 2 * q
+    n = len(t.pairing)
+    base = [*t.nxt, -1, -1]
+    nxt = base.copy()
+    pairing = [*t.pairing, n + 1, n]
+    colors = [*t.colors, 0, 0]
+    first = fg._first_entries(pairing, nxt, colors, n_colors, range(n))
+    least = min(first)
+    leasts = [h for h in range(n) if first[h] == least]
     found: dict = {}
-    for move, (u, v), pairing, nxt, colors in _children(t, max_edges, skip):
-        key, _word, label = ch._canonicalize(pairing, nxt, colors, p, q)
-        if key not in found:
-            if move[0] == "collapse":
-                inverse = ("expand", label[u], label[v])
-                start = len(label) if move[1] == 0 else label[0]
-            else:
-                a, b = sorted((label[u], label[v]))
-                inverse = ("collapse", a)
-                start = label[0] - (label[0] > a) - (label[0] > b)
-            found[key] = (key, label, move, inverse, start)
+    for move, touched, values, new, dead in _edits(t, max_edges, skip):
+        for h, k in zip(touched, values):
+            nxt[h] = k
+        if new:
+            colors[n], colors[n + 1] = new
+        ranks = fg._first_entries(pairing, nxt, colors, n_colors, touched)
+        top = min(ranks)
+        changed = touched + dead
+        starts = [h for h in leasts if h not in changed]
+        if top <= least or not starts:
+            # the edit ranks a half-edge as low as the least, or edits every
+            # least one: rank the others and the edited ones together
+            low = least
+            if not starts:
+                rest = [h for h in range(n) if h not in changed]
+                low = min(first[h] for h in rest)
+                starts = [h for h in rest if first[h] == low]
+            if top <= low:
+                starts = sorted((starts if top == low else []) + [
+                    h for h, rank in zip(touched, ranks) if rank == top])
+        key, _word, label = ch._canonicalize(
+            pairing, nxt, colors, p, q, n + len(new) - len(dead), starts)
+        _undo(nxt, base, touched)
+        if key in found:
+            continue
+        if dead:
+            a, b = dead
+            inverse = ("expand", label[touched[0]], label[touched[1]])
+            label = label[:a] + label[a + 1:b] + label[b + 1:n]
+            start = len(label) if a == 0 else label[0]
+        else:
+            u, v = sorted((label[n], label[n + 1]))
+            inverse = ("collapse", u)
+            start = label[0] - (label[0] > u) - (label[0] > v)
+        found[key] = (key, label, move, inverse, start)
     return list(found.values())
 
 
@@ -219,8 +272,8 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
     key, move, start), the move being the forward one or, by default, the
     inverse, and start its certificate (_certify): for an inverse move
     _neighbors' start, for a forward move the child half-edge its canonical
-    labeling sends to 0, since the move leaves the child's tables as
-    _children derives them.
+    labeling sends to 0, since the labeling is in the ids of the tables
+    chord._apply leaves.
 
     info and the frontier are keyed by least words (chord._canonicalize);
     the frontier maps each to the moves its class skips.  Each frontier

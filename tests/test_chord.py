@@ -357,8 +357,9 @@ class TestMoves:
             # diagram or markings, against the public moves: every collapse
             # and split
             moved = 0
-            for move, _ends, pairing, nxt, colors in moves._children(
-                    ch._diagram_tables(c), None, ()):
+            t = ch._diagram_tables(c)
+            for move, *edit in moves._edits(t, None, ()):
+                pairing, nxt, colors = ch._compact(t, *edit)
                 child = moves.apply_move(c, move)
                 labels = tuple(GHOST if k >= p + q else CIRCULAR for k in colors)
                 assert (pairing, nxt, labels) == (
@@ -835,30 +836,53 @@ def _brute_forests(n_circ, n_int, n_edges):
     return out
 
 
+def _least_forests(forests, symmetries):
+    """The forests that no relabeling in symmetries maps to a smaller
+    sorted list of sorted pairs."""
+    return [forest for forest in forests
+            if forest == min([forest] + [
+                tuple(sorted(tuple(sorted((s[a], s[b]))) for a, b in forest))
+                for s in symmetries])]
+
+
 def test_forest_search_matches_brute_force(monkeypatch):
+    # every search enumerate_classes makes, with the symmetries it prunes
+    # by, against the brute-force forests least in their orbit under them:
+    # (1;1,2) prunes by its block's whole group, (0;3,2) by the internal
+    # permutations its compositions share, and some forests are pruned
     used, search = set(), generate._ghost_forests
 
-    def recorded(*args):
-        used.add(args)
-        return search(*args)
+    def recorded(n_circ, n_int, n_edges, symmetries):
+        used.add((n_circ, n_int, n_edges, tuple(symmetries)))
+        return search(n_circ, n_int, n_edges, symmetries)
 
     monkeypatch.setattr(generate, "_ghost_forests", recorded)
     generate.enumerate_classes(TopType(0, 3, 2), 9)
     generate.enumerate_classes(TopType(1, 1, 2), 9)
-    assert {(c, i) for c, i, _ in used} == {
+    assert {(c, i) for c, i, _e, _s in used} == {
         (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0)}
-    for args in sorted(used):
-        assert list(search(*args)) == _brute_forests(*args)
+    pruned = 0
+    for n_circ, n_int, n_edges, symmetries in sorted(used):
+        every = _brute_forests(n_circ, n_int, n_edges)
+        least = _least_forests(every, symmetries)
+        assert list(search(n_circ, n_int, n_edges, symmetries)) == least
+        pruned += len(every) - len(least)
+    assert pruned > 0
 
 
 @pytest.mark.parametrize("n_circ,n_int", [
     (n_circ, n_int) for n_circ in range(1, 7) for n_int in range(3)
     if n_circ + n_int <= 6])
 def test_forest_search_matches_brute_force_on_small_sizes(n_circ, n_int):
-    # every edge count, so the search also meets sizes it must refuse
+    # every edge count, so the search also meets sizes it must refuse;
+    # unpruned, and pruned by the whole group of a block of one circle
+    symmetries = generate._block_symmetries((n_circ,), n_int)
     for n_edges in range(n_circ + n_int + 1):
-        assert (list(generate._ghost_forests(n_circ, n_int, n_edges))
-                == _brute_forests(n_circ, n_int, n_edges))
+        every = _brute_forests(n_circ, n_int, n_edges)
+        assert list(generate._ghost_forests(n_circ, n_int, n_edges)) == every
+        assert (list(generate._ghost_forests(n_circ, n_int, n_edges,
+                                             symmetries))
+                == _least_forests(every, symmetries))
 
 
 def _relabel_diagram(d, perm):

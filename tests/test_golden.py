@@ -5,7 +5,8 @@ ChordDiagram (those of (0;3,2)@9 and (2;1,1)@12 from the release before the
 canonical search dropped losing starts early, those of the paths from the
 release before children's colors were derived from their parent's, those of
 the enumerated classes from the release before the enumerator yielded raw
-tables, those of the tqft outputs from the release before the matrix kernels
+tables, those of (1;1,3)@12 and (0;2,3)@9 from the release before the
+ghost-forest search pruned partial forests, those of the tqft outputs from the release before the matrix kernels
 accumulated in ints); a change that alters any of them changes what chordlab
 reports."""
 
@@ -114,6 +115,10 @@ def test_paths_of_longer_walks():
      "9c966663ca03f70b9e2d6a286e204767849788508af546fd327d851b5716e3ed"),
     ((2, 1, 1), 12,
      "a51d5cf04de2facb5645a08372050c29bc54f1f9c89c3f5d78f1d788a7198db4"),
+    ((1, 1, 3), 12,
+     "dfe22d3cb2e08164aee0e5ee2aeefdacba2d8fa379c30fabd7e15744033974e9"),
+    ((0, 2, 3), 9,
+     "012d9a0838cafafa501116158c39e78d62b95d753581ede92caa3e4ac15337ab"),
 ])
 def test_enumerated_classes(top, bound, digest):
     # every class code and its stored form, in the enumerator's insertion

@@ -77,8 +77,9 @@ class TestChildColors:
         palette = ch._palette(top[1], top[2])
         swaps_caught = 0
         for c in generate.enumerate_classes(TopType(*top), 9).values():
-            for move, _ends, _p, _n, derived in moves._children(
-                    ch._diagram_tables(c), None, ()):
+            t = ch._diagram_tables(c)
+            for move, *edit in moves._edits(t, None, ()):
+                derived = ch._compact(t, *edit)[2]
                 child = moves.apply_move(c, move)
                 own = ch._int_colors(child)
                 assert derived == own
@@ -92,12 +93,12 @@ class TestChildColors:
     @pytest.mark.parametrize("top,bound", [
         ((1, 1, 2), 9), ((0, 3, 2), 9), ((2, 1, 1), 12)])
     def test_collapses_are_the_collapsible_edges(self, top, bound):
-        # _children takes its collapses from the class's one-pass tables
+        # _edits takes its collapses from the class's one-pass tables
         # (chord._collapsible_edges); every edge it collapses, and only
         # those, passes the public test
         kinds = set()
         for c in generate.enumerate_classes(TopType(*top), bound).values():
-            collapsed = [move[1] for move, *_ in moves._children(
+            collapsed = [move[1] for move, *_ in moves._edits(
                 ch._diagram_tables(c), bound, ()) if move[0] == "collapse"]
             assert collapsed == [e for e in c.graph.edges()
                                  if not ch.is_essential(c, e)]
@@ -940,6 +941,72 @@ class TestCertificates:
                     generate.random_diagram(rng, *top, steps=6))
         assert sum(steps for steps, _searches in during) >= 9
         assert [searches for _steps, searches in during] == [0] * 9
+
+
+class TestInPlaceSearch:
+    @pytest.mark.parametrize("top,bound,loops", [
+        ((1, 1, 2), 9, 0), ((0, 3, 2), 9, 348), ((2, 1, 1), 12, 0)])
+    def test_every_child_is_searched_as_its_compacted_tables(
+            self, monkeypatch, top, bound, loops):
+        # every move of every class: the search _neighbors runs on the
+        # class's tables, edited in place, finds the key and the labeling a
+        # search of the tables chord._apply compacts finds, the labeling
+        # unlabelled exactly at the dead ids and spare slots.  An edit that
+        # makes a half-edge's edge follow it in its rotation (pairing[h] ==
+        # nxt[h]: a loop, so a lower entry 0) and one that stops it are
+        # both ranked again; a loop is a circle of one vertex, which
+        # (0;3,2)@9 has and the two types with one circle do not
+        _g, p, q = top
+        canonicalize = ch._canonicalize
+        searched = []
+
+        def recording(*args):
+            searched.append(canonicalize(*args))
+            return searched[-1]
+
+        made = unmade = children = 0
+        for _code, columns, _markings in generate._classes(TopType(*top),
+                                                           bound):
+            t = ch._tables(*columns, p, q)
+            n = len(t.pairing)
+            searched.clear()
+            monkeypatch.setattr(ch, "_canonicalize", recording)
+            moves._neighbors(t, bound, ())
+            monkeypatch.undo()
+            edits = list(moves._edits(t, bound, ()))
+            assert len(searched) == len(edits)
+            pairing = [*t.pairing, n + 1, n]
+            for (key, _word, label), (move, touched, values, new, dead) in zip(
+                    searched, edits):
+                want_key, _want_word, want_label = canonicalize(
+                    *ch._apply(t, move), p, q)
+                assert key == want_key
+                assert [k for k in label if k >= 0] == list(want_label)
+                assert label.count(-1) == n + 2 - len(want_label)
+                for h, k in zip(touched, values):
+                    if h < n:
+                        made += k == pairing[h] != t.nxt[h]
+                        unmade += k != pairing[h] == t.nxt[h]
+                children += 1
+        assert children > 0
+        assert made == unmade == loops
+
+    def test_an_edit_left_undone_is_refused(self, monkeypatch):
+        # negative control: the first child's edit is not undone, so every
+        # later child of the base point is searched on a rotation still
+        # carrying it; explore refuses what that search records
+        undo, skipped = moves._undo, []
+
+        def once(*args):
+            if not skipped:
+                skipped.append(args)
+                return None
+            return undo(*args)
+
+        monkeypatch.setattr(moves, "_undo", once)
+        with pytest.raises(ChordLabError):
+            moves.explore(TopType(1, 1, 2), 9)
+        assert skipped
 
 
 class TestPathToCanonical:
