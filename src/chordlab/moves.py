@@ -31,7 +31,8 @@ generate.EXPLORE_CLASS_BUDGET classes, checked as each class is expanded.
 
 A recorded move carries a certificate: the start, the half-edge of the
 tables the move leaves that is the canonical half-edge 0 of the class it
-leads to (_neighbors, _grow).  The witness check and path_to_canonical's
+leads to.  _neighbors makes it for each move and its inverse, and _grow
+records the one its side keeps.  The witness check and path_to_canonical's
 replay make each move through chord._apply and then run one traversal from
 that start (fatgraph._spells), which must spell the class's least word
 entry by entry (_certify).  Spelling the word proves the class whatever the
@@ -148,11 +149,9 @@ def _undo(nxt, base, touched) -> None:
 def _neighbors(t, max_edges: int | None, skip):
     """Every search's one routine per class: all move-graph neighbours of
     the class with tables t (chord._tables), passing over the moves in
-    skip, as a deduplicated list of (key, canonical labeling, forward move
-    on t, inverse move on the canonical tables, start), each class with its
-    first move in _edits' order.  The labeling sends each of the child's
-    half-edges, numbered as chord._apply leaves them, to its label in the
-    canonical tables.
+    skip, as a deduplicated list of (key, forward move on t, its start,
+    inverse move on the canonical tables, its start), each class with its
+    first move in _edits' order.  Each start certifies its move (_certify).
 
     Each child costs one canonical search, on t's own tables, edited in
     place: one copy of t's rotation, with two spare slots for a split's
@@ -166,12 +165,16 @@ def _neighbors(t, max_edges: int | None, skip):
     order, so the key, and the labeling renumbered past the dead ids, are
     those a search of the child's compacted tables (chord._apply) finds.
 
-    start certifies the inverse move (_certify): the half-edge of the
-    tables it leaves on the child's canonical tables that is t's half-edge
-    0.  A collapse keeps t's 0 as the child's 0, unless edge 0 collapsed;
-    the split undoing it keeps every id, and its first new half-edge is the
-    collapsed half 0.  A split keeps t's ids, and the collapse undoing it
-    renumbers them past the new edge."""
+    This is the one routine that knows how chord._apply numbers each end
+    of a move, so no labeling leaves it.  A collapse drops its dead ids a
+    < b, renumbering every id above them down; a split appends n and n+1
+    and keeps every other id.  The forward start is the child half-edge
+    the labeling sends to 0, so numbered.  The inverse start is t's
+    half-edge 0 on the tables the inverse move leaves on the child's
+    canonical tables: the split undoing a collapse keeps every id and
+    appends the collapsed halves, the first being t's 0 if edge 0
+    collapsed; the collapse undoing a split drops its new edge's two
+    labels."""
     p, q = t.p, t.q
     n_colors = p + 2 * q
     n = len(t.pairing)
@@ -208,16 +211,16 @@ def _neighbors(t, max_edges: int | None, skip):
         _undo(nxt, base, touched)
         if key in found:
             continue
+        start = label.index(0)
         if dead:
             a, b = dead
-            inverse = ("expand", label[touched[0]], label[touched[1]])
-            label = label[:a] + label[a + 1:b] + label[b + 1:n]
-            start = len(label) if a == 0 else label[0]
+            found[key] = (key, move, start - (start > a) - (start > b),
+                          ("expand", label[touched[0]], label[touched[1]]),
+                          n - 2 if a == 0 else label[0])
         else:
             u, v = sorted((label[n], label[n + 1]))
-            inverse = ("collapse", u)
-            start = label[0] - (label[0] > u) - (label[0] > v)
-        found[key] = (key, label, move, inverse, start)
+            found[key] = (key, move, start, ("collapse", u),
+                          label[0] - (label[0] > u) - (label[0] > v))
     return list(found.values())
 
 
@@ -233,8 +236,8 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
     """
     p, q = c.p, c.q
     out = []
-    for key, _label, fwd, inv, _start in _neighbors(ch._diagram_tables(c),
-                                                    max_edges, ()):
+    for key, fwd, _start, inv, _inv_start in _neighbors(
+            ch._diagram_tables(c), max_edges, ()):
         code, columns = ch._code(key, p, q)
         out.append((code, ch._form(columns, p, q,
                                    ch._least_markings(columns[2], p, q)),
@@ -270,10 +273,7 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
     """Expand one search layer of type (g;p,q), class by class in code
     order: record each unseen neighbour of the frontier in info as (parent
     key, move, start), the move being the forward one or, by default, the
-    inverse, and start its certificate (_certify): for an inverse move
-    _neighbors' start, for a forward move the child half-edge its canonical
-    labeling sends to 0, since the labeling is in the ids of the tables
-    chord._apply leaves.
+    inverse, and start the certificate _neighbors made for it (_certify).
 
     info and the frontier are keyed by least words (chord._canonicalize);
     the frontier maps each to the moves its class skips.  Each frontier
@@ -298,11 +298,11 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
         t = ch._tables(*columns, p, q)
         if check is not None:
             check(info, parent, code, t)
-        for key, label, fwd, inv, start in _neighbors(t, max_edges,
-                                                      frontier[parent]):
+        for key, fwd, fwd_start, inv, inv_start in _neighbors(
+                t, max_edges, frontier[parent]):
             if key not in info:
-                info[key] = ((parent, fwd, label.index(0)) if forward
-                             else (parent, inv, start))
+                info[key] = ((parent, fwd, fwd_start) if forward
+                             else (parent, inv, inv_start))
                 new[key] = set()
             if key in new:
                 new[key].add(inv)
@@ -312,7 +312,8 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
 def _bfs(key, p: int, q: int, max_edges: int, check=None):
     """Breadth-first search over classes of type (g;p,q) from the class
     with this key (chord._canonicalize); returns info, code -> (parent code,
-    inverse move), with (None, None) for the start.  The search keys
+    inverse move), in discovery order, so each class after its parent, with
+    (None, None) for the start.  The search keys
     classes by least words (_grow); each class reached is expanded, and its
     code written, once, and info is rekeyed by those codes at the end,
     without the certificate starts.  No diagram is built.  check, if given,
@@ -380,12 +381,6 @@ def _fork_pays() -> bool:
             and len(getattr(os, "sched_getaffinity", lambda _pid: ())(0)) >= 2)
 
 
-def _codes(top: TopType, edge_bound: int):
-    """The code of each class generate._classes meets, in its order."""
-    return (code for code, _columns, _markings
-            in generate._classes(top, edge_bound))
-
-
 def _tally(codes, info: dict) -> tuple[int, list[bytes]]:
     """The number of codes, and those not in info, in their order."""
     count, unreached = 0, []
@@ -397,19 +392,20 @@ def _tally(codes, info: dict) -> tuple[int, list[bytes]]:
 
 
 def _enumerate_into(r: int, w: int, top: TopType, edge_bound: int):
-    """The forked enumerator: closes the pipe's read end r, keeps every
-    code of _codes, then writes them to the write end w, one a line; or a
-    failure as one line marked "!", the JSON of its exception's class name
-    and message.  The codes are written only once all are met, since a
-    full pipe would stall the enumeration until the parent reads.  It
-    leaves through os._exit, so it never returns into its caller's stack
-    and flushes no buffer it inherited."""
+    """The forked enumerator: closes the pipe's read end r, keeps the code
+    of every class generate._classes meets, then writes them to the write
+    end w, one a line; or a failure as one line marked "!", the JSON of its
+    exception's class name and message.  The codes are written only once
+    all are met, since a full pipe would stall the enumeration until the
+    parent reads.  It leaves through os._exit, so it never returns into
+    its caller's stack and flushes no buffer it inherited."""
     status = 1
     try:
         os.close(r)
         with os.fdopen(w, "wb") as out:
             try:
-                codes = list(_codes(top, edge_bound))
+                codes = [code for code, _columns, _markings
+                         in generate._classes(top, edge_bound)]
             except Exception as exc:
                 out.write(b"!" + json.dumps(
                     [type(exc).__name__, str(exc)]).encode() + b"\n")
@@ -459,7 +455,9 @@ def _search_beside_enumerator(top: TopType, edge_bound: int, search):
             os.close(w)
     if pid is None:
         result = search()
-        return (result, *_tally(_codes(top, edge_bound), result))
+        return (result, *_tally((code for code, _columns, _markings
+                                 in generate._classes(top, edge_bound)),
+                                result))
     if pid == 0:
         _enumerate_into(r, w, top, edge_bound)
     os.close(w)
@@ -532,16 +530,11 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
         key = ch._canonicalize(pairing, nxt, colors, p, q)[0]
         pending -= set(_bfs(key, p, q, edge_bound))
 
+    # info is in discovery order, so each parent's path is made before its
+    # children's
     witness: dict[bytes, list[Move]] = {}
-
-    def path_of(code):
-        if code not in witness:
-            parent, inv = info[code]
-            witness[code] = [] if parent is None else [inv] + path_of(parent)
-        return witness[code]
-
-    for code in sorted(info):
-        path_of(code)
+    for code, (parent, inv) in info.items():
+        witness[code] = [] if parent is None else [inv, *witness[parent]]
 
     return MoveGraphReport(
         top_type=top,

@@ -225,11 +225,6 @@ def _kron(F, A, B):
             C.append(row)
     return C
 
-def _mat_sub(F, A, B):
-    return [
-        [F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)
-    ]
-
 
 def _row_reduce(F, M, cols):
     """Gauss-Jordan elimination of M in place on its first cols columns;
@@ -480,14 +475,15 @@ def mu(A: FrobeniusAlgebra, p: int, q: int, g: int) -> OperationMatrix:
 def verify_gluing(A, p, q, r, g1, g2):
     """Exact check of mu_{q,r}(g2) o mu_{p,q}(g1) = mu_{p,r}(g1+g2+q-1).
 
-    Returns (True, None) or (False, difference matrix).
+    Returns (True, None), or (False, witness): the first entry, in row
+    order, where the two sides differ, as (row, column, left value, right
+    value), the witness check_axioms records for a failed axiom.
     """
-    F = A.field_
-    lhs = _matmul(F, mu(A, q, r, g2).rows(), mu(A, p, q, g1).rows())
+    lhs = _matmul(A.field_, mu(A, q, r, g2).rows(), mu(A, p, q, g1).rows())
     rhs = mu(A, p, r, g1 + g2 + q - 1).rows()
     if lhs == rhs:
         return True, None
-    return False, _mat_sub(F, lhs, rhs)
+    return False, _first_mismatch(lhs, rhs)
 
 
 def operation_from_diagram(c: ChordDiagram, A: FrobeniusAlgebra) -> OperationMatrix:

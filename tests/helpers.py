@@ -144,3 +144,18 @@ def evaluated_rows(c: ch.ChordDiagram, A) -> list[list]:
         for t_out, x in vec.items():
             rows[index(t_out)][index(t_in)] = x
     return rows
+
+
+def bent_cp2_frob() -> str:
+    """The frob text of k[x]/(x^3), the CP^2 pattern, over Q, with the
+    unscaled coproduct Delta(x^i) = sum_{j+k=i+2} x^j (x) x^k bent by one
+    extra 1 (x) 1 term in Delta(1): an algebra that is not Frobenius, on
+    which some gluings fail."""
+    lines = ["frob v1", "field Q", "basis x0", "basis x1", "basis x2",
+             "unit 1 0 0"]
+    lines += [f"m {i} {j} -> {i + j} 1"
+              for i in range(3) for j in range(3 - i)]
+    lines += [f"Delta {i} -> {j} {i + 2 - j} 1"
+              for i in range(3) for j in range(3) if 0 <= i + 2 - j < 3]
+    lines.append("Delta 0 -> 0 0 1")
+    return "\n".join(lines) + "\n"

@@ -12,14 +12,18 @@ from chordlab import fatgraph as fg
 from chordlab import formats, generate, moves
 from chordlab.chord import CIRCULAR, GHOST, ChordDiagram
 from chordlab.errors import (
+    BadMarking,
     ChordLabError,
+    CircleNotDisjoint,
     Disconnected,
     EssentialEdge,
     GhostCycle,
     GlueValidationFailed,
     IncomingNotBoundaryCycle,
+    InconsistentTables,
     InvalidSchedule,
     LoopEdge,
+    NoCircularEdgeOnCycle,
     UnrepresentableType,
 )
 from chordlab.fatgraph import FatGraph, TopType
@@ -102,6 +106,45 @@ class TestValidateChord:
         bad_order = (d.boundary_order[1], d.boundary_order[0], d.boundary_order[2])
         with pytest.raises(IncomingNotBoundaryCycle):
             ch.validate_chord(d.graph, d.labels, 1, bad_order)
+
+
+    @pytest.mark.parametrize("labels,message", [
+        ("CCCCG", "one C/G entry per half-edge"),
+        ("CCCCXX", "one C/G entry per half-edge"),
+        ("CCCCGC", "edge of half-edge 4 has mixed labels"),
+    ])
+    def test_labels_refused(self, labels, message):
+        # a chord file labels whole edges with C or G, so only a direct
+        # call can give a wrong count, another letter or mixed halves
+        d = single_chord_diagram()
+        with pytest.raises(InconsistentTables, match=message):
+            ch.validate_chord(d.graph, labels, 1, d.boundary_order)
+
+    def test_marking_count_refused(self):
+        # a chord file needs one mark per cycle of its order
+        d = single_chord_diagram()
+        with pytest.raises(BadMarking, match="one marking per boundary cycle"):
+            ch.validate_chord(d.graph, d.labels, 1, d.boundary_order,
+                              d.markings[:-1])
+
+    def test_circle_covered_twice_refused(self):
+        # one circular loop at a vertex of valence 2, which fatgraph.validate
+        # refuses: both of its sides are all-circular cycles, so designating
+        # both covers the loop twice
+        graph = FatGraph((1, 0), (1, 0))
+        with pytest.raises(CircleNotDisjoint,
+                           match="circular edge 0 on two incoming cycles"):
+            ch.validate_chord(graph, "CC", 2, (0, 1))
+
+    def test_all_ghost_cycle_refused(self):
+        # a ghost edge between two vertices of valence 1, beside a circular
+        # loop, in a graph fatgraph.validate refuses: a ghost forest in a
+        # graph of valence >= 2 has no all-ghost cycle, since a closed walk
+        # in a forest turns back at some vertex of valence 1
+        graph = FatGraph((1, 0, 3, 2), (1, 0, 2, 3))
+        with pytest.raises(NoCircularEdgeOnCycle,
+                           match="cycle at 2 is all ghost"):
+            ch.validate_chord(graph, "CCGG", 1, (0, 1, 2))
 
 
 class TestCollapseGhosts:

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, JSON output, DOT emission."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -11,7 +12,7 @@ from chordlab import cli, formats, generate
 from chordlab.cli import emit_dot, main
 from chordlab.errors import ChordLabError
 
-from helpers import expansions
+from helpers import bent_cp2_frob, expansions
 
 
 @pytest.fixture
@@ -82,6 +83,73 @@ class TestBasicCommands:
         code, _, _ = run(capsys, "gamma0", "1", "1", "2", "-o", str(out_path))
         assert code == 0
         assert formats.parse(out_path.read_text()).top_type().genus == 1
+
+
+DATA = Path(cli.__file__).parent / "data"
+
+# a planar theta graph and a one-vertex torus rose
+FATGRAPHS = {
+    "theta": "fatgraph v1\npair 0 3\npair 1 4\npair 2 5\n"
+             "vertex 0 1 2\nvertex 5 4 3\n",
+    "torus": "fatgraph v1\npair 0 1\npair 2 3\nvertex 0 2 1 3\n",
+}
+
+
+class TestGraphFiles:
+    # the sha256 of each command's stdout
+    @pytest.mark.parametrize("argv,digest", [
+        ("code --marked {left}",
+         "a9973775209e374f69422109ea59527bef039c729e3d29a6725224316df4ded0"),
+        ("code --marked {right}",
+         "08baf24c0e93946d8656d57ca212a5d03190aa544927a3faaf5b144ff4ffa5c7"),
+        ("code --marked --json {right}",
+         "2ac1677369c2d675f8e632725eb62c313c686e41b62f505abeb4e7d226d81e53"),
+        ("validate {theta}",
+         "f23eccde9323f02f3cb487dc01cacb9934881fb99d54b5e1b79f4be94018979a"),
+        ("validate --json {torus}",
+         "ce3df78cb8b08a898f2a30a398435d7f6f912fccbc0fc850b6ba9231176da8b5"),
+        ("type {theta}",
+         "409209db304f0deb8d64bfea3725558d443f3b19fa6369a7d9f39938a74f2370"),
+        ("type --json {torus}",
+         "9c7f0a30b438c2898c35fba89a721d084d87232dcca351fdbae82eb25bc3a9ec"),
+        ("code {theta}",
+         "2bd8ac02131c6efc5ccda2c71e0a6e139ec9cd89e14241b89ea058f53477a6e1"),
+        ("code --json {torus}",
+         "b02d496d1cdd1f86edb4f05aff558589069f0f6813965d19aa465421af182260"),
+        ("iso {theta} {torus}",
+         "356bbb837458718ec66598b669ee124da29f04569ba98b964c7270239f68f233"),
+        ("iso --json {theta} {theta}",
+         "1d1ec64141dd6de8edb47f05fdc37cbcf46a46bfe08459bb2630cb019135b2ec"),
+        ("boundaries {theta}",
+         "3d785023e481a3252ee30c1b076b7841f27a028baa9dce96b29b623f31872dac"),
+        ("boundaries --json {torus}",
+         "d19b28c6293976737a7bf4fc560e3b08035954c96b83dfcf217e2053e0ab5142"),
+    ])
+    def test_output(self, capsys, tmp_path, argv, digest):
+        files = {"left": str(DATA / "glue_left_0_1_2.chord"),
+                 "right": str(DATA / "glue_right_0_2_2.chord")}
+        for name, text in FATGRAPHS.items():
+            files[name] = str(tmp_path / f"{name}.fg")
+            Path(files[name]).write_text(text)
+        code, out, err = run(capsys, *argv.format(**files).split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,message", [
+        ("type {frob}", "type applies to fatgraph/chord files"),
+        ("boundaries {frob}", "boundaries applies to fatgraph/chord files"),
+        ("code {frob}", "code applies to fatgraph/chord files"),
+        ("iso {theta} {left}",
+         "iso compares two files of the same graph kind"),
+    ])
+    def test_kind_refused(self, capsys, tmp_path, argv, message):
+        theta = tmp_path / "theta.fg"
+        theta.write_text(FATGRAPHS["theta"])
+        code, out, err = run(capsys, *argv.format(
+            frob=DATA / "pd2.frob", theta=theta,
+            left=DATA / "glue_left_0_1_2.chord").split())
+        assert (code, out) == (1, "")
+        assert err == f"chordlab: {message}\n"
 
 
 class TestExitCodes:
@@ -253,6 +321,16 @@ class TestTqftCommands:
                            "--range", "2,2,1,1,0")
         assert code == 1 and "VERIFY_GRID_BUDGET = 4" in err
         assert len(calls) == 4
+
+    def test_verify_reports_a_failed_gluing(self, capsys, tmp_path):
+        # of the three points of --range 1,3,1,0,0 on the bent k[x]/(x^3),
+        # only (1,3,1,0,0) fails, and verify exits 1
+        path = tmp_path / "bent.frob"
+        path.write_text(bent_cp2_frob())
+        code, out, _ = run(capsys, "tqft", "verify", "--algebra", str(path),
+                           "--range", "1,3,1,0,0", "--json")
+        assert code == 1
+        assert out == '{"failures": [[1, 3, 1, 0, 0]], "all_pass": false}\n'
 
     def test_counit(self, capsys):
         code, out, _ = run(capsys, "tqft", "counit", "--algebra", "st2")

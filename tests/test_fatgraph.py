@@ -63,6 +63,17 @@ class TestValidate:
         with pytest.raises(InconsistentTables):
             fg.validate([1, 0, 3, 2], [[0, 1, 2]])
 
+    @pytest.mark.parametrize("pairing,message", [
+        ([1, 0, 2], "odd number of half-edges"),
+        ([1, 0, 9, 2], r"pairing\(2\) = 9 out of range"),
+        ([1, 2, 3, 0], "pairing is not an involution at 0"),
+    ])
+    def test_pairing_refused(self, pairing, message):
+        # a file's pair records always make an even, in-range involution,
+        # so only a direct call reaches these
+        with pytest.raises(InconsistentTables, match=message):
+            fg.validate(pairing, [list(range(len(pairing)))])
+
 
 class TestBoundaryCycles:
     def test_pants_rose_has_three_cycles(self):

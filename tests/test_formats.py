@@ -11,6 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from chordlab import chord as ch
 from chordlab import formats, generate, tqft
+from chordlab.errors import (
+    BadMarking,
+    IncomingNotBoundaryCycle,
+    InconsistentTables,
+)
 
 from helpers import random_fatgraph
 
@@ -123,6 +128,46 @@ class TestErrors:
             formats.parse("\n".join(lines) + "\n")
         assert err.value.line == len(lines)
         assert f"first on line {first + 1}" in str(err.value)
+
+    @pytest.mark.parametrize("name,record,fault,cause,message", [
+        # the marks left out, as parse_chord refuses a mark off the order
+        ("glue_left_0_1_2.chord", "order 0 1 3\nmark 0 0\nmark 1 1\nmark 3 3",
+         "order 0 1 2", InconsistentTables, "not a permutation of the cycles"),
+        ("glue_left_0_1_2.chord", "incoming 1", "incoming 0",
+         IncomingNotBoundaryCycle, "incoming count 0 out of range"),
+        ("glue_left_0_1_2.chord", "incoming 1", "incoming 4",
+         IncomingNotBoundaryCycle, "incoming count 4 out of range"),
+        # the second circle's cycle is left outgoing
+        ("glue_right_0_2_2.chord", "incoming 2", "incoming 1",
+         IncomingNotBoundaryCycle, "do not cover every circular edge"),
+        # half-edge 1 is on cycle 1, and 4, on cycle 1, is a ghost's
+        ("glue_left_0_1_2.chord", "mark 0 0", "mark 0 1",
+         BadMarking, "marking 1 is not a circular occurrence on 0"),
+        ("glue_left_0_1_2.chord", "mark 1 1", "mark 1 4",
+         BadMarking, "marking 4 is not a circular occurrence on 1"),
+    ])
+    def test_chord_refused_at_its_order_record(self, name, record, fault,
+                                               cause, message):
+        # a well-formed file whose diagram validate_chord refuses: the
+        # error names the order record's line and keeps the refusal
+        text = _fixture_text(name)
+        assert record in text
+        lines = text.replace(record, fault).splitlines()
+        with pytest.raises(formats.ValidationError) as err:
+            formats.parse("\n".join(lines) + "\n")
+        assert lines[err.value.line - 1].startswith("order ")
+        assert type(err.value.cause) is cause
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("vertex,h", [("0 1 2 3 3", 3), ("0 1 2 9", 9)])
+    def test_fatgraph_refused_at_its_first_vertex_record(self, vertex, h):
+        # a half-edge listed twice, or one the pairs do not make
+        text = f"fatgraph v1\npair 0 1\npair 2 3\nvertex {vertex}\n"
+        with pytest.raises(formats.ValidationError) as err:
+            formats.parse(text)
+        assert err.value.line == 4
+        assert type(err.value.cause) is InconsistentTables
+        assert f"half-edge {h} repeated or out of range" in str(err.value)
 
     @pytest.mark.parametrize("kind", ["field", "ambient", "unit", "m", "Delta"])
     def test_repeated_frob_record(self, kind):

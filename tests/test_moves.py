@@ -1,6 +1,7 @@
 """Move graph: neighbors, exhaustive exploration, path extraction."""
 
 import contextlib
+import errno
 import gc
 import json
 import os
@@ -555,6 +556,44 @@ class TestForkedEnumerator:
             moves.explore(TopType(1, 1, 2), 9)
         assert len(forks) == 1
 
+    def test_child_exit_status_is_an_error(self, monkeypatch, forks):
+        # a child that leaves with a status and sends nothing is reaped
+        # and named
+        monkeypatch.setattr(moves, "_enumerate_into",
+                            lambda r, w, top, bound: os._exit(3))
+        with pytest.raises(ChordLabError,
+                           match="the enumerator failed with exit status 3"):
+            moves.explore(TopType(1, 1, 2), 9)
+        assert len(forks) == 1
+
+    def test_refused_fork_enumerates_here(self, monkeypatch):
+        # two usable CPUs, but the system refuses the fork: the pipe is
+        # closed and the enumerator runs in this process, for the same
+        # report as a forked one
+        with _helper_thread():
+            here = moves.explore(TopType(1, 1, 2), 9).to_json_dict()
+        pipes, pipe = [], os.pipe
+
+        def recorded():
+            pipes.extend(pipe())
+            return pipes[-2:]
+
+        def refused():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "pipe", recorded)
+        monkeypatch.setattr(os, "fork", refused)
+        assert moves._fork_pays()
+        report = moves.explore(TopType(1, 1, 2), 9).to_json_dict()
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            here, sort_keys=True)
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     def test_killed_child_is_an_error_not_a_hang(self, monkeypatch, forks):
         parent = os.getpid()
 
@@ -646,10 +685,10 @@ class TestExplore:
         def swapped(t, max_edges, skip):
             out = original(t, max_edges, skip)
             if not tampered:
-                key, label, fwd, _inv, start = out[0]
+                key, fwd, fwd_start, _inv, start = out[0]
                 other = next(e[3] for e in out if misleads(t, key, e[3]))
                 tampered.append(t)
-                out[0] = (key, label, fwd, other, start)
+                out[0] = (key, fwd, fwd_start, other, start)
             return out
 
         monkeypatch.setattr(moves, "_neighbors", swapped)
@@ -669,7 +708,7 @@ class TestExplore:
 
         def invalid(t, max_edges, skip):
             out = original(t, max_edges, skip)
-            for i, (key, label, fwd, _inv, start) in enumerate(out):
+            for i, (key, fwd, fwd_start, _inv, start) in enumerate(out):
                 if tampered or key in met:
                     continue
                 code, columns = ch._code(key, t.p, t.q)
@@ -678,7 +717,7 @@ class TestExplore:
                 for e in c.graph.edges():
                     if (ch.is_essential(c, e) and loop == (
                             vertex_of[e] == vertex_of[c.graph.pairing[e]])):
-                        out[i] = (key, label, fwd, ("collapse", e), start)
+                        out[i] = (key, fwd, fwd_start, ("collapse", e), start)
                         tampered.append(code)
                         break
             met.update(key for key, *_ in out)
@@ -703,8 +742,9 @@ class TestExplore:
         def shifted(t, max_edges, skip):
             out = original(t, max_edges, skip)
             if not tampered:
-                key, label, fwd, inv, start = out[0]
-                out[0] = (key, label, fwd, inv, (start + 1) % len(t.pairing))
+                key, fwd, fwd_start, inv, start = out[0]
+                out[0] = (key, fwd, fwd_start, inv,
+                          (start + 1) % len(t.pairing))
                 tampered.append(ch._code(key, t.p, t.q)[0])
             return out
 
@@ -714,15 +754,23 @@ class TestExplore:
         assert repr(tampered[0]) in str(refused.value)
         assert "does not spell" in str(refused.value)
 
-    def test_search_checked_against_the_enumeration(self, monkeypatch):
+    @pytest.mark.parametrize("dropped", [0, 55])
+    def test_search_checked_against_the_enumeration(self, monkeypatch,
+                                                    dropped):
         # a class the search reaches but the enumerator does not yield is
-        # refused: here the enumerator drops its first class
+        # refused: here the enumerator drops its first class, which has
+        # collapse parents, or its first at the bound's 9 edges, index 55 of
+        # 90, which only a split reaches: a search that met each class only
+        # through collapses would lose this check
         original = generate._classes
+        edges = [len(nxt) // 2 for _code, (nxt, _pairing, _colors), _markings
+                 in original(TopType(1, 1, 2), 9)]
+        assert len(edges) == 90 and edges.index(9) == 55
 
         def short(top, bound):
-            classes = original(top, bound)
-            next(classes)
-            yield from classes
+            for i, entry in enumerate(original(top, bound)):
+                if i != dropped:
+                    yield entry
 
         monkeypatch.setattr(generate, "_classes", short)
         with pytest.raises(ChordLabError,
@@ -856,7 +904,7 @@ class TestCertificates:
         # neighbour's canonical tables, leaves tables whose traversal from
         # the recorded start spells the class's least word, and a canonical
         # search of them agrees; so do the forward move's tables from the
-        # half-edge the neighbour's labeling sends to 0.  A start moved to
+        # forward start, the neighbour's half-edge 0.  A start moved to
         # the next half-edge spells the word only on a class with more than
         # one automorphism, which is rare
         _g, p, q = top
@@ -867,8 +915,8 @@ class TestCertificates:
             classes += 1
             t = ch._tables(*columns, p, q)
             key = ch._canonicalize(t.pairing, t.nxt, t.colors, p, q)[0]
-            for child, label, fwd, inv, start in moves._neighbors(t, bound,
-                                                                  ()):
+            for child, fwd, fwd_start, inv, start in moves._neighbors(
+                    t, bound, ()):
                 moved = ch._apply(
                     ch._tables(*ch._code(child, p, q)[1], p, q), inv)
                 assert fg._spells(*moved, n_colors, start, ch._word(key))
@@ -877,7 +925,7 @@ class TestCertificates:
                 shifted_spelled += fg._spells(*moved, n_colors, shifted,
                                               ch._word(key))
                 made = ch._apply(t, fwd)
-                assert fg._spells(*made, n_colors, label.index(0),
+                assert fg._spells(*made, n_colors, fwd_start,
                                   ch._word(child))
                 assert ch._canonicalize(*made, p, q)[0] == child
                 moves_checked += 1
@@ -1064,6 +1112,19 @@ class TestPathToCanonical:
                            ) as refused:
             moves.path_to_canonical(d)
         assert repr(tampered[0]) in str(refused.value)
+
+    def test_no_path_within_the_ceiling(self, monkeypatch):
+        # with no slack the ceiling is the base point's 7 edges, the least
+        # a (1;1,2) diagram has: no edge collapses and no split stays
+        # within it, so another 7-edge class reaches nothing
+        monkeypatch.setattr(moves, "_PATH_SLACK", 0)
+        base = ch.diagram_code(ch.canonical_gamma0(1, 1, 2))
+        d = next(c for code, c in generate.enumerate_classes(
+            TopType(1, 1, 2), 7).items() if code != base)
+        with pytest.raises(SearchExhausted,
+                           match="no path within edge ceiling 7") as refused:
+            moves.path_to_canonical(d)
+        assert refused.value.frontier_size == 0
 
     def test_search_exhausted_reports_frontier(self):
         exc = SearchExhausted("no path", frontier_size=7)

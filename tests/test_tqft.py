@@ -12,7 +12,7 @@ from chordlab import formats, generate, tqft
 from chordlab.errors import ChordLabError, NoOutgoing
 from chordlab.fatgraph import TopType
 
-from helpers import evaluated_rows, expansions
+from helpers import bent_cp2_frob, evaluated_rows, expansions
 
 FIELDS = [tqft.Rationals(), tqft.PrimeField(2), tqft.PrimeField(3),
           tqft.PrimeField(5)]
@@ -257,15 +257,24 @@ class TestSewing:
         assert ok
 
     def test_discrepancy_reported(self):
-        F = tqft.Rationals()
-        base = tqft.pd2(F)
-        coprod = tqft._constants(F, 2, {(0, 0, 1): 1, (0, 1, 0): 1})  # Delta(x)=0
-        bent = tqft.FrobeniusAlgebra(
-            field_=F, basis=base.basis, product=base.product,
-            coproduct=coprod, unit=base.unit)
-        ok, diff = tqft.verify_gluing(bent, 1, 2, 1, 1, 0)
-        if not ok:
-            assert any(any(x != F.zero for x in row) for row in diff)
+        # k[x]/(x^3) with one extra 1 (x) 1 in Delta(1) fails coassociativity
+        # and both module axioms; of the gluings (1, q, 1, 0, 0), q <= 3, only
+        # q = 3 fails, and it is reported by the witness check_axioms uses:
+        # (row, column, left value, right value) of the first entry that
+        # differs
+        bent = formats.parse_frob(bent_cp2_frob())
+        report = tqft.check_axioms(bent)
+        assert [name for name, ok in report.passed.items() if not ok] == [
+            "coassociativity", "module_left", "module_right"]
+        assert tqft.verify_gluing(bent, 1, 1, 1, 0, 0) == (True, None)
+        assert tqft.verify_gluing(bent, 1, 2, 1, 0, 0) == (True, None)
+        lhs = tqft._matmul(bent.field_, tqft.mu(bent, 3, 1, 0).rows(),
+                           tqft.mu(bent, 1, 3, 0).rows())
+        rhs = tqft.mu(bent, 1, 1, 2).rows()
+        assert tqft.verify_gluing(bent, 1, 3, 1, 0, 0) == (
+            False, (2, 0, Fraction(4), Fraction(3)))
+        # rows 0 and 1 agree, so (2, 0) is the first entry that differs
+        assert lhs[:2] == rhs[:2] and (lhs[2][0], rhs[2][0]) == (4, 3)
 
 
 class TestDiagramCoherence:
