@@ -27,6 +27,12 @@ and add only the transport of a collapsed edge's markings.  Each move is
 defined once, as an edit of at most two rotation entries (_collapse_edit,
 _split_edit); _apply compacts it into tables of their own (_compact), and
 the searches make it in place (moves._neighbors).
+
+The base point of each type is built and checked once, then memoised
+(canonical_gamma0).  A diagram's least word is found once per diagram, on
+first use: its one canonical search is kept on it, as bytes and tuples
+(ChordDiagram._canonical), and canonical_form, canonical_form_with_map,
+the unmarked diagram_code and the searches' start keys all read it (_least).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 from . import fatgraph as fg
@@ -43,7 +49,9 @@ from .errors import (
     BadMarking,
     ChordLabError,
     CircleNotDisjoint,
+    Disconnected,
     EssentialEdge,
+    FixedPointInPairing,
     GhostCycle,
     GlueValidationFailed,
     IncomingNotBoundaryCycle,
@@ -52,6 +60,7 @@ from .errors import (
     LoopEdge,
     NoCircularEdgeOnCycle,
     UnrepresentableType,
+    ValenceTooLow,
 )
 from .fatgraph import FatGraph, TopType
 
@@ -94,13 +103,24 @@ class ChordDiagram:
         g, n = fg.topological_type(self.graph)
         return TopType(g, self.p, n - self.p)
 
-    # Derived once per diagram, outside the dataclass fields.
+    # Derived once per diagram, outside the dataclass fields, and held only
+    # as bytes and tuples, as FatGraph._vertex_table is, so a diagram shared
+    # by its callers (a memoised base point) shares nothing mutable.
 
     @cached_property
     def boundary_order(self) -> tuple[int, ...]:
         """The least half-edge of each boundary cycle, in marking order."""
         cycle_of = self.graph.cycle_of()
         return tuple(cycle_of[m][0] for m in self.markings)
+
+    @cached_property
+    def _canonical(self):
+        """_canonicalize of this diagram, from one canonical search: its
+        class's key, its least word as a tuple and its relabeling."""
+        key, word, label = _canonicalize(
+            self.graph.pairing, self.graph.next_at_vertex, _int_colors(self),
+            self.p, self.q)
+        return key, tuple(word), label
 
 
 @dataclass(frozen=True)
@@ -155,23 +175,32 @@ def validate_chord(
     default to the first circular half-edge of each cycle.
     """
     labels = tuple(labels)
-    n = graph.n_half_edges
+    pairing, nxt = graph.pairing, graph.next_at_vertex
+    n = len(pairing)
     if len(labels) != n or any(l not in (CIRCULAR, GHOST) for l in labels):
         raise InconsistentTables("labels must be one C/G entry per half-edge")
+    # a FatGraph is built unchecked, so its rotation and pairing are checked
+    # here, as fatgraph.validate checks them, before any table is derived
+    if len(nxt) != n or set(nxt) != set(range(n)):
+        raise InconsistentTables("next_at_vertex is not a permutation of "
+                                 "the half-edges")
     for h in range(n):
-        if labels[h] != labels[graph.pairing[h]]:
+        k = pairing[h]
+        if k == h:
+            raise FixedPointInPairing(f"pairing fixes half-edge {h}")
+        if k not in range(n) or pairing[k] != h:
+            raise InconsistentTables(f"pairing is not an involution at {h}")
+        if labels[h] != labels[k]:
             raise InconsistentTables(f"edge of half-edge {h} has mixed labels")
 
     # circular edges form p pairwise-disjoint simple cycles: every vertex
     # carries either exactly two circular half-edges or none at all
-    n_circ_vertices = 0
     for orbit in graph.vertices():
         k = sum(1 for h in orbit if labels[h] == CIRCULAR)
         if k not in (0, 2):
             raise CircleNotDisjoint(
                 f"vertex {orbit} has {k} circular half-edges (want 0 or 2)"
             )
-        n_circ_vertices += k == 2
 
     _ghost_components(graph, labels)  # raises GhostCycle
 
@@ -197,17 +226,24 @@ def validate_chord(
             if e in covered:
                 raise CircleNotDisjoint(f"circular edge {e} on two incoming cycles")
             covered.add(e)
+    # two circular half-edges per circular vertex make the circular edges as
+    # many as those vertices, so covering every edge covers p whole circles
     if len(covered) != sum(1 for e in graph.edges() if labels[e] == CIRCULAR):
         raise IncomingNotBoundaryCycle(
             "incoming cycles do not cover every circular edge"
         )
-    if len(covered) != n_circ_vertices:
-        # a circle with k vertices has k edges; mismatch means a stray cycle
-        raise CircleNotDisjoint("circular subgraph is not a union of p circles")
 
     for cyc in cycles:
         if not any(labels[h] == CIRCULAR for h in cyc):
             raise NoCircularEdgeOnCycle(f"cycle at {cyc[0]} is all ghost")
+
+    # valence and connectivity last: on a graph of valence < 3 the circle
+    # and all-ghost-cycle refusals above are the faults reported
+    low = next((orbit for orbit in graph.vertices() if len(orbit) < 3), None)
+    if low is not None:
+        raise ValenceTooLow(f"vertex {low} has valence {len(low)}")
+    if not fg._is_connected(pairing, nxt):
+        raise Disconnected("fat graph is not connected")
 
     if markings is None:
         markings = tuple(
@@ -652,9 +688,9 @@ def _code(key, p: int, q: int):
 
 def _least(c: ChordDiagram):
     """_canonicalize of the diagram c: its class's key and least word and
-    c's relabeling, from one canonical search."""
-    return _canonicalize(c.graph.pairing, c.graph.next_at_vertex,
-                         _int_colors(c), c.p, c.q)
+    c's relabeling, from the one canonical search each diagram object
+    makes, on first use (ChordDiagram._canonical)."""
+    return c._canonical
 
 
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
@@ -699,6 +735,27 @@ def canonical_form_with_map(
 # the canonical base-point diagram
 # ---------------------------------------------------------------------------
 
+def _require_int(name: str, value) -> None:
+    """Refuse a value that is not an int, bool included, with a
+    ChordLabError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ChordLabError(f"{name} must be an int, got {value!r}")
+
+
+# edges the base point of one type may have, 4g+2p+2q-3.  The build is
+# linear in them: (255;1,2), 1023 edges, takes 8 ms on a 2-core box and
+# holds 0.26 MB, 0.42 MB once its least word is found, so a full memo
+# (_GAMMA0_TYPES) of base points at the budget holds under 30 MB.  Without
+# a bound, `chordlab gamma0` of a huge genus would build lists of any
+# length.  The largest base point the tests build, (33;1,1)'s, has 133.
+GAMMA0_EDGE_BUDGET = 1 << 10
+
+# base points memoised, one per type: the same few types recur in every
+# search, walk and query, and each is built and validated once
+_GAMMA0_TYPES = 64
+
+
+@lru_cache(maxsize=_GAMMA0_TYPES, typed=True)
 def canonical_gamma0(g: int, p: int, q: int) -> ChordDiagram:
     """The base-point diagram of type (g; p, q).
 
@@ -707,8 +764,18 @@ def canonical_gamma0(g: int, p: int, q: int) -> ChordDiagram:
     circles hang off v0 by single ghost edges; q-1 outgoing boundaries are
     simple three-edge cycles through consecutive chords; genus comes from g
     crossed chord pairs.  The cylinder type (0;1,1) admits no diagram with
-    trivalent vertices and is rejected.
+    trivalent vertices and is rejected, as are arguments that are not ints
+    and a base point of more than GAMMA0_EDGE_BUDGET edges, before anything
+    is built.
+
+    Each type's base point is built and validated once, then memoised: ints
+    go in and a frozen diagram comes out, whose derived tables are tuples,
+    so the memo shares nothing mutable.  It is keyed by argument type too,
+    so True or 1.0 never meets the entry of 1, and a refusal is never
+    memoised.
     """
+    for name, value in (("g", g), ("p", p), ("q", q)):
+        _require_int(name, value)
     if g < 0 or p < 1 or q < 1:
         raise UnrepresentableType(f"({g};{p},{q}) is not a chord-diagram type")
     if (g, p, q) == (0, 1, 1):
@@ -716,6 +783,11 @@ def canonical_gamma0(g: int, p: int, q: int) -> ChordDiagram:
             "(0;1,1): the cylinder needs a bivalent circle; handled directly "
             "as the identity operation"
         )
+    edges = 4 * g + 2 * p + 2 * q - 3
+    if edges > GAMMA0_EDGE_BUDGET:
+        raise ChordLabError(
+            f"the base point of ({g};{p},{q}) has {edges} edges, over the "
+            f"edge budget GAMMA0_EDGE_BUDGET = {GAMMA0_EDGE_BUDGET}")
 
     # Every edge is the pair (2k, 2k+1), so the pairing is h ^ 1.  The edges:
     # the big circle's, edge i from circle vertex i (half 2i) to vertex i+1

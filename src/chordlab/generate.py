@@ -22,7 +22,7 @@ import random
 from . import chord as ch
 from . import fatgraph as fg
 from .chord import ChordDiagram
-from .errors import ChordLabError, SearchExhausted, UnrepresentableType
+from .errors import SearchExhausted, UnrepresentableType
 from .fatgraph import TopType
 
 __all__ = [
@@ -328,13 +328,6 @@ def _diagram_candidates(p, q, comp, forest, n_int):
                    circle_reps + tuple(marks[k] for k in perm))
 
 
-def _require_int(name: str, value) -> None:
-    """Refuse a value that is not an int, bool included, with a
-    ChordLabError naming the argument."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ChordLabError(f"{name} must be an int, got {value!r}")
-
-
 def enumerate_classes(
     top: TopType, edge_bound: int
 ) -> dict[bytes, ChordDiagram]:
@@ -381,7 +374,7 @@ def _classes(top: TopType, edge_bound: int):
     met (chord._canonicalize) and the ghost forests of the block it is in,
     and builds no diagram.  It raises SearchExhausted as a class is met
     past EXPLORE_CLASS_BUDGET, and at a block past ROTATION_BUDGET."""
-    _require_int("edge_bound", edge_bound)
+    ch._require_int("edge_bound", edge_bound)
     g, p, q = top.genus, top.p, top.q
     if p < 1 or q < 1:
         raise UnrepresentableType(f"{top} is not a chord-diagram type")

@@ -50,7 +50,11 @@ the search, never add one: connectivity is still proven only by moves
 actually applied and canonicalized, and a class no longer reached would show
 against the enumerator as unreached.
 
-Each canonicalization costs one canonical search.  Every diagram of type
+Each canonicalization costs one canonical search.  A diagram's own class
+is searched once per diagram (chord._least), and each type's base point is
+built and checked once (chord.canonical_gamma0), so explore and
+path_to_canonical pay for the base point once per type, and a query on a
+diagram shares its one search with canonical_form.  Every diagram of type
 (g;p,q) takes the same colors, so a half-edge's color is an int: its cycle's
 position, plus q on a ghost (chord._int_colors), so a color of p+q or more
 is a ghost's.  When a class is expanded, its inverse rotation and vertex,
@@ -500,7 +504,7 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
     generate.EXPLORE_CLASS_BUDGET classes as each class is expanded, or an
     enumeration that meets more, raises SearchExhausted.
     """
-    generate._require_int("edge_bound", edge_bound)
+    ch._require_int("edge_bound", edge_bound)
     p, q = top.p, top.q
     g0 = ch.canonical_gamma0(top.genus, p, q)
     if edge_bound < g0.graph.n_edges:

@@ -17,6 +17,7 @@ from chordlab.errors import (
     CircleNotDisjoint,
     Disconnected,
     EssentialEdge,
+    FixedPointInPairing,
     GhostCycle,
     GlueValidationFailed,
     IncomingNotBoundaryCycle,
@@ -25,6 +26,7 @@ from chordlab.errors import (
     LoopEdge,
     NoCircularEdgeOnCycle,
     UnrepresentableType,
+    ValenceTooLow,
 )
 from chordlab.fatgraph import FatGraph, TopType
 
@@ -145,6 +147,126 @@ class TestValidateChord:
         with pytest.raises(NoCircularEdgeOnCycle,
                            match="cycle at 2 is all ghost"):
             ch.validate_chord(graph, "CCGG", 1, (0, 1, 2))
+
+    @pytest.mark.parametrize("graph,labels,p,order,error,message", [
+        # one circular loop at a vertex of valence 2: both sides are
+        # all-circular cycles, and designating one of them once made a
+        # diagram of the unrepresentable type (0;1,1)
+        (FatGraph((1, 0), (1, 0)), "CC", 1, (0, 1), ValenceTooLow,
+         r"vertex \(0, 1\) has valence 2"),
+        # two disjoint copies of the one-chord (0;1,2), one circle incoming
+        # from each
+        (FatGraph((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
+                  (4, 2, 5, 0, 3, 1, 10, 8, 11, 6, 9, 7)),
+         "CCCCGG" * 2, 2, (0, 6, 1, 3, 7, 9), Disconnected,
+         "not connected"),
+        (FatGraph((0, 1), (1, 0)), "CC", 1, (0, 1), FixedPointInPairing,
+         "fixes half-edge 0"),
+        (FatGraph((1, 2, 0), (1, 2, 0)), "CCC", 1, (0,), InconsistentTables,
+         "not an involution at 0"),
+        (FatGraph((1, 0), (0, 0)), "CC", 1, (0, 1), InconsistentTables,
+         "next_at_vertex is not a permutation"),
+    ])
+    def test_fat_graph_invariants_refused(self, graph, labels, p, order,
+                                          error, message):
+        # a FatGraph is built unchecked, so validate_chord refuses what
+        # fatgraph.validate refuses
+        with pytest.raises(error, match=message):
+            ch.validate_chord(graph, labels, p, order)
+
+    @pytest.mark.parametrize("graph,labels,count", [
+        # the one-chord (0;1,2)'s graph with its chord made circular: a
+        # theta of circular edges, each end carrying three
+        (FatGraph((1, 0, 3, 2, 5, 4), (4, 2, 5, 0, 3, 1)), "CCCCCC", 3),
+        # the same with a circle edge made ghost: a circular path, whose
+        # ends carry one
+        (FatGraph((1, 0, 3, 2, 5, 4), (4, 2, 5, 0, 3, 1)), "GGCCGG", 1),
+        # two circular loops at one vertex of valence 4
+        (fg.validate((1, 0, 3, 2), [(0, 1, 2, 3)]), "CCCC", 4),
+    ])
+    def test_circular_subgraph_not_circles_refused(self, graph, labels,
+                                                   count):
+        # the per-vertex count refuses a circular subgraph that is not a
+        # union of circles, in a graph fatgraph.validate accepts
+        with pytest.raises(CircleNotDisjoint,
+                           match=f"has {count} circular half-edges"):
+            ch.validate_chord(graph, labels, 1,
+                              [cyc[0] for cyc in fg.boundary_cycles(graph)])
+
+
+class TestBasePoint:
+    # every type whose base point tier-1 builds: criterion 3's grid, which
+    # holds every small type, and the larger genera (6;1,1) and (33;1,1)
+    TYPES = [(g, p, q) for g in range(4) for p in range(1, 5)
+             for q in range(1, 5) if (g, p, q) != (0, 1, 1)]
+    TYPES += [(6, 1, 1), (33, 1, 1)]
+
+    def test_memo_equals_a_fresh_build(self):
+        for top in self.TYPES:
+            d = ch.canonical_gamma0(*top)
+            assert d is ch.canonical_gamma0(*top)
+            assert d == ch.canonical_gamma0.__wrapped__(*top)
+            assert d.top_type() == TopType(*top)
+
+    @pytest.mark.parametrize("args", [
+        (True, 1, 2), (1, True, 2), (1, 1, True), (1.0, 1, 2), ("1", 1, 2),
+        (1, 1, 2.0)])
+    def test_not_an_int_refused_after_its_value_is_memoised(self, args):
+        ch.canonical_gamma0(1, 1, 2)
+        with pytest.raises(ChordLabError, match="must be an int"):
+            ch.canonical_gamma0(*args)
+
+    @pytest.mark.parametrize("top", [(256, 1, 1), (1, 1, 511)])
+    def test_over_the_edge_budget_refused_before_building(self, monkeypatch,
+                                                         top):
+        # (256;1,1) and (1;1,511) have 1025 edges, one past the budget;
+        # nothing is built, so fatgraph.validate is never reached
+        def built(*args):
+            raise AssertionError("the base point was built")
+
+        monkeypatch.setattr(fg, "validate", built)
+        with pytest.raises(ChordLabError,
+                           match="GAMMA0_EDGE_BUDGET = 1024"):
+            ch.canonical_gamma0(*top)
+
+    def test_the_largest_base_point_within_the_budget_builds(self):
+        # (255;1,2) has 1023 edges, the most a type within 1024 can have;
+        # built unmemoised
+        d = ch.canonical_gamma0.__wrapped__(255, 1, 2)
+        assert d.graph.n_edges == 1023 <= ch.GAMMA0_EDGE_BUDGET
+        assert d.top_type() == TopType(255, 1, 2)
+
+
+class TestLeastWord:
+    def test_one_search_per_diagram(self, monkeypatch):
+        # path_to_canonical, canonical_form, canonical_form_with_map and
+        # the unmarked diagram_code share the diagram's one canonical search
+        search, searched = fg._search, []
+
+        def recording(pairing, nxt, *args):
+            if pairing is d.graph.pairing:
+                searched.append(nxt)
+            return search(pairing, nxt, *args)
+
+        monkeypatch.setattr(fg, "_search", recording)
+        d = generate.random_diagram(random.Random(4), 1, 1, 2, steps=6)
+        moves.path_to_canonical(d)
+        form = ch.canonical_form(d)
+        code = ch.diagram_code(d)
+        assert ch.canonical_form_with_map(d)[::2] == (form, code)
+        assert searched == [d.graph.next_at_vertex]
+
+    def test_least_word_is_immutable(self):
+        d = generate.random_diagram(random.Random(4), 2, 1, 1, steps=6)
+        key, word, label = ch._least(d)
+        assert ch._least(d) is ch._least(d)
+        assert type(key) is bytes
+        assert type(word) is tuple and type(label) is tuple
+        assert tuple(ch._word(key)) == word
+        with pytest.raises(TypeError):
+            word[0] = 0
+        with pytest.raises(TypeError):
+            label[0] = 0
 
 
 class TestCollapseGhosts:

@@ -160,6 +160,12 @@ class TestExitCodes:
         assert code == 1
         assert "chordlab:" in err
 
+    def test_gamma0_over_the_edge_budget_is_one_line(self, capsys):
+        # (256;1,1) has 1025 edges, one past GAMMA0_EDGE_BUDGET
+        code, out, err = run(capsys, "gamma0", "256", "1", "1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "GAMMA0_EDGE_BUDGET = 1024" in err
+
     def test_missing_file_is_one(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x")
         assert code == 1
