@@ -32,7 +32,7 @@ The base point of each type is built and checked once, then memoised
 (canonical_gamma0).  A diagram's least word is found once per diagram, on
 first use: its one canonical search is kept on it, as bytes and tuples
 (ChordDiagram._canonical), and canonical_form, canonical_form_with_map,
-the unmarked diagram_code and the searches' start keys all read it (_least).
+the unmarked diagram_code and the searches' start keys all read it.
 """
 
 from __future__ import annotations
@@ -49,18 +49,14 @@ from .errors import (
     BadMarking,
     ChordLabError,
     CircleNotDisjoint,
-    Disconnected,
     EssentialEdge,
-    FixedPointInPairing,
     GhostCycle,
     GlueValidationFailed,
     IncomingNotBoundaryCycle,
     InconsistentTables,
     InvalidSchedule,
     LoopEdge,
-    NoCircularEdgeOnCycle,
     UnrepresentableType,
-    ValenceTooLow,
 )
 from .fatgraph import FatGraph, TopType
 
@@ -174,22 +170,13 @@ def validate_chord(
     first ``p`` designating the incoming circles.  ``markings``, if omitted,
     default to the first circular half-edge of each cycle.
     """
+    fg._check(graph.pairing, graph.next_at_vertex)
     labels = tuple(labels)
-    pairing, nxt = graph.pairing, graph.next_at_vertex
-    n = len(pairing)
-    if len(labels) != n or any(l not in (CIRCULAR, GHOST) for l in labels):
+    pairing = graph.pairing
+    if len(labels) != len(pairing) or any(l not in (CIRCULAR, GHOST)
+                                          for l in labels):
         raise InconsistentTables("labels must be one C/G entry per half-edge")
-    # a FatGraph is built unchecked, so its rotation and pairing are checked
-    # here, as fatgraph.validate checks them, before any table is derived
-    if len(nxt) != n or set(nxt) != set(range(n)):
-        raise InconsistentTables("next_at_vertex is not a permutation of "
-                                 "the half-edges")
-    for h in range(n):
-        k = pairing[h]
-        if k == h:
-            raise FixedPointInPairing(f"pairing fixes half-edge {h}")
-        if k not in range(n) or pairing[k] != h:
-            raise InconsistentTables(f"pairing is not an involution at {h}")
+    for h, k in enumerate(pairing):
         if labels[h] != labels[k]:
             raise InconsistentTables(f"edge of half-edge {h} has mixed labels")
 
@@ -213,39 +200,29 @@ def validate_chord(
         raise IncomingNotBoundaryCycle(f"incoming count {p} out of range")
 
     # each designated incoming cycle is a circle: all-circular, and the p of
-    # them cover every circular edge exactly once
-    covered = set()
+    # them cover every circular edge.  At valence >= 3 a circle vertex reads
+    # (back, fwd, ghosts...), so an all-circular cycle enters it at back and
+    # leaves at fwd: no edge has both halves on such cycles, and counting
+    # the designated cycles' half-edges counts their edges
+    covered = 0
     for r in boundary_order[:p]:
         cyc = cycle_of[r]
         if any(labels[h] == GHOST for h in cyc):
             raise IncomingNotBoundaryCycle(
                 f"incoming cycle at {r} traverses a ghost edge"
             )
-        for h in cyc:
-            e = graph.edge_of(h)
-            if e in covered:
-                raise CircleNotDisjoint(f"circular edge {e} on two incoming cycles")
-            covered.add(e)
+        covered += len(cyc)
     # two circular half-edges per circular vertex make the circular edges as
     # many as those vertices, so covering every edge covers p whole circles
-    if len(covered) != sum(1 for e in graph.edges() if labels[e] == CIRCULAR):
+    if covered != sum(1 for e in graph.edges() if labels[e] == CIRCULAR):
         raise IncomingNotBoundaryCycle(
             "incoming cycles do not cover every circular edge"
         )
 
-    for cyc in cycles:
-        if not any(labels[h] == CIRCULAR for h in cyc):
-            raise NoCircularEdgeOnCycle(f"cycle at {cyc[0]} is all ghost")
-
-    # valence and connectivity last: on a graph of valence < 3 the circle
-    # and all-ghost-cycle refusals above are the faults reported
-    low = next((orbit for orbit in graph.vertices() if len(orbit) < 3), None)
-    if low is not None:
-        raise ValenceTooLow(f"vertex {low} has valence {len(low)}")
-    if not fg._is_connected(pairing, nxt):
-        raise Disconnected("fat graph is not connected")
-
     if markings is None:
+        # every cycle holds a circular half-edge: an all-ghost cycle would be
+        # a closed walk in the ghost forest, which turns back at a vertex of
+        # valence 1
         markings = tuple(
             next(h for h in cycle_of[r] if labels[h] == CIRCULAR)
             for r in boundary_order
@@ -686,13 +663,6 @@ def _code(key, p: int, q: int):
     return fg._write_code(columns, _palette_text(p, q)), columns
 
 
-def _least(c: ChordDiagram):
-    """_canonicalize of the diagram c: its class's key and least word and
-    c's relabeling, from the one canonical search each diagram object
-    makes, on first use (ChordDiagram._canonical)."""
-    return c._canonical
-
-
 def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
     """Canonical code of the decorated graph.
 
@@ -704,7 +674,7 @@ def diagram_code(c: ChordDiagram, with_markings: bool = False) -> bytes:
     """
     if with_markings:
         return fg.canonical_code(c.graph, _code_colors(c, True))
-    return _code(_least(c)[0], c.p, c.q)[0]
+    return _code(c._canonical[0], c.p, c.q)[0]
 
 
 def canonical_form(c: ChordDiagram) -> ChordDiagram:
@@ -712,10 +682,10 @@ def canonical_form(c: ChordDiagram) -> ChordDiagram:
 
     Every diagram in an (unmarked) isomorphism class maps to the same
     pairing, rotation, label tables and boundary order; markings land
-    wherever the relabeling sends them.  One canonical search (_least); no
-    code is written.
+    wherever the relabeling sends them.  One canonical search
+    (ChordDiagram._canonical); no code is written.
     """
-    _key, word, label = _least(c)
+    _key, word, label = c._canonical
     return _form(fg._columns(word, c.p + 2 * c.q), c.p, c.q,
                  [label[m] for m in c.markings])
 
@@ -725,8 +695,8 @@ def canonical_form_with_map(
 ) -> tuple[ChordDiagram, tuple[int, ...], bytes]:
     """canonical_form plus the relabeling (old half-edge -> new label) and
     the class code, diagram_code(c), all from one canonical search
-    (_least)."""
-    key, _word, label = _least(c)
+    (ChordDiagram._canonical)."""
+    key, _word, label = c._canonical
     code, columns = _code(key, c.p, c.q)
     return _form(columns, c.p, c.q, [label[m] for m in c.markings]), label, code
 
@@ -949,9 +919,10 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
             pairing[occ] = y
 
     try:
-        graph = fg.validate(pairing, fg._orbits(nxt)[0])
+        fg._check(pairing, nxt)
     except ChordLabError as exc:
         raise GlueValidationFailed(f"glued graph invalid: {exc}") from exc
+    graph = FatGraph(tuple(pairing), tuple(nxt))
 
     cycle_of = graph.cycle_of()
     marks = list(c1.markings[: c1.p])

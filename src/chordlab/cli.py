@@ -56,10 +56,12 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _algebra(spec: str, field_name: str) -> tqft.FrobeniusAlgebra:
-    field_ = _field(field_name)
+def _algebra(spec: str, field_name: str | None) -> tqft.FrobeniusAlgebra:
     if spec in tqft.BUILTINS:
-        return tqft.builtin_algebra(spec, field_)
+        return tqft.builtin_algebra(spec, _field(field_name or "Q"))
+    if field_name is not None:
+        raise ChordLabError(f"--field applies to builtin algebras; {spec} "
+                            "names its field in its field record")
     A = formats.parse(_read(spec))
     if not isinstance(A, tqft.FrobeniusAlgebra):
         raise ChordLabError(f"{spec} does not contain a frob v1 algebra")
@@ -300,8 +302,7 @@ def _cmd_tqft(args) -> int:
             print(json.dumps({
                 "all_pass": report.all_pass,
                 "axioms": report.passed,
-                "witnesses": {k: list(v) if not isinstance(v, tuple) else
-                              [str(x) for x in v]
+                "witnesses": {k: [str(x) for x in v]
                               for k, v in report.witnesses.items()},
             }))
         else:
@@ -420,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["op", "verify", "counit", "axioms"])
     p.add_argument("--algebra", required=True,
                    help=" | ".join([*tqft.BUILTINS, "a frob v1 file"]))
-    p.add_argument("--field", default="Q", help="Q or F<prime> (builtins only)")
+    p.add_argument("--field",
+                   help="Q or F<prime>, for builtins only (default Q)")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--g", type=int, default=0)

@@ -46,10 +46,6 @@ class IncomingNotBoundaryCycle(ChordLabError):
     """A designated incoming circle is not a boundary cycle of the graph."""
 
 
-class NoCircularEdgeOnCycle(ChordLabError):
-    """A boundary cycle contains no circular half-edge, so it cannot be marked."""
-
-
 class BadMarking(ChordLabError):
     """A marking is not a circular half-edge occurrence on its cycle."""
 

@@ -156,46 +156,60 @@ def _is_connected(pairing: Sequence[int], nxt: Sequence[int]) -> bool:
     return count == n
 
 
+def _check(pairing: Sequence[int], nxt: Sequence[int]) -> None:
+    """Refuse tables that are not a fat graph: an odd number of half-edges,
+    a rotation nxt that is not a permutation of them, a pairing that is not
+    a fixed-point-free involution of them, a vertex of valence < 3, or a
+    disconnected graph.  The one check of a rotation system: validate runs
+    it on the rotation its vertex lists make, chord.validate_chord on a
+    diagram's graph and chord.glue on its flat tables."""
+    n = len(pairing)
+    if n % 2:
+        raise InconsistentTables("odd number of half-edges")
+    if len(nxt) != n or set(nxt) != set(range(n)):
+        raise InconsistentTables("next_at_vertex is not a permutation of "
+                                 "the half-edges")
+    for h, k in enumerate(pairing):
+        if k not in range(n):
+            raise InconsistentTables(f"pairing({h}) = {k} out of range")
+        if k == h:
+            raise FixedPointInPairing(f"pairing fixes half-edge {h}")
+        if pairing[k] != h:
+            raise InconsistentTables(f"pairing is not an involution at {h}")
+    low = next((orbit for orbit in _orbits(nxt)[0] if len(orbit) < 3), None)
+    if low is not None:
+        raise ValenceTooLow(f"vertex {low} has valence {len(low)}")
+    if not _is_connected(pairing, nxt):
+        raise Disconnected("fat graph is not connected")
+
+
 def validate(
     pairing: Sequence[int], vertex_lists: Iterable[Sequence[int]]
 ) -> FatGraph:
     """Build a FatGraph from a pairing table and vertex cyclic lists.
 
     ``vertex_lists`` gives, for each vertex, its half-edges in cyclic order.
-    Raises a structured error if the tables are inconsistent, the pairing is
-    not a fixed-point-free involution, a vertex has valence < 3, or the graph
-    is disconnected.
+    Raises a structured error if a half-edge is repeated, out of range or
+    in no list, or if the tables fail _check: the pairing is not a
+    fixed-point-free involution, a vertex has valence < 3, or the graph is
+    disconnected.  An empty list is a vertex of valence 0.
     """
     pairing = tuple(pairing)
     n = len(pairing)
-    if n % 2:
-        raise InconsistentTables("odd number of half-edges")
-
     seen = [False] * n
     nxt = [-1] * n
     for cyc in vertex_lists:
-        if len(cyc) < 3:
-            raise ValenceTooLow(f"vertex {tuple(cyc)} has valence {len(cyc)}")
+        if not cyc:
+            raise ValenceTooLow("vertex () has valence 0")
         for h in cyc:
             if not (0 <= h < n) or seen[h]:
                 raise InconsistentTables(f"half-edge {h} repeated or out of range")
             seen[h] = True
-        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-            nxt[a] = b
+        for i, h in enumerate(cyc):
+            nxt[cyc[i - 1]] = h
     if not all(seen):
         raise InconsistentTables("some half-edges appear in no vertex")
-
-    for h, k in enumerate(pairing):
-        if not (0 <= k < n):
-            raise InconsistentTables(f"pairing({h}) = {k} out of range")
-        if k == h:
-            raise FixedPointInPairing(f"pairing fixes half-edge {h}")
-        if pairing[k] != h:
-            raise InconsistentTables(f"pairing is not an involution at {h}")
-
-    if not _is_connected(pairing, nxt):
-        raise Disconnected("fat graph is not connected")
-
+    _check(pairing, nxt)
     return FatGraph(pairing=pairing, next_at_vertex=tuple(nxt))
 
 

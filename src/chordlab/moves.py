@@ -51,15 +51,15 @@ actually applied and canonicalized, and a class no longer reached would show
 against the enumerator as unreached.
 
 Each canonicalization costs one canonical search.  A diagram's own class
-is searched once per diagram (chord._least), and each type's base point is
-built and checked once (chord.canonical_gamma0), so explore and
-path_to_canonical pay for the base point once per type, and a query on a
-diagram shares its one search with canonical_form.  Every diagram of type
-(g;p,q) takes the same colors, so a half-edge's color is an int: its cycle's
-position, plus q on a ghost (chord._int_colors), so a color of p+q or more
-is a ghost's.  When a class is expanded, its inverse rotation and vertex,
-ghost-component and circular-vertex tables are derived from its columns
-once (chord._tables).
+is searched once per diagram (chord.ChordDiagram._canonical), and each
+type's base point is built and checked once (chord.canonical_gamma0), so
+explore and path_to_canonical pay for the base point once per type, and a
+query on a diagram shares its one search with canonical_form.  Every
+diagram of type (g;p,q) takes the same colors, so a half-edge's color is an
+int: its cycle's position, plus q on a ghost (chord._int_colors), so a
+color of p+q or more is a ghost's.  When a class is expanded, its inverse
+rotation and vertex, ghost-component and circular-vertex tables are derived
+from its columns once (chord._tables).
 Its collapsible edges are read off them (chord._collapsible_edges), and
 each move is an edit of the class's rotation (_edits): a collapse points
 the half-edges before its edge's two ends past the edge, and leaves the
@@ -511,7 +511,7 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
         raise BoundTooSmall(
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
-    start = ch._least(g0)[0]
+    start = g0._canonical[0]
 
     info, class_count, unreached = _search_beside_enumerator(
         top, edge_bound,
@@ -568,8 +568,8 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     p, q = top.p, top.q
     goal = ch.canonical_gamma0(top.genus, p, q)
     ceiling = max(c.graph.n_edges, goal.graph.n_edges) + _PATH_SLACK
-    start_key = ch._least(c)[0]
-    goal_key = ch._least(goal)[0]
+    start_key = c._canonical[0]
+    goal_key = goal._canonical[0]
 
     # side A grows from c recording forward moves (parent rep -> child);
     # side B grows from the base point recording inverse moves (child rep ->

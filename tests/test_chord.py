@@ -24,7 +24,6 @@ from chordlab.errors import (
     InconsistentTables,
     InvalidSchedule,
     LoopEdge,
-    NoCircularEdgeOnCycle,
     UnrepresentableType,
     ValenceTooLow,
 )
@@ -50,6 +49,28 @@ SMALL_TYPES = [
     for p in range(1, 4)
     for q in range(1, 4)
     if (g, p, q) != (0, 1, 1)
+]
+
+
+# tables that are not a fat graph, as validate_chord's arguments and the
+# error and message it raises
+BAD_FAT_GRAPHS = [
+    # one circular loop at a vertex of valence 2: both sides are
+    # all-circular cycles, and designating one of them once made a diagram
+    # of the unrepresentable type (0;1,1)
+    (FatGraph((1, 0), (1, 0)), "CC", 1, (0, 1), ValenceTooLow,
+     r"vertex \(0, 1\) has valence 2"),
+    # two disjoint copies of the one-chord (0;1,2), one circle incoming
+    # from each
+    (FatGraph((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
+              (4, 2, 5, 0, 3, 1, 10, 8, 11, 6, 9, 7)),
+     "CCCCGG" * 2, 2, (0, 6, 1, 3, 7, 9), Disconnected, "not connected"),
+    (FatGraph((0, 1), (1, 0)), "CC", 1, (0, 1), FixedPointInPairing,
+     "fixes half-edge 0"),
+    (FatGraph((1, 2, 0), (1, 2, 0)), "CCC", 1, (0,), InconsistentTables,
+     "odd number of half-edges"),
+    (FatGraph((1, 0), (0, 0)), "CC", 1, (0, 1), InconsistentTables,
+     "next_at_vertex is not a permutation"),
 ]
 
 
@@ -130,49 +151,49 @@ class TestValidateChord:
                               d.markings[:-1])
 
     def test_circle_covered_twice_refused(self):
-        # one circular loop at a vertex of valence 2, which fatgraph.validate
-        # refuses: both of its sides are all-circular cycles, so designating
-        # both covers the loop twice
+        # one circular loop at a vertex of valence 2: both of its sides are
+        # all-circular cycles, so designating both covers the loop twice.
+        # At valence >= 3 no edge has both halves on all-circular cycles,
+        # so the valence check is what refuses it
         graph = FatGraph((1, 0), (1, 0))
-        with pytest.raises(CircleNotDisjoint,
-                           match="circular edge 0 on two incoming cycles"):
+        with pytest.raises(ValenceTooLow,
+                           match=r"vertex \(0, 1\) has valence 2"):
             ch.validate_chord(graph, "CC", 2, (0, 1))
 
     def test_all_ghost_cycle_refused(self):
         # a ghost edge between two vertices of valence 1, beside a circular
-        # loop, in a graph fatgraph.validate refuses: a ghost forest in a
-        # graph of valence >= 2 has no all-ghost cycle, since a closed walk
-        # in a forest turns back at some vertex of valence 1
+        # loop: its side is an all-ghost cycle.  A ghost forest in a graph
+        # of valence >= 2 has no all-ghost cycle, since a closed walk in a
+        # forest turns back at some vertex of valence 1, so the valence
+        # check is what refuses it
         graph = FatGraph((1, 0, 3, 2), (1, 0, 2, 3))
-        with pytest.raises(NoCircularEdgeOnCycle,
-                           match="cycle at 2 is all ghost"):
+        with pytest.raises(ValenceTooLow,
+                           match=r"vertex \(0, 1\) has valence 2"):
             ch.validate_chord(graph, "CCGG", 1, (0, 1, 2))
 
-    @pytest.mark.parametrize("graph,labels,p,order,error,message", [
-        # one circular loop at a vertex of valence 2: both sides are
-        # all-circular cycles, and designating one of them once made a
-        # diagram of the unrepresentable type (0;1,1)
-        (FatGraph((1, 0), (1, 0)), "CC", 1, (0, 1), ValenceTooLow,
-         r"vertex \(0, 1\) has valence 2"),
-        # two disjoint copies of the one-chord (0;1,2), one circle incoming
-        # from each
-        (FatGraph((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
-                  (4, 2, 5, 0, 3, 1, 10, 8, 11, 6, 9, 7)),
-         "CCCCGG" * 2, 2, (0, 6, 1, 3, 7, 9), Disconnected,
-         "not connected"),
-        (FatGraph((0, 1), (1, 0)), "CC", 1, (0, 1), FixedPointInPairing,
-         "fixes half-edge 0"),
-        (FatGraph((1, 2, 0), (1, 2, 0)), "CCC", 1, (0,), InconsistentTables,
-         "not an involution at 0"),
-        (FatGraph((1, 0), (0, 0)), "CC", 1, (0, 1), InconsistentTables,
-         "next_at_vertex is not a permutation"),
-    ])
+    @pytest.mark.parametrize("graph,labels,p,order,error,message",
+                             BAD_FAT_GRAPHS)
     def test_fat_graph_invariants_refused(self, graph, labels, p, order,
                                           error, message):
         # a FatGraph is built unchecked, so validate_chord refuses what
         # fatgraph.validate refuses
         with pytest.raises(error, match=message):
             ch.validate_chord(graph, labels, p, order)
+
+    # vertex lists always make a permutation, so the last table, whose
+    # rotation is not one, has no vertex lists to pass
+    @pytest.mark.parametrize("graph,labels,p,order,error,message",
+                             BAD_FAT_GRAPHS[:-1])
+    def test_fat_graph_refused_alike_by_both_validators(
+            self, graph, labels, p, order, error, message):
+        # both run fatgraph._check, so a table is refused as a diagram and
+        # as a fat graph, its orbits as vertex lists, with one class and
+        # one message
+        with pytest.raises(error, match=message) as as_diagram:
+            ch.validate_chord(graph, labels, p, order)
+        with pytest.raises(error) as as_graph:
+            fg.validate(graph.pairing, fg._orbits(graph.next_at_vertex)[0])
+        assert str(as_graph.value) == str(as_diagram.value)
 
     @pytest.mark.parametrize("graph,labels,count", [
         # the one-chord (0;1,2)'s graph with its chord made circular: a
@@ -258,8 +279,8 @@ class TestLeastWord:
 
     def test_least_word_is_immutable(self):
         d = generate.random_diagram(random.Random(4), 2, 1, 1, steps=6)
-        key, word, label = ch._least(d)
-        assert ch._least(d) is ch._least(d)
+        key, word, label = d._canonical
+        assert d._canonical is d._canonical
         assert type(key) is bytes
         assert type(word) is tuple and type(label) is tuple
         assert tuple(ch._word(key)) == word
@@ -1163,6 +1184,9 @@ class TestGlue:
 
     @pytest.mark.parametrize("schedule", [
         [1, 2], 5, [["x", "y"], [0]], [[0, 0.5], [0]], [[0, 1]], [[0, True], [0]],
+        # a row of the wrong length; positions that decrease, or run past
+        # the occurrences of the outgoing cycle
+        [[0], [0]], [[1, 0], [0]], [[0, 99], [0]], [[0, 1], [-1]],
     ])
     def test_malformed_schedule(self, schedule):
         c1, c2 = ch.canonical_gamma0(0, 1, 2), ch.canonical_gamma0(0, 2, 2)

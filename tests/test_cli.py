@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from chordlab import chord as ch
-from chordlab import cli, formats, generate
+from chordlab import cli, formats, generate, tqft
 from chordlab.cli import emit_dot, main
 from chordlab.errors import ChordLabError
 
@@ -292,6 +292,11 @@ def test_glue_snap_failure_exits_one(capsys, gamma_file, tmp_path):
     assert err.startswith("chordlab: ") and err.count("\n") == 1
 
 
+# the axioms check_axioms reports, in its order
+AXIOMS = ("associativity", "commutativity", "unit", "coassociativity",
+          "cocommutativity", "module_left", "module_right")
+
+
 class TestTqftCommands:
     def test_op_json(self, capsys):
         code, out, _ = run(capsys, "tqft", "op", "--algebra", "pd2",
@@ -348,6 +353,50 @@ class TestTqftCommands:
                            "--json")
         assert code == 0
         assert json.loads(out)["all_pass"]
+
+    @pytest.mark.parametrize("argv,text", [
+        (["op", "--algebra", "pd2", "--g", "1"], "0 0\n2 0\n"),
+        (["op", "--algebra", "st2", "--field", "F3", "--p", "2"],
+         "1 0 0 0\n0 1 1 0\n"),
+        (["axioms", "--algebra", "pd2"],
+         "".join(f"{name}: pass\n" for name in AXIOMS)),
+        (["counit", "--algebra", "pd2"],
+         "counit: 0 1\npairing nondegenerate: True\n"),
+    ])
+    def test_plain_text(self, capsys, argv, text):
+        assert run(capsys, "tqft", *argv) == (0, text, "")
+
+    def test_axioms_of_a_failing_algebra(self, capsys, tmp_path):
+        # the bent k[x]/(x^3) fails three axioms; each witness is the first
+        # mismatching (row, column, left value, right value)
+        path = tmp_path / "bent.frob"
+        path.write_text(bent_cp2_frob())
+        failed = ("coassociativity", "module_left", "module_right")
+        code, out, _ = run(capsys, "tqft", "axioms", "--algebra", str(path))
+        assert code == 1
+        assert out == "".join(
+            f"{name}: {'FAIL' if name in failed else 'pass'}\n"
+            for name in AXIOMS)
+        code, out, _ = run(capsys, "tqft", "axioms", "--algebra", str(path),
+                           "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "all_pass": False,
+            "axioms": {name: name not in failed for name in AXIOMS},
+            "witnesses": {"coassociativity": ["4", "0", "0", "1"],
+                          "module_left": ["3", "3", "0", "1"],
+                          "module_right": ["1", "1", "0", "1"]}}
+
+    def test_field_of_a_frob_file_refused(self, capsys, tmp_path):
+        # a frob file names its own field, so --field would be ignored
+        path = tmp_path / "pd2.frob"
+        path.write_text(formats.serialize(tqft.pd2()))
+        code, out, err = run(capsys, "tqft", "op", "--algebra", str(path),
+                             "--field", "F5")
+        assert (code, out) == (1, "")
+        assert err.startswith("chordlab: --field") and err.count("\n") == 1
+        assert run(capsys, "tqft", "op", "--algebra", str(path)) == (
+            0, "1 0\n0 1\n", "")
 
 
 class TestDot:

@@ -48,6 +48,12 @@ class TestValidate:
         with pytest.raises(ValenceTooLow):
             fg.validate([1, 0, 3, 2], [[0, 2], [1, 3]])
 
+    def test_empty_vertex_list_rejected(self):
+        # an empty list makes no rotation entry, so it is refused as a
+        # vertex of valence 0 before the tables are checked
+        with pytest.raises(ValenceTooLow, match=r"vertex \(\) has valence 0"):
+            fg.validate([1, 0, 3, 2], [[0, 1, 2, 3], []])
+
     def test_pairing_fixed_point_rejected(self):
         with pytest.raises(FixedPointInPairing):
             fg.validate([0, 2, 1, 3], [[0, 1, 2, 3]])

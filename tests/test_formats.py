@@ -32,6 +32,20 @@ def _fixture_text(name):
     return resources.files("chordlab.data").joinpath(name).read_text()
 
 
+LEFT = "glue_left_0_1_2.chord"
+SYNTAX, VALIDATION = formats.SyntaxError, formats.ValidationError
+
+
+def _faulty(name, record, fault):
+    """The text of the data file name with its record replaced by fault;
+    fault itself if name is None."""
+    if name is None:
+        return fault
+    text = _fixture_text(name)
+    assert record in text
+    return text.replace(record, fault)
+
+
 def _readme_block(header):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
@@ -168,6 +182,37 @@ class TestErrors:
         assert err.value.line == 4
         assert type(err.value.cause) is InconsistentTables
         assert f"half-edge {h} repeated or out of range" in str(err.value)
+
+    @pytest.mark.parametrize("text,error,line", [
+        pytest.param(_faulty(name, record, fault), error, line, id=what)
+        for what, name, record, fault, error, line in [
+            ("vertex arity", LEFT, "vertex 1 2 5", "vertex", SYNTAX, 6),
+            ("edge arity", LEFT, "edge 4 G", "edge 4", SYNTAX, 9),
+            ("incoming arity", LEFT, "incoming 1", "incoming 1 2", SYNTAX, 10),
+            ("mark arity", LEFT, "mark 3 3", "mark 3", SYNTAX, 14),
+            ("basis arity", "st2.frob", "basis x 0", "basis x 0 1", SYNTAX, 4),
+            ("ambient arity", "st2.frob", "ambient 2", "ambient", SYNTAX, 5),
+            ("Delta arity", "st2.frob", "Delta 0 -> 1 1 1", "Delta 0 -> 1 1",
+             SYNTAX, 10),
+            # reported at line 1, as no record is at fault
+            ("no order", LEFT, "order 0 1 3\nmark 0 0\nmark 1 1\nmark 3 3\n",
+             "", SYNTAX, 1),
+            # 5 is the second half of the edge 4
+            ("edge id", LEFT, "edge 4 G", "edge 5 G", VALIDATION, 9),
+            # reported at the first mark record
+            ("cycle unmarked", LEFT, "mark 3 3\n", "", VALIDATION, 12),
+            ("basis index", "pd2.frob", "m 0 0 -> 0 1", "m 0 0 -> 2 1",
+             VALIDATION, 6),
+            ("field", "pd2.frob", "field Q", "field R", SYNTAX, 2),
+            ("no basis", None, None, "frob v1\nfield Q\nunit\n", SYNTAX, 1),
+            ("unit length", "pd2.frob", "unit 1 0", "unit 1", VALIDATION, 5),
+            ("not an integer", LEFT, "pair 4 5", "pair 4 x", SYNTAX, 4),
+        ]])
+    def test_malformed_record_refused_at_its_line(self, text, error, line):
+        with pytest.raises(error) as err:
+            formats.parse(text)
+        assert type(err.value) is error
+        assert err.value.line == line
 
     @pytest.mark.parametrize("kind", ["field", "ambient", "unit", "m", "Delta"])
     def test_repeated_frob_record(self, kind):

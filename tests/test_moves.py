@@ -142,7 +142,7 @@ class TestRecord:
 
 def _bfs(c, bound):
     """moves._bfs from the class of the diagram c."""
-    return moves._bfs(ch._least(c)[0], c.p, c.q, bound)
+    return moves._bfs(c._canonical[0], c.p, c.q, bound)
 
 
 def _diagram(t):
@@ -946,15 +946,15 @@ class TestCertificates:
         # says the tables are in that class
         c = ch.canonical_form(ch.canonical_gamma0(1, 1, 2))
         t = ch._diagram_tables(c)
-        key, word, _label = ch._least(c)
+        key, word, _label = c._canonical
         n, n_colors = len(t.pairing), 5
         tables = (t.pairing, t.nxt, t.colors)
         assert fg._spells(*tables, n_colors, 0, word)
         assert not fg._spells(*tables, n_colors, n, word)
         assert not fg._spells(*tables, n_colors, -1, word)
         assert not fg._spells(*tables, n_colors, 0, word[:-1])
-        other = ch._least(generate.random_diagram(random.Random(3), 1, 1, 2,
-                                                  steps=3))[1]
+        other = generate.random_diagram(random.Random(3), 1, 1, 2,
+                                        steps=3)._canonical[1]
         assert other != word
         assert not fg._spells(*tables, n_colors, 0, other)
         assert sum(fg._spells(*tables, n_colors, s, word)
@@ -974,7 +974,7 @@ class TestCertificates:
         # the witness check adds no canonical search to the BFS, and
         # path_to_canonical's replay makes none
         searches = _counting_searches(monkeypatch)
-        key = ch._least(ch.canonical_gamma0(0, 3, 2))[0]
+        key = ch.canonical_gamma0(0, 3, 2)._canonical[0]
         counts = []
         for check in (None, moves._check_witness):
             searches.clear()
