@@ -168,9 +168,20 @@ def validate_chord(
     ``labels`` is a C/G string per half-edge (paired halves must agree).
     ``boundary_order`` lists the least half-edge of each boundary cycle, the
     first ``p`` designating the incoming circles.  ``markings``, if omitted,
-    default to the first circular half-edge of each cycle.
+    default to the first circular half-edge of each cycle.  The fat graph
+    is checked first (fatgraph._check), then the chord structure
+    (_check_chord).
     """
     fg._check(graph.pairing, graph.next_at_vertex)
+    return _check_chord(graph, labels, p, boundary_order, markings)
+
+
+def _check_chord(graph: FatGraph, labels, p: int, boundary_order,
+                 markings=None) -> tuple[ChordDiagram, TopType]:
+    """validate_chord on a graph that has passed fatgraph._check: every
+    chord-diagram invariant, then the type.  fatgraph.validate and glue
+    have checked their graphs, so parse_chord, canonical_gamma0 and glue
+    call this alone."""
     labels = tuple(labels)
     pairing = graph.pairing
     if len(labels) != len(pairing) or any(l not in (CIRCULAR, GHOST)
@@ -790,7 +801,7 @@ def canonical_gamma0(g: int, p: int, q: int) -> ChordDiagram:
         raise ChordLabError(f"base-point construction broke for ({g};{p},{q})")
     order.append(rest[0])
 
-    diagram, top = validate_chord(graph, labels, p, order)
+    diagram, top = _check_chord(graph, labels, p, order)
     if top != TopType(g, p, q):
         raise ChordLabError(
             f"base-point construction produced {top}, wanted ({g};{p},{q})"
@@ -945,7 +956,7 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
                                    "match the expected incoming/outgoing split")
 
     try:
-        result, top = validate_chord(graph, labels, c1.p, order, marks)
+        result, top = _check_chord(graph, labels, c1.p, order, marks)
     except ChordLabError as exc:
         raise GlueValidationFailed(str(exc)) from exc
 

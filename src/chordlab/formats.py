@@ -222,7 +222,7 @@ def parse_chord(text: str) -> ChordDiagram:
                     ChordLabError(f"cycle {r} has no mark record"))
             markings.append(marks[r][1])
     try:
-        diagram, _top = ch.validate_chord(
+        diagram, _top = ch._check_chord(
             graph, labels, incoming[1], order[1], markings)
     except ChordLabError as exc:
         raise ValidationError(order[0], exc)

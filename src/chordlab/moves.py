@@ -54,7 +54,11 @@ Each canonicalization costs one canonical search.  A diagram's own class
 is searched once per diagram (chord.ChordDiagram._canonical), and each
 type's base point is built and checked once (chord.canonical_gamma0), so
 explore and path_to_canonical pay for the base point once per type, and a
-query on a diagram shares its one search with canonical_form.  Every
+query on a diagram shares its one search with canonical_form.
+path_to_canonical's side grown from the base point depends only on the
+type and the edge ceiling, so each of its layers is grown once per type
+and ceiling and kept, read-only, for every later query (_GOAL_LAYERS,
+_goal_layer).  Every
 diagram of type (g;p,q) takes the same colors, so a half-edge's color is an
 int: its cycle's position, plus q on a ghost (chord._int_colors), so a
 color of p+q or more is a ghost's.  When a class is expanded, its inverse
@@ -86,11 +90,13 @@ codes, one a line through a pipe, once the search ends
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import signal
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import chord as ch
 from . import errors, generate
@@ -114,6 +120,12 @@ Move = tuple
 
 # edges above the larger endpoint that path_to_canonical may search through
 _PATH_SLACK = 4
+
+# path_to_canonical's side B per (g, p, q, ceiling): its completed layers in
+# order, each as (the info entries it added, in order, and the frontier it
+# left, a MappingProxyType of frozenset skip sets), at most
+# generate.EXPLORE_CLASS_BUDGET classes in all (_goal_layer)
+_GOAL_LAYERS: dict = {}
 
 
 def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
@@ -550,6 +562,38 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
     )
 
 
+def _goal_layer(memo_key, depth: int, info: dict, frontier):
+    """Grow layer depth of path_to_canonical's side B, the search from the
+    base point of type (g;p,q) under the ceiling that memo_key = (g, p, q,
+    ceiling) names, into info from frontier, as _grow does; returns the new
+    frontier, read-only.
+
+    The layer is copied from _GOAL_LAYERS when the memo holds it and info
+    then stays within generate.EXPLORE_CLASS_BUDGET classes: info and
+    frontier are then those every query of the key has at this depth, and
+    _grow, checking the budget as it expands each class, could not have
+    refused the layer.  Otherwise it is grown, and kept if it is the key's
+    next layer and the memo stays within the budget.  A layer _grow refuses
+    with SearchExhausted is not kept."""
+    _g, p, q, ceiling = memo_key
+    budget = generate.EXPLORE_CLASS_BUDGET
+    layers = _GOAL_LAYERS.get(memo_key, ())
+    if depth < len(layers):
+        added, new = layers[depth]
+        if len(info) + len(added) <= budget:
+            info.update(added)
+            return new
+    before = len(info)
+    new = MappingProxyType({key: frozenset(skip) for key, skip in
+                            _grow(info, frontier, ceiling, p, q).items()})
+    added = tuple(itertools.islice(info.items(), before, None))
+    held = sum(len(kept) for key_layers in _GOAL_LAYERS.values()
+               for kept, _frontier in key_layers)
+    if depth == len(layers) and held + len(added) <= budget:
+        _GOAL_LAYERS.setdefault(memo_key, []).append((added, new))
+    return new
+
+
 def path_to_canonical(c: ChordDiagram) -> list[Move]:
     """A replay-verified move sequence from c to the base-point diagram of
     its type, found by bidirectional search with edge ceiling
@@ -563,6 +607,16 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     search raises SearchExhausted
     once it holds more than generate.EXPLORE_CLASS_BUDGET classes as a
     class is expanded (_grow).
+
+    Side B, grown from the base point, is the same for every query of one
+    type and ceiling, so its completed layers are memoised per (g, p, q,
+    ceiling) in _GOAL_LAYERS (_goal_layer): each layer as the records it
+    added and the frontier it left, a MappingProxyType of frozensets, so
+    the memo is immutable and no query can change another's.  A query
+    copies each layer the memo holds and grows the rest.  The memo holds at
+    most generate.EXPLORE_CLASS_BUDGET classes over all its keys, and a
+    layer refused with SearchExhausted is not kept, so a query's answer,
+    or its refusal, is the same with a cold memo or a warm one.
     """
     top = c.top_type()
     p, q = top.p, top.q
@@ -586,11 +640,14 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
                    default=None)
 
     meet = meet_key()
+    b_depth = 0
     while meet is None and (a_frontier or b_frontier):
         if a_frontier and (not b_frontier or len(a_frontier) <= len(b_frontier)):
             a_frontier = _grow(a_info, a_frontier, ceiling, p, q, forward=True)
         else:
-            b_frontier = _grow(b_info, b_frontier, ceiling, p, q)
+            b_frontier = _goal_layer((top.genus, p, q, ceiling), b_depth,
+                                     b_info, b_frontier)
+            b_depth += 1
         meet = meet_key()
 
     if meet is None:

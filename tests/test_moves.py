@@ -316,7 +316,9 @@ class TestWordKeys:
         # a far (2;1,1) query writes code text and derives columns at most
         # once per class it expands, plus once each for the start, the goal,
         # the candidate meeting classes and the replay steps; most classes
-        # it meets are never written
+        # it meets are never written.  The memo of side-B layers starts
+        # empty, so side B is grown here
+        moves._GOAL_LAYERS.clear()
         d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
         counts = {"_code": 0, "_columns": 0, "_tables": 0}
         infos = []
@@ -348,6 +350,14 @@ class TestWordKeys:
         assert counts["_code"] <= most
         assert counts["_columns"] <= most
         assert counts["_code"] < met / 2
+
+        # a second query of the type and ceiling copies every side-B layer
+        # from the memo: _grow expands side A's classes alone, as before
+        infos.clear()
+        monkeypatch.setattr(moves, "_grow", growing)
+        assert moves.path_to_canonical(d) == path
+        monkeypatch.undo()
+        assert [info.keys() for info in infos] == [a_info.keys()]
 
 
 def _partition(component):
@@ -1136,3 +1146,157 @@ class TestPathToCanonical:
     def test_search_exhausted_reports_frontier(self):
         exc = SearchExhausted("no path", frontier_size=7)
         assert exc.frontier_size == 7
+
+
+# the walks of tests/test_golden.py's path digests: steps -> (types, seeds)
+_GOLDEN_WALKS = {
+    6: ([(1, 1, 2), (1, 2, 1), (0, 3, 2), (0, 2, 3), (2, 1, 1)], range(10)),
+    8: ([(1, 1, 2), (0, 3, 2), (0, 2, 3), (2, 1, 1), (1, 1, 3), (2, 1, 2)],
+        range(20)),
+}
+
+
+def _walk_answers(steps):
+    """path_to_canonical's answers from the ends of the golden walks of
+    this many moves."""
+    tops, seeds = _GOLDEN_WALKS[steps]
+    return [moves.path_to_canonical(generate.random_diagram(
+        random.Random(seed), *top, steps=steps))
+        for top in tops for seed in seeds]
+
+
+def _held(layers):
+    """The classes a memo of side-B layers holds, over all its keys."""
+    return sum(len(added) for key_layers in layers.values()
+               for added, _frontier in key_layers)
+
+
+def _assert_cold_layers(layers):
+    """Each layer the memo holds under (g, p, q, ceiling) is the one a cold
+    side B grows there (moves._grow from the base point's key)."""
+    for (g, p, q, ceiling), key_layers in layers.items():
+        goal = ch.canonical_gamma0(g, p, q)._canonical[0]
+        info: dict = {goal: (None, None, None)}
+        frontier: dict = {goal: set()}
+        for added, stored in key_layers:
+            before = len(info)
+            frontier = moves._grow(info, frontier, ceiling, p, q)
+            assert added == tuple(info.items())[before:]
+            assert dict(stored) == frontier
+
+
+@pytest.fixture
+def goal_layers(monkeypatch):
+    """An empty memo of path_to_canonical's side-B layers, in place of the
+    process's own until the test ends."""
+    layers: dict = {}
+    monkeypatch.setattr(moves, "_GOAL_LAYERS", layers)
+    return layers
+
+
+class TestGoalLayers:
+    @pytest.mark.parametrize("first,second", [(6, 8), (8, 6)])
+    def test_warm_memo_gives_the_cold_answers(self, goal_layers, first,
+                                              second):
+        # the golden walks' answers, each set asked with an empty memo and
+        # again after the other set has filled it; the sets share memo keys
+        cold = {first: _walk_answers(first)}
+        keys = set(goal_layers)
+        goal_layers.clear()
+        cold[second] = _walk_answers(second)
+        assert keys & set(goal_layers)
+        assert _walk_answers(first) == cold[first]
+        assert _walk_answers(second) == cold[second]
+
+    def test_stored_layers_are_cold_and_read_only(self, goal_layers):
+        _walk_answers(6)
+        assert len(goal_layers) >= 5
+        _assert_cold_layers(goal_layers)
+        for key_layers in goal_layers.values():
+            for added, frontier in key_layers:
+                assert type(added) is tuple
+                assert all(type(entry) is tuple and type(entry[1]) is tuple
+                           for entry in added)
+                assert frontier.keys() == {key for key, _entry in added}
+                assert all(type(skip) is frozenset
+                           for skip in frontier.values())
+                key = next(iter(frontier))
+                with pytest.raises(TypeError):
+                    frontier[key] = frozenset()
+                with pytest.raises(AttributeError):
+                    frontier[key].add(("collapse", 0))
+
+    def test_memo_held_within_the_class_budget(self, monkeypatch,
+                                               goal_layers):
+        # under a small budget a layer is kept only while the memo stays
+        # within it, whether its query succeeds or exhausts, and every
+        # layer kept is a cold one; the default budget keeps more of the
+        # same queries' layers
+        def ask():
+            for top in ((1, 1, 2), (0, 3, 2), (2, 1, 1), (1, 2, 1)):
+                rng = random.Random(3)
+                for _ in range(8):
+                    with contextlib.suppress(SearchExhausted):
+                        moves.path_to_canonical(
+                            generate.random_diagram(rng, *top, steps=6))
+                    yield _held(goal_layers)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(generate, "EXPLORE_CLASS_BUDGET", 40)
+            held = list(ask())
+        assert max(held) <= 40 and held[-1] > held[0] > 0
+        _assert_cold_layers(goal_layers)
+        goal_layers.clear()
+        assert max(ask()) > 40
+
+    def test_no_layer_kept_after_one_that_is_not(self, monkeypatch,
+                                                 goal_layers):
+        # under a budget of 33, with (1;2,1)@8's first two layers (13
+        # classes) kept, (1;1,2)@8's layers of 5, 8, 12 and 6 classes are
+        # grown: the 12 would pass the budget, so neither it nor the 6
+        # after it is kept, though the 6 would fit
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 33)
+
+        def grow(top, ceiling, count):
+            goal = ch.canonical_gamma0(*top)._canonical[0]
+            info: dict = {goal: (None, None, None)}
+            frontier: dict = {goal: set()}
+            sizes = []
+            for depth in range(count):
+                before = len(info)
+                frontier = moves._goal_layer((*top, ceiling), depth, info,
+                                             frontier)
+                sizes.append(len(info) - before)
+            return sizes
+
+        assert grow((1, 2, 1), 8, 2) == [5, 8]
+        assert grow((1, 1, 2), 8, 4) == [5, 8, 12, 6]
+        assert [[len(added) for added, _frontier in key_layers]
+                for key_layers in goal_layers.values()] == [[5, 8], [5, 8]]
+        _assert_cold_layers(goal_layers)
+
+    def test_exhausted_layer_is_not_stored(self, monkeypatch, goal_layers):
+        # under a budget of 30 this (2;1,1) query's side B holds 10 classes
+        # after its first layer and exhausts in its second: only the first
+        # is kept, and asking again raises the same refusal.  So does asking
+        # under that budget once the default budget has kept both layers
+        d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
+        refusals = []
+
+        def refusal():
+            with monkeypatch.context() as patch:
+                patch.setattr(generate, "EXPLORE_CLASS_BUDGET", 30)
+                with pytest.raises(SearchExhausted, match=(
+                        "EXPLORE_CLASS_BUDGET = 30")) as refused:
+                    moves.path_to_canonical(d)
+            assert any(frame.name == "_goal_layer" for frame in
+                       refused.traceback)
+            refusals.append((str(refused.value), refused.value.frontier_size))
+            return [[len(added) for added, _frontier in key_layers]
+                    for key_layers in goal_layers.values()]
+
+        assert refusal() == refusal() == [[9]]
+        moves.path_to_canonical(d)
+        assert refusal() == [[9, 40]]
+        assert refusals[0] == refusals[1] == refusals[2]
+        assert refusals[0][1] == 28
