@@ -326,7 +326,20 @@ def _essential(t: "_Tables", a: int, b: int) -> bool:
     diagram with tables t; either half gives the same answer.  A loop is
     circular, the ghost edges being a forest, so it is essential: an edge
     is collapsible exactly when it is not essential.  A color below p+q is
-    circular (_labels)."""
+    circular (_labels).
+
+    Lemma (the bottom layer): a diagram of type (g;p,q) has no collapsible
+    edge exactly when it has E_min = 4g+2p+2q-3 edges, the base point's
+    count.  Every diagram has E = V + (2g+p+q-2), and its ghost forest has
+    V_circ - (2g+p+q-2) >= 1 components (generate.enumerate_classes), so
+    E >= E_min, with equality exactly when no vertex is internal and the
+    forest is one tree.  A collapse keeps the type and drops one edge, so
+    at E_min no edge collapses.  With no collapsible edge, every ghost edge
+    joins two circular vertices, so no vertex is internal, and every
+    circular edge joins a ghost component to itself; the graph is
+    connected, so the forest is one tree and E = E_min.  So every class
+    collapses, one edge at a time, into the bottom layer
+    (moves.path_to_canonical)."""
     va, vb = t.vertex_of[a], t.vertex_of[b]
     if t.colors[a] < t.p + t.q:
         return t.component[va] == t.component[vb]
@@ -930,10 +943,9 @@ def glue(c1: ChordDiagram, c2: ChordDiagram, schedule=None) -> ChordDiagram:
             pairing[occ] = y
 
     try:
-        fg._check(pairing, nxt)
+        graph = fg._checked(pairing, nxt)
     except ChordLabError as exc:
         raise GlueValidationFailed(f"glued graph invalid: {exc}") from exc
-    graph = FatGraph(tuple(pairing), tuple(nxt))
 
     cycle_of = graph.cycle_of()
     marks = list(c1.markings[: c1.p])

@@ -85,10 +85,11 @@ class BoundTooSmall(ChordLabError):
 
 
 class SearchExhausted(ChordLabError):
-    """A move-graph search hit its limit: bidirectional path search reached
-    its edge ceiling without connecting the endpoints, or a search or the
-    enumerator outgrew its class budget.  frontier_size is the number of
-    classes the search had reached but not expanded."""
+    """A move-graph search hit its limit: a search, path_to_canonical's
+    tree from the base point among them, or the enumerator outgrew its
+    class budget, or the enumerator met a block with too many rotation
+    choices.  frontier_size is the number of classes the search had
+    reached but not expanded."""
 
     def __init__(self, message, frontier_size=0):
         super().__init__(message)

@@ -156,13 +156,14 @@ def _is_connected(pairing: Sequence[int], nxt: Sequence[int]) -> bool:
     return count == n
 
 
-def _check(pairing: Sequence[int], nxt: Sequence[int]) -> None:
+def _check(pairing: Sequence[int], nxt: Sequence[int]):
     """Refuse tables that are not a fat graph: an odd number of half-edges,
     a rotation nxt that is not a permutation of them, a pairing that is not
     a fixed-point-free involution of them, a vertex of valence < 3, or a
     disconnected graph.  The one check of a rotation system: validate runs
     it on the rotation its vertex lists make, chord.validate_chord on a
-    diagram's graph and chord.glue on its flat tables."""
+    diagram's graph and chord.glue on its flat tables (_checked).  Returns
+    the rotation's _orbits, which its valence check derives."""
     n = len(pairing)
     if n % 2:
         raise InconsistentTables("odd number of half-edges")
@@ -176,11 +177,13 @@ def _check(pairing: Sequence[int], nxt: Sequence[int]) -> None:
             raise FixedPointInPairing(f"pairing fixes half-edge {h}")
         if pairing[k] != h:
             raise InconsistentTables(f"pairing is not an involution at {h}")
-    low = next((orbit for orbit in _orbits(nxt)[0] if len(orbit) < 3), None)
+    orbits = _orbits(nxt)
+    low = next((orbit for orbit in orbits[0] if len(orbit) < 3), None)
     if low is not None:
         raise ValenceTooLow(f"vertex {low} has valence {len(low)}")
     if not _is_connected(pairing, nxt):
         raise Disconnected("fat graph is not connected")
+    return orbits
 
 
 def validate(
@@ -209,8 +212,16 @@ def validate(
             nxt[cyc[i - 1]] = h
     if not all(seen):
         raise InconsistentTables("some half-edges appear in no vertex")
-    _check(pairing, nxt)
-    return FatGraph(pairing=pairing, next_at_vertex=tuple(nxt))
+    return _checked(pairing, nxt)
+
+
+def _checked(pairing: Sequence[int], nxt: Sequence[int]) -> FatGraph:
+    """The FatGraph of tables that pass _check, holding the vertex orbits
+    _check derived as its vertex table, so they are derived once."""
+    orbits = _check(pairing, nxt)
+    graph = FatGraph(pairing=tuple(pairing), next_at_vertex=tuple(nxt))
+    graph.__dict__["_vertex_table"] = orbits   # the cached_property's slot
+    return graph
 
 
 def boundary_cycles(graph: FatGraph) -> tuple[tuple[int, ...], ...]:

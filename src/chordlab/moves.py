@@ -6,10 +6,10 @@ each class it reaches by its word's bytes, records its parent's key and one
 move under it, and holds a frontier class as that key alone.  The class's
 code text, and the columns of its word (the rotation, pairing and integer
 colors of its canonical form), are written only when the class is
-expanded, when it is a candidate meeting class or when it is reported
-(chord._code).  So every move in a recorded path refers to half-edge ids
-of the canonical representative at that step; replaying a path means
-alternating apply_move and canonical_form.  path_to_canonical and
+expanded or when it is reported (chord._code).  So every move in a
+recorded path refers to half-edge ids of the canonical representative at
+that step; replaying a path means alternating apply_move and
+canonical_form.  path_to_canonical and
 explore's witness check replay on the canonical tables instead, through
 the one checked move (chord._apply) that apply_move makes on a diagram.
 A move names only what is free: a collapse its edge, an expansion the two
@@ -32,7 +32,7 @@ generate.EXPLORE_CLASS_BUDGET classes, checked as each class is expanded.
 A recorded move carries a certificate: the start, the half-edge of the
 tables the move leaves that is the canonical half-edge 0 of the class it
 leads to.  _neighbors makes it for each move and its inverse, and _grow
-records the one its side keeps.  The witness check and path_to_canonical's
+records the inverse's.  The witness check and path_to_canonical's
 replay make each move through chord._apply and then run one traversal from
 that start (fatgraph._spells), which must spell the class's least word
 entry by entry (_certify).  Spelling the word proves the class whatever the
@@ -55,10 +55,11 @@ is searched once per diagram (chord.ChordDiagram._canonical), and each
 type's base point is built and checked once (chord.canonical_gamma0), so
 explore and path_to_canonical pay for the base point once per type, and a
 query on a diagram shares its one search with canonical_form.
-path_to_canonical's side grown from the base point depends only on the
-type and the edge ceiling, so each of its layers is grown once per type
-and ceiling and kept, read-only, for every later query (_GOAL_LAYERS,
-_goal_layer).  Every
+path_to_canonical descends from its diagram's class by collapses, which
+need no search, to the bottom layer (chord._essential), and reads the
+rest of its path off one breadth-first tree per type, grown from the base
+point only as deep as a query has needed and kept, read-only, for every
+later query (_BOTTOM_TREES, _bottom_tree).  Every
 diagram of type (g;p,q) takes the same colors, so a half-edge's color is an
 int: its cycle's position, plus q on a ghost (chord._int_colors), so a
 color of p+q or more is a ghost's.  When a class is expanded, its inverse
@@ -90,7 +91,6 @@ codes, one a line through a pipe, once the search ends
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import signal
@@ -118,14 +118,12 @@ __all__ = [
 # ids refer to the diagram the move is applied to.
 Move = tuple
 
-# edges above the larger endpoint that path_to_canonical may search through
-_PATH_SLACK = 4
-
-# path_to_canonical's side B per (g, p, q, ceiling): its completed layers in
-# order, each as (the info entries it added, in order, and the frontier it
-# left, a MappingProxyType of frozenset skip sets), at most
-# generate.EXPLORE_CLASS_BUDGET classes in all (_goal_layer)
-_GOAL_LAYERS: dict = {}
+# path_to_canonical's tree per (g, p, q): the search from the type's base
+# point under the ceiling E_min+1, as deep as a query has grown it, as its
+# records and the frontier it left, each a MappingProxyType, the skip sets
+# frozensets; at most generate.EXPLORE_CLASS_BUDGET classes over all types
+# (_bottom_tree)
+_BOTTOM_TREES: dict = {}
 
 
 def apply_move(c: ChordDiagram, move: Move) -> ChordDiagram:
@@ -285,11 +283,11 @@ class MoveGraphReport:
 
 
 def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
-          forward=False, check=None):
+          check=None):
     """Expand one search layer of type (g;p,q), class by class in code
     order: record each unseen neighbour of the frontier in info as (parent
-    key, move, start), the move being the forward one or, by default, the
-    inverse, and start the certificate _neighbors made for it (_certify).
+    key, inverse move, start), start being the certificate _neighbors made
+    for the inverse move (_certify).
 
     info and the frontier are keyed by least words (chord._canonicalize);
     the frontier maps each to the moves its class skips.  Each frontier
@@ -314,11 +312,10 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
         t = ch._tables(*columns, p, q)
         if check is not None:
             check(info, parent, code, t)
-        for key, fwd, fwd_start, inv, inv_start in _neighbors(
+        for key, _fwd, _fwd_start, inv, inv_start in _neighbors(
                 t, max_edges, frontier[parent]):
             if key not in info:
-                info[key] = ((parent, fwd, fwd_start) if forward
-                             else (parent, inv, inv_start))
+                info[key] = (parent, inv, inv_start)
                 new[key] = set()
             if key in new:
                 new[key].add(inv)
@@ -562,116 +559,101 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
     )
 
 
-def _goal_layer(memo_key, depth: int, info: dict, frontier):
-    """Grow layer depth of path_to_canonical's side B, the search from the
-    base point of type (g;p,q) under the ceiling that memo_key = (g, p, q,
-    ceiling) names, into info from frontier, as _grow does; returns the new
-    frontier, read-only.
+def _bottom_tree(top: TopType, key):
+    """The records, key -> (parent key, inverse move, start), of the
+    breadth-first tree of type top from its base point under the ceiling
+    E_min+1, one edge above the base point's, grown layer by layer (_grow)
+    until it holds key.  A tree grown in full that does not hold key raises
+    a ChordLabError naming key's class.
 
-    The layer is copied from _GOAL_LAYERS when the memo holds it and info
-    then stays within generate.EXPLORE_CLASS_BUDGET classes: info and
-    frontier are then those every query of the key has at this depth, and
-    _grow, checking the budget as it expands each class, could not have
-    refused the layer.  Otherwise it is grown, and kept if it is the key's
-    next layer and the memo stays within the budget.  A layer _grow refuses
-    with SearchExhausted is not kept."""
-    _g, p, q, ceiling = memo_key
+    The tree depends only on the type, so it is memoised per (g, p, q) in
+    _BOTTOM_TREES, read-only: each layer is grown on a copy of the held
+    records, and the records and frontier it leaves are stored as
+    MappingProxyTypes, the skip sets as frozensets.  A deeper tree replaces
+    the type's held one while the memo stays within
+    generate.EXPLORE_CLASS_BUDGET classes over all types, and a layer _grow
+    refuses with SearchExhausted is not kept.  A held tree is used only
+    while it is within that budget; _grow, checking the budget as it
+    expands each class, could then not have refused any of its layers, so a
+    query's answer, or its refusal, is the same with a cold memo or a warm
+    one."""
+    p, q = top.p, top.q
     budget = generate.EXPLORE_CLASS_BUDGET
-    layers = _GOAL_LAYERS.get(memo_key, ())
-    if depth < len(layers):
-        added, new = layers[depth]
-        if len(info) + len(added) <= budget:
-            info.update(added)
-            return new
-    before = len(info)
-    new = MappingProxyType({key: frozenset(skip) for key, skip in
-                            _grow(info, frontier, ceiling, p, q).items()})
-    added = tuple(itertools.islice(info.items(), before, None))
-    held = sum(len(kept) for key_layers in _GOAL_LAYERS.values()
-               for kept, _frontier in key_layers)
-    if depth == len(layers) and held + len(added) <= budget:
-        _GOAL_LAYERS.setdefault(memo_key, []).append((added, new))
-    return new
+    memo_key = (top.genus, p, q)
+    goal = ch.canonical_gamma0(*memo_key)
+    ceiling = goal.graph.n_edges + 1
+    root = goal._canonical[0]
+    held = _BOTTOM_TREES.get(memo_key, ({}, {}))
+    info, frontier = (held if 0 < len(held[0]) <= budget
+                      else ({root: (None, None, None)}, {root: frozenset()}))
+    while key not in info:
+        if not frontier:
+            raise ChordLabError(
+                f"no path from {ch._code(key, p, q)[0]!r}: the tree from the "
+                f"base point of {top} under {ceiling} edges does not hold "
+                "this bottom class")
+        grown = dict(info)
+        new = _grow(grown, frontier, ceiling, p, q)
+        info = MappingProxyType(grown)
+        frontier = MappingProxyType({k: frozenset(skip)
+                                     for k, skip in new.items()})
+        others = sum(len(tree) for tree, _frontier
+                     in _BOTTOM_TREES.values()) - len(held[0])
+        if len(held[0]) < len(info) <= budget - others:
+            held = _BOTTOM_TREES[memo_key] = (info, frontier)
+    return info
 
 
 def path_to_canonical(c: ChordDiagram) -> list[Move]:
     """A replay-verified move sequence from c to the base-point diagram of
-    its type, found by bidirectional search with edge ceiling
-    max(edges(c), edges(base point)) + _PATH_SLACK.
+    its type, found in two stages, neither a search from c.
+
+    Descent: collapse the least collapsible edge of each class's canonical
+    tables (chord._collapsible_edges) until none is left.  By the lemma
+    stated at chord._essential, that stops at a class of the bottom layer,
+    with E_min = 4g+2p+2q-3 edges, the base point's count; a descent that
+    stops above it raises a ChordLabError naming the class it stopped at.
+    Tree: read the rest of the path off the breadth-first tree of the type
+    from the base point under the ceiling E_min+1 (_bottom_tree), grown
+    only as deep as a query's bottom class needs and memoised per type.  A
+    bottom class the tree, grown in full, does not hold raises a
+    ChordLabError naming it; growing the tree raises SearchExhausted once
+    it holds more than generate.EXPLORE_CLASS_BUDGET classes as a class is
+    expanded (_grow).
 
     The returned moves are applied to canonical representatives: replay as
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
     Before it is returned, the path is replayed that way on canonical
     tables, each step made and certified as explore's witness check does
-    (_replay, _certify), with no canonical search.  Either side of the
-    search raises SearchExhausted
-    once it holds more than generate.EXPLORE_CLASS_BUDGET classes as a
-    class is expanded (_grow).
-
-    Side B, grown from the base point, is the same for every query of one
-    type and ceiling, so its completed layers are memoised per (g, p, q,
-    ceiling) in _GOAL_LAYERS (_goal_layer): each layer as the records it
-    added and the frontier it left, a MappingProxyType of frozensets, so
-    the memo is immutable and no query can change another's.  A query
-    copies each layer the memo holds and grows the rest.  The memo holds at
-    most generate.EXPLORE_CLASS_BUDGET classes over all its keys, and a
-    layer refused with SearchExhausted is not kept, so a query's answer,
-    or its refusal, is the same with a cold memo or a warm one.
+    (_replay, _certify), with no canonical search.
     """
     top = c.top_type()
     p, q = top.p, top.q
-    goal = ch.canonical_gamma0(top.genus, p, q)
-    ceiling = max(c.graph.n_edges, goal.graph.n_edges) + _PATH_SLACK
-    start_key = c._canonical[0]
-    goal_key = goal._canonical[0]
+    bottom = ch.canonical_gamma0(top.genus, p, q).graph.n_edges
+    start = key = c._canonical[0]
 
-    # side A grows from c recording forward moves (parent rep -> child);
-    # side B grows from the base point recording inverse moves (child rep ->
-    # parent), so a meeting class yields a full path without re-searching
-    a_info: dict = {start_key: (None, None, None)}
-    b_info: dict = {goal_key: (None, None, None)}
-    a_frontier: dict = {start_key: set()}
-    b_frontier: dict = {goal_key: set()}
-
-    def meet_key():
-        # the common class of least code; only the common ones are written
-        common = a_info.keys() & b_info.keys()
-        return min(common, key=lambda key: ch._code(key, p, q)[0],
-                   default=None)
-
-    meet = meet_key()
-    b_depth = 0
-    while meet is None and (a_frontier or b_frontier):
-        if a_frontier and (not b_frontier or len(a_frontier) <= len(b_frontier)):
-            a_frontier = _grow(a_info, a_frontier, ceiling, p, q, forward=True)
-        else:
-            b_frontier = _goal_layer((top.genus, p, q, ceiling), b_depth,
-                                     b_info, b_frontier)
-            b_depth += 1
-        meet = meet_key()
-
-    if meet is None:
-        raise SearchExhausted(
-            f"no path within edge ceiling {ceiling}",
-            frontier_size=len(a_frontier) + len(b_frontier),
-        )
-
-    # forward moves from the start down to the meeting class, then inverse
-    # moves from the meeting class back to the base point: each with its
-    # certificate start and the key of the class it leads to
+    # each step is (move, certificate start, key of the class it leads to)
     steps = []
-    key = meet
-    while a_info[key][0] is not None:
-        parent, move, start = a_info[key]
-        steps.append((move, start, key))
-        key = parent
-    steps.reverse()
-    key = meet
-    while b_info[key][0] is not None:
-        key, move, start = b_info[key]
-        steps.append((move, start, key))
+    while True:
+        t = ch._tables(*fg._columns(ch._word(key), p + 2 * q), p, q)
+        edge = next(ch._collapsible_edges(t), None)
+        if edge is None:
+            break
+        move = ("collapse", edge[0])
+        key, _word, label = ch._canonicalize(*ch._apply(t, move), p, q)
+        steps.append((move, label.index(0), key))
+    if len(t.pairing) != 2 * bottom:
+        raise ChordLabError(
+            f"the descent stops at {ch._code(key, p, q)[0]!r}, with "
+            f"{len(t.pairing) // 2} edges and none collapsible, above the "
+            f"bottom layer's {bottom}")
 
-    _replay(start_key, steps, p, q)
+    info = _bottom_tree(top, key)
+    while info[key][0] is not None:
+        key, move, certificate = info[key]
+        steps.append((move, certificate, key))
+
+    _replay(start, steps, p, q)
     return [move for move, _start, _key in steps]
 
 

@@ -1,6 +1,7 @@
 """Builders the tests share: random fat graphs, every one-split expansion
-of a diagram through the public move, and a diagram-level evaluator of the
-TQFT operations, independent of the type-level mu."""
+of a diagram through the public move, a diagram-level evaluator of the
+TQFT operations, independent of the type-level mu, and a wrong rule of
+essential edges for negative controls."""
 
 import itertools
 import random
@@ -49,6 +50,16 @@ def random_fatgraph(rng: random.Random, max_edges: int = 12) -> fg.FatGraph:
             return fg.validate(pairing, vertex_lists)
         except ChordLabError:
             continue
+
+
+def essential_either_end(t, a: int, b: int) -> bool:
+    """chord._essential with one more edge called essential: a ghost edge
+    from a circular vertex to an internal one, which the true rule
+    collapses (it asks for both ends circular)."""
+    va, vb = t.vertex_of[a], t.vertex_of[b]
+    if t.colors[a] < t.p + t.q:
+        return t.component[va] == t.component[vb]
+    return t.circular[va] or t.circular[vb]
 
 
 def expansions(c: ch.ChordDiagram) -> list[ch.ChordDiagram]:

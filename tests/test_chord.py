@@ -29,7 +29,7 @@ from chordlab.errors import (
 )
 from chordlab.fatgraph import FatGraph, TopType
 
-from helpers import expansions
+from helpers import essential_either_end, expansions
 
 
 def single_chord_diagram():
@@ -465,6 +465,42 @@ class TestEssentialEdges:
         )
         with pytest.raises(LoopEdge):
             ch.collapse_edge(loop_diagram, loop_edge)
+
+    @staticmethod
+    def _lemma_breaches(census):
+        """The (type, code, edges) of every class of the census types,
+        each (g, p, q) at its bound, that breaks either direction of the
+        bottom-layer lemma (chord._essential): no collapsible edge exactly
+        at E_min = 4g+2p+2q-3 edges."""
+        breaches, classes = [], 0
+        for (g, p, q), bound in census:
+            e_min = 4 * g + 2 * p + 2 * q - 3
+            for code, columns, _markings in generate._classes(
+                    TopType(g, p, q), bound):
+                t = ch._tables(*columns, p, q)
+                edges = len(t.pairing) // 2
+                classes += 1
+                if any(ch._collapsible_edges(t)) == (edges == e_min):
+                    breaches.append(((g, p, q), code, edges))
+        return breaches, classes
+
+    _CENSUS = [((0, 1, 3), 6), ((1, 1, 1), 6), ((1, 1, 2), 9),
+               ((0, 3, 2), 9), ((2, 1, 1), 12)]
+
+    def test_bottom_layer_lemma(self, monkeypatch):
+        # both directions on every class of the census types, whole
+        # complexes at their trivalent bounds; the control, a rule calling
+        # one more edge essential, leaves classes above the bottom of every
+        # type with no collapsible edge
+        breaches, classes = self._lemma_breaches(self._CENSUS)
+        assert (breaches, classes) == ([], 11 + 3 + 90 + 698 + 412)
+        monkeypatch.setattr(ch, "_essential", essential_either_end)
+        breaches, _classes = self._lemma_breaches(self._CENSUS)
+        assert {top for top, _code, _edges in breaches} == {
+            top for top, _bound in self._CENSUS}
+        assert all(edges > 4 * g + 2 * p + 2 * q - 3
+                   for (g, p, q), _code, edges in breaches)
+        assert len(breaches) == 2 + 1 + 23 + 162 + 116
 
 
 class TestMoves:

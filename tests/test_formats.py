@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordlab import chord as ch
+from chordlab import fatgraph as fg
 from chordlab import formats, generate, tqft
 from chordlab.errors import (
     BadMarking,
@@ -87,6 +88,29 @@ class TestRoundTrip:
             parsed = formats.parse(formats.serialize(d))
             assert parsed == d
             assert ch.diagram_code(parsed) == ch.diagram_code(d)
+
+    def test_vertex_orbits_derived_once_per_parse(self, monkeypatch):
+        # parse_chord derives the rotation's orbits once, in the valence
+        # check, and the graph keeps them as its vertex table; the boundary
+        # cycles' orbits are the other call.  The kept table is the one a
+        # fresh graph derives
+        texts = [formats.serialize_chord(generate.random_diagram(
+            random.Random(seed), *top, steps=6))
+            for top in ((1, 1, 2), (0, 3, 2), (2, 1, 1)) for seed in range(10)]
+        orbits, calls = fg._orbits, []
+
+        def counted(perm):
+            calls.append(None)
+            return orbits(perm)
+
+        monkeypatch.setattr(fg, "_orbits", counted)
+        parsed = [formats.parse_chord(text) for text in texts]
+        assert len(calls) == 2 * len(texts)
+        monkeypatch.undo()
+        for d in parsed:
+            fresh = fg.FatGraph(d.graph.pairing, d.graph.next_at_vertex)
+            assert d.graph.__dict__["_vertex_table"] == fresh._vertex_table
+            assert d.graph.vertices() == fresh.vertices()
 
     def test_algebras(self):
         for maker in (tqft.pd2, tqft.st2, tqft.zero_coproduct_algebra):

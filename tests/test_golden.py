@@ -3,7 +3,8 @@ that every refactor must reproduce byte for byte.  The digests were recorded
 from the release before the structural tables moved onto FatGraph and
 ChordDiagram (those of (0;3,2)@9 and (2;1,1)@12 from the release before the
 canonical search dropped losing starts early, those of the paths from the
-release before children's colors were derived from their parent's, those of
+release in which path_to_canonical first descended to the bottom layer and
+read the rest of its path off one tree per type, those of
 the enumerated classes from the release before the enumerator yielded raw
 tables, those of (1;1,3)@12 and (0;2,3)@9 from the release before the
 ghost-forest search pruned partial forests, those of the tqft outputs from the release before the matrix kernels
@@ -78,36 +79,43 @@ def test_canonical_forms_of_random_walks(top, digest):
 
 
 @pytest.mark.parametrize("top,digest", [
-    ((1, 1, 2), "a673a2012011d52ca1d6250f2a6388ec4ac5bfdb9a59a847d65a97db82f4d972"),
-    ((1, 2, 1), "fe710bd6d226ed2704df127d5e2faa0dfd3b54c926a0832fab4e9bf76ab72f27"),
-    ((0, 3, 2), "29d7f7a194c5493e9efd685d96fe502d2b6d03634b10884b0dbfa7a94a295adb"),
-    ((0, 2, 3), "940e9fdfa86c55c3e6b14b6d59dd98f3944c0659c1085cb6d0ceb6b37b80eea1"),
-    ((2, 1, 1), "aada834c58829ad1e846d152eaec7894866123e6fd7ccbf06769cdd6199090d1"),
+    ((1, 1, 2), "6359116258ee64570a2644b7809f15742c743fb0fd257fbe763a51ddf08d247e"),
+    ((1, 2, 1), "945f48b8e0dcc843189da6e236477e3d46fce834ddc56130032eb9849ee7ab0a"),
+    ((0, 3, 2), "7e2454ac1bbc4dc3a371e8e4423b4ec5a9f58217764a5562a4b09dc70bdfd681"),
+    ((0, 2, 3), "4aa1edc923523e744d6cb925a8f9824f7e87952a24c7a2379cfca3e0b9386a45"),
+    ((2, 1, 1), "7d928fced3ff77fbffacf6381fb49b4e956d711e255d3d6eb284e4e7ea327bd3"),
 ])
 def test_paths_of_random_walks(top, digest):
     # path_to_canonical's answer from the end of each walk above, one line
-    # per walk
-    text = "".join(
-        repr(moves.path_to_canonical(
-            generate.random_diagram(random.Random(seed), *top, steps=6))) + "\n"
-        for seed in range(10)
-    )
+    # per walk, each replayed to the base point
+    text = "".join(_replayed_path(generate.random_diagram(
+        random.Random(seed), *top, steps=6)) for seed in range(10))
     assert _sha(text) == digest
 
 
 def test_paths_of_longer_walks():
     # path_to_canonical's answer from the end of 8-move walks, seeds 0-19,
-    # on six types, one line per walk: these meet in wider layers and across
-    # mixed edge counts; recorded before the searches keyed classes by their
-    # least words
+    # on six types, one line per walk, each replayed to the base point:
+    # these descend further and reach deeper into each type's tree
     tops = [(1, 1, 2), (0, 3, 2), (0, 2, 3), (2, 1, 1), (1, 1, 3), (2, 1, 2)]
-    text = "".join(
-        repr(moves.path_to_canonical(
-            generate.random_diagram(random.Random(seed), *top, steps=8))) + "\n"
-        for top in tops for seed in range(20)
-    )
+    text = "".join(_replayed_path(generate.random_diagram(
+        random.Random(seed), *top, steps=8)) for top in tops
+        for seed in range(20))
     assert _sha(text) == (
-        "985e9a8c5fb2056b629e0984579dd0a13bc8e880b235b4d28f1403afc51f0751")
+        "e7700469dcc43f2c4f323766509c50559f5f647f91134cb43a763bc6f4068239")
+
+
+def _replayed_path(c) -> str:
+    """path_to_canonical(c) as one line, once it is replayed with apply_move
+    and canonical_form from c's canonical form to the base point's class."""
+    path = moves.path_to_canonical(c)
+    d = ch.canonical_form(c)
+    for move in path:
+        d = ch.canonical_form(moves.apply_move(d, move))
+    top = c.top_type()
+    assert ch.diagram_code(d) == ch.diagram_code(
+        ch.canonical_gamma0(top.genus, top.p, top.q))
+    return repr(path) + "\n"
 
 
 @pytest.mark.parametrize("top,bound,digest", [

@@ -24,7 +24,7 @@ from chordlab.errors import (
 )
 from chordlab.fatgraph import TopType
 
-from helpers import expansions
+from helpers import essential_either_end, expansions
 
 
 def neighbor_reps(c):
@@ -312,52 +312,38 @@ class TestWordKeys:
             by_key_differs |= by_key != codes
         assert by_key_differs
 
-    def test_code_written_only_for_expanded_classes(self, monkeypatch):
-        # a far (2;1,1) query writes code text and derives columns at most
-        # once per class it expands, plus once each for the start, the goal,
-        # the candidate meeting classes and the replay steps; most classes
-        # it meets are never written.  The memo of side-B layers starts
-        # empty, so side B is grown here
-        moves._GOAL_LAYERS.clear()
+    def test_code_written_only_for_expanded_classes(self, monkeypatch,
+                                                    bottom_trees):
+        # a far (2;1,1) query writes code text once per class its type's
+        # tree expands, and derives columns once more per class of its
+        # descent and per replay step; the classes of the tree's last layer,
+        # its frontier, are never written.  The memo starts empty, so the
+        # tree is grown here
         d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
-        counts = {"_code": 0, "_columns": 0, "_tables": 0}
-        infos = []
 
-        def counting(module, name):
-            original = getattr(module, name)
+        def counted_query():
+            counts = {"_code": 0, "_columns": 0, "_neighbors": 0}
+            with monkeypatch.context() as patch:
+                for module, name in ((ch, "_code"), (fg, "_columns"),
+                                     (moves, "_neighbors")):
+                    def counted(*args, name=name, original=getattr(
+                            module, name)):
+                        counts[name] += 1
+                        return original(*args)
+                    patch.setattr(module, name, counted)
+                return moves.path_to_canonical(d), counts
 
-            def counted(*args):
-                counts[name] += 1
-                return original(*args)
-            monkeypatch.setattr(module, name, counted)
+        path, counts = counted_query()
+        tree, frontier = bottom_trees[(2, 1, 1)]
+        assert len(path) == 6 and (len(tree), len(frontier)) == (169, 60)
+        assert counts["_code"] == counts["_neighbors"] == 169 - 60
+        assert counts["_columns"] <= counts["_code"] + 2 * len(path) + 1
 
-        def growing(info, *args, grow=moves._grow, **kwargs):
-            if all(info is not known for known in infos):
-                infos.append(info)
-            return grow(info, *args, **kwargs)
-
-        counting(ch, "_code")
-        counting(fg, "_columns")
-        counting(ch, "_tables")
-        monkeypatch.setattr(moves, "_grow", growing)
-        path = moves.path_to_canonical(d)
-        monkeypatch.undo()
-        a_info, b_info = infos
-        common = len(a_info.keys() & b_info.keys())
-        met = len(a_info.keys() | b_info.keys())
-        assert len(path) == 4 and counts["_tables"] >= 10
-        most = counts["_tables"] + 2 + common + len(path)
-        assert counts["_code"] <= most
-        assert counts["_columns"] <= most
-        assert counts["_code"] < met / 2
-
-        # a second query of the type and ceiling copies every side-B layer
-        # from the memo: _grow expands side A's classes alone, as before
-        infos.clear()
-        monkeypatch.setattr(moves, "_grow", growing)
-        assert moves.path_to_canonical(d) == path
-        monkeypatch.undo()
-        assert [info.keys() for info in infos] == [a_info.keys()]
+        # a second query of the type reads its bottom class's path off the
+        # held tree: nothing is expanded and no code is written
+        again, counts = counted_query()
+        assert again == path
+        assert counts["_code"] == counts["_neighbors"] == 0
 
 
 def _partition(component):
@@ -1094,14 +1080,19 @@ class TestPathToCanonical:
             goal = ch.canonical_form(ch.canonical_gamma0(1, 1, 2))
             assert ch.diagram_code(replay) == ch.diagram_code(goal)
 
-    def test_class_budget(self, monkeypatch):
-        # each side of the search refuses past the budget, as explore's does
+    def test_class_budget(self, monkeypatch, bottom_trees):
+        # the type's tree refuses past the budget, as explore's search does:
+        # this (1;1,2) query descends one edge to a bottom class that the
+        # tree's second layer holds, after 14 classes, the last expanded
+        # with 13 held
         d = generate.random_diagram(random.Random(9), 1, 1, 2, steps=3)
         path = moves.path_to_canonical(d)
-        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 5)
-        with pytest.raises(SearchExhausted, match="EXPLORE_CLASS_BUDGET = 5"):
+        assert len(path) == 3 and len(bottom_trees[(1, 1, 2)][0]) == 14
+        bottom_trees.clear()
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 12)
+        with pytest.raises(SearchExhausted, match="EXPLORE_CLASS_BUDGET = 12"):
             moves.path_to_canonical(d)
-        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 20)
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 13)
         assert moves.path_to_canonical(d) == path
 
     @pytest.mark.parametrize("tamper", ["start", "move"])
@@ -1110,7 +1101,7 @@ class TestPathToCanonical:
         # or the first step's move: either is refused, naming the class the
         # step is made on
         d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
-        assert len(moves.path_to_canonical(d)) == 4
+        assert len(moves.path_to_canonical(d)) == 6
         replay, tampered = moves._replay, []
 
         def tampering(key, steps, p, q):
@@ -1130,18 +1121,38 @@ class TestPathToCanonical:
             moves.path_to_canonical(d)
         assert repr(tampered[0]) in str(refused.value)
 
-    def test_no_path_within_the_ceiling(self, monkeypatch):
-        # with no slack the ceiling is the base point's 7 edges, the least
-        # a (1;1,2) diagram has: no edge collapses and no split stays
-        # within it, so another 7-edge class reaches nothing
-        monkeypatch.setattr(moves, "_PATH_SLACK", 0)
-        base = ch.diagram_code(ch.canonical_gamma0(1, 1, 2))
-        d = next(c for code, c in generate.enumerate_classes(
-            TopType(1, 1, 2), 7).items() if code != base)
-        with pytest.raises(SearchExhausted,
-                           match="no path within edge ceiling 7") as refused:
+    def test_descent_that_stops_above_the_bottom_is_refused(
+            self, monkeypatch):
+        # under the lemma's control rule a (1;1,1) class of 6 edges has no
+        # collapsible edge, one above the bottom layer's 5: its descent
+        # stops at once, and the refusal names it
+        monkeypatch.setattr(ch, "_essential", essential_either_end)
+        stuck = {code: form for code, form in generate.enumerate_classes(
+            TopType(1, 1, 1), 6).items()
+            if form.graph.n_edges == 6 and not any(
+                ch._collapsible_edges(ch._diagram_tables(form)))}
+        assert len(stuck) == 1
+        (code, d), = stuck.items()
+        with pytest.raises(ChordLabError,
+                           match="the descent stops at") as refused:
             moves.path_to_canonical(d)
-        assert refused.value.frontier_size == 0
+        assert repr(code) in str(refused.value)
+        assert "with 6 edges" in str(refused.value)
+
+    def test_bottom_class_the_tree_does_not_hold_is_refused(
+            self, monkeypatch, bottom_trees):
+        # with no neighbours the tree of (1;1,2) is its base point alone,
+        # grown in full: any other bottom class is refused, by name
+        monkeypatch.setattr(moves, "_neighbors", lambda *args: [])
+        base = ch.diagram_code(ch.canonical_gamma0(1, 1, 2))
+        code, d = next((code, c) for code, c in generate.enumerate_classes(
+            TopType(1, 1, 2), 7).items() if code != base)
+        with pytest.raises(ChordLabError,
+                           match="does not hold this bottom class") as refused:
+            moves.path_to_canonical(d)
+        assert type(refused.value) is ChordLabError
+        assert repr(code) in str(refused.value)
+        assert [len(tree) for tree, _frontier in bottom_trees.values()] == [1]
 
     def test_search_exhausted_reports_frontier(self):
         exc = SearchExhausted("no path", frontier_size=7)
@@ -1165,73 +1176,80 @@ def _walk_answers(steps):
         for top in tops for seed in seeds]
 
 
-def _held(layers):
-    """The classes a memo of side-B layers holds, over all its keys."""
-    return sum(len(added) for key_layers in layers.values()
-               for added, _frontier in key_layers)
+def _held(trees):
+    """The classes a memo of per-type trees holds, over all its types."""
+    return sum(len(tree) for tree, _frontier in trees.values())
 
 
-def _assert_cold_layers(layers):
-    """Each layer the memo holds under (g, p, q, ceiling) is the one a cold
-    side B grows there (moves._grow from the base point's key)."""
-    for (g, p, q, ceiling), key_layers in layers.items():
-        goal = ch.canonical_gamma0(g, p, q)._canonical[0]
-        info: dict = {goal: (None, None, None)}
-        frontier: dict = {goal: set()}
-        for added, stored in key_layers:
-            before = len(info)
-            frontier = moves._grow(info, frontier, ceiling, p, q)
-            assert added == tuple(info.items())[before:]
-            assert dict(stored) == frontier
+def _cold_tree(top, size):
+    """The records and frontier of type top's tree (moves._bottom_tree)
+    grown cold, layer by layer with moves._grow from the base point's key
+    under the ceiling E_min+1, until it holds size classes or is whole."""
+    g, p, q = top
+    goal = ch.canonical_gamma0(g, p, q)
+    info: dict = {goal._canonical[0]: (None, None, None)}
+    frontier: dict = {goal._canonical[0]: set()}
+    while len(info) < size and frontier:
+        frontier = moves._grow(info, frontier, goal.graph.n_edges + 1, p, q)
+    return info, frontier
+
+
+def _assert_cold_trees(trees):
+    """Each tree the memo holds is the one grown cold to its size, record
+    for record in discovery order, with the same frontier."""
+    for top, (tree, frontier) in trees.items():
+        info, cold_frontier = _cold_tree(top, len(tree))
+        assert list(tree.items()) == list(info.items())
+        assert dict(frontier) == cold_frontier
 
 
 @pytest.fixture
-def goal_layers(monkeypatch):
-    """An empty memo of path_to_canonical's side-B layers, in place of the
+def bottom_trees(monkeypatch):
+    """An empty memo of path_to_canonical's per-type trees, in place of the
     process's own until the test ends."""
-    layers: dict = {}
-    monkeypatch.setattr(moves, "_GOAL_LAYERS", layers)
-    return layers
+    trees: dict = {}
+    monkeypatch.setattr(moves, "_BOTTOM_TREES", trees)
+    return trees
 
 
 class TestGoalLayers:
+    """path_to_canonical's per-type trees, grown layer by layer from the
+    base point (moves._BOTTOM_TREES)."""
+
     @pytest.mark.parametrize("first,second", [(6, 8), (8, 6)])
-    def test_warm_memo_gives_the_cold_answers(self, goal_layers, first,
+    def test_warm_memo_gives_the_cold_answers(self, bottom_trees, first,
                                               second):
         # the golden walks' answers, each set asked with an empty memo and
-        # again after the other set has filled it; the sets share memo keys
+        # again after the other set has filled it; the sets share types
         cold = {first: _walk_answers(first)}
-        keys = set(goal_layers)
-        goal_layers.clear()
+        types = set(bottom_trees)
+        bottom_trees.clear()
         cold[second] = _walk_answers(second)
-        assert keys & set(goal_layers)
+        assert types & set(bottom_trees)
         assert _walk_answers(first) == cold[first]
         assert _walk_answers(second) == cold[second]
 
-    def test_stored_layers_are_cold_and_read_only(self, goal_layers):
+    def test_stored_layers_are_cold_and_read_only(self, bottom_trees):
         _walk_answers(6)
-        assert len(goal_layers) >= 5
-        _assert_cold_layers(goal_layers)
-        for key_layers in goal_layers.values():
-            for added, frontier in key_layers:
-                assert type(added) is tuple
-                assert all(type(entry) is tuple and type(entry[1]) is tuple
-                           for entry in added)
-                assert frontier.keys() == {key for key, _entry in added}
-                assert all(type(skip) is frozenset
-                           for skip in frontier.values())
-                key = next(iter(frontier))
-                with pytest.raises(TypeError):
-                    frontier[key] = frozenset()
-                with pytest.raises(AttributeError):
-                    frontier[key].add(("collapse", 0))
+        assert len(bottom_trees) == 5
+        _assert_cold_trees(bottom_trees)
+        for tree, frontier in bottom_trees.values():
+            assert all(type(record) is tuple for record in tree.values())
+            assert all(type(skip) is frozenset for skip in frontier.values())
+            key = next(iter(tree))
+            with pytest.raises(TypeError):
+                tree[key] = (None, None, None)
+            with pytest.raises(TypeError):
+                frontier[key] = frozenset()
+            with pytest.raises(AttributeError):
+                next(iter(frontier.values())).add(("collapse", 0))
 
     def test_memo_held_within_the_class_budget(self, monkeypatch,
-                                               goal_layers):
-        # under a small budget a layer is kept only while the memo stays
-        # within it, whether its query succeeds or exhausts, and every
-        # layer kept is a cold one; the default budget keeps more of the
-        # same queries' layers
+                                               bottom_trees):
+        # under a small budget a tree is kept only while the memo stays
+        # within it, whether its query succeeds or exhausts, and every tree
+        # kept is a cold one; the default budget keeps more of the same
+        # queries' trees
         def ask():
             for top in ((1, 1, 2), (0, 3, 2), (2, 1, 1), (1, 2, 1)):
                 rng = random.Random(3)
@@ -1239,47 +1257,39 @@ class TestGoalLayers:
                     with contextlib.suppress(SearchExhausted):
                         moves.path_to_canonical(
                             generate.random_diagram(rng, *top, steps=6))
-                    yield _held(goal_layers)
+                    yield _held(bottom_trees)
 
         with monkeypatch.context() as patch:
             patch.setattr(generate, "EXPLORE_CLASS_BUDGET", 40)
             held = list(ask())
-        assert max(held) <= 40 and held[-1] > held[0] > 0
-        _assert_cold_layers(goal_layers)
-        goal_layers.clear()
+        # the first query's bottom class is the base point: no tree grows
+        assert held[0] == 0 and 0 < held[1] < held[-1] and max(held) <= 40
+        _assert_cold_trees(bottom_trees)
+        bottom_trees.clear()
         assert max(ask()) > 40
 
     def test_no_layer_kept_after_one_that_is_not(self, monkeypatch,
-                                                 goal_layers):
-        # under a budget of 33, with (1;2,1)@8's first two layers (13
-        # classes) kept, (1;1,2)@8's layers of 5, 8, 12 and 6 classes are
-        # grown: the 12 would pass the budget, so neither it nor the 6
-        # after it is kept, though the 6 would fit
-        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 33)
+                                                 bottom_trees):
+        # under a budget of 40, with (1;2,1)'s tree held to its second
+        # layer (14 classes), (1;1,2)'s tree is grown in full, layers of 6,
+        # 14, 26, 32, ... classes: it is kept at 26, and no deeper layer is
+        # kept once one would pass the budget, until the growth exhausts
+        monkeypatch.setattr(generate, "EXPLORE_CLASS_BUDGET", 40)
+        second_layer = list(_cold_tree((1, 2, 1), 14)[0])[-1]
+        moves._bottom_tree(TopType(1, 2, 1), second_layer)
+        with pytest.raises(SearchExhausted, match="EXPLORE_CLASS_BUDGET = 40"):
+            moves._bottom_tree(TopType(1, 1, 2), second_layer)
+        assert {top: len(tree) for top, (tree, _frontier)
+                in bottom_trees.items()} == {(1, 2, 1): 14, (1, 1, 2): 26}
+        _assert_cold_trees(bottom_trees)
 
-        def grow(top, ceiling, count):
-            goal = ch.canonical_gamma0(*top)._canonical[0]
-            info: dict = {goal: (None, None, None)}
-            frontier: dict = {goal: set()}
-            sizes = []
-            for depth in range(count):
-                before = len(info)
-                frontier = moves._goal_layer((*top, ceiling), depth, info,
-                                             frontier)
-                sizes.append(len(info) - before)
-            return sizes
-
-        assert grow((1, 2, 1), 8, 2) == [5, 8]
-        assert grow((1, 1, 2), 8, 4) == [5, 8, 12, 6]
-        assert [[len(added) for added, _frontier in key_layers]
-                for key_layers in goal_layers.values()] == [[5, 8], [5, 8]]
-        _assert_cold_layers(goal_layers)
-
-    def test_exhausted_layer_is_not_stored(self, monkeypatch, goal_layers):
-        # under a budget of 30 this (2;1,1) query's side B holds 10 classes
-        # after its first layer and exhausts in its second: only the first
-        # is kept, and asking again raises the same refusal.  So does asking
-        # under that budget once the default budget has kept both layers
+    def test_exhausted_layer_is_not_stored(self, monkeypatch, bottom_trees):
+        # under a budget of 30 this (2;1,1) query's tree holds 29 classes
+        # after its second layer and exhausts in its third: only the first
+        # two are kept, and asking again raises the same refusal.  So does
+        # asking under that budget once the default budget has kept the tree
+        # to the query's bottom class, in its fourth layer: a held tree over
+        # the budget is not read, and a cold one no deeper does not replace it
         d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
         refusals = []
 
@@ -1289,14 +1299,12 @@ class TestGoalLayers:
                 with pytest.raises(SearchExhausted, match=(
                         "EXPLORE_CLASS_BUDGET = 30")) as refused:
                     moves.path_to_canonical(d)
-            assert any(frame.name == "_goal_layer" for frame in
+            assert any(frame.name == "_bottom_tree" for frame in
                        refused.traceback)
             refusals.append((str(refused.value), refused.value.frontier_size))
-            return [[len(added) for added, _frontier in key_layers]
-                    for key_layers in goal_layers.values()]
+            return [len(tree) for tree, _frontier in bottom_trees.values()]
 
-        assert refusal() == refusal() == [[9]]
+        assert refusal() == refusal() == [29]
         moves.path_to_canonical(d)
-        assert refusal() == [[9, 40]]
+        assert refusal() == [169]
         assert refusals[0] == refusals[1] == refusals[2]
-        assert refusals[0][1] == 28
