@@ -169,10 +169,11 @@ def validate_chord(
     ``boundary_order`` lists the least half-edge of each boundary cycle, the
     first ``p`` designating the incoming circles.  ``markings``, if omitted,
     default to the first circular half-edge of each cycle.  The fat graph
-    is checked first (fatgraph._check), then the chord structure
+    is checked first (fatgraph._checked, whose graph, equal to this one,
+    holds the vertex orbits its check derives), then the chord structure
     (_check_chord).
     """
-    fg._check(graph.pairing, graph.next_at_vertex)
+    graph = fg._checked(graph.pairing, graph.next_at_vertex)
     return _check_chord(graph, labels, p, boundary_order, markings)
 
 

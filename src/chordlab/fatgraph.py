@@ -162,8 +162,9 @@ def _check(pairing: Sequence[int], nxt: Sequence[int]):
     a fixed-point-free involution of them, a vertex of valence < 3, or a
     disconnected graph.  The one check of a rotation system: validate runs
     it on the rotation its vertex lists make, chord.validate_chord on a
-    diagram's graph and chord.glue on its flat tables (_checked).  Returns
-    the rotation's _orbits, which its valence check derives."""
+    diagram's graph's tables and chord.glue on its flat tables, all three
+    through _checked.  Returns the rotation's _orbits, which its valence
+    check derives."""
     n = len(pairing)
     if n % 2:
         raise InconsistentTables("odd number of half-edges")

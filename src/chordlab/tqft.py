@@ -12,7 +12,9 @@ Matrices hold field elements, but the matrix products run on Python ints:
 each entry of a product is one integer dot product, reduced once -- by one
 % p over F_p, and over Q by one Fraction whose denominator is the lcm of
 the denominators in its row of the left factor times the lcm of those in
-its column of the right.  A zero entry of the left factor costs nothing.
+its column of the right.  A zero entry of the left factor costs nothing,
+and a zero sum is the field's shared zero, as _zeros, _identity and _kron
+leave it, so over Q no Fraction is built for it.
 Operations with q = 0 do not exist in a positive-boundary theory (the counit
 is obstructed); counit_solve analyzes whether a counit happens to exist.
 """
@@ -176,7 +178,7 @@ def _matmul(F, A, B):
     """A B.  Each entry is one sum of integer products, reduced once: by one
     % p over F_p; over Q, row i of A is scaled by r_i, the lcm of its
     denominators, and column j of B by c_j, so that entry (i, j) is one
-    Fraction(sum, r_i c_j)."""
+    Fraction(sum, r_i c_j), or F.zero, shared, where the sum is 0."""
     assert len(A[0]) == len(B)
     if isinstance(F, PrimeField):
         reduce = F.p.__rmod__                                # x -> x % p
@@ -189,8 +191,9 @@ def _matmul(F, A, B):
     B_int = ([[x.numerator * (cj // x.denominator) for x, cj in zip(row, c)]
               for row in B] if any(cj != 1 for cj in c) else
              [list(map(_numerator, row)) for row in B])
-    return [[Fraction(n, ri * cj) if ri * cj != 1 else Fraction(n)
-             for n, cj in zip(s, c)]
+    zero = F.zero
+    return [[(Fraction(n, ri * cj) if ri * cj != 1 else Fraction(n))
+             if n else zero for n, cj in zip(s, c)]
             for s, ri in zip(_integer_rows(A_int, B_int), r)]
 
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")

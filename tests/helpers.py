@@ -157,16 +157,21 @@ def evaluated_rows(c: ch.ChordDiagram, A) -> list[list]:
     return rows
 
 
-def bent_cp2_frob() -> str:
-    """The frob text of k[x]/(x^3), the CP^2 pattern, over Q, with the
-    unscaled coproduct Delta(x^i) = sum_{j+k=i+2} x^j (x) x^k bent by one
-    extra 1 (x) 1 term in Delta(1): an algebra that is not Frobenius, on
-    which some gluings fail."""
-    lines = ["frob v1", "field Q", "basis x0", "basis x1", "basis x2",
-             "unit 1 0 0"]
+def truncated_polynomial(rank: int, delta: str = "1", field: str = "Q") -> str:
+    """The frob text of k[x]/(x^rank) over field with Delta(x^i) = delta *
+    sum_{j+k=i+rank-1} x^j (x) x^k: the cohomology-ring pattern of
+    CP^(rank-1), Delta scaled."""
+    lines = ["frob v1", f"field {field}"] + [f"basis x{i}" for i in range(rank)]
+    lines.append("unit " + " ".join("1" if i == 0 else "0" for i in range(rank)))
     lines += [f"m {i} {j} -> {i + j} 1"
-              for i in range(3) for j in range(3 - i)]
-    lines += [f"Delta {i} -> {j} {i + 2 - j} 1"
-              for i in range(3) for j in range(3) if 0 <= i + 2 - j < 3]
-    lines.append("Delta 0 -> 0 0 1")
+              for i in range(rank) for j in range(rank - i)]
+    lines += [f"Delta {i} -> {j} {i + rank - 1 - j} {delta}"
+              for i in range(rank) for j in range(rank)
+              if 0 <= i + rank - 1 - j < rank]
     return "\n".join(lines) + "\n"
+
+
+def bent_cp2_frob() -> str:
+    """truncated_polynomial(3) with Delta(1) bent by one extra 1 (x) 1 term:
+    an algebra that is not Frobenius, on which some gluings fail."""
+    return truncated_polynomial(3) + "Delta 0 -> 0 0 1\n"

@@ -130,6 +130,32 @@ class TestValidateChord:
         with pytest.raises(IncomingNotBoundaryCycle):
             ch.validate_chord(d.graph, d.labels, 1, bad_order)
 
+    def test_vertex_orbits_derived_once_on_a_fresh_graph(self, monkeypatch):
+        # on a FatGraph the caller built, validate_chord derives the
+        # rotation's orbits once, in the valence check, and the graph keeps
+        # them as its vertex table; the boundary cycles' orbits are the
+        # other call, as in parse_chord
+        base = ch.canonical_gamma0(1, 1, 2)
+        text = formats.serialize_chord(base)
+        orbits, calls = fg._orbits, []
+
+        def counted(perm):
+            calls.append(None)
+            return orbits(perm)
+
+        monkeypatch.setattr(fg, "_orbits", counted)
+        graph = FatGraph(base.graph.pairing, base.graph.next_at_vertex)
+        d, top = ch.validate_chord(graph, base.labels, base.p,
+                                   base.boundary_order, base.markings)
+        assert len(calls) == 2
+        del calls[:]
+        assert formats.parse_chord(text) == d
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert (d, top) == (base, TopType(1, 1, 2))
+        assert d.graph.vertices() == FatGraph(
+            graph.pairing, graph.next_at_vertex).vertices()
+
 
     @pytest.mark.parametrize("labels,message", [
         ("CCCCG", "one C/G entry per half-edge"),

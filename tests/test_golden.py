@@ -8,8 +8,9 @@ read the rest of its path off one tree per type, those of
 the enumerated classes from the release before the enumerator yielded raw
 tables, those of (1;1,3)@12 and (0;2,3)@9 from the release before the
 ghost-forest search pruned partial forests, those of the tqft outputs from the release before the matrix kernels
-accumulated in ints); a change that alters any of them changes what chordlab
-reports."""
+accumulated in ints, those of cp2/Q and cp2/F7 from the release before a
+zero sum over Q became the shared F.zero); a change that alters any of them
+changes what chordlab reports."""
 
 import hashlib
 import json
@@ -22,6 +23,8 @@ from chordlab import formats, generate, moves
 from chordlab.cli import main
 from chordlab.errors import ChordLabError
 from chordlab.fatgraph import TopType
+
+from helpers import truncated_polynomial
 
 
 def _sha(text: str) -> str:
@@ -138,30 +141,21 @@ def test_enumerated_classes(top, bound, digest):
     assert _sha(text) == digest
 
 
-def _truncated_polynomial(rank: int, delta: str) -> str:
-    """k[x]/(x^rank) over Q with Delta(x^i) = delta * sum_{j+k=i+rank-1}
-    x^j (x) x^k: the cohomology-ring pattern of CP^(rank-1), Delta scaled."""
-    lines = ["frob v1", "field Q"] + [f"basis x{i}" for i in range(rank)]
-    lines.append("unit " + " ".join("1" if i == 0 else "0" for i in range(rank)))
-    lines += [f"m {i} {j} -> {i + j} 1"
-              for i in range(rank) for j in range(rank - i)]
-    lines += [f"Delta {i} -> {j} {i + rank - 1 - j} {delta}"
-              for i in range(rank) for j in range(rank)
-              if 0 <= i + rank - 1 - j < rank]
-    return "\n".join(lines) + "\n"
-
-
 # Scaling Delta by a constant keeps every axiom (each one is linear or
 # quadratic in Delta on both sides), so these algebras pass them all while
 # their operations carry denominators: pd2 is the rank-2 case.
-_THIRDS = {"pd2/3": _truncated_polynomial(2, "1/3"),
-           "cp2/3": _truncated_polynomial(3, "1/3")}
+_THIRDS = {"pd2/3": truncated_polynomial(2, "1/3"),
+           "cp2/3": truncated_polynomial(3, "1/3")}
+# the CP^2 pattern with integer Delta, over Q and F_7: the rank-3 inputs the
+# benchmark's tqft workload times
+_FILES = {**_THIRDS, "cp2/Q": truncated_polynomial(3),
+          "cp2/F7": truncated_polynomial(3, field="Fp 7")}
 
 
 def _algebra_args(tmp_path, algebra: str) -> list[str]:
-    if algebra in _THIRDS:
+    if algebra in _FILES:
         path = tmp_path / "algebra.frob"
-        path.write_text(_THIRDS[algebra])
+        path.write_text(_FILES[algebra])
         return ["--algebra", str(path)]
     name, field_ = algebra.split("/")
     return ["--algebra", name, "--field", field_]
@@ -178,6 +172,11 @@ def _algebra_args(tmp_path, algebra: str) -> list[str]:
      "aefc1d25f4126776c70294d9833c91e6207cc1741f952c6cf68d9e5e1f186c9a"),
     ("cp2/3",
      "894e259d1b7b0085b0e46db2782c245d6ea6babe2057670b8bd8f66de5f29e76"),
+    # every entry of these operations is 0, 1 or 3, so the two read alike
+    ("cp2/Q",
+     "15d7ef06347a1118f163d78eaab5ea77c1a70d03dd16c202a42c8cf3681231e2"),
+    ("cp2/F7",
+     "15d7ef06347a1118f163d78eaab5ea77c1a70d03dd16c202a42c8cf3681231e2"),
 ])
 def test_tqft_op_json(capsys, tmp_path, algebra, digest):
     # every mu_{p,q}(g) with p <= 3, 1 <= q <= 3 and g <= 3, one JSON line

@@ -12,7 +12,8 @@ from chordlab import formats, generate, tqft
 from chordlab.errors import ChordLabError, NoOutgoing
 from chordlab.fatgraph import TopType
 
-from helpers import bent_cp2_frob, evaluated_rows, expansions
+from helpers import (bent_cp2_frob, evaluated_rows, expansions,
+                     truncated_polynomial)
 
 FIELDS = [tqft.Rationals(), tqft.PrimeField(2), tqft.PrimeField(3),
           tqft.PrimeField(5)]
@@ -81,10 +82,13 @@ _KERNEL_FIELDS = st.sampled_from([tqft.Rationals(), tqft.PrimeField(2),
 
 
 def _assert_field_entries(F, M):
+    """Every entry of M is an element of F; over Q a Fraction, and a zero
+    entry is F.zero itself, the one zero every kernel shares."""
     for row in M:
         for x in row:
             if isinstance(F, tqft.Rationals):
                 assert type(x) is Fraction
+                assert x != 0 or x is F.zero
             else:
                 assert type(x) is int and 0 <= x < F.p
 
@@ -111,6 +115,34 @@ class TestKernels:
         C = tqft._kron(F, A, B)
         assert C == _reference_kron(F, A, B)
         _assert_field_entries(F, C)
+
+
+class TestSharedZero:
+    @pytest.mark.parametrize("algebra", ["pd2", "cp2"])
+    def test_mu_and_gluing_products(self, monkeypatch, algebra):
+        # every matrix mu returns, and every product verify_gluing forms
+        # (its composite mu_{q,r} o mu_{p,q} among them), holds Fractions
+        # whose zeros are F.zero itself
+        A = tqft.pd2() if algebra == "pd2" else formats.parse_frob(
+            truncated_polynomial(3))
+        F = A.field_
+        for p, q, g in itertools.product(range(4), (1, 2, 3), (0, 1, 2)):
+            _assert_field_entries(F, tqft.mu(A, p, q, g).rows())
+        products, matmul = [], tqft._matmul
+
+        def recorded(*args):
+            products.append(matmul(*args))
+            return products[-1]
+
+        monkeypatch.setattr(tqft, "_matmul", recorded)
+        for p, q, r in itertools.product((1, 2, 3), repeat=3):
+            for g1, g2 in itertools.product((0, 1), repeat=2):
+                assert tqft.verify_gluing(A, p, q, r, g1, g2) == (True, None)
+        for M in products:
+            _assert_field_entries(F, M)
+        # most entries of these products are zero
+        entries = [x for M in products for row in M for x in row]
+        assert 2 * sum(x is F.zero for x in entries) > len(entries)
 
 
 class TestAxioms:
