@@ -158,16 +158,18 @@ def _is_connected(pairing: Sequence[int], nxt: Sequence[int]) -> bool:
 
 def _check(pairing: Sequence[int], nxt: Sequence[int]):
     """Refuse tables that are not a fat graph: an odd number of half-edges,
-    a rotation nxt that is not a permutation of them, a pairing that is not
-    a fixed-point-free involution of them, a vertex of valence < 3, or a
-    disconnected graph.  The one check of a rotation system: validate runs
-    it on the rotation its vertex lists make, chord.validate_chord on a
-    diagram's graph's tables and chord.glue on its flat tables, all three
-    through _checked.  Returns the rotation's _orbits, which its valence
-    check derives."""
+    an entry that is not an int (a bool included), a rotation nxt that is
+    not a permutation of them, a pairing that is not a fixed-point-free
+    involution of them, a vertex of valence < 3, or a disconnected graph.
+    The one check of a rotation system: validate runs it on the rotation
+    its vertex lists make, chord.validate_chord on a diagram's graph's
+    tables and chord.glue on its flat tables, all three through _checked.
+    Returns the rotation's _orbits, which its valence check derives."""
     n = len(pairing)
     if n % 2:
         raise InconsistentTables("odd number of half-edges")
+    for h in (*pairing, *nxt):
+        _check_id(h)
     if len(nxt) != n or set(nxt) != set(range(n)):
         raise InconsistentTables("next_at_vertex is not a permutation of "
                                  "the half-edges")
@@ -187,16 +189,23 @@ def _check(pairing: Sequence[int], nxt: Sequence[int]):
     return orbits
 
 
+def _check_id(h) -> None:
+    """Refuse a half-edge id that is not an int, a bool included: a float
+    passes range and set tests but indexes no table."""
+    if type(h) is not int:
+        raise InconsistentTables(f"half-edge id {h!r} is not an int")
+
+
 def validate(
     pairing: Sequence[int], vertex_lists: Iterable[Sequence[int]]
 ) -> FatGraph:
     """Build a FatGraph from a pairing table and vertex cyclic lists.
 
     ``vertex_lists`` gives, for each vertex, its half-edges in cyclic order.
-    Raises a structured error if a half-edge is repeated, out of range or
-    in no list, or if the tables fail _check: the pairing is not a
-    fixed-point-free involution, a vertex has valence < 3, or the graph is
-    disconnected.  An empty list is a vertex of valence 0.
+    Raises a structured error if a half-edge is not an int, repeated, out
+    of range or in no list, or if the tables fail _check: the pairing is
+    not a fixed-point-free involution, a vertex has valence < 3, or the
+    graph is disconnected.  An empty list is a vertex of valence 0.
     """
     pairing = tuple(pairing)
     n = len(pairing)
@@ -206,6 +215,7 @@ def validate(
         if not cyc:
             raise ValenceTooLow("vertex () has valence 0")
         for h in cyc:
+            _check_id(h)
             if not (0 <= h < n) or seen[h]:
                 raise InconsistentTables(f"half-edge {h} repeated or out of range")
             seen[h] = True

@@ -9,9 +9,9 @@ colors of its canonical form), are written only when the class is
 expanded or when it is reported (chord._code).  So every move in a
 recorded path refers to half-edge ids of the canonical representative at
 that step; replaying a path means alternating apply_move and
-canonical_form.  path_to_canonical and
-explore's witness check replay on the canonical tables instead, through
-the one checked move (chord._apply) that apply_move makes on a diagram.
+canonical_form.  The witness check makes each recorded move on the
+canonical tables instead, through the one checked move (chord._apply) that
+apply_move makes on a diagram.
 A move names only what is free: a collapse its edge, an expansion the two
 half-edges that end its arcs.  The inverse of a collapse is the split at
 the half-edges before the edge's two ends; the inverse of an expansion
@@ -31,13 +31,14 @@ generate.EXPLORE_CLASS_BUDGET classes, checked as each class is expanded.
 
 A recorded move carries a certificate: the start, the half-edge of the
 tables the move leaves that is the canonical half-edge 0 of the class it
-leads to.  _neighbors makes it for each move and its inverse, and _grow
-records the inverse's.  The witness check and path_to_canonical's
-replay make each move through chord._apply and then run one traversal from
-that start (fatgraph._spells), which must spell the class's least word
-entry by entry (_certify).  Spelling the word proves the class whatever the
-start, so neither makes a canonical search, and a wrong start can only
-refuse a move.
+leads to.  _neighbors makes it for each inverse move, and _grow records it.
+The witness check (_check_witness) makes the move through chord._apply and
+then runs one traversal from that start (fatgraph._spells), which must
+spell the class's least word entry by entry.  Spelling the word proves the
+class whatever the start, so the check makes no canonical search, and a
+wrong start can only refuse a move.  explore's search and
+path_to_canonical's tree both run it on each class as it is expanded, so
+each record is checked once.
 
 The searches canonicalize each move once, bar a second move between the
 same two classes.  A move changes the edge count by one, so it joins two
@@ -58,11 +59,11 @@ query on a diagram shares its one search with canonical_form.
 path_to_canonical descends from its diagram's class by collapses, which
 need no search, to the bottom layer (chord._essential), and reads the
 rest of its path off one breadth-first tree per type, grown from the base
-point only as deep as a query has needed and kept, read-only, for every
-later query (_BOTTOM_TREES, _bottom_tree).  Every
-diagram of type (g;p,q) takes the same colors, so a half-edge's color is an
-int: its cycle's position, plus q on a ghost (chord._int_colors), so a
-color of p+q or more is a ghost's.  When a class is expanded, its inverse
+point only as deep as a query has needed, checked as explore's search is,
+and kept, read-only, for every later query (_BOTTOM_TREES, _bottom_tree).
+Every diagram of type (g;p,q) takes the same colors, so a half-edge's
+color is an int: its cycle's position, plus q on a ghost
+(chord._int_colors), so a color of p+q or more is a ghost's.  When a class is expanded, its inverse
 rotation and vertex, ghost-component and circular-vertex tables are derived
 from its columns once (chord._tables).
 Its collapsible edges are read off them (chord._collapsible_edges), and
@@ -163,9 +164,9 @@ def _undo(nxt, base, touched) -> None:
 def _neighbors(t, max_edges: int | None, skip):
     """Every search's one routine per class: all move-graph neighbours of
     the class with tables t (chord._tables), passing over the moves in
-    skip, as a deduplicated list of (key, forward move on t, its start,
-    inverse move on the canonical tables, its start), each class with its
-    first move in _edits' order.  Each start certifies its move (_certify).
+    skip, as a deduplicated list of (key, forward move on t, inverse move
+    on the canonical tables, its start), each class with its first move in
+    _edits' order.  The start certifies the inverse move (_check_witness).
 
     Each child costs one canonical search, on t's own tables, edited in
     place: one copy of t's rotation, with two spare slots for a split's
@@ -180,15 +181,12 @@ def _neighbors(t, max_edges: int | None, skip):
     those a search of the child's compacted tables (chord._apply) finds.
 
     This is the one routine that knows how chord._apply numbers each end
-    of a move, so no labeling leaves it.  A collapse drops its dead ids a
-    < b, renumbering every id above them down; a split appends n and n+1
-    and keeps every other id.  The forward start is the child half-edge
-    the labeling sends to 0, so numbered.  The inverse start is t's
+    of a move, so no labeling leaves it.  The inverse start is t's
     half-edge 0 on the tables the inverse move leaves on the child's
     canonical tables: the split undoing a collapse keeps every id and
     appends the collapsed halves, the first being t's 0 if edge 0
     collapsed; the collapse undoing a split drops its new edge's two
-    labels."""
+    labels, renumbering every id above them down."""
     p, q = t.p, t.q
     n_colors = p + 2 * q
     n = len(t.pairing)
@@ -225,15 +223,13 @@ def _neighbors(t, max_edges: int | None, skip):
         _undo(nxt, base, touched)
         if key in found:
             continue
-        start = label.index(0)
         if dead:
-            a, b = dead
-            found[key] = (key, move, start - (start > a) - (start > b),
+            found[key] = (key, move,
                           ("expand", label[touched[0]], label[touched[1]]),
-                          n - 2 if a == 0 else label[0])
+                          n - 2 if dead[0] == 0 else label[0])
         else:
             u, v = sorted((label[n], label[n + 1]))
-            found[key] = (key, move, start, ("collapse", u),
+            found[key] = (key, move, ("collapse", u),
                           label[0] - (label[0] > u) - (label[0] > v))
     return list(found.values())
 
@@ -250,7 +246,7 @@ def neighbors_with_moves(c: ChordDiagram, max_edges: int | None = None):
     """
     p, q = c.p, c.q
     out = []
-    for key, fwd, _start, inv, _inv_start in _neighbors(
+    for key, fwd, inv, _start in _neighbors(
             ch._diagram_tables(c), max_edges, ()):
         code, columns = ch._code(key, p, q)
         out.append((code, ch._form(columns, p, q,
@@ -287,7 +283,7 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
     """Expand one search layer of type (g;p,q), class by class in code
     order: record each unseen neighbour of the frontier in info as (parent
     key, inverse move, start), start being the certificate _neighbors made
-    for the inverse move (_certify).
+    for the inverse move (_check_witness).
 
     info and the frontier are keyed by least words (chord._canonicalize);
     the frontier maps each to the moves its class skips.  Each frontier
@@ -312,10 +308,10 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
         t = ch._tables(*columns, p, q)
         if check is not None:
             check(info, parent, code, t)
-        for key, _fwd, _fwd_start, inv, inv_start in _neighbors(
+        for key, _fwd, inv, start in _neighbors(
                 t, max_edges, frontier[parent]):
             if key not in info:
-                info[key] = (parent, inv, inv_start)
+                info[key] = (parent, inv, start)
                 new[key] = set()
             if key in new:
                 new[key].add(inv)
@@ -348,24 +344,15 @@ def _bfs(key, p: int, q: int, max_edges: int, check=None):
             for key, (parent, move, _start) in info.items()}
 
 
-def _certify(t, move, key, start) -> None:
-    """Refuse move unless, made on the tables t by chord._apply, it reaches
-    the class with this key: the tables it leaves, traversed once from the
-    half-edge start, must spell that class's least word entry by entry
-    (fatgraph._spells).  No canonical search is made.  Spelling the word
-    proves the class, whatever start is, so a wrong start can only refuse
-    a move.  A move _apply refuses raises its own ChordLabError, and one
-    that does not spell the word raises one naming start."""
-    if not fg._spells(*ch._apply(t, move), t.p + 2 * t.q, start,
-                      ch._word(key)):
-        raise ChordLabError(f"its move, traversed from half-edge {start}, "
-                            "does not spell the class it leads to")
-
-
-def _check_witness(info: dict, key, code: bytes, t) -> None:
+def _check_witness(info: dict, key, code: bytes | None, t) -> None:
     """Refuse the class with this key and code, and tables t, unless its
-    recorded inverse move reaches its parent's class, certified by its
-    recorded start (_certify): one traversal, no canonical search.
+    recorded inverse move reaches its parent's class: made on t by
+    chord._apply, it must leave tables that, traversed once from the
+    recorded start, spell the parent's least word entry by entry
+    (fatgraph._spells).  No canonical search is made.  Spelling the word
+    proves the class, whatever the start, so a wrong start can only refuse
+    a move.  The refusal names the class, by code, written here if code is
+    None, and carries _apply's own message for a move _apply refuses.
 
     A witness path is its class's inverse move followed by its parent's
     path, so checking every class's one move against its parent's key
@@ -381,8 +368,14 @@ def _check_witness(info: dict, key, code: bytes, t) -> None:
     if parent is None:
         return
     try:
-        _certify(t, inv, parent, start)
+        if fg._spells(*ch._apply(t, inv), t.p + 2 * t.q, start,
+                      ch._word(parent)):
+            return
+        raise ChordLabError(f"its move, traversed from half-edge {start}, "
+                            "does not spell the class it leads to")
     except ChordLabError as exc:
+        if code is None:
+            code = ch._code(key, t.p, t.q)[0]
         raise ChordLabError(
             f"witness path for {code!r} does not replay: {exc}") from exc
 
@@ -564,7 +557,9 @@ def _bottom_tree(top: TopType, key):
     breadth-first tree of type top from its base point under the ceiling
     E_min+1, one edge above the base point's, grown layer by layer (_grow)
     until it holds key.  A tree grown in full that does not hold key raises
-    a ChordLabError naming key's class.
+    a ChordLabError naming key's class.  Each class is checked as it is
+    expanded, as explore's search checks it (_check_witness), so every
+    record the tree holds is checked but those of its frontier.
 
     The tree depends only on the type, so it is memoised per (g, p, q) in
     _BOTTOM_TREES, read-only: each layer is grown on a copy of the held
@@ -572,11 +567,11 @@ def _bottom_tree(top: TopType, key):
     MappingProxyTypes, the skip sets as frozensets.  A deeper tree replaces
     the type's held one while the memo stays within
     generate.EXPLORE_CLASS_BUDGET classes over all types, and a layer _grow
-    refuses with SearchExhausted is not kept.  A held tree is used only
-    while it is within that budget; _grow, checking the budget as it
-    expands each class, could then not have refused any of its layers, so a
-    query's answer, or its refusal, is the same with a cold memo or a warm
-    one."""
+    refuses, with SearchExhausted or because a class fails its check, is
+    not kept.  A held tree is used only while it is within that budget;
+    _grow, checking the budget as it expands each class, could then not
+    have refused any of its layers, so a query's answer, or its refusal,
+    is the same with a cold memo or a warm one."""
     p, q = top.p, top.q
     budget = generate.EXPLORE_CLASS_BUDGET
     memo_key = (top.genus, p, q)
@@ -593,7 +588,7 @@ def _bottom_tree(top: TopType, key):
                 f"base point of {top} under {ceiling} edges does not hold "
                 "this bottom class")
         grown = dict(info)
-        new = _grow(grown, frontier, ceiling, p, q)
+        new = _grow(grown, frontier, ceiling, p, q, check=_check_witness)
         info = MappingProxyType(grown)
         frontier = MappingProxyType({k: frozenset(skip)
                                      for k, skip in new.items()})
@@ -605,8 +600,8 @@ def _bottom_tree(top: TopType, key):
 
 
 def path_to_canonical(c: ChordDiagram) -> list[Move]:
-    """A replay-verified move sequence from c to the base-point diagram of
-    its type, found in two stages, neither a search from c.
+    """A checked move sequence from c to the base-point diagram of its
+    type, found in two stages, neither a search from c.
 
     Descent: collapse the least collapsible edge of each class's canonical
     tables (chord._collapsible_edges) until none is left.  By the lemma
@@ -623,25 +618,26 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
 
     The returned moves are applied to canonical representatives: replay as
     d = canonical_form(apply_move(d, move)) starting from canonical_form(c).
-    Before it is returned, the path is replayed that way on canonical
-    tables, each step made and certified as explore's witness check does
-    (_replay, _certify), with no canonical search.
+    Each descent step is made by the checked move chord._apply on canonical
+    tables.  Every tree record the path reads was checked as its class was
+    expanded (_check_witness), but the bottom class's own, whose class can
+    still be in the tree's frontier; so that one record is checked here, on
+    the tables the descent ends on, with one traversal and no canonical
+    search.  A record that fails raises a ChordLabError naming its class.
     """
     top = c.top_type()
     p, q = top.p, top.q
     bottom = ch.canonical_gamma0(top.genus, p, q).graph.n_edges
-    start = key = c._canonical[0]
+    key = c._canonical[0]
 
-    # each step is (move, certificate start, key of the class it leads to)
-    steps = []
+    path = []
     while True:
         t = ch._tables(*fg._columns(ch._word(key), p + 2 * q), p, q)
         edge = next(ch._collapsible_edges(t), None)
         if edge is None:
             break
-        move = ("collapse", edge[0])
-        key, _word, label = ch._canonicalize(*ch._apply(t, move), p, q)
-        steps.append((move, label.index(0), key))
+        path.append(("collapse", edge[0]))
+        key = ch._canonicalize(*ch._apply(t, path[-1]), p, q)[0]
     if len(t.pairing) != 2 * bottom:
         raise ChordLabError(
             f"the descent stops at {ch._code(key, p, q)[0]!r}, with "
@@ -649,28 +645,8 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
             f"bottom layer's {bottom}")
 
     info = _bottom_tree(top, key)
+    _check_witness(info, key, None, t)
     while info[key][0] is not None:
-        key, move, certificate = info[key]
-        steps.append((move, certificate, key))
-
-    _replay(start, steps, p, q)
-    return [move for move, _start, _key in steps]
-
-
-def _replay(key, steps, p: int, q: int) -> None:
-    """Replay steps, each (move, start, key of the class it leads to), from
-    the class of type (g;p,q) with this key.  Each move is made on the
-    canonical tables of the class before it and certified against the class
-    it leads to (_certify): one traversal per step, no canonical search.
-    The last step leads to the base point, as the search recorded it, so
-    the certificates are the whole check: a step that is refused raises a
-    ChordLabError naming the code of the class it is made on."""
-    for move, start, target in steps:
-        t = ch._tables(*fg._columns(ch._word(key), p + 2 * q), p, q)
-        try:
-            _certify(t, move, target, start)
-        except ChordLabError as exc:
-            raise ChordLabError(
-                "path replay does not reach the base point: the step from "
-                f"{ch._code(key, p, q)[0]!r} is refused: {exc}") from exc
-        key = target
+        key, move, _start = info[key]
+        path.append(move)
+    return path

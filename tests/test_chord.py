@@ -221,6 +221,17 @@ class TestValidateChord:
             fg.validate(graph.pairing, fg._orbits(graph.next_at_vertex)[0])
         assert str(as_graph.value) == str(as_diagram.value)
 
+    @pytest.mark.parametrize("graph,bad", [
+        (FatGraph((1.0, 0), (1, 0)), "1.0"),
+        (FatGraph((1, 0), (True, 0)), "True"),
+    ])
+    def test_half_edge_that_is_not_an_int_refused(self, graph, bad):
+        # a FatGraph is built unchecked: a float id once indexed a table
+        # and crashed with a TypeError, and a bool passed as 0 or 1
+        with pytest.raises(InconsistentTables,
+                           match=f"half-edge id {bad} is not an int"):
+            ch.validate_chord(graph, "CC", 1, (0, 1))
+
     @pytest.mark.parametrize("graph,labels,count", [
         # the one-chord (0;1,2)'s graph with its chord made circular: a
         # theta of circular edges, each end carrying three

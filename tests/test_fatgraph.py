@@ -73,12 +73,26 @@ class TestValidate:
         ([1, 0, 2], "odd number of half-edges"),
         ([1, 0, 9, 2], r"pairing\(2\) = 9 out of range"),
         ([1, 2, 3, 0], "pairing is not an involution at 0"),
+        ([1, 0, 3, 2.0], "half-edge id 2.0 is not an int"),
     ])
     def test_pairing_refused(self, pairing, message):
         # a file's pair records always make an even, in-range involution,
         # so only a direct call reaches these
         with pytest.raises(InconsistentTables, match=message):
             fg.validate(pairing, [list(range(len(pairing)))])
+
+    @pytest.mark.parametrize("pairing,vertex_lists,bad", [
+        ([1, 0, 3, 2, 5, 4], [[0.0, 2, 4], [1, 3, 5]], "0.0"),
+        ([1, 0, 3, 2, 5, 4], [[0, 2, 4], [True, 3, 5]], "True"),
+    ])
+    def test_half_edge_that_is_not_an_int_refused(self, pairing,
+                                                  vertex_lists, bad):
+        # a float passes the range test but indexes no table, and a bool
+        # indexes one as 0 or 1; a file's ids are parsed as ints, so only a
+        # direct call reaches these
+        with pytest.raises(InconsistentTables,
+                           match=f"half-edge id {bad} is not an int"):
+            fg.validate(pairing, vertex_lists)
 
 
 class TestBoundaryCycles:

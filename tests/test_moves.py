@@ -316,9 +316,9 @@ class TestWordKeys:
                                                     bottom_trees):
         # a far (2;1,1) query writes code text once per class its type's
         # tree expands, and derives columns once more per class of its
-        # descent and per replay step; the classes of the tree's last layer,
-        # its frontier, are never written.  The memo starts empty, so the
-        # tree is grown here
+        # descent; the classes of the tree's last layer, its frontier, are
+        # never written, not even the bottom class's, whose record the
+        # query checks.  The memo starts empty, so the tree is grown here
         d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
 
         def counted_query():
@@ -337,13 +337,15 @@ class TestWordKeys:
         tree, frontier = bottom_trees[(2, 1, 1)]
         assert len(path) == 6 and (len(tree), len(frontier)) == (169, 60)
         assert counts["_code"] == counts["_neighbors"] == 169 - 60
-        assert counts["_columns"] <= counts["_code"] + 2 * len(path) + 1
+        descent = d.graph.n_edges - ch.canonical_gamma0(2, 1, 1).graph.n_edges
+        assert counts["_columns"] == counts["_code"] + descent + 1
 
         # a second query of the type reads its bottom class's path off the
         # held tree: nothing is expanded and no code is written
         again, counts = counted_query()
         assert again == path
         assert counts["_code"] == counts["_neighbors"] == 0
+        assert counts["_columns"] == descent + 1
 
 
 def _partition(component):
@@ -681,10 +683,10 @@ class TestExplore:
         def swapped(t, max_edges, skip):
             out = original(t, max_edges, skip)
             if not tampered:
-                key, fwd, fwd_start, _inv, start = out[0]
-                other = next(e[3] for e in out if misleads(t, key, e[3]))
+                key, fwd, _inv, start = out[0]
+                other = next(e[2] for e in out if misleads(t, key, e[2]))
                 tampered.append(t)
-                out[0] = (key, fwd, fwd_start, other, start)
+                out[0] = (key, fwd, other, start)
             return out
 
         monkeypatch.setattr(moves, "_neighbors", swapped)
@@ -704,7 +706,7 @@ class TestExplore:
 
         def invalid(t, max_edges, skip):
             out = original(t, max_edges, skip)
-            for i, (key, fwd, fwd_start, _inv, start) in enumerate(out):
+            for i, (key, fwd, _inv, start) in enumerate(out):
                 if tampered or key in met:
                     continue
                 code, columns = ch._code(key, t.p, t.q)
@@ -713,7 +715,7 @@ class TestExplore:
                 for e in c.graph.edges():
                     if (ch.is_essential(c, e) and loop == (
                             vertex_of[e] == vertex_of[c.graph.pairing[e]])):
-                        out[i] = (key, fwd, fwd_start, ("collapse", e), start)
+                        out[i] = (key, fwd, ("collapse", e), start)
                         tampered.append(code)
                         break
             met.update(key for key, *_ in out)
@@ -738,9 +740,8 @@ class TestExplore:
         def shifted(t, max_edges, skip):
             out = original(t, max_edges, skip)
             if not tampered:
-                key, fwd, fwd_start, inv, start = out[0]
-                out[0] = (key, fwd, fwd_start, inv,
-                          (start + 1) % len(t.pairing))
+                key, fwd, inv, start = out[0]
+                out[0] = (key, fwd, inv, (start + 1) % len(t.pairing))
                 tampered.append(ch._code(key, t.p, t.q)[0])
             return out
 
@@ -906,10 +907,10 @@ class TestCertificates:
         # every move of every class: the inverse move, made on the
         # neighbour's canonical tables, leaves tables whose traversal from
         # the recorded start spells the class's least word, and a canonical
-        # search of them agrees; so do the forward move's tables from the
-        # forward start, the neighbour's half-edge 0.  A start moved to
-        # the next half-edge spells the word only on a class with more than
-        # one automorphism, which is rare
+        # search of them agrees; the forward move's tables are in the
+        # neighbour's class.  A start moved to the next half-edge spells the
+        # word only on a class with more than one automorphism, which is
+        # rare
         _g, p, q = top
         n_colors = p + 2 * q
         classes = moves_checked = shifted_spelled = 0
@@ -918,7 +919,7 @@ class TestCertificates:
             classes += 1
             t = ch._tables(*columns, p, q)
             key = ch._canonicalize(t.pairing, t.nxt, t.colors, p, q)[0]
-            for child, fwd, fwd_start, inv, start in moves._neighbors(
+            for child, fwd, inv, start in moves._neighbors(
                     t, bound, ()):
                 moved = ch._apply(
                     ch._tables(*ch._code(child, p, q)[1], p, q), inv)
@@ -927,10 +928,7 @@ class TestCertificates:
                 shifted = (start + 1) % len(t.pairing)
                 shifted_spelled += fg._spells(*moved, n_colors, shifted,
                                               ch._word(key))
-                made = ch._apply(t, fwd)
-                assert fg._spells(*made, n_colors, fwd_start,
-                                  ch._word(child))
-                assert ch._canonicalize(*made, p, q)[0] == child
+                assert ch._canonicalize(*ch._apply(t, fwd), p, q)[0] == child
                 moves_checked += 1
         assert moves_checked > classes
         assert shifted_spelled < moves_checked / 100
@@ -965,10 +963,12 @@ class TestCertificates:
             colors * 2)]
         assert not fg._spells(*union, colors * 2, n_colors, 0, both)
 
-    def test_no_canonical_search_in_witness_check_or_replay(self,
-                                                            monkeypatch):
-        # the witness check adds no canonical search to the BFS, and
-        # path_to_canonical's replay makes none
+    def test_no_canonical_search_in_witness_checks(self, monkeypatch,
+                                                   bottom_trees):
+        # the witness check adds no canonical search to the BFS or to
+        # path_to_canonical's tree, and a warm query makes one search per
+        # descent step and one traversal, the check of its bottom class's
+        # own record, unless that class is the base point's
         searches = _counting_searches(monkeypatch)
         key = ch.canonical_gamma0(0, 3, 2)._canonical[0]
         counts = []
@@ -977,21 +977,38 @@ class TestCertificates:
             assert len(moves._bfs(key, 3, 2, 9, check)) == 698
             counts.append(len(searches))
         assert counts[0] == counts[1] > 0
-        replay, during = moves._replay, []
 
-        def watched(*args):
-            before = len(searches)
-            replay(*args)
-            during.append((len(args[1]), len(searches) - before))
+        ch.canonical_gamma0(2, 1, 1)._canonical
+        searches.clear()
+        layers = _tree_layers((2, 1, 1), 4)
+        unchecked = len(searches)
+        searches.clear()
+        moves._bottom_tree(TopType(2, 1, 1), layers[4][0])
+        assert len(searches) == unchecked > 0
 
-        monkeypatch.setattr(moves, "_replay", watched)
+        spells, spell = [], fg._spells
+
+        def counted(*args):
+            spells.append(None)
+            return spell(*args)
+
+        monkeypatch.setattr(fg, "_spells", counted)
         rng = random.Random(5)
+        descents = checks = 0
         for top in ((1, 1, 2), (0, 3, 2), (2, 1, 1)):
+            bottom = ch.canonical_gamma0(*top).graph.n_edges
             for _ in range(3):
-                moves.path_to_canonical(
-                    generate.random_diagram(rng, *top, steps=6))
-        assert sum(steps for steps, _searches in during) >= 9
-        assert [searches for _steps, searches in during] == [0] * 9
+                d = generate.random_diagram(rng, *top, steps=6)
+                path = moves.path_to_canonical(d)
+                searches.clear()
+                spells.clear()
+                assert moves.path_to_canonical(d) == path
+                descent = d.graph.n_edges - bottom
+                assert len(searches) == descent
+                assert len(spells) == (len(path) > descent)
+                descents += descent
+                checks += len(spells)
+        assert descents >= 8 and checks >= 8
 
 
 class TestInPlaceSearch:
@@ -1096,30 +1113,32 @@ class TestPathToCanonical:
         assert moves.path_to_canonical(d) == path
 
     @pytest.mark.parametrize("tamper", ["start", "move"])
-    def test_tampered_replay_step_is_refused(self, monkeypatch, tamper):
-        # the second replay step gets its start moved to the next half-edge,
-        # or the first step's move: either is refused, naming the class the
-        # step is made on
-        d = generate.random_diagram(random.Random(2), 2, 1, 1, steps=6)
-        assert len(moves.path_to_canonical(d)) == 6
-        replay, tampered = moves._replay, []
+    def test_tampered_tree_record_is_refused(self, monkeypatch, bottom_trees,
+                                             tamper):
+        # a query whose tree must expand the class with the tampered record,
+        # held in the tree's frontier, is refused as the class is expanded,
+        # naming it, and keeps no layer it grew
+        code, _bottom, far = _tampered_tree(monkeypatch, tamper)
+        held = dict(bottom_trees)
+        with pytest.raises(ChordLabError, match="witness path for") as refused:
+            moves.path_to_canonical(far)
+        assert repr(code) in str(refused.value)
+        assert _TAMPER_REASONS[tamper] in str(refused.value)
+        assert bottom_trees == held
 
-        def tampering(key, steps, p, q):
-            move, start, target = steps[1]
-            if tamper == "start":
-                start = (start + 1) % len(ch._word(target))
-            else:
-                move = steps[0][0]
-            steps[1] = (move, start, target)
-            tampered.append(ch._code(steps[0][2], p, q)[0])
-            replay(key, steps, p, q)
-
-        monkeypatch.setattr(moves, "_replay", tampering)
-        with pytest.raises(ChordLabError,
-                           match="path replay does not reach the base point"
-                           ) as refused:
-            moves.path_to_canonical(d)
-        assert repr(tampered[0]) in str(refused.value)
+    @pytest.mark.parametrize("tamper", ["start", "move"])
+    def test_tampered_bottom_record_is_refused(self, monkeypatch,
+                                               bottom_trees, tamper):
+        # a query whose bottom class is the one with the tampered record,
+        # still in the tree's frontier and so never checked by the tree, is
+        # refused by the query's own check of that record, naming it
+        code, bottom, _far = _tampered_tree(monkeypatch, tamper)
+        held = dict(bottom_trees)
+        with pytest.raises(ChordLabError, match="witness path for") as refused:
+            moves.path_to_canonical(bottom)
+        assert repr(code) in str(refused.value)
+        assert _TAMPER_REASONS[tamper] in str(refused.value)
+        assert bottom_trees == held
 
     def test_descent_that_stops_above_the_bottom_is_refused(
             self, monkeypatch):
@@ -1174,6 +1193,55 @@ def _walk_answers(steps):
     return [moves.path_to_canonical(generate.random_diagram(
         random.Random(seed), *top, steps=steps))
         for top in tops for seed in seeds]
+
+
+def _tree_layers(top, depth):
+    """The keys of layers 0 to depth of type top's tree (moves._bottom_tree),
+    grown cold with moves._grow from the base point's key."""
+    g, p, q = top
+    goal = ch.canonical_gamma0(g, p, q)
+    info: dict = {goal._canonical[0]: (None, None, None)}
+    layers = [{goal._canonical[0]: set()}]
+    for _ in range(depth):
+        layers.append(moves._grow(info, layers[-1], goal.graph.n_edges + 1,
+                                  p, q))
+    return [list(layer) for layer in layers]
+
+
+# what the witness check says of each tamper of _tampered_tree: a start
+# that does not spell, and a move chord._apply refuses
+_TAMPER_REASONS = {"start": "does not spell", "move": "is essential"}
+
+
+def _tampered_tree(monkeypatch, tamper):
+    """Tamper the record of the first class of (1;1,2)'s tree's second
+    layer, a bottom class, as _neighbors makes it: its start moved to the
+    next half-edge, or its inverse move swapped for its forward move, a
+    collapse, which no bottom class can make.  Then grow the tree through
+    the memo to that layer, by a query on the layer's last class.  Returns
+    the tampered class's code, its diagram and a diagram of the fourth
+    layer, whose query expands the second."""
+    def diagram(key):
+        return _diagram(ch._tables(*ch._code(key, 1, 2)[1], 1, 2))
+
+    layers = _tree_layers((1, 1, 2), 4)
+    target = layers[2][0]
+    assert len(layers[2]) > 1 and layers[4]
+    original, tampered = moves._neighbors, []
+
+    def tampering(t, max_edges, skip):
+        out = original(t, max_edges, skip)
+        for i, (key, fwd, inv, start) in enumerate(out):
+            if key == target and not tampered:
+                out[i] = ((key, fwd, inv, (start + 1) % len(t.pairing))
+                          if tamper == "start" else (key, fwd, fwd, start))
+                tampered.append(key)
+        return out
+
+    monkeypatch.setattr(moves, "_neighbors", tampering)
+    moves.path_to_canonical(diagram(layers[2][-1]))
+    assert tampered
+    return ch._code(target, 1, 2)[0], diagram(target), diagram(layers[4][0])
 
 
 def _held(trees):
