@@ -171,8 +171,18 @@ def validate_chord(
     default to the first circular half-edge of each cycle.  The fat graph
     is checked first (fatgraph._checked, whose graph, equal to this one,
     holds the vertex orbits its check derives), then the chord structure
-    (_check_chord).
+    (_check_chord).  A p, boundary_order entry or marking that is not an
+    int, bools included, is refused with a ChordLabError naming it before
+    any table is read.
     """
+    _require_int("p", p)
+    boundary_order = tuple(boundary_order)
+    for r in boundary_order:
+        _require_int("each entry of boundary_order", r)
+    if markings is not None:
+        markings = tuple(markings)
+        for m in markings:
+            _require_int("each marking", m)
     graph = fg._checked(graph.pairing, graph.next_at_vertex)
     return _check_chord(graph, labels, p, boundary_order, markings)
 

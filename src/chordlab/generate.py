@@ -110,13 +110,13 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _ghost_forests(n_circ: int, n_int: int, n_edges: int, symmetries=()):
+def _ghost_forests(n_circ: int, n_int: int, n_edges: int, symmetries):
     """Yield each simple forest with n_edges edges on vertices
     0..n_circ+n_int-1 (the last n_int internal) such that every circular
     vertex has degree >= 1, every internal vertex degree >= 3, and no
     component is all-internal, as a tuple of vertex pairs in pair order,
-    and least in its orbit under the vertex relabelings in symmetries
-    (_least_in_orbit).
+    that no vertex relabeling in symmetries maps to a smaller sorted list
+    of pairs.
 
     The search takes pairs in pair order, so a forest F it builds from a
     partial forest P adds only pairs above all of P's.  Say a relabeling s
@@ -229,16 +229,6 @@ def _block_symmetries(comp, n_int):
     ][1:]
 
 
-def _least_in_orbit(forest, symmetries) -> bool:
-    """Whether no relabeling in symmetries maps forest to a smaller one."""
-    for s in symmetries:
-        image = tuple(sorted((s[a], s[b]) if s[a] < s[b] else (s[b], s[a])
-                             for a, b in forest))
-        if image < forest:
-            return False
-    return True
-
-
 def _diagram_candidates(p, q, comp, forest, n_int):
     """Every diagram of one circle composition + ghost forest, as raw
     tables (pairing, rotation, colors, markings): one per rotation choice
@@ -349,12 +339,8 @@ def enumerate_classes(
     each partial forest some relabeling maps to a smaller one, since no
     forest completing it is then least (_ghost_forests), so the blocks
     visited, and their order, are those a test of every forest would
-    keep.  With one circle the search is pruned by the block's whole
-    group.  With several, the circle compositions share one search,
-    pruned by the internal permutations every group holds, and each
-    composition tests the forests it reads against its own group
-    (_least_in_orbit), which stops at the first smaller image: at most
-    prod(comp) * n_int! images per forest, 8 * 3! = 48 on (0;3,2)@9.
+    keep.  Each circle composition runs its own search, pruned by its own
+    block's group.
 
     Raises ChordLabError unless edge_bound is an int, UnrepresentableType
     unless p and q are at least 1, and SearchExhausted once it has met more
@@ -371,7 +357,7 @@ def _classes(top: TopType, edge_bound: int):
     the columns of its least word (chord._code) and the candidate's own
     markings, relabelled onto them, from which chord._form builds the
     class's stored form.  The generator keeps only the set of least words
-    met (chord._canonicalize) and the ghost forests of the block it is in,
+    met (chord._canonicalize) and the state of one ghost-forest search,
     and builds no diagram.  It raises SearchExhausted as a class is met
     past EXPLORE_CLASS_BUDGET, and at a block past ROTATION_BUDGET."""
     ch._require_int("edge_bound", edge_bound)
@@ -385,22 +371,11 @@ def _classes(top: TopType, edge_bound: int):
             n_ghost = n_int + const
             if 2 * n_ghost < n_circ + 3 * n_int:
                 continue
-            # one composition's forest search is pruned by its block's whole
-            # group.  Several share one search, which the first reads as it
-            # runs and tee keeps for the later ones; it is pruned by the
-            # internal permutations every group holds, and each composition
-            # tests the forests it reads against its own group
-            comps = list(_compositions(n_circ, p))
-            groups = [_block_symmetries(comp, n_int) for comp in comps]
-            shared = (groups[0] if len(comps) == 1
-                      else _block_symmetries((1,) * n_circ, n_int))
-            for comp, group, forests in zip(comps, groups, itertools.tee(
-                    _ghost_forests(n_circ, n_int, n_ghost, shared),
-                    len(comps))):
-                for forest in forests:
-                    if group is not shared and not _least_in_orbit(forest,
-                                                                   group):
-                        continue
+            # pruned by its block's group, a composition's search yields
+            # exactly the forests least in their orbit (_ghost_forests)
+            for comp in _compositions(n_circ, p):
+                for forest in _ghost_forests(n_circ, n_int, n_ghost,
+                                             _block_symmetries(comp, n_int)):
                     for pairing, nxt, colors, markings in _diagram_candidates(
                             p, q, comp, forest, n_int):
                         key, _word, label = ch._canonicalize(

@@ -232,6 +232,23 @@ class TestValidateChord:
                            match=f"half-edge id {bad} is not an int"):
             ch.validate_chord(graph, "CC", 1, (0, 1))
 
+    @pytest.mark.parametrize("change,name", [
+        ({"boundary_order": (0.0, 1.0, 3.0)}, "boundary_order"),
+        ({"p": 1.0}, "p"),
+        ({"p": True}, "p"),
+        ({"boundary_order": (False, True, 3)}, "boundary_order"),
+        ({"markings": (0.0, 1, 2)}, "marking"),
+    ], ids=["float-order", "float-p", "bool-p", "bool-order", "float-marking"])
+    def test_argument_that_is_not_an_int_refused(self, change, name):
+        # a float once indexed a table or sliced the order and crashed
+        # with a TypeError, p=True reached TopType's own check, and bools
+        # in the order passed as 0 and 1
+        d = ch.canonical_gamma0(0, 1, 2)
+        args = {"p": d.p, "boundary_order": d.boundary_order,
+                "markings": None, **change}
+        with pytest.raises(ChordLabError, match=f"{name} must be an int"):
+            ch.validate_chord(d.graph, d.labels, **args)
+
     @pytest.mark.parametrize("graph,labels,count", [
         # the one-chord (0;1,2)'s graph with its chord made circular: a
         # theta of circular edges, each end carrying three
@@ -1022,7 +1039,7 @@ def _every_block(g, p, q, bound):
             if 2 * (n_int + const) < n_circ + 3 * n_int:
                 continue
             forests = list(generate._ghost_forests(n_circ, n_int,
-                                                   n_int + const))
+                                                   n_int + const, ()))
             for comp in generate._compositions(n_circ, p):
                 for forest in forests:
                     yield comp, forest, n_int
@@ -1107,8 +1124,9 @@ def _least_forests(forests, symmetries):
 def test_forest_search_matches_brute_force(monkeypatch):
     # every search enumerate_classes makes, with the symmetries it prunes
     # by, against the brute-force forests least in their orbit under them:
-    # (1;1,2) prunes by its block's whole group, (0;3,2) by the internal
-    # permutations its compositions share, and some forests are pruned
+    # each circle composition's search is pruned by its own block's group,
+    # of (0;3,2)'s compositions into three circles and of (1;1,2)'s one,
+    # and some forests are pruned
     used, search = set(), generate._ghost_forests
 
     def recorded(n_circ, n_int, n_edges, symmetries):
@@ -1116,17 +1134,22 @@ def test_forest_search_matches_brute_force(monkeypatch):
         return search(n_circ, n_int, n_edges, symmetries)
 
     monkeypatch.setattr(generate, "_ghost_forests", recorded)
-    generate.enumerate_classes(TopType(0, 3, 2), 9)
-    generate.enumerate_classes(TopType(1, 1, 2), 9)
-    assert {(c, i) for c, i, _e, _s in used} == {
-        (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0)}
-    pruned = 0
-    for n_circ, n_int, n_edges, symmetries in sorted(used):
-        every = _brute_forests(n_circ, n_int, n_edges)
-        least = _least_forests(every, symmetries)
-        assert list(search(n_circ, n_int, n_edges, symmetries)) == least
-        pruned += len(every) - len(least)
-    assert pruned > 0
+    for top, p in ((TopType(0, 3, 2), 3), (TopType(1, 1, 2), 1)):
+        used.clear()
+        generate.enumerate_classes(top, 9)
+        assert {(c, i) for c, i, _e, _s in used} == {
+            (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0)}
+        for n_circ, n_int, _e, symmetries in used:
+            assert symmetries in {
+                tuple(generate._block_symmetries(comp, n_int))
+                for comp in generate._compositions(n_circ, p)}
+        pruned = 0
+        for n_circ, n_int, n_edges, symmetries in sorted(used):
+            every = _brute_forests(n_circ, n_int, n_edges)
+            least = _least_forests(every, symmetries)
+            assert list(search(n_circ, n_int, n_edges, symmetries)) == least
+            pruned += len(every) - len(least)
+        assert pruned > 0
 
 
 @pytest.mark.parametrize("n_circ,n_int", [
@@ -1138,7 +1161,8 @@ def test_forest_search_matches_brute_force_on_small_sizes(n_circ, n_int):
     symmetries = generate._block_symmetries((n_circ,), n_int)
     for n_edges in range(n_circ + n_int + 1):
         every = _brute_forests(n_circ, n_int, n_edges)
-        assert list(generate._ghost_forests(n_circ, n_int, n_edges)) == every
+        assert list(generate._ghost_forests(n_circ, n_int, n_edges,
+                                            ())) == every
         assert (list(generate._ghost_forests(n_circ, n_int, n_edges,
                                              symmetries))
                 == _least_forests(every, symmetries))

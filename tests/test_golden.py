@@ -130,6 +130,10 @@ def _replayed_path(c) -> str:
      "dfe22d3cb2e08164aee0e5ee2aeefdacba2d8fa379c30fabd7e15744033974e9"),
     ((0, 2, 3), 9,
      "012d9a0838cafafa501116158c39e78d62b95d753581ede92caa3e4ac15337ab"),
+    ((0, 4, 1), 9,
+     "893215911412a7d6bf4105cde3f810678794809b5df7cd779c6c8237d7375f58"),
+    ((1, 2, 2), 12,
+     "66ad9aaa716b406cf689398413a292328940c96e1640b2a03565b687b3fa2159"),
 ])
 def test_enumerated_classes(top, bound, digest):
     # every class code and its stored form, in the enumerator's insertion
