@@ -1,23 +1,31 @@
 """chordlab: fat graphs, Sullivan chord diagrams, move-graph search and an
-exact positive-boundary two-dimensional TQFT."""
+exact positive-boundary two-dimensional TQFT.
 
-from .fatgraph import FatGraph, TopType, boundary_cycles, topological_type
-from .chord import ChordDiagram, canonical_gamma0, glue
-from .moves import explore, path_to_canonical
-from .tqft import FrobeniusAlgebra, mu, verify_gluing
+The package root imports no submodule: each name below loads its home
+module the first time it is looked up (PEP 562), so the algebra side
+(`tqft`, `formats`' frob v1) loads without the graph stack."""
 
-__all__ = [
-    "FatGraph",
-    "TopType",
-    "boundary_cycles",
-    "topological_type",
-    "ChordDiagram",
-    "canonical_gamma0",
-    "glue",
-    "explore",
-    "path_to_canonical",
-    "FrobeniusAlgebra",
-    "mu",
-    "verify_gluing",
-]
+import importlib
+
+_HOMES = {
+    "fatgraph": ("FatGraph", "TopType", "boundary_cycles", "topological_type"),
+    "chord": ("ChordDiagram", "canonical_gamma0", "glue"),
+    "moves": ("explore", "path_to_canonical"),
+    "tqft": ("FrobeniusAlgebra", "mu", "verify_gluing"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import itertools
 
-from . import chord as ch
-from . import fatgraph as fg
+# chord and fatgraph are imported where a diagram or graph is read or
+# written, so frob v1 loads without them; ChordDiagram and FatGraph below
+# name their classes in annotations only
 from . import tqft
-from .chord import CIRCULAR, GHOST, ChordDiagram
 from .errors import ChordLabError
-from .fatgraph import FatGraph
 
 __all__ = [
     "SyntaxError",
@@ -143,6 +142,8 @@ def _once(first, ln: int, what: str) -> None:
 
 def _validate_graph(pairing, vertex_lists) -> FatGraph:
     """fg.validate, its errors reported at the first vertex record."""
+    from . import fatgraph as fg
+
     try:
         return fg.validate(pairing, [v for _ln, v in vertex_lists])
     except ChordLabError as exc:
@@ -159,6 +160,8 @@ def parse_fatgraph(text: str) -> FatGraph:
 
 
 def parse_chord(text: str) -> ChordDiagram:
+    from . import chord as ch
+
     records = _records(text, "chord v1")
     pairing, vertex_lists, extras = _parse_graph_records(records)
     n = len(pairing)
@@ -169,7 +172,7 @@ def parse_chord(text: str) -> ChordDiagram:
     for ln, col, toks in extras:
         kind = toks[0]
         if kind == "edge":
-            if len(toks) != 3 or toks[2] not in (CIRCULAR, GHOST):
+            if len(toks) != 3 or toks[2] not in (ch.CIRCULAR, ch.GHOST):
                 raise SyntaxError(ln, col, "edge <id> C|G")
             eid = _int(toks[1], ln, "edge id")
             _once(edge_labels.get(eid), ln, f"edge {eid}")
@@ -394,10 +397,13 @@ def parse(text: str):
 
 
 def serialize(value) -> str:
+    if isinstance(value, tqft.FrobeniusAlgebra):
+        return serialize_frob(value)
+    from .chord import ChordDiagram
+    from .fatgraph import FatGraph
+
     if isinstance(value, ChordDiagram):
         return serialize_chord(value)
     if isinstance(value, FatGraph):
         return serialize_fatgraph(value)
-    if isinstance(value, tqft.FrobeniusAlgebra):
-        return serialize_frob(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")

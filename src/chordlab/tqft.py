@@ -28,7 +28,6 @@ from itertools import compress, repeat
 from math import lcm
 from operator import add, attrgetter, mul
 
-from .chord import ChordDiagram
 from .errors import ChordLabError, NoOutgoing
 
 __all__ = [
