@@ -125,15 +125,29 @@ class TestImportGraph:
         assert loaded == ["chordlab.errors", "chordlab.tqft",
                           "chordlab.formats"]
 
+    def test_importtime_lists_the_lazily_loaded_modules(self):
+        # the CI step reads -X importtime, which lists a module only when
+        # an import statement or __import__ loads it
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c",
+             "from chordlab import formats, tqft"],
+            env=env, capture_output=True, text=True, check=True)
+        rows = [line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines() if "chordlab" in line]
+        assert sorted(rows) == ["chordlab", "chordlab.errors",
+                                "chordlab.formats", "chordlab.tqft"]
+
     def test_cli_loads_the_modules_the_eager_root_did_in_its_order(self):
-        # the connect worker's imports: a different load order moved its
-        # `ref` metrics through memory layout alone
+        # the connect worker's imports: the module list it loaded while the
+        # root was eager, kept so that a change to it is deliberate
         assert _fresh("import chordlab\nfrom chordlab import cli" + LOADED) == (
             GRAPH_STACK + ["chordlab.formats", "chordlab.cli"])
 
-    def test_paths_worker_loads_the_same_modules(self):
-        # the eager root loaded formats after moves; formats now loads with
-        # tqft as the worker asks for it, before moves (see CHANGES.md)
+    def test_paths_worker_loads_tqft_and_formats_before_generate_and_moves(self):
+        # not the eager root's order, which loaded generate, moves and tqft
+        # before formats: formats now loads tqft as the worker asks for it,
+        # before moves
         assert _fresh("import chordlab\nfrom chordlab import chord, formats, "
                       "moves" + LOADED) == [
             "chordlab.errors", "chordlab.fatgraph", "chordlab.chord",
@@ -162,6 +176,20 @@ class TestLazyNames:
 
     def test_dir_lists_every_name(self):
         assert set(chordlab.__all__) <= set(dir(chordlab))
+        assert set(chordlab._SUBMODULES) <= set(dir(chordlab))
+
+    def test_every_submodule_resolves_after_a_bare_import(self):
+        assert set(chordlab._SUBMODULES) == {
+            path.stem for path in SRC.glob("*.py")} - {"__init__"}
+        out = _fresh("""
+            import json, sys
+            import chordlab
+            same = [getattr(chordlab, name) is sys.modules[f"chordlab.{name}"]
+                    for name in chordlab._SUBMODULES]
+            print(json.dumps([same, len(chordlab.tqft.pd2().basis),
+                              chordlab.moves.explore is chordlab.explore]))
+            """)
+        assert out == [[True] * len(chordlab._SUBMODULES), 2, True]
 
     def test_formats_alone_parses_and_serializes_every_kind(self):
         out = _fresh("""
