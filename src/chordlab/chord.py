@@ -747,6 +747,13 @@ def _require_int(name: str, value) -> None:
         raise ChordLabError(f"{name} must be an int, got {value!r}")
 
 
+def _require_instance(name: str, value, kind: type) -> None:
+    """Refuse a value that is not a kind with a ChordLabError naming the
+    argument."""
+    if not isinstance(value, kind):
+        raise ChordLabError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 # edges the base point of one type may have, 4g+2p+2q-3.  The build is
 # linear in them: (255;1,2), 1023 edges, takes 8 ms on a 2-core box and
 # holds 0.26 MB, 0.42 MB once its least word is found, so a full memo

@@ -13,12 +13,14 @@ import json
 import os
 import sys
 
-# the order the eager package root loaded these in, so `from chordlab
-# import cli` loads the modules it loaded then, in the same order
+# the graph stack only: formats is imported by the commands that read or
+# write a file, and tqft by the algebra commands (tqft.FrobeniusAlgebra
+# below is an annotation only), so that `connect` and the graph file
+# commands load no algebra module, nor the fractions and decimal that tqft
+# imports
 from . import fatgraph as fg
 from . import chord as ch
-from . import moves, tqft
-from . import formats
+from . import moves
 from .chord import CIRCULAR, ChordDiagram
 from .errors import ChordLabError
 from .fatgraph import FatGraph, TopType
@@ -28,6 +30,10 @@ __all__ = ["main", "emit_dot"]
 # the most points `tqft verify --range` checks, one verify_gluing each (each
 # mu is capped by tqft.MU_CELL_BUDGET, the grid by this)
 VERIFY_GRID_BUDGET = 1 << 10
+
+# the names of tqft.BUILTINS, for --algebra's help, which is built without
+# loading tqft
+BUILTIN_ALGEBRAS = ("pd2", "st2", "zero")
 
 
 def _use_color() -> bool:
@@ -59,19 +65,30 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _parse(path: str):
+    """The value of the chordlab file at path (formats.parse)."""
+    from . import formats
+
+    return formats.parse(_read(path))
+
+
 def _algebra(spec: str, field_name: str | None) -> tqft.FrobeniusAlgebra:
+    from . import tqft
+
     if spec in tqft.BUILTINS:
         return tqft.builtin_algebra(spec, _field(field_name or "Q"))
     if field_name is not None:
         raise ChordLabError(f"--field applies to builtin algebras; {spec} "
                             "names its field in its field record")
-    A = formats.parse(_read(spec))
+    A = _parse(spec)
     if not isinstance(A, tqft.FrobeniusAlgebra):
         raise ChordLabError(f"{spec} does not contain a frob v1 algebra")
     return A
 
 
 def _field(name: str):
+    from . import tqft
+
     if name == "Q":
         return tqft.Rationals()
     if name.startswith("F") and name[1:].isdigit():
@@ -154,7 +171,7 @@ def emit_dot(c: ChordDiagram, canon: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    value = formats.parse(_read(args.file))
+    value = _parse(args.file)
     if isinstance(value, ChordDiagram):
         kind, detail = "chord", str(value.top_type())
     elif isinstance(value, FatGraph):
@@ -170,7 +187,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_type(args) -> int:
-    value = formats.parse(_read(args.file))
+    value = _parse(args.file)
     if isinstance(value, ChordDiagram):
         out = str(value.top_type())
     elif isinstance(value, FatGraph):
@@ -183,7 +200,7 @@ def _cmd_type(args) -> int:
 
 
 def _cmd_boundaries(args) -> int:
-    value = formats.parse(_read(args.file))
+    value = _parse(args.file)
     graph = value.graph if isinstance(value, ChordDiagram) else value
     if not isinstance(graph, FatGraph):
         raise ChordLabError("boundaries applies to fatgraph/chord files")
@@ -197,7 +214,7 @@ def _cmd_boundaries(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    value = formats.parse(_read(args.file))
+    value = _parse(args.file)
     if isinstance(value, ChordDiagram):
         code = ch.diagram_code(value, with_markings=args.marked)
     elif isinstance(value, FatGraph):
@@ -210,8 +227,8 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    a = formats.parse(_read(args.a))
-    b = formats.parse(_read(args.b))
+    a = _parse(args.a)
+    b = _parse(args.b)
     if isinstance(a, ChordDiagram) and isinstance(b, ChordDiagram):
         same = ch.diagram_code(a) == ch.diagram_code(b)
     elif isinstance(a, FatGraph) and isinstance(b, FatGraph):
@@ -226,8 +243,10 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_glue(args) -> int:
-    c1 = formats.parse(_read(args.a))
-    c2 = formats.parse(_read(args.b))
+    from . import formats
+
+    c1 = _parse(args.a)
+    c2 = _parse(args.b)
     if not (isinstance(c1, ChordDiagram) and isinstance(c2, ChordDiagram)):
         raise ChordLabError("glue expects two chord v1 files")
     schedule = None
@@ -243,6 +262,8 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_gamma0(args) -> int:
+    from . import formats
+
     d = ch.canonical_gamma0(args.g, args.p, args.q)
     _write(args.output, formats.serialize(d))
     return 0
@@ -283,13 +304,15 @@ def _cmd_connect(args) -> int:
 def _matrix_json(A, op):
     F = A.field_
     return {
-        "p": op.p, "q": op.q, "genus": op.genus,
+        "field": F.name, "p": op.p, "q": op.q, "genus": op.genus,
         "degree_shift": op.degree_shift,
         "matrix": [[F.serialize(x) for x in row] for row in op.rows()],
     }
 
 
 def _cmd_tqft(args) -> int:
+    from . import tqft
+
     A = _algebra(args.algebra, args.field)
     if args.action == "op":
         op = tqft.mu(A, args.p, args.q, args.g)
@@ -361,7 +384,7 @@ def _cmd_tqft(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    value = formats.parse(_read(args.file))
+    value = _parse(args.file)
     if not isinstance(value, ChordDiagram):
         raise ChordLabError("dot applies to chord v1 files")
     _write(args.output, emit_dot(value, canon=args.canon))
@@ -423,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("tqft", _cmd_tqft, help="Frobenius-algebra operations")
     p.add_argument("action", choices=["op", "verify", "counit", "axioms"])
     p.add_argument("--algebra", required=True,
-                   help=" | ".join([*tqft.BUILTINS, "a frob v1 file"]))
+                   help=" | ".join([*BUILTIN_ALGEBRAS, "a frob v1 file"]))
     p.add_argument("--field",
                    help="Q or F<prime>, for builtins only (default Q)")
     p.add_argument("--p", type=int, default=1)

@@ -38,11 +38,13 @@ refused.
 from __future__ import annotations
 
 import itertools
+import sys
 
 # chord and fatgraph are imported where a diagram or graph is read or
-# written, so frob v1 loads without them; ChordDiagram and FatGraph below
-# name their classes in annotations only
-from . import tqft
+# written, and tqft where an algebra is, so frob v1 loads without the
+# graph stack and fatgraph and chord v1 without tqft; ChordDiagram,
+# FatGraph and tqft.FrobeniusAlgebra below name their classes in
+# annotations only
 from .errors import ChordLabError
 
 __all__ = [
@@ -263,6 +265,8 @@ FROB_BASIS_BUDGET = 8
 
 
 def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
+    from . import tqft
+
     records = _records(text, "frob v1")
     field_ = None
     basis, degrees = [], []
@@ -360,7 +364,7 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
 def serialize_frob(A: tqft.FrobeniusAlgebra) -> str:
     F = A.field_
     lines = ["frob v1"]
-    lines.append("field Q" if isinstance(F, tqft.Rationals) else f"field Fp {F.p}")
+    lines.append("field Q" if F.name == "Q" else f"field Fp {F.p}")
     for i, name in enumerate(A.basis):
         if A.degrees is not None:
             lines.append(f"basis {name} {A.degrees[i]}")
@@ -397,7 +401,10 @@ def parse(text: str):
 
 
 def serialize(value) -> str:
-    if isinstance(value, tqft.FrobeniusAlgebra):
+    # no FrobeniusAlgebra exists before tqft is loaded, so the test for one
+    # loads nothing
+    tqft = sys.modules.get(f"{__package__}.tqft")
+    if tqft is not None and isinstance(value, tqft.FrobeniusAlgebra):
         return serialize_frob(value)
     from .chord import ChordDiagram
     from .fatgraph import FatGraph

@@ -22,7 +22,7 @@ import random
 from . import chord as ch
 from . import fatgraph as fg
 from .chord import ChordDiagram
-from .errors import SearchExhausted, UnrepresentableType
+from .errors import ChordLabError, SearchExhausted, UnrepresentableType
 from .fatgraph import TopType
 
 __all__ = [
@@ -59,7 +59,13 @@ def random_diagram(
     starting at the base-point diagram.  Each step derives the diagram's
     tables once, draws one of its collapsible edges, in edge order
     (chord._collapsible_edges), or one of its splits, in the order of
-    chord._splits, and makes only the move it draws on those tables."""
+    chord._splits, and makes only the move it draws on those tables.
+    Steps, when given, must be a non-negative int, not a bool; None draws
+    0 to 4 of them."""
+    if steps is not None:
+        ch._require_int("steps", steps)
+        if steps < 0:
+            raise ChordLabError(f"steps must be non-negative, got {steps}")
     c = ch.canonical_gamma0(g, p, q)
     if steps is None:
         steps = rng.randint(0, 4)
@@ -342,10 +348,10 @@ def enumerate_classes(
     keep.  Each circle composition runs its own search, pruned by its own
     block's group.
 
-    Raises ChordLabError unless edge_bound is an int, UnrepresentableType
-    unless p and q are at least 1, and SearchExhausted once it has met more
-    than EXPLORE_CLASS_BUDGET classes, or at a block with more than
-    ROTATION_BUDGET rotation choices (_diagram_candidates).
+    Raises ChordLabError unless top is a TopType and edge_bound an int,
+    UnrepresentableType unless p and q are at least 1, and SearchExhausted
+    once it has met more than EXPLORE_CLASS_BUDGET classes, or at a block
+    with more than ROTATION_BUDGET rotation choices (_diagram_candidates).
     """
     return {code: ch._form(columns, top.p, top.q, markings)
             for code, columns, markings in _classes(top, edge_bound)}
@@ -360,6 +366,7 @@ def _classes(top: TopType, edge_bound: int):
     met (chord._canonicalize) and the state of one ghost-forest search,
     and builds no diagram.  It raises SearchExhausted as a class is met
     past EXPLORE_CLASS_BUDGET, and at a block past ROTATION_BUDGET."""
+    ch._require_instance("top", top, TopType)
     ch._require_int("edge_bound", edge_bound)
     g, p, q = top.genus, top.p, top.q
     if p < 1 or q < 1:

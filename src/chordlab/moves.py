@@ -506,6 +506,7 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
     generate.EXPLORE_CLASS_BUDGET classes as each class is expanded, or an
     enumeration that meets more, raises SearchExhausted.
     """
+    ch._require_instance("top", top, TopType)
     ch._require_int("edge_bound", edge_bound)
     p, q = top.p, top.q
     g0 = ch.canonical_gamma0(top.genus, p, q)
@@ -625,6 +626,7 @@ def path_to_canonical(c: ChordDiagram) -> list[Move]:
     the tables the descent ends on, with one traversal and no canonical
     search.  A record that fails raises a ChordLabError naming its class.
     """
+    ch._require_instance("c", c, ChordDiagram)
     top = c.top_type()
     p, q = top.p, top.q
     bottom = ch.canonical_gamma0(top.genus, p, q).graph.n_edges

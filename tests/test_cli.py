@@ -304,19 +304,35 @@ class TestTqftCommands:
         assert code == 0
         assert json.loads(out)["matrix"] == [["0", "0"], ["2", "0"]]
 
+    def test_op_json_names_its_field(self, capsys):
+        # the same operation over Q and over F_7, whose entries all read
+        # alike, differs in its field
+        fields = []
+        for field_ in ("Q", "F7"):
+            code, out, _ = run(capsys, "tqft", "op", "--algebra", "pd2",
+                               "--field", field_, "--json")
+            assert code == 0
+            fields.append(json.loads(out))
+        assert [op.pop("field") for op in fields] == ["Q", "F7"]
+        assert fields[0] == fields[1]
+
+    def test_algebra_help_names_every_builtin(self):
+        # the help is built without loading tqft, from its own list
+        assert cli.BUILTIN_ALGEBRAS == tuple(tqft.BUILTINS)
+
     def test_verify_exit_zero(self, capsys):
         code, out, _ = run(capsys, "tqft", "verify", "--algebra", "st2",
                            "--field", "F2", "--range", "2,2,2,1,1")
         assert code == 0
 
     def test_verify_grid_budget(self, capsys, monkeypatch):
-        calls, verify = [], cli.tqft.verify_gluing
+        calls, verify = [], tqft.verify_gluing
 
         def counted(*args):
             calls.append(args)
             return verify(*args)
 
-        monkeypatch.setattr(cli.tqft, "verify_gluing", counted)
+        monkeypatch.setattr(tqft, "verify_gluing", counted)
         # just above the budget: 5*5*1*41*1 = VERIFY_GRID_BUDGET + 1 points
         assert 5 * 5 * 41 == cli.VERIFY_GRID_BUDGET + 1
         code, _, err = run(capsys, "tqft", "verify", "--algebra", "pd2",

@@ -167,20 +167,19 @@ def _algebra_args(tmp_path, algebra: str) -> list[str]:
 
 @pytest.mark.parametrize("algebra,digest", [
     ("pd2/Q",
-     "10ce781131afb63fcbf501ecd6a0ee55980f916c7bd5770304a6db0ead5726e2"),
+     "5f298ea287b732b41a16c9e8f07ef9698649585d8651179e604c788bacff9b47"),
     ("st2/F5",
-     "2f070d8ca063939b07f2581fbc6ad7d539889c6d55543a59a99fa4f376145245"),
+     "4b0d8dbf634ee2c8281df1989a231d1da78ba37e79ef7d7a15de48e68686e5a4"),
     ("zero/F7",
-     "372f0b96c0baa0a55747732aff451e8b0edf876e63c82daf01f55b8b2df270ca"),
+     "29fa8427835cd9025908e8a91f3a1547ea0685866b616288a0504ca404f7f0d2"),
     ("pd2/3",
-     "aefc1d25f4126776c70294d9833c91e6207cc1741f952c6cf68d9e5e1f186c9a"),
+     "14ae61b02bcf18ed1606b6df3237a558c0a078a0e1edba5ff638a37871d96dd0"),
     ("cp2/3",
-     "894e259d1b7b0085b0e46db2782c245d6ea6babe2057670b8bd8f66de5f29e76"),
-    # every entry of these operations is 0, 1 or 3, so the two read alike
+     "ce8572ef0d9dbc8abae80fe61f282bae3b0829d37a0ff384a4f143f7f2f28f0e"),
     ("cp2/Q",
-     "15d7ef06347a1118f163d78eaab5ea77c1a70d03dd16c202a42c8cf3681231e2"),
+     "2f0eb3fb4bbc54873d011294f7e953749bdb90d1044d9886f4eeb9dbbcea6189"),
     ("cp2/F7",
-     "15d7ef06347a1118f163d78eaab5ea77c1a70d03dd16c202a42c8cf3681231e2"),
+     "357d9f4daca7040c04bd44f34f0da3bb4b72193cb128ee52e3b9bd9dda50d7e7"),
 ])
 def test_tqft_op_json(capsys, tmp_path, algebra, digest):
     # every mu_{p,q}(g) with p <= 3, 1 <= q <= 3 and g <= 3, one JSON line

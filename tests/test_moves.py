@@ -224,6 +224,35 @@ class TestSkippedMoves:
         # every class but the start is reached by a search of its own
         assert len(info) - 1 <= len(searches) <= 0.55 * total
 
+    @pytest.mark.parametrize("top,bound,classes,searches", [
+        ((1, 1, 2), 9, 90, 238), ((0, 3, 2), 9, 698, 1620),
+        ((2, 1, 1), 12, 412, 1642)])
+    def test_checked_search_work(self, monkeypatch, top, bound, classes,
+                                 searches):
+        # explore's search, its witnesses checked: its canonical searches,
+        # one table derivation and one least word per class, and one
+        # witness traversal per class but the base point
+        calls = dict.fromkeys(["_search", "_tables", "_code", "_spells"], 0)
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        start = ch.canonical_gamma0(*top)._canonical[0]
+        for module, name in ((fg, "_search"), (ch, "_tables"),
+                             (ch, "_code"), (fg, "_spells")):
+            counted(module, name)
+        info = moves._bfs(start, top[1], top[2], bound, moves._check_witness)
+        monkeypatch.undo()
+        assert len(info) == classes
+        assert calls == {"_search": searches, "_tables": classes,
+                         "_code": classes, "_spells": classes - 1}
+
 
 def _reachable(*roots):
     """Every object reachable from roots through gc referents, types
@@ -793,6 +822,13 @@ class TestExplore:
         with pytest.raises(ChordLabError, match=f"{name} must be an int"):
             run(TopType(0, 2, 2), **{"edge_bound": 5, name: value})
 
+    @pytest.mark.parametrize("call", ["explore", "enumerate_classes"])
+    def test_top_not_a_toptype_refused(self, call):
+        # a (g, p, q) tuple is refused by name, not with an AttributeError
+        run = moves.explore if call == "explore" else generate.enumerate_classes
+        with pytest.raises(ChordLabError, match="top must be a TopType"):
+            run((0, 3, 2), 9)
+
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
             moves.explore(TopType(1, 1, 1), 3)
@@ -1081,6 +1117,10 @@ class TestPathToCanonical:
     def test_base_point_gives_empty_path(self):
         assert moves.path_to_canonical(ch.canonical_gamma0(1, 1, 1)) == []
 
+    def test_not_a_diagram_refused(self):
+        with pytest.raises(ChordLabError, match="c must be a ChordDiagram"):
+            moves.path_to_canonical(None)
+
     def test_round_trip_from_expansion(self):
         d = ch.canonical_gamma0(1, 1, 2)
         for x in expansions(d)[:4]:
@@ -1278,6 +1318,29 @@ def bottom_trees(monkeypatch):
     trees: dict = {}
     monkeypatch.setattr(moves, "_BOTTOM_TREES", trees)
     return trees
+
+
+class TestRandomDiagram:
+    @pytest.mark.parametrize("steps", [True, "2", 1.0])
+    def test_steps_not_an_int_refused(self, steps):
+        # True would walk one step, "2" raise a TypeError
+        with pytest.raises(ChordLabError, match="steps must be an int"):
+            generate.random_diagram(random.Random(1), 1, 1, 2, steps=steps)
+
+    def test_negative_steps_refused(self):
+        # rather than walking none
+        with pytest.raises(ChordLabError, match="steps must be non-negative"):
+            generate.random_diagram(random.Random(1), 1, 1, 2, steps=-3)
+
+    def test_no_steps_draws_zero_to_four(self):
+        # steps=None draws its count from rng, then walks that many
+        for seed in range(20):
+            steps = random.Random(seed).randint(0, 4)
+            drawn = generate.random_diagram(random.Random(seed), 1, 1, 2)
+            rng = random.Random(seed)
+            rng.randint(0, 4)
+            walked = generate.random_diagram(rng, 1, 1, 2, steps=steps)
+            assert drawn == walked
 
 
 class TestGoalLayers:

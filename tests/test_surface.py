@@ -102,9 +102,29 @@ import json, sys
 print(json.dumps([m for m in sys.modules if m.startswith("chordlab.")]))
 """
 
-# what the eager package root loaded, in its order, before formats
-GRAPH_STACK = ["chordlab.errors", "chordlab.fatgraph", "chordlab.chord",
-               "chordlab.generate", "chordlab.moves", "chordlab.tqft"]
+# what no graph caller loads: the algebra module and the standard modules
+# only it imports
+ALGEBRA_SIDE = ["chordlab.tqft", "decimal", "fractions"]
+
+
+def _algebra_loaded(code: str) -> list:
+    """The modules of ALGEBRA_SIDE that code, run in a fresh interpreter,
+    has loaded."""
+    return _fresh(code + f"""
+import json, sys
+print(json.dumps(sorted(set(sys.modules) & {set(ALGEBRA_SIDE)!r})))
+""")
+
+
+def _cli_code(*argv) -> str:
+    """Code that runs `chordlab argv` through cli.main, its output dropped,
+    and requires exit status 0."""
+    return textwrap.dedent(f"""
+        import contextlib, io
+        from chordlab import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({list(map(str, argv))!r}) == 0
+        """)
 
 
 class TestImportGraph:
@@ -122,8 +142,8 @@ class TestImportGraph:
                 assert isinstance(A, tqft.FrobeniusAlgebra), name
                 assert formats.serialize(A) == text, name
             """) + LOADED)
-        assert loaded == ["chordlab.errors", "chordlab.tqft",
-                          "chordlab.formats"]
+        assert sorted(loaded) == ["chordlab.errors", "chordlab.formats",
+                                  "chordlab.tqft"]
 
     def test_importtime_lists_the_lazily_loaded_modules(self):
         # the CI step reads -X importtime, which lists a module only when
@@ -138,21 +158,71 @@ class TestImportGraph:
         assert sorted(rows) == ["chordlab", "chordlab.errors",
                                 "chordlab.formats", "chordlab.tqft"]
 
-    def test_cli_loads_the_modules_the_eager_root_did_in_its_order(self):
-        # the connect worker's imports: the module list it loaded while the
-        # root was eager, kept so that a change to it is deliberate
-        assert _fresh("import chordlab\nfrom chordlab import cli" + LOADED) == (
-            GRAPH_STACK + ["chordlab.formats", "chordlab.cli"])
+    def test_cli_loads_no_algebra_module(self):
+        # the connect worker's import: the graph stack, and neither tqft
+        # nor formats
+        loaded = _fresh("from chordlab import cli" + LOADED)
+        assert "chordlab.formats" not in loaded
+        assert _algebra_loaded("from chordlab import cli") == []
 
-    def test_paths_worker_loads_tqft_and_formats_before_generate_and_moves(self):
-        # not the eager root's order, which loaded generate, moves and tqft
-        # before formats: formats now loads tqft as the worker asks for it,
-        # before moves
-        assert _fresh("import chordlab\nfrom chordlab import chord, formats, "
-                      "moves" + LOADED) == [
-            "chordlab.errors", "chordlab.fatgraph", "chordlab.chord",
-            "chordlab.tqft", "chordlab.formats", "chordlab.generate",
-            "chordlab.moves"]
+    def test_connect_loads_no_algebra_module(self):
+        assert _algebra_loaded(_cli_code(
+            "connect", "--type", "1,1,2", "--max-edges", "9", "--json")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "LEFT"], ["validate", "GRAPH"], ["type", "LEFT"],
+        ["type", "GRAPH"], ["boundaries", "LEFT"], ["code", "LEFT"],
+        ["code", "--marked", "LEFT"], ["code", "GRAPH"],
+        ["iso", "LEFT", "RIGHT"], ["iso", "GRAPH", "GRAPH"],
+        ["glue", "LEFT", "RIGHT"], ["gamma0", "1", "1", "2"],
+        ["dot", "LEFT"], ["dot", "--canon", "LEFT"]], ids=" ".join)
+    def test_graph_file_command_loads_no_algebra_module(self, argv, tmp_path):
+        graph = tmp_path / "graph.fatgraph"
+        graph.write_text("fatgraph v1\npair 0 1\npair 2 3\nvertex 0 2 1 3\n")
+        files = {"LEFT": SRC / "data" / "glue_left_0_1_2.chord",
+                 "RIGHT": SRC / "data" / "glue_right_0_2_2.chord",
+                 "GRAPH": graph}
+        assert _algebra_loaded(_cli_code(
+            *(files.get(arg, arg) for arg in argv))) == []
+
+    def test_paths_worker_loads_no_algebra_module(self):
+        # the paths worker's library calls, and its queries generator's
+        assert _algebra_loaded("""
+import random
+from chordlab import chord, formats, generate, moves
+from chordlab.fatgraph import TopType
+d = generate.random_diagram(random.Random(1), 1, 1, 2, steps=6)
+c = formats.parse(formats.serialize_chord(d))
+assert c.top_type() == TopType(1, 1, 2)
+moves.path_to_canonical(c)
+formats.serialize(chord.canonical_form(c))
+""") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["tqft", "op", "--algebra", "pd2", "--p", "2", "--g", "1", "--json"],
+        ["tqft", "op", "--algebra", "st2", "--field", "F3", "--p", "2"],
+        ["tqft", "verify", "--algebra", "st2", "--field", "F5", "--json"],
+        ["tqft", "axioms", "--algebra", "FROB", "--json"],
+        ["tqft", "counit", "--algebra", "FROB"],
+        ["validate", "--json", "FROB"]])
+    def test_algebra_command_loads_tqft_where_it_runs(self, argv, capsys):
+        # a fresh `chordlab` loads tqft inside the command; its output is
+        # the output of the command with every module loaded
+        from chordlab import cli
+
+        argv = [str(SRC / "data" / "pd2.frob") if a == "FROB" else a
+                for a in argv]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        out = _fresh(textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            from chordlab import cli
+            before = "chordlab.tqft" in sys.modules
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main({argv!r})
+            print(json.dumps([before, code, out.getvalue()]))
+            """))
+        assert out == [False, 0, expected]
 
 
 class TestLazyNames:
