@@ -32,7 +32,8 @@ Over F_p it is an integer, read modulo p.
 
 A repeated field, ambient or unit record, a repeated `m i j -> k` or
 `Delta i -> j k` key, or a basis record past the FROB_BASIS_BUDGET-th, is
-refused.
+refused.  Grading is all or nothing, a degree on every basis record and
+ambient, or neither: a mix is refused where it departs from the first.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
 
     records = _records(text, "frob v1")
     field_ = None
-    basis, degrees = [], []
-    ambient = None
+    basis, degrees = [], []   # degrees: (line, degree or None) per basis
+    ambient = None            # (line, dimension)
     unit = None
     once: dict[str, tuple] = {}  # field, ambient, unit -> (line,)
     m_entries: dict[tuple, tuple] = {}  # key -> (line, coefficient)
@@ -314,11 +315,12 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
                     f"more than FROB_BASIS_BUDGET = {FROB_BASIS_BUDGET} "
                     "basis records"))
             basis.append(toks[1])
-            degrees.append(_int(toks[2], ln, "degree") if len(toks) == 3 else None)
+            degrees.append(
+                (ln, _int(toks[2], ln, "degree") if len(toks) == 3 else None))
         elif kind == "ambient":
             if len(toks) != 2:
                 raise SyntaxError(ln, col, "ambient <n>")
-            ambient = _int(toks[1], ln, "dimension")
+            ambient = (ln, _int(toks[1], ln, "dimension"))
         elif kind == "unit":
             unit = (ln, [coeff(t, ln) for t in toks[1:]])
         elif kind == "m":
@@ -340,6 +342,14 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
         raise SyntaxError(1, 1, "a `field` record")
     if not basis:
         raise SyntaxError(1, 1, "at least one `basis` record")
+    # grading is all or nothing, as the first basis record sets it: a
+    # missing ambient record is refused at that record
+    slots = [(ln, d is not None) for ln, d in degrees]
+    slots.append((ambient[0], True) if ambient else (slots[0][0], False))
+    wrong = next((ln for ln, has in slots if has != slots[0][1]), None)
+    if wrong is not None:
+        raise ValidationError(wrong, ChordLabError(
+            "partial grading: degrees need ambient and every basis record"))
     if unit is None or len(unit[1]) != len(basis):
         raise ValidationError(
             unit[0] if unit else 1,
@@ -349,15 +359,14 @@ def parse_frob(text: str) -> tqft.FrobeniusAlgebra:
         tqft._constants(field_, len(basis),
                         {key: c for key, (_ln, c) in entries.items()})
         for entries in (m_entries, d_entries))
-    graded = all(x is not None for x in degrees) and ambient is not None
     return tqft.FrobeniusAlgebra(
         field_=field_,
         basis=tuple(basis),
         product=product,
         coproduct=coproduct,
         unit=tuple(unit[1]),
-        degrees=tuple(degrees) if graded else None,
-        ambient_n=ambient if graded else None,
+        degrees=tuple(d for _ln, d in degrees) if ambient else None,
+        ambient_n=ambient[1] if ambient else None,
     )
 
 
@@ -366,11 +375,9 @@ def serialize_frob(A: tqft.FrobeniusAlgebra) -> str:
     lines = ["frob v1"]
     lines.append("field Q" if F.name == "Q" else f"field Fp {F.p}")
     for i, name in enumerate(A.basis):
-        if A.degrees is not None:
-            lines.append(f"basis {name} {A.degrees[i]}")
-        else:
-            lines.append(f"basis {name}")
-    if A.ambient_n is not None:
+        lines.append(f"basis {name}" if A.degrees is None
+                     else f"basis {name} {A.degrees[i]}")
+    if A.degrees is not None:
         lines.append(f"ambient {A.ambient_n}")
     lines.append("unit " + " ".join(F.serialize(u) for u in A.unit))
     d = A.dim

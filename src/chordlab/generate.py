@@ -334,6 +334,7 @@ def enumerate_classes(
     For a type (g;p,q), every diagram satisfies E = V + (2g+p+q-2) where V is
     the total vertex count, and the ghost forest has exactly
     V_circ - (2g+p+q-2) components; these identities drive the enumeration.
+    Valence at least 3 caps E at 3(2g+p+q-2): a larger bound costs no more.
 
     A block is visited only when its forest is the least in its orbit under
     `_block_symmetries`: rotating each circle's vertex ids within that circle
@@ -372,16 +373,16 @@ def _classes(top: TopType, edge_bound: int):
     if p < 1 or q < 1:
         raise UnrepresentableType(f"{top} is not a chord-diagram type")
     const = 2 * g + p + q - 2
+    # valence >= 3 needs n_circ + 3 n_int <= 2 (n_int + const) ghost ends,
+    # so E <= 3 const; capped there, the bound admits only feasible blocks
+    edge_bound = min(edge_bound, 3 * const)
     seen: set = set()
     for n_circ in range(max(p, const + 1), edge_bound - const + 1):
-        for n_int in range(0, edge_bound - const - n_circ + 1):
-            n_ghost = n_int + const
-            if 2 * n_ghost < n_circ + 3 * n_int:
-                continue
+        for n_int in range(edge_bound - const - n_circ + 1):
             # pruned by its block's group, a composition's search yields
             # exactly the forests least in their orbit (_ghost_forests)
             for comp in _compositions(n_circ, p):
-                for forest in _ghost_forests(n_circ, n_int, n_ghost,
+                for forest in _ghost_forests(n_circ, n_int, n_int + const,
                                              _block_symmetries(comp, n_int)):
                     for pairing, nxt, colors, markings in _diagram_candidates(
                             p, q, comp, forest, n_int):

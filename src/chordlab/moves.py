@@ -36,9 +36,9 @@ The witness check (_check_witness) makes the move through chord._apply and
 then runs one traversal from that start (fatgraph._spells), which must
 spell the class's least word entry by entry.  Spelling the word proves the
 class whatever the start, so the check makes no canonical search, and a
-wrong start can only refuse a move.  explore's search and
-path_to_canonical's tree both run it on each class as it is expanded, so
-each record is checked once.
+wrong start can only refuse a move.  _grow runs it on each class it
+expands, so every search checks each record it expands once: explore's,
+its component searches from unreached classes and path_to_canonical's.
 
 The searches canonicalize each move once, bar a second move between the
 same two classes.  A move changes the edge count by one, so it joins two
@@ -278,24 +278,21 @@ class MoveGraphReport:
         }
 
 
-def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
-          check=None):
+def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int):
     """Expand one search layer of type (g;p,q), class by class in code
-    order: record each unseen neighbour of the frontier in info as (parent
-    key, inverse move, start), start being the certificate _neighbors made
-    for the inverse move (_check_witness).
+    order, not key order (code text puts "10" before "8"): write each
+    frontier class's code, columns and tables (chord._tables) once, check
+    its record on them (_check_witness), then record each unseen neighbour
+    in info as (parent key, inverse move, start), start being the
+    certificate _neighbors made for the inverse move.
 
     info and the frontier are keyed by least words (chord._canonicalize);
-    the frontier maps each to the moves its class skips.  Each frontier
-    class's columns and code are written here, once, and the layer is
-    expanded in code order, not key order (code text puts "10" before "8").
-    A class's tables are derived as it is expanded (chord._tables); check,
-    if given, is called as check(info, key, code, tables) first.  Before
-    each class is expanded, raises SearchExhausted if info holds more than
+    the frontier maps each to the moves its class skips.  Before each
+    class is expanded, raises SearchExhausted if info holds more than
     generate.EXPLORE_CLASS_BUDGET classes, so a search holds at most that
     many plus one class's neighbours.  Returns the new frontier, each class
     skipping the inverse of every move of this layer that reached it (see
-    the module docstring)."""
+    the module docstring), and the codes written, key -> code."""
     layer = sorted((*ch._code(key, p, q), key) for key in frontier)
     new: dict = {}
     budget = generate.EXPLORE_CLASS_BUDGET
@@ -306,8 +303,7 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
                 f"EXPLORE_CLASS_BUDGET = {budget}",
                 frontier_size=len(layer) - i + len(new))
         t = ch._tables(*columns, p, q)
-        if check is not None:
-            check(info, parent, code, t)
+        _check_witness(info, parent, code, t)
         for key, _fwd, inv, start in _neighbors(
                 t, max_edges, frontier[parent]):
             if key not in info:
@@ -315,31 +311,21 @@ def _grow(info: dict, frontier: dict, max_edges: int, p: int, q: int,
                 new[key] = set()
             if key in new:
                 new[key].add(inv)
-    return new
+    return new, {key: code for code, _columns, key in layer}
 
 
-def _bfs(key, p: int, q: int, max_edges: int, check=None):
+def _bfs(key, p: int, q: int, max_edges: int):
     """Breadth-first search over classes of type (g;p,q) from the class
-    with this key (chord._canonicalize); returns info, code -> (parent code,
-    inverse move), in discovery order, so each class after its parent, with
-    (None, None) for the start.  The search keys
-    classes by least words (_grow); each class reached is expanded, and its
-    code written, once, and info is rekeyed by those codes at the end,
-    without the certificate starts.  No diagram is built.  check, if given,
-    is called as _grow calls it.  Raises SearchExhausted, as each class is
-    expanded, once more than generate.EXPLORE_CLASS_BUDGET classes are held
-    (_grow)."""
+    with this key (chord._canonicalize), layer by layer (_grow), which
+    checks each record and raises SearchExhausted; returns info, code ->
+    (parent code, inverse move), in discovery order, so each class after
+    its parent, with (None, None) for the start.  No diagram is built."""
     info: dict = {key: (None, None, None)}
     frontier: dict = {key: set()}
     codes: dict = {None: None}   # the start's parent is None
-
-    def expanded(info, key, code, t):
-        codes[key] = code
-        if check is not None:
-            check(info, key, code, t)
-
     while frontier:
-        frontier = _grow(info, frontier, max_edges, p, q, check=expanded)
+        frontier, written = _grow(info, frontier, max_edges, p, q)
+        codes.update(written)
     return {codes[key]: (codes[parent], move)
             for key, (parent, move, _start) in info.items()}
 
@@ -437,20 +423,20 @@ def _read_codes(lines):
         yield line[:-1]
 
 
-def _search_beside_enumerator(top: TopType, edge_bound: int, search):
-    """search()'s result, the number of classes the enumerator
-    (generate._classes) meets and, in its order, the codes of those not in
-    that result.
+def _search_beside_enumerator(top: TopType, edge_bound: int, key):
+    """The search from the class with this key (_bfs), the number of
+    classes the enumerator (generate._classes) meets and, in its order, the
+    codes of those the search did not reach.
 
-    Where _fork_pays, the enumerator runs in a child forked before search()
-    starts, and sends its codes through a pipe; they are read after
-    search() ends, one line at a time.  Otherwise the enumerator runs here,
-    after search().  Either way the same codes arrive in the same order.  A
-    failure of the parent, search()'s included, kills the child before it
-    is reaped, rather than wait for an enumeration nobody will read; a
-    child that fails with nothing sent, or dies by a signal, raises a
-    ChordLabError that names the enumerator.  A fork the system refuses
-    leaves the enumerator here."""
+    Where _fork_pays, the enumerator runs in a child forked before the
+    search starts and sends its codes through a pipe, read after the search
+    ends, one line at a time; otherwise it runs here, after the search.
+    Either way the same codes arrive in the same order.  A failure of the
+    parent, the search's included, kills the child before it is reaped,
+    rather than wait for an enumeration nobody will read; a child that
+    fails with nothing sent, or dies by a signal, raises a ChordLabError
+    that names the enumerator.  A fork the system refuses leaves the
+    enumerator here."""
     pid = None
     if _fork_pays():
         r, w = os.pipe()
@@ -460,7 +446,7 @@ def _search_beside_enumerator(top: TopType, edge_bound: int, search):
             os.close(r)
             os.close(w)
     if pid is None:
-        result = search()
+        result = _bfs(key, top.p, top.q, edge_bound)
         return (result, *_tally((code for code, _columns, _markings
                                  in generate._classes(top, edge_bound)),
                                 result))
@@ -469,7 +455,7 @@ def _search_beside_enumerator(top: TopType, edge_bound: int, search):
     os.close(w)
     try:
         with os.fdopen(r, "rb") as lines:
-            result = search()
+            result = _bfs(key, top.p, top.q, edge_bound)
             tally = _tally(_read_codes(lines), result)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -496,12 +482,13 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
     (move sequences back to the base point) are checked by induction: each
     class's first move, applied to the canonical tables the search derives
     for it, must lead to its parent's class (_check_witness), checked as
-    the class is expanded.  The enumerator (generate._classes) runs in a
-    child forked before the search, where that is safe and can pay
-    (_fork_pays), and in this process after the search otherwise; either
-    way explore keeps only the codes of the classes the search did not
-    reach, and searches from each such class's code only to count
-    components; no diagram is built but the base point.  No process is
+    the class is expanded, in every search explore makes (_grow).  The
+    enumerator (generate._classes) runs in a child forked before the
+    search, where that is safe and can pay (_fork_pays), and in this
+    process after the search otherwise; either way explore keeps only the
+    codes of the classes the search did not reach, and searches from each
+    such class's code to count components; no diagram is built but the
+    base point.  No process is
     left behind, on success or failure.  A search that holds more than
     generate.EXPLORE_CLASS_BUDGET classes as each class is expanded, or an
     enumeration that meets more, raises SearchExhausted.
@@ -514,11 +501,8 @@ def explore(top: TopType, edge_bound: int) -> MoveGraphReport:
         raise BoundTooSmall(
             f"bound {edge_bound} below the {g0.graph.n_edges}-edge base point"
         )
-    start = g0._canonical[0]
-
     info, class_count, unreached = _search_beside_enumerator(
-        top, edge_bound,
-        lambda: _bfs(start, p, q, edge_bound, _check_witness))
+        top, edge_bound, g0._canonical[0])
     stray = len(info) - (class_count - len(unreached))
     if stray:
         raise ChordLabError(
@@ -589,7 +573,7 @@ def _bottom_tree(top: TopType, key):
                 f"base point of {top} under {ceiling} edges does not hold "
                 "this bottom class")
         grown = dict(info)
-        new = _grow(grown, frontier, ceiling, p, q, check=_check_witness)
+        new, _codes = _grow(grown, frontier, ceiling, p, q)
         info = MappingProxyType(grown)
         frontier = MappingProxyType({k: frozenset(skip)
                                      for k, skip in new.items()})

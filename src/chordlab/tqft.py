@@ -277,7 +277,7 @@ class FrobeniusAlgebra:
 
     product[i][j][k] is the e_k coefficient of e_i * e_j; coproduct[i][j][k]
     is the e_j (x) e_k coefficient of Delta(e_i); unit is the coefficient
-    vector of 1.  degrees/ambient_n are optional grading data.
+    vector of 1.  degrees/ambient_n are optional grading data, all or none.
     """
 
     field_: object
@@ -287,6 +287,13 @@ class FrobeniusAlgebra:
     unit: tuple
     degrees: tuple | None = None
     ambient_n: int | None = None
+
+    def __post_init__(self):
+        if (self.degrees is None) != (self.ambient_n is None) or (
+                self.degrees is not None and len(self.degrees) != self.dim):
+            raise ChordLabError(
+                f"partial grading: degrees {self.degrees!r} and ambient_n "
+                f"{self.ambient_n!r} for {self.dim} basis elements")
 
     @property
     def dim(self) -> int:

@@ -238,6 +238,22 @@ class TestErrors:
         assert type(err.value) is error
         assert err.value.line == line
 
+    @pytest.mark.parametrize("name,record,fault,line", [
+        # st2.frob grades basis 1 on line 3 and basis x on line 4, with
+        # ambient on line 5: a degree on one basis record only is refused
+        # at the second, degrees without ambient at the first, and ambient
+        # without degrees (added to pd2.frob) at its own line
+        ("st2.frob", "basis x 0", "basis x", 4),
+        ("st2.frob", "basis 1 2", "basis 1", 4),
+        ("st2.frob", "ambient 2\n", "", 3),
+        ("pd2.frob", "basis x\n", "basis x\nambient 2\n", 5),
+    ])
+    def test_partial_grading_refused_at_its_line(self, name, record, fault,
+                                                 line):
+        with pytest.raises(VALIDATION, match="partial grading") as err:
+            formats.parse(_faulty(name, record, fault))
+        assert err.value.line == line
+
     @pytest.mark.parametrize("kind", ["field", "ambient", "unit", "m", "Delta"])
     def test_repeated_frob_record(self, kind):
         lines = formats.serialize(tqft.st2()).splitlines()

@@ -247,7 +247,7 @@ class TestSkippedMoves:
         for module, name in ((fg, "_search"), (ch, "_tables"),
                              (ch, "_code"), (fg, "_spells")):
             counted(module, name)
-        info = moves._bfs(start, top[1], top[2], bound, moves._check_witness)
+        info = moves._bfs(start, top[1], top[2], bound)
         monkeypatch.undo()
         assert len(info) == classes
         assert calls == {"_search": searches, "_tables": classes,
@@ -525,6 +525,21 @@ def _helper_thread():
     assert not helper.is_alive()
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run this many seconds."""
+    def expired(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.usefixtures("no_child_left")
 class TestForkedEnumerator:
     @pytest.mark.parametrize("top,bound", [
@@ -780,6 +795,33 @@ class TestExplore:
         assert repr(tampered[0]) in str(refused.value)
         assert "does not spell" in str(refused.value)
 
+    def test_component_searches_check_their_records(self, monkeypatch):
+        # the base point's class has no moves, so the search from it holds
+        # it alone and every other class is counted by the component
+        # searches from unreached classes; the first record those searches
+        # make has its start shifted to the next half-edge, and the check
+        # refuses it as its class is expanded, naming the class
+        original = moves._neighbors
+        base = ch.canonical_gamma0(1, 1, 2)._canonical[0]
+        tampered = []
+
+        def isolated(t, max_edges, skip):
+            key = ch._canonicalize(t.pairing, t.nxt, t.colors, t.p, t.q)[0]
+            if key == base:
+                return []
+            out = original(t, max_edges, skip)
+            if not tampered:
+                key, fwd, inv, start = out[0]
+                out[0] = (key, fwd, inv, (start + 1) % len(t.pairing))
+                tampered.append(ch._code(key, t.p, t.q)[0])
+            return out
+
+        monkeypatch.setattr(moves, "_neighbors", isolated)
+        with pytest.raises(ChordLabError, match="witness path for") as refused:
+            moves.explore(TopType(1, 1, 2), 9)
+        assert repr(tampered[0]) in str(refused.value)
+        assert "does not spell" in str(refused.value)
+
     def test_search_checked_against_the_enumeration(self, monkeypatch):
         # a class the search reaches but the enumerator does not yield is
         # refused: here the enumerator drops its first class, which has
@@ -914,6 +956,17 @@ class TestExplore:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_enumeration_past_the_trivalent_maximum(self):
+        # no diagram of (1;1,1) has more than 3(2g+p+q-2) = 6 edges: a bound
+        # of a million gives the classes of 6, in the same order with the
+        # same forms, and loops over no block the valences rule out
+        top = TopType(1, 1, 1)
+        with _deadline(5):
+            far = generate.enumerate_classes(top, 10 ** 6)
+        near = generate.enumerate_classes(top, 6)
+        assert len(near) == 3
+        assert list(far.items()) == list(near.items())
+
     def test_enumeration_class_budget(self, monkeypatch):
         # the enumerator gives up on its own: (0;3,2)@9 has 698 classes
         top = TopType(0, 3, 2)
@@ -1008,16 +1061,20 @@ class TestCertificates:
         searches = _counting_searches(monkeypatch)
         key = ch.canonical_gamma0(0, 3, 2)._canonical[0]
         counts = []
-        for check in (None, moves._check_witness):
-            searches.clear()
-            assert len(moves._bfs(key, 3, 2, 9, check)) == 698
-            counts.append(len(searches))
+        for check in (lambda *args: None, moves._check_witness):
+            with monkeypatch.context() as patch:
+                patch.setattr(moves, "_check_witness", check)
+                searches.clear()
+                assert len(moves._bfs(key, 3, 2, 9)) == 698
+                counts.append(len(searches))
         assert counts[0] == counts[1] > 0
 
         ch.canonical_gamma0(2, 1, 1)._canonical
-        searches.clear()
-        layers = _tree_layers((2, 1, 1), 4)
-        unchecked = len(searches)
+        with monkeypatch.context() as patch:
+            patch.setattr(moves, "_check_witness", lambda *args: None)
+            searches.clear()
+            layers = _tree_layers((2, 1, 1), 4)
+            unchecked = len(searches)
         searches.clear()
         moves._bottom_tree(TopType(2, 1, 1), layers[4][0])
         assert len(searches) == unchecked > 0
@@ -1244,7 +1301,7 @@ def _tree_layers(top, depth):
     layers = [{goal._canonical[0]: set()}]
     for _ in range(depth):
         layers.append(moves._grow(info, layers[-1], goal.graph.n_edges + 1,
-                                  p, q))
+                                  p, q)[0])
     return [list(layer) for layer in layers]
 
 
@@ -1298,7 +1355,8 @@ def _cold_tree(top, size):
     info: dict = {goal._canonical[0]: (None, None, None)}
     frontier: dict = {goal._canonical[0]: set()}
     while len(info) < size and frontier:
-        frontier = moves._grow(info, frontier, goal.graph.n_edges + 1, p, q)
+        frontier = moves._grow(info, frontier, goal.graph.n_edges + 1,
+                               p, q)[0]
     return info, frontier
 
 

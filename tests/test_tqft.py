@@ -1,5 +1,6 @@
 """Frobenius algebras and the operations mu_{p,q}(g): exact arithmetic only."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -388,6 +389,15 @@ class TestCounit:
 
 
 class TestDegrees:
+    @pytest.mark.parametrize("grading", [
+        {"degrees": None}, {"ambient_n": None}, {"degrees": (2,)},
+        {"degrees": (2, 0, 1)}])
+    def test_partial_grading_refused(self, grading):
+        # st2 with one half of its grading dropped, or a degree too few or
+        # too many: a domain error, not a TypeError from check_axioms or mu
+        with pytest.raises(ChordLabError, match="partial grading"):
+            dataclasses.replace(tqft.st2(), **grading)
+
     def test_degree_shift_values(self):
         n = 3
         assert tqft.degree_shift(2, 1, 0, n) == -n      # pair of pants
